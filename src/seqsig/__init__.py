@@ -8,7 +8,6 @@ Modules:
 * :mod:`seqsig.sas` — sequential aggregate signatures (sas1, sas2).
 * :mod:`seqsig.ms` — multi-signatures on a common message.
 * :mod:`seqsig.keyreg` — certified-key registry (knowledge-of-secret-key).
-* :mod:`seqsig.dual_system` — semi-functional test oracles (test support only).
 * :mod:`seqsig.envelopes` — binary file formats.
 * :mod:`seqsig.cli` — command-line interface.
 """

@@ -14,7 +14,6 @@ import random
 import sys
 import time
 
-from . import dual_system  # noqa: F401  (re-exported for introspection)
 from . import envelopes, keyreg, ms, pks, sas
 from .errors import (
     InvalidAggregateError,

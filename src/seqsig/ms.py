@@ -13,7 +13,6 @@ certification registry's job, not the verifier's.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,14 +23,13 @@ from .groups import (
     GroupSuite,
     GTElem,
     Scalar,
-    encode_element,
     hash_to_scalar,
-    multi_exp,
     pair,
-    pairing_product,
     random_nonzero_scalar,
     random_scalar,
 )
+# by name: ms functions take a ``pks`` list of public keys
+from .pks import check_product, key_id, product, sign_rows, verifier_rows
 
 _MSG_TAG = b"seqsig/ms/message"
 
@@ -129,8 +127,7 @@ def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, MsPrivateKey]:
 
 def ms_key_from_secret(params: MsParams, alpha: Scalar):
     pk = MsPublicKey(suite=params.suite, omega=params.lam ** alpha)
-    pk_id = hashlib.sha256(encode_element(pk.omega)).digest()
-    return pk, MsPrivateKey(alpha=alpha, pk_id=pk_id)
+    return pk, MsPrivateKey(alpha=alpha, pk_id=key_id(pk))
 
 
 def message_scalar(params: MsParams, message: bytes) -> Scalar:
@@ -150,39 +147,12 @@ def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
 
 
 def ms_sign_with_randomness(params, m, sk, r, c1, c2) -> MsSignature:
-    gr, ur, hr, wr = params.g_row, params.u_row, params.h_row, params.w_row
-    row1 = tuple(
-        gr[k] ** sk.alpha * (ur[k] ** m * hr[k]) ** r * wr[k] ** c1 for k in range(3)
-    )
-    row2 = tuple(gr[k] ** r * wr[k] ** c2 for k in range(3))
-    return MsSignature(row1, row2)
-
-
-def _verification_rows(params, m, t):
-    mt = m * t % params.suite.order
-    v1 = tuple(el ** t for el in params.g_hat_row)
-    v2 = tuple(
-        multi_exp([(params.u_hat_row[k], mt), (params.h_hat_row[k], t)])
-        for k in range(3)
-    )
-    return v1, v2
+    bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
+    return MsSignature(*sign_rows(params.g_row, sk.alpha, bases, params.w_row, r, c1, c2))
 
 
 def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng) -> bool:
-    return ms_verify_scalar(sig, message_scalar(params, message), pk, params, rng)
-
-
-def ms_verify_scalar(sig, m, pk, params, rng) -> bool:
-    t = random_nonzero_scalar(params.suite, rng)
-    return ms_verify_with_coins(sig, m, pk, params, t)
-
-
-def ms_verify_with_coins(sig, m, pk, params, t) -> bool:
-    if len(sig.row1) != 3 or len(sig.row2) != 3:
-        raise MalformedEncodingError("multi-signature must have width 3 + 3")
-    v1, v2 = _verification_rows(params, m, t)
-    lhs = pairing_product(zip(sig.row1, v1), zip(sig.row2, v2))
-    return lhs == pk.omega ** t
+    return ms_mult_verify(sig, message, [pk], params, rng)
 
 
 def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPublicKey],
@@ -203,12 +173,8 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPubl
         for i, (sig, pk) in enumerate(zip(sigs, pks)):
             if not ms_verify(sig, message, pk, params, rng):
                 raise InvalidAggregateError(f"input signature {i} is invalid; halting")
-    row1 = list(sigs[0].row1)
-    row2 = list(sigs[0].row2)
-    for sig in sigs[1:]:
-        row1 = [a * b for a, b in zip(row1, sig.row1)]
-        row2 = [a * b for a, b in zip(row2, sig.row2)]
-    return MsSignature(tuple(row1), tuple(row2))
+    return MsSignature(tuple(product(col) for col in zip(*(sig.row1 for sig in sigs))),
+                       tuple(product(col) for col in zip(*(sig.row2 for sig in sigs))))
 
 
 def ms_mult_verify(msig: MsSignature, message: bytes, pks: Sequence[MsPublicKey],
@@ -226,9 +192,5 @@ def ms_mult_verify_with_coins(msig, m, pks, params, t) -> bool:
         raise ValueError("verification requires at least one public key")
     if len(msig.row1) != 3 or len(msig.row2) != 3:
         raise MalformedEncodingError("multi-signature must have width 3 + 3")
-    v1, v2 = _verification_rows(params, m, t)
-    omega_prod = params.suite.identity("gt")
-    for pk in pks:
-        omega_prod = omega_prod * pk.omega
-    lhs = pairing_product(zip(msig.row1, v1), zip(msig.row2, v2))
-    return lhs == omega_prod ** t
+    v1, v2 = verifier_rows(params.g_hat_row, None, [(params.u_hat_row, params.h_hat_row, m)], t)
+    return check_product(msig, v1, v2, product([pk.omega for pk in pks]) ** t)

@@ -8,6 +8,10 @@ product against Omega^t with fresh verifier coins):
 * ``lw``   — 6-element reference variant whose public key omits the clear
   g, u, h (single-user only; no aggregation support).
 
+The row core at the end of this module (``sign_rows``, ``verifier_rows``,
+``check_product``) signs and verifies for :mod:`seqsig.sas` and
+:mod:`seqsig.ms` too.
+
 Randomness always flows through the supplied rng; the ``*_from_exponents``
 and ``*_with_randomness`` builders make every transcript reproducible for
 the oracle tests.
@@ -15,8 +19,11 @@ the oracle tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import KeyMismatchError, MalformedEncodingError
@@ -245,62 +252,85 @@ def sign_scalar(variant: str, m: Scalar, sk: PrivateKey, pk, rng) -> Signature:
 
 
 def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2) -> Signature:
-    suite = pk.suite
-    g = suite.g
+    g = pk.suite.g
     if variant == "pks1":
-        uMh = pk.u ** m * pk.h
-        row1 = (
-            g ** sk.alpha * uMh ** r * pk.w1 ** c1,
-            pk.w2 ** c1,
-            pk.w3 ** c1,
-            pk.w ** c1,
-        )
-        row2 = (g ** r * pk.w1 ** c2, pk.w2 ** c2, pk.w3 ** c2, pk.w ** c2)
-        return Signature("pks1", row1, row2)
-    if variant in ("pks2", "lw"):
+        u, h, w_row = pk.u, pk.h, (pk.w1, pk.w2, pk.w3, pk.w)
+    elif variant in ("pks2", "lw"):
         # signing uses the unblinded g, u, h known only to the key holder
-        u, h = g ** sk.x, g ** sk.y
-        w1, w2, w = pk.w_row
-        uMh = u ** m * h
-        row1 = (g ** sk.alpha * uMh ** r * w1 ** c1, w2 ** c1, w ** c1)
-        row2 = (g ** r * w1 ** c2, w2 ** c2, w ** c2)
-        return Signature(variant, row1, row2)
-    raise ValueError(f"unknown variant {variant!r}")
+        u, h, w_row = g ** sk.x, g ** sk.y, pk.w_row
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    row1, row2 = sign_rows((g,), sk.alpha, (u ** m * h,), w_row, r, c1, c2)
+    return Signature(variant, row1, row2)
 
 
 def verification_components(variant: str, pk, m: Scalar, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
-    """The verifier's fresh component rows (V1, V2) for given coins.
+    """The verifier's fresh component rows (V1, V2) for given coins."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    v_hat_row = pk.v_hat_row if variant == "pks1" else None
+    return verifier_rows(pk.g_hat_row, v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)], t, s1, s2)
 
-    Folding m into the exponents ((u^m h)^t = u^{mt} h^t) lets every
-    component come out of one shared multi-exponentiation chain.
+
+# -- Row core, shared with sas and ms --------------------------------------
+#
+# A signature is two G1 rows checked against two G2 rows. pks is the
+# one-signer case of sas, and ms is one (u, h, m) term under many keys, so
+# signing and verification for all three are written here once.
+
+
+def product(elems):
+    """Group product of a nonempty sequence, starting from its first element."""
+    return functools.reduce(operator.mul, elems)
+
+
+def sign_rows(alpha_row, alpha, msg_row, w_row, r, c1, c2, prev=None, d=0):
+    """Append one signer to the rows ``prev`` = (row1, row2); None signs afresh.
+
+    With a = alpha_row[k] and b = msg_row[k] (both absent past the slots
+    that carry them), slot k of the result is
+
+        row1[k] = prev1[k] * prev2[k]^d * a^alpha * b^r * w_row[k]^c1
+        row2[k] = prev2[k] * a^r * w_row[k]^c2
     """
-    gr, ur, hr = pk.g_hat_row, pk.u_hat_row, pk.h_hat_row
-    mt = m * t % pk.suite.order
-    if variant == "pks1":
-        vr = pk.v_hat_row
-        v1 = (
-            gr[0] ** t,
-            multi_exp([(gr[1], t), (vr[0], s1)]),
-            multi_exp([(gr[2], t), (vr[1], s1)]),
-            multi_exp([(gr[3], t), (vr[2], s1)]),
-        )
-        v2 = (
-            multi_exp([(ur[0], mt), (hr[0], t)]),
-            multi_exp([(ur[1], mt), (hr[1], t), (vr[0], s2)]),
-            multi_exp([(ur[2], mt), (hr[2], t), (vr[1], s2)]),
-            multi_exp([(ur[3], mt), (hr[3], t), (vr[2], s2)]),
-        )
-        return v1, v2
-    if variant in ("pks2", "lw"):
-        v1 = (gr[0] ** t, gr[1] ** t, gr[2] ** t)
-        v2 = tuple(multi_exp([(ur[k], mt), (hr[k], t)]) for k in range(3))
-        return v1, v2
-    raise ValueError(f"unknown variant {variant!r}")
+    row1, row2 = [], []
+    for k, (w, a, b) in enumerate(zip_longest(w_row, alpha_row, msg_row)):
+        s1, s2 = w ** c1, w ** c2
+        if a is not None:
+            s1 = a ** alpha * b ** r * s1
+            s2 = a ** r * s2
+        if prev is not None:
+            s1 = prev[0][k] * prev[1][k] ** d * s1
+            s2 = prev[1][k] * s2
+        row1.append(s1)
+        row2.append(s2)
+    return tuple(row1), tuple(row2)
 
 
-def check_product(sig: Signature, v1: Sequence[G2Elem], v2: Sequence[G2Elem], rhs: GTElem) -> bool:
-    lhs = pairing_product(zip(sig.row1, v1), zip(sig.row2, v2))
-    return lhs == rhs
+def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
+    """The verifier's fresh G2 rows (V1, V2) for coins (t, s1, s2).
+
+    ``terms`` holds one (u_hat_row, h_hat_row, m) per signer. Folding m into
+    the exponents ((u^m h)^t = u^{mt} h^t) puts each slot of V2 in one
+    shared multi-exponentiation chain. ``v_hat_row`` is the randomization
+    row of the 4-wide variants (None for 3-wide ones); its entry k - 1
+    joins slot k >= 1 of V1 with exponent s1 and of V2 with exponent s2.
+    """
+    v1, v2 = [], []
+    for k, g_hat in enumerate(g_hat_row):
+        items = [item for u, h, m in terms for item in ((u[k], m * t), (h[k], t))]
+        if v_hat_row is None or k == 0:
+            v1.append(g_hat ** t)
+        else:
+            v1.append(multi_exp([(g_hat, t), (v_hat_row[k - 1], s1)]))
+            items.append((v_hat_row[k - 1], s2))
+        v2.append(multi_exp(items))
+    return tuple(v1), tuple(v2)
+
+
+def check_product(sig, v1: Sequence[G2Elem], v2: Sequence[G2Elem], rhs: GTElem) -> bool:
+    """The one pairing equation: e(row1, V1) * e(row2, V2) == rhs."""
+    return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == rhs
 
 
 def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:

@@ -17,6 +17,7 @@ regardless of how many signers contributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 from . import pks
@@ -35,7 +36,6 @@ from .groups import (
     hash_to_scalar,
     multi_exp,
     pair,
-    pairing_product,
     random_nonzero_scalar,
     random_scalar,
 )
@@ -257,47 +257,30 @@ def agg_sign_scalar(params, prev, m, pub, priv, rng, *,
 
 
 def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> AggregateSignature:
-    suite = params.suite
-    p = suite.order
-    d = (priv.x * m + priv.y) % p
+    d = (priv.x * m + priv.y) % params.suite.order
     messages = prev.messages + (m,)
     signers = prev.signers + (pub,)
-    if params.variant == "sas1":
-        t1 = [
-            prev.row1[0] * suite.g ** priv.alpha * prev.row2[0] ** d,
-            prev.row1[1] * prev.row2[1] ** d,
-            prev.row1[2] * prev.row2[2] ** d,
-            prev.row1[3] * prev.row2[3] ** d,
-        ]
-        base = suite.identity("g1")
-        for mi, si in zip(messages, signers):
-            u_i, h_i = si.g1_elems
-            base = base * (u_i ** mi * h_i)
-        w_row = (params.w1, params.w2, params.w3, params.w)
-        row1 = (
-            t1[0] * base ** r * w_row[0] ** c1,
-            t1[1] * w_row[1] ** c1,
-            t1[2] * w_row[2] ** c1,
-            t1[3] * w_row[3] ** c1,
-        )
-        row2 = (
-            prev.row2[0] * suite.g ** r * w_row[0] ** c2,
-            prev.row2[1] * w_row[1] ** c2,
-            prev.row2[2] * w_row[2] ** c2,
-            prev.row2[3] * w_row[3] ** c2,
-        )
-    else:
-        gr, wr = params.g_row, params.w_row
-        t1 = [prev.row1[k] * gr[k] ** priv.alpha * prev.row2[k] ** d for k in range(3)]
-        bases = []
-        for k in range(3):
-            acc = suite.identity("g1")
-            for mi, si in zip(messages, signers):
-                acc = acc * (si.g1_elems[k] ** mi * si.g1_elems[3 + k])
-            bases.append(acc)
-        row1 = tuple(t1[k] * bases[k] ** r * wr[k] ** c1 for k in range(3))
-        row2 = tuple(prev.row2[k] * gr[k] ** r * wr[k] ** c2 for k in range(3))
+    alpha_row, w_row = _g1_rows(params)
+    row1, row2 = pks.sign_rows(alpha_row, priv.alpha, _message_bases(messages, signers), w_row,
+                               r, c1, c2, prev=(prev.row1, prev.row2), d=d)
     return AggregateSignature(params.variant, row1, row2, messages, signers)
+
+
+def _g1_rows(params):
+    """(alpha_row, w_row): the G1 bases that carry alpha and r, and the w row."""
+    if params.variant == "sas1":
+        return (params.g,), (params.w1, params.w2, params.w3, params.w)
+    return params.g_row, params.w_row
+
+
+def _message_bases(messages, signers):
+    """Per slot, prod_i u_ik^m_i * h_ik over the chain (sas1: slot 0 only)."""
+    n = len(signers[0].g1_elems) // 2  # g1_elems is the u row, then the h row
+    return tuple(
+        pks.product([multi_exp([(s.g1_elems[k], m) for m, s in zip(messages, signers)])]
+                    + [s.g1_elems[n + k] for s in signers])
+        for k in range(n)
+    )
 
 
 def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
@@ -325,41 +308,10 @@ def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
 
 
 def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
-    suite = params.suite
-    p = suite.order
-    ghat_row = params.g_hat_row
-    width = AGG_WIDTH[params.variant]
-    # Pi_i (u_i^m_i h_i)^t per slot, with t folded into the exponents so
-    # each slot is a single shared-chain multi-exponentiation.
-    acc = []
-    for k in range(width):
-        items = []
-        for mi, si in zip(agg.messages, agg.signers):
-            items.append((si.u_hat_row[k], mi * t % p))
-            items.append((si.h_hat_row[k], t))
-        acc.append(items)
-    omega_prod = suite.identity("gt")
-    for si in agg.signers:
-        omega_prod = omega_prod * si.omega
-    if params.variant == "sas1":
-        vr = params.v_hat_row
-        c1_row = (
-            ghat_row[0] ** t,
-            multi_exp([(ghat_row[1], t), (vr[0], s1)]),
-            multi_exp([(ghat_row[2], t), (vr[1], s1)]),
-            multi_exp([(ghat_row[3], t), (vr[2], s1)]),
-        )
-        c2_row = (
-            multi_exp(acc[0]),
-            multi_exp(acc[1] + [(vr[0], s2)]),
-            multi_exp(acc[2] + [(vr[1], s2)]),
-            multi_exp(acc[3] + [(vr[2], s2)]),
-        )
-    else:
-        c1_row = tuple(el ** t for el in ghat_row)
-        c2_row = tuple(multi_exp(items) for items in acc)
-    lhs = pairing_product(zip(agg.row1, c1_row), zip(agg.row2, c2_row))
-    return lhs == omega_prod ** t
+    terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
+    v_hat_row = params.v_hat_row if params.variant == "sas1" else None
+    v1, v2 = pks.verifier_rows(params.g_hat_row, v_hat_row, terms, t, s1, s2)
+    return pks.check_product(agg, v1, v2, pks.product([si.omega for si in agg.signers]) ** t)
 
 
 def strip_to_single(params, agg: AggregateSignature, target_index: int,
@@ -370,25 +322,18 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
     (optionally including) the target. The result verifies under
     :func:`pks_view` of the target's key.
     """
-    suite = params.suite
-    p = suite.order
     if not 0 <= target_index < agg.length:
         raise IndexError("target index outside the aggregate")
-    width = AGG_WIDTH[params.variant]
-    row1 = list(agg.row1)
+    row1 = agg.row1
     for i, (mi, si) in enumerate(zip(agg.messages, agg.signers)):
         if i == target_index:
             continue
         kid = pks.key_id(si)
         if kid not in witnesses:
             raise MissingWitnessError(f"no private witness for signer {i}")
-        wit = witnesses[kid]
-        d = (wit.x * mi + wit.y) % p
-        row1[0] = row1[0] / (suite.g ** wit.alpha * agg.row2[0] ** d)
-        for k in range(1, width):
-            row1[k] = row1[k] / agg.row2[k] ** d
+        row1 = _divide_signer(params, row1, agg.row2, witnesses[kid], mi)
     variant = "pks1" if params.variant == "sas1" else "pks2"
-    return pks.Signature(variant, tuple(row1), tuple(agg.row2))
+    return pks.Signature(variant, row1, tuple(agg.row2))
 
 
 def pks_view(params, pub: SasSignerPublic):
@@ -422,25 +367,24 @@ def remove_signer(params, agg: AggregateSignature, pub: SasSignerPublic,
     randomness, so the result is again a well-formed aggregate over the
     remaining signers (provided ``m_old`` is the scalar actually signed).
     """
-    suite = params.suite
-    p = suite.order
     kid = priv.pk_id
     idx = next((i for i, s in enumerate(agg.signers) if pks.key_id(s) == kid), None)
     if idx is None:
         raise MissingWitnessError("signer is not present in the aggregate")
-    d = (priv.x * m_old + priv.y) % p
-    width = AGG_WIDTH[params.variant]
-    row1 = list(agg.row1)
-    if params.variant == "sas1":
-        row1[0] = row1[0] / (suite.g ** priv.alpha * agg.row2[0] ** d)
-        for k in range(1, width):
-            row1[k] = row1[k] / agg.row2[k] ** d
-    else:
-        for k in range(width):
-            row1[k] = row1[k] / (params.g_row[k] ** priv.alpha * agg.row2[k] ** d)
+    row1 = _divide_signer(params, agg.row1, agg.row2, priv, m_old)
     messages = agg.messages[:idx] + agg.messages[idx + 1:]
     signers = agg.signers[:idx] + agg.signers[idx + 1:]
-    return AggregateSignature(agg.variant, tuple(row1), agg.row2, messages, signers)
+    return AggregateSignature(agg.variant, row1, agg.row2, messages, signers)
+
+
+def _divide_signer(params, row1, row2, priv, m):
+    """row1 with alpha_row[k]^alpha * row2[k]^d of one signer divided out of each slot."""
+    d = (priv.x * m + priv.y) % params.suite.order
+    alpha_row, _ = _g1_rows(params)
+    return tuple(
+        s / (row2[k] ** d if a is None else a ** priv.alpha * row2[k] ** d)
+        for k, (s, a) in enumerate(zip_longest(row1, alpha_row))
+    )
 
 
 def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import pks
-from .errors import KeyMismatchError
-from .groups import GroupSuite, Scalar, random_nonzero_scalar, random_scalar
+from seqsig import pks
+from seqsig.errors import KeyMismatchError
+from seqsig.groups import GroupSuite, Scalar, random_nonzero_scalar, random_scalar
 
 
 @dataclass(frozen=True)

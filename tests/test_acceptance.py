@@ -10,8 +10,9 @@ import time
 
 import pytest
 
+import dual_system as ds
 from conftest import ACCEPTANCE_LINES, SharedStream
-from seqsig import dual_system as ds, envelopes, keyreg, ms, pks, sas
+from seqsig import envelopes, keyreg, ms, pks, sas
 from seqsig.groups import pairing_product, suite_generate
 
 LARGE_MOCK_PRIME = (1 << 31) - 1  # Mersenne prime M31

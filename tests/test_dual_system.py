@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from seqsig import dual_system as ds, pks
+import dual_system as ds
+from seqsig import pks
 from seqsig.errors import KeyMismatchError
 from seqsig.groups import pairing_product
 
