@@ -240,69 +240,70 @@ def g1_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % P)
 
 
-def g1_mul(pt, k):
-    k %= ORDER
-    if k == 0 or pt is None:
-        return None
-    # Jacobian double-and-add; affine only at the ends.
-    X, Y, Z = pt[0], pt[1], 1
-    acc = None
-    for bit in bin(k)[2:]:
-        if acc is not None:
-            aX, aY, aZ = acc
-            # doubling, a = 0
-            A = aX * aX % P
-            Bv = aY * aY % P
-            C = Bv * Bv % P
-            D = 2 * ((aX + Bv) * (aX + Bv) - A - C) % P
-            E = 3 * A % P
-            F = E * E % P
-            nX = (F - 2 * D) % P
-            nY = (E * (D - nX) - 8 * C) % P
-            nZ = 2 * aY * aZ % P
-            acc = None if nZ == 0 else (nX, nY, nZ)
-        if bit == "1":
-            if acc is None:
-                acc = (X, Y, Z)
-            else:
-                # mixed addition with the affine base point
-                aX, aY, aZ = acc
-                Z1Z1 = aZ * aZ % P
-                U2 = X * Z1Z1 % P
-                S2 = Y * aZ * Z1Z1 % P
-                if U2 == aX and S2 == aY:
-                    acc = _g1_jac_double(acc)
-                else:
-                    H = (U2 - aX) % P
-                    HH = H * H % P
-                    I = 4 * HH % P
-                    J = H * I % P
-                    rr = 2 * (S2 - aY) % P
-                    V = aX * I % P
-                    nX = (rr * rr - J - 2 * V) % P
-                    nY = (rr * (V - nX) - 2 * aY * J) % P
-                    nZ = 2 * aZ * H % P
-                    acc = None if nZ == 0 else (nX, nY, nZ)
-    if acc is None:
-        return None
-    aX, aY, aZ = acc
-    zi = pow(aZ, -1, P)
-    zi2 = zi * zi % P
-    return (aX * zi2 % P, aY * zi2 * zi % P)
+# Jacobian coordinates (X, Y, Z) = (X/Z^2, Y/Z^3), None as infinity, for
+# inversion-free scalar multiplication.
 
-
-def _g1_jac_double(pt):
-    aX, aY, aZ = pt
-    A = aX * aX % P
-    Bv = aY * aY % P
+def _jac1_double(pt):
+    X, Y, Z = pt
+    A = X * X % P
+    Bv = Y * Y % P
     C = Bv * Bv % P
-    D = 2 * ((aX + Bv) * (aX + Bv) - A - C) % P
+    D = 2 * ((X + Bv) * (X + Bv) - A - C) % P
     E = 3 * A % P
-    F = E * E % P
-    nX = (F - 2 * D) % P
+    nX = (E * E - 2 * D) % P
     nY = (E * (D - nX) - 8 * C) % P
-    nZ = 2 * aY * aZ % P
+    nZ = 2 * Y * Z % P
     return None if nZ == 0 else (nX, nY, nZ)
+
+
+def _jac1_add(p1, p2):
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    X1, Y1, Z1 = p1
+    X2, Y2, Z2 = p2
+    Z1Z1 = Z1 * Z1 % P
+    Z2Z2 = Z2 * Z2 % P
+    U1 = X1 * Z2Z2 % P
+    U2 = X2 * Z1Z1 % P
+    S1 = Y1 * Z2 * Z2Z2 % P
+    S2 = Y2 * Z1 * Z1Z1 % P
+    if U1 == U2:
+        if S1 == S2:
+            return _jac1_double(p1)
+        return None
+    H = U2 - U1
+    I = 4 * H * H % P
+    J = H * I % P
+    rr = 2 * (S2 - S1)
+    V = U1 * I % P
+    nX = (rr * rr - J - 2 * V) % P
+    nY = (rr * (V - nX) - 2 * S1 * J) % P
+    nZ = 2 * Z1 * Z2 * H % P
+    return (nX, nY, nZ)
+
+
+def _jac1_neg(pt):
+    return (pt[0], -pt[1] % P, pt[2])
+
+
+def _jac1_to_affine(pt):
+    if pt is None:
+        return None
+    X, Y, Z = pt
+    zi = pow(Z, -1, P)
+    zi2 = zi * zi % P
+    return (X * zi2 % P, Y * zi2 * zi % P)
+
+
+def g1_multi_exp(pairs):
+    """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
+    return _interleaved_wnaf(pairs, 1, _jac1_double, _jac1_add, _jac1_neg, _jac1_to_affine)
+
+
+def g1_mul(pt, k):
+    return g1_multi_exp([(pt, k)])
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +415,21 @@ def _wnaf(k, w=4):
     return digits
 
 
-def g2_multi_exp(pairs):
-    """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
+def _interleaved_wnaf(pairs, one, double, add, neg, to_affine):
+    """prod pt_i^{k_i} over affine points of one group, given its Jacobian
+    group law: every term's 4-NAF digits share one doubling chain (Moeller,
+    "Algorithms for multi-exponentiation", SAC 2001). ``one`` is the field's
+    unit, the Z coordinate of an affine point."""
     tables, naf_rows = [], []
     for pt, k in pairs:
         k %= ORDER
         if pt is None or k == 0:
             continue
-        base = (pt[0], pt[1], FQ2_ONE)
-        twice = _jac2_double(base)
+        base = (pt[0], pt[1], one)
+        twice = double(base)
         table = [base]  # odd multiples 1, 3, 5, 7 (wNAF digits up to +-7)
         for _ in range(3):
-            table.append(_jac2_add(table[-1], twice))
+            table.append(add(table[-1], twice))
         tables.append(table)
         naf_rows.append(_wnaf(int(k)))
     if not tables:
@@ -434,13 +438,18 @@ def g2_multi_exp(pairs):
     acc = None
     for i in range(length - 1, -1, -1):
         if acc is not None:
-            acc = _jac2_double(acc)
+            acc = double(acc)
         for table, row in zip(tables, naf_rows):
             if i < len(row) and row[i]:
                 d = row[i]
-                entry = table[d >> 1] if d > 0 else _jac2_neg(table[(-d) >> 1])
-                acc = _jac2_add(acc, entry)
-    return _jac2_to_affine(acc)
+                entry = table[d >> 1] if d > 0 else neg(table[(-d) >> 1])
+                acc = add(acc, entry)
+    return to_affine(acc)
+
+
+def g2_multi_exp(pairs):
+    """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
+    return _interleaved_wnaf(pairs, FQ2_ONE, _jac2_double, _jac2_add, _jac2_neg, _jac2_to_affine)
 
 
 def g2_mul(pt, k):

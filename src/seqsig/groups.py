@@ -154,6 +154,8 @@ class Bn254Backend:
         return bn254.gt_inv(h)
 
     def multi_exp(self, kind, pairs):
+        if kind == "g1":
+            return bn254.g1_multi_exp(pairs)
         if kind == "g2":
             return bn254.g2_multi_exp(pairs)
         acc = self.identity(kind)

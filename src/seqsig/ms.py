@@ -29,7 +29,7 @@ from .groups import (
     random_scalar,
 )
 # by name: ms functions take a ``pks`` list of public keys
-from .pks import check_product, key_id, product, sign_rows, verifier_rows
+from .pks import CachedKeyId, key_id, product, sign_rows, verify_rows
 
 _MSG_TAG = b"seqsig/ms/message"
 
@@ -56,7 +56,7 @@ class MsParams:
 
 
 @dataclass(frozen=True)
-class MsPublicKey:
+class MsPublicKey(CachedKeyId):
     suite: GroupSuite
     omega: GTElem
 
@@ -192,5 +192,5 @@ def ms_mult_verify_with_coins(msig, m, pks, params, t) -> bool:
         raise ValueError("verification requires at least one public key")
     if len(msig.row1) != 3 or len(msig.row2) != 3:
         raise MalformedEncodingError("multi-signature must have width 3 + 3")
-    v1, v2 = verifier_rows(params.g_hat_row, None, [(params.u_hat_row, params.h_hat_row, m)], t)
-    return check_product(msig, v1, v2, product([pk.omega for pk in pks]) ** t)
+    terms = [(params.u_hat_row, params.h_hat_row, m)]
+    return verify_rows(msig, params.g_hat_row, None, terms, product([pk.omega for pk in pks]), t)

@@ -9,8 +9,14 @@ product against Omega^t with fresh verifier coins):
   g, u, h (single-user only; no aggregation support).
 
 The row core at the end of this module (``sign_rows``, ``verifier_rows``,
-``check_product``) signs and verifies for :mod:`seqsig.sas` and
+``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
 :mod:`seqsig.ms` too.
+
+Where the coin t lives: the paper raises the verifier's G2 rows to t. Here
+t is applied to the G1 signature rows instead (e(S, V^t) = e(S^t, V)), so
+the G2 rows need no t and each signer adds one multi-exponentiation term
+per slot; the pairing product, and so every verdict for given coins, is the
+paper's. ``verification_components`` still returns the paper-form rows.
 
 Randomness always flows through the supplied rng; the ``*_from_exponents``
 and ``*_with_randomness`` builders make every transcript reproducible for
@@ -49,8 +55,17 @@ MESSAGE_WIDTH = {"pks1": "reduced", "pks2": "full", "lw": "reduced"}
 _MSG_TAG = b"seqsig/pks/message"
 
 
+class CachedKeyId:
+    """Public-key mixin: the key id is hashed once per (frozen) key object."""
+
+    @functools.cached_property
+    def key_id(self) -> bytes:
+        payload = b"".join(encode_element(e) for e in self.elements())
+        return hashlib.sha256(payload).digest()
+
+
 @dataclass(frozen=True)
-class Pks1PublicKey:
+class Pks1PublicKey(CachedKeyId):
     suite: GroupSuite
     g: G1Elem
     u: G1Elem
@@ -74,7 +89,7 @@ class Pks1PublicKey:
 
 
 @dataclass(frozen=True)
-class Pks2PublicKey:
+class Pks2PublicKey(CachedKeyId):
     suite: GroupSuite
     g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
     u_row: tuple[G1Elem, ...]
@@ -94,7 +109,7 @@ class Pks2PublicKey:
 
 
 @dataclass(frozen=True)
-class LwPublicKey:
+class LwPublicKey(CachedKeyId):
     suite: GroupSuite
     w_row: tuple[G1Elem, ...]  # w1, w2, w
     g_hat_row: tuple[G2Elem, ...]
@@ -132,8 +147,7 @@ class Signature:
 
 def key_id(pk) -> bytes:
     """Stable identifier: hash of the canonical public-key encoding."""
-    payload = b"".join(encode_element(e) for e in pk.elements())
-    return hashlib.sha256(payload).digest()
+    return pk.key_id
 
 
 @dataclass(frozen=True)
@@ -233,7 +247,13 @@ def keygen_from_exponents(suite: GroupSuite, variant: str, e):
     return pk, sk
 
 
+def _check_variant(variant: str):
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def message_scalar(suite: GroupSuite, variant: str, message: bytes) -> Scalar:
+    _check_variant(variant)
     return hash_to_scalar(suite, _MSG_TAG, message, width=MESSAGE_WIDTH[variant])
 
 
@@ -264,12 +284,17 @@ def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2)
     return Signature(variant, row1, row2)
 
 
-def verification_components(variant: str, pk, m: Scalar, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
-    """The verifier's fresh component rows (V1, V2) for given coins."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+def _key_rows(variant: str, pk, m: Scalar):
+    """(g_hat_row, v_hat_row, terms) of a single-signer key, for the row core."""
+    _check_variant(variant)
     v_hat_row = pk.v_hat_row if variant == "pks1" else None
-    return verifier_rows(pk.g_hat_row, v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)], t, s1, s2)
+    return pk.g_hat_row, v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)]
+
+
+def verification_components(variant: str, pk, m: Scalar, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
+    """The verifier's rows (V1, V2) in the paper's form (coin t on G2) for given coins."""
+    v1, v2 = verifier_rows(*_key_rows(variant, pk, m), t, s1, s2)
+    return tuple(v ** t for v in v1), tuple(v ** t for v in v2)
 
 
 # -- Row core, shared with sas and ms --------------------------------------
@@ -292,45 +317,72 @@ def sign_rows(alpha_row, alpha, msg_row, w_row, r, c1, c2, prev=None, d=0):
 
         row1[k] = prev1[k] * prev2[k]^d * a^alpha * b^r * w_row[k]^c1
         row2[k] = prev2[k] * a^r * w_row[k]^c2
+
+    and each of the two is one multi-exponentiation times the prev entry.
     """
     row1, row2 = [], []
     for k, (w, a, b) in enumerate(zip_longest(w_row, alpha_row, msg_row)):
-        s1, s2 = w ** c1, w ** c2
+        items1, items2 = [(w, c1)], [(w, c2)]
         if a is not None:
-            s1 = a ** alpha * b ** r * s1
-            s2 = a ** r * s2
-        if prev is not None:
-            s1 = prev[0][k] * prev[1][k] ** d * s1
-            s2 = prev[1][k] * s2
-        row1.append(s1)
-        row2.append(s2)
+            items1 += [(a, alpha), (b, r)]
+            items2.append((a, r))
+        if prev is None:
+            row1.append(multi_exp(items1))
+            row2.append(multi_exp(items2))
+        else:
+            items1.append((prev[1][k], d))
+            row1.append(prev[0][k] * multi_exp(items1))
+            row2.append(prev[1][k] * multi_exp(items2))
     return tuple(row1), tuple(row2)
 
 
 def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
-    """The verifier's fresh G2 rows (V1, V2) for coins (t, s1, s2).
+    """The verifier's G2 rows (V1', V2') for coins (t, s1, s2), t left out.
 
-    ``terms`` holds one (u_hat_row, h_hat_row, m) per signer. Folding m into
-    the exponents ((u^m h)^t = u^{mt} h^t) puts each slot of V2 in one
-    shared multi-exponentiation chain. ``v_hat_row`` is the randomization
-    row of the 4-wide variants (None for 3-wide ones); its entry k - 1
-    joins slot k >= 1 of V1 with exponent s1 and of V2 with exponent s2.
+    The paper's rows are V = (V')^t; :func:`verify_rows` raises the G1 side
+    to t instead (e(S, V'^t) = e(S^t, V')), so here V1'_k = g_hat_row[k] and
+
+        V2'_k = prod_i u_hat_ik^m_i * prod_i h_hat_ik
+
+    over the ``terms``, one (u_hat_row, h_hat_row, m) per signer: one
+    multi-exponentiation term per signer and slot, plus plain products.
+    ``v_hat_row`` is the randomization row of the 4-wide variants (None for
+    3-wide ones); its entry k - 1 joins slot k >= 1 of V1' with exponent
+    s1/t and of V2' with exponent s2/t. A coin t = 0 mod the order would
+    accept any signature and is rejected with ``ValueError``.
     """
+    order = g_hat_row[0].suite.order
+    if t % order == 0:
+        raise ValueError("verifier coin t must be nonzero mod the group order")
+    t_inv = pow(t, -1, order)
     v1, v2 = [], []
     for k, g_hat in enumerate(g_hat_row):
-        items = [item for u, h, m in terms for item in ((u[k], m * t), (h[k], t))]
-        if v_hat_row is None or k == 0:
-            v1.append(g_hat ** t)
-        else:
-            v1.append(multi_exp([(g_hat, t), (v_hat_row[k - 1], s1)]))
-            items.append((v_hat_row[k - 1], s2))
-        v2.append(multi_exp(items))
+        items = [(u[k], m) for u, _, m in terms]
+        if v_hat_row is not None and k > 0:
+            g_hat = g_hat * v_hat_row[k - 1] ** (s1 * t_inv)
+            items.append((v_hat_row[k - 1], s2 * t_inv))
+        v1.append(g_hat)
+        v2.append(product([multi_exp(items)] + [h[k] for _, h, _ in terms]))
     return tuple(v1), tuple(v2)
 
 
 def check_product(sig, v1: Sequence[G2Elem], v2: Sequence[G2Elem], rhs: GTElem) -> bool:
-    """The one pairing equation: e(row1, V1) * e(row2, V2) == rhs."""
+    """The paper's pairing equation: e(row1, V1) * e(row2, V2) == rhs."""
     return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == rhs
+
+
+def verify_rows(sig, g_hat_row, v_hat_row, terms, omega: GTElem, t: Scalar,
+                s1: Scalar = 0, s2: Scalar = 0) -> bool:
+    """The verification of pks, sas and ms: with (V1', V2') from
+    :func:`verifier_rows`, e(row1^t, V1') * e(row2^t, V2') == omega^t.
+
+    That is the paper's product e(row1, V1) * e(row2, V2) for the same
+    coins, so verdicts and pairing counts are the paper's.
+    """
+    v1, v2 = verifier_rows(g_hat_row, v_hat_row, terms, t, s1, s2)
+    row1 = [s ** t for s in sig.row1]
+    row2 = [s ** t for s in sig.row2]
+    return pairing_product(zip(row1, v1), zip(row2, v2)) == omega ** t
 
 
 def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:
@@ -346,10 +398,10 @@ def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:
+    _check_variant(variant)
     width = SIG_WIDTH[variant]
     if sig.variant != variant or len(sig.row1) != width or len(sig.row2) != width:
         raise MalformedEncodingError(
             f"signature width {len(sig.row1)}/{len(sig.row2)} does not match variant {variant}"
         )
-    v1, v2 = verification_components(variant, pk, m, t, s1, s2)
-    return check_product(sig, v1, v2, pk.omega ** t)
+    return verify_rows(sig, *_key_rows(variant, pk, m), pk.omega, t, s1, s2)

@@ -11,7 +11,9 @@ Appending folds the new signer's message into the aggregate-so-far's
 randomness via (S'_2)^(x*M + y), then re-randomizes with fresh exponents,
 so the result is distributed like a fresh aggregate with composed
 randomness. Verification cost is a constant 8 (sas1) or 6 (sas2) pairings
-regardless of how many signers contributed.
+regardless of how many signers contributed. Verification runs the row core
+of :mod:`seqsig.pks`, which applies the verifier's coin t to the aggregate's
+G1 rows, not to the G2 rows built from the signers' keys.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class Sas2Params:
 
 
 @dataclass(frozen=True)
-class SasSignerPublic:
+class SasSignerPublic(pks.CachedKeyId):
     variant: str
     # sas1: u, h in g1_elems; sas2: blinded u-row and h-row (3 + 3)
     g1_elems: tuple[G1Elem, ...]
@@ -308,10 +310,11 @@ def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
 
 
 def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
+    """The pairing check for given coins; t must be nonzero (``ValueError``)."""
     terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
     v_hat_row = params.v_hat_row if params.variant == "sas1" else None
-    v1, v2 = pks.verifier_rows(params.g_hat_row, v_hat_row, terms, t, s1, s2)
-    return pks.check_product(agg, v1, v2, pks.product([si.omega for si in agg.signers]) ** t)
+    omega = pks.product([si.omega for si in agg.signers])
+    return pks.verify_rows(agg, params.g_hat_row, v_hat_row, terms, omega, t, s1, s2)
 
 
 def strip_to_single(params, agg: AggregateSignature, target_index: int,

@@ -9,6 +9,16 @@ from seqsig import bn254 as b
 rng = random.Random(20240817)
 
 
+def naive_g1_mul(pt, k):
+    """Affine double-and-add: the oracle for the wNAF multi-exponentiation."""
+    acc = None
+    for bit in bin(k % b.ORDER)[2:]:
+        acc = b.g1_add(acc, acc)
+        if bit == "1":
+            acc = b.g1_add(acc, pt)
+    return acc
+
+
 def naive_g2_mul(pt, k):
     acc = None
     for bit in bin(k % b.ORDER)[2:]:
@@ -68,6 +78,50 @@ class TestGroups:
             for pt, k in zip([b.G2_GEN, p2, p3], ks):
                 rhs = b.g2_add(rhs, naive_g2_mul(pt, k))
             assert lhs == rhs
+
+    def test_g1_mul_matches_naive(self):
+        pt = naive_g1_mul(b.G1_GEN, 31337)
+        for _ in range(5):
+            k = rng.randrange(b.ORDER)
+            assert b.g1_mul(pt, k) == naive_g1_mul(pt, k)
+
+    def test_g1_mul_edges(self):
+        pt = naive_g1_mul(b.G1_GEN, 4242)
+        assert b.g1_mul(pt, 0) is None
+        assert b.g1_mul(pt, 1) == pt
+        assert b.g1_mul(pt, b.ORDER - 1) == b.g1_neg(pt)
+        assert b.g1_mul(pt, b.ORDER) is None
+        assert b.g1_mul(None, 12345) is None
+
+    def test_g1_multi_exp_matches_products(self):
+        pts = [b.G1_GEN] + [naive_g1_mul(b.G1_GEN, rng.randrange(1, b.ORDER)) for _ in range(3)]
+        for n in (2, 4):
+            ks = [rng.randrange(b.ORDER) for _ in range(n)]
+            rhs = None
+            for pt, k in zip(pts, ks):
+                rhs = b.g1_add(rhs, naive_g1_mul(pt, k))
+            assert b.g1_multi_exp(list(zip(pts, ks))) == rhs
+
+    def test_g1_multi_exp_skips_identity_terms(self):
+        k = rng.randrange(b.ORDER)
+        want = naive_g1_mul(b.G1_GEN, k)
+        assert b.g1_multi_exp([(None, 5), (b.G1_GEN, k), (b.G1_GEN, b.ORDER)]) == want
+        assert b.g1_multi_exp([(None, 5), (b.G1_GEN, 0)]) is None
+        assert b.g1_multi_exp([]) is None
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_multi_exp_repeated_and_cancelling_points(self, group):
+        gen, neg, multi_exp, naive = {
+            "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, naive_g1_mul),
+            "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, naive_g2_mul),
+        }[group]
+        pt = naive(gen, 999)
+        k = rng.randrange(1, b.ORDER)
+        # equal terms meet in the Jacobian add, which must take its doubling branch
+        assert multi_exp([(pt, k), (pt, k)]) == naive(pt, 2 * k)
+        # P and -P under one scalar cancel to the identity
+        assert multi_exp([(pt, k), (neg(pt), k)]) is None
+        assert multi_exp([(pt, k), (neg(pt), k), (gen, 7)]) == naive(gen, 7)
 
     def test_g1_add_mul_consistency(self):
         p5 = b.g1_mul(b.G1_GEN, 5)

@@ -1,11 +1,13 @@
 """Single-signer schemes: round trips, widths, and a hand-derived fixture."""
 
+import hashlib
 import random
 
 import pytest
 
-from seqsig import pks
+from seqsig import ms, pks, sas
 from seqsig.errors import KeyMismatchError, MalformedEncodingError
+from seqsig.groups import encode_element
 
 MSG = b"order 66 executed"
 
@@ -70,6 +72,16 @@ class TestInterfaceGuards:
         with pytest.raises(ValueError):
             pks.keygen(mock_suite, "pks9", rng)
 
+    def test_unknown_variant_in_sign_and_verify(self, mock_suite, rng):
+        pk, sk = pks.keygen(mock_suite, "pks2", rng)
+        sig = pks.sign("pks2", MSG, sk, pk, rng)
+        with pytest.raises(ValueError):
+            pks.sign("bogus", MSG, sk, pk, rng)
+        with pytest.raises(ValueError):
+            pks.verify("bogus", sig, MSG, pk, rng)
+        with pytest.raises(ValueError):
+            pks.verify_with_coins("bogus", sig, 5, pk, t=2)
+
     def test_message_widths(self, mock_suite):
         bound = mock_suite.order // 4
         for i in range(30):
@@ -84,6 +96,22 @@ class TestInterfaceGuards:
         pk2, _ = pks.keygen(mock_suite, "pks2", rng)
         assert pks.key_id(pk1) == sk1.pk_id
         assert pks.key_id(pk1) != pks.key_id(pk2)
+
+    def test_key_id_is_hashed_once_per_key(self, mock_suite, rng, monkeypatch):
+        params = sas.setup(mock_suite, "sas2", rng)
+        keys = [pks.keygen(mock_suite, "pks1", rng)[0], sas.keygen(params, rng)[0],
+                ms.ms_keygen(ms.ms_setup(mock_suite, rng), rng)[0]]
+        ids = [pks.key_id(pk) for pk in keys]
+
+        def refuse(*_):
+            raise AssertionError("key id re-encoded a cached key")
+
+        monkeypatch.setattr(mock_suite.backend, "encode", refuse)
+        assert [pks.key_id(pk) for pk in keys] == ids
+        monkeypatch.undo()
+        for pk, kid in zip(keys, ids):
+            payload = b"".join(encode_element(e) for e in pk.elements())
+            assert kid == hashlib.sha256(payload).digest()
 
 
 class TestHandFixture:
