@@ -40,10 +40,9 @@ def _make_suite(spec: str):
         return suite_generate("real")
     if spec.startswith("mock:"):
         try:
-            order = int(spec.split(":", 1)[1], 0)
-        except ValueError:
-            raise MalformedEncodingError(f"bad mock order in {spec!r}") from None
-        return suite_generate("mock", order)
+            return suite_generate("mock", int(spec.split(":", 1)[1], 0))
+        except ValueError as exc:
+            raise MalformedEncodingError(f"bad mock order in {spec!r}: {exc}") from None
     raise MalformedEncodingError(f"unknown backend {spec!r} (use real or mock:P)")
 
 
@@ -345,7 +344,7 @@ def cmd_demo_chain(args):
         agg = sas.agg_sign(params, agg, statement, pub, priv, rng)
     valid = sas.agg_verify(params, agg, rng)
     width = sas.AGG_WIDTH[scheme]
-    elem_size = len(envelopes.encode_element(agg.row1[0]))
+    elem_size = suite.backend.encoded_size("g1")
     aggregate_bytes = 2 * width * elem_size
     naive_bytes = args.depth * aggregate_bytes  # one full signature per issuer
     _emit(result="valid" if valid else "invalid", command="demo-chain",

@@ -45,24 +45,6 @@ def _backend_descriptor(suite: GroupSuite) -> bytes:
     return bytes([_BACKEND_REAL])
 
 
-def _read_backend(buf: memoryview, off: int, suite: GroupSuite) -> int:
-    tag = buf[off]
-    off += 1
-    if tag == _BACKEND_MOCK:
-        if len(buf) < off + 4:
-            raise MalformedEncodingError("truncated backend descriptor")
-        order = int.from_bytes(buf[off:off + 4], "big")
-        off += 4
-        if suite.backend.name != "mock" or suite.order != order:
-            raise MalformedEncodingError("file was produced under a different suite")
-    elif tag == _BACKEND_REAL:
-        if suite.backend.name != "real":
-            raise MalformedEncodingError("file was produced under a different suite")
-    else:
-        raise MalformedEncodingError(f"unknown backend tag {tag}")
-    return off
-
-
 def _header(magic: bytes, suite: GroupSuite) -> bytes:
     return magic + bytes([VERSION]) + _backend_descriptor(suite)
 
@@ -73,12 +55,13 @@ def _check_header(data: bytes, magic: bytes, suite: GroupSuite) -> tuple[memoryv
         raise MalformedEncodingError(f"expected {magic.decode()} envelope")
     if buf[4] != VERSION:
         raise MalformedEncodingError(f"unsupported envelope version {buf[4]}")
-    off = _read_backend(buf, 5, suite)
+    descriptor = _backend_descriptor(suite)
+    off = 5 + len(descriptor)
+    if len(buf) < off:
+        raise MalformedEncodingError("truncated backend descriptor")
+    if buf[5:off] != descriptor:
+        raise MalformedEncodingError("file was produced under a different suite")
     return buf, off
-
-
-def _elem_len(suite: GroupSuite, kind: str) -> int:
-    return len(encode_element(suite.identity(kind)))
 
 
 def _encode_elements(elems) -> bytes:
@@ -88,7 +71,7 @@ def _encode_elements(elems) -> bytes:
 def _decode_elements(suite, kinds: Sequence[str], buf: memoryview, off: int):
     out = []
     for kind in kinds:
-        n = _elem_len(suite, kind)
+        n = suite.backend.encoded_size(kind)
         if len(buf) < off + n:
             raise MalformedEncodingError("truncated element data")
         out.append(decode_element(suite, kind, bytes(buf[off:off + n])))
@@ -145,98 +128,49 @@ def decode_signature(suite: GroupSuite, data: bytes) -> pks.Signature:
 
 
 # ---------------------------------------------------------------------------
-# public keys (AKEY)
+# public keys (AKEY) and public parameters (APRM): one scheme byte, then the
+# elements in the order the class's LAYOUT declares
 
-def _pk_layout(suite, variant):
-    if variant == "pks1":
-        return ["g1"] * 7 + ["g2"] * 15 + ["gt"]
-    if variant == "pks2":
-        return ["g1"] * 12 + ["g2"] * 9 + ["gt"]
-    if variant == "lw":
-        return ["g1"] * 3 + ["g2"] * 9 + ["gt"]
-    if variant == "sas1":
-        return ["g1"] * 2 + ["g2"] * 8 + ["gt"]
-    if variant == "sas2":
-        return ["g1"] * 6 + ["g2"] * 6 + ["gt"]
-    if variant == "ms":
-        return ["gt"]
-    raise MalformedEncodingError(f"unknown scheme {variant!r}")
+_PUBLIC_KEY_CLASS = {
+    "pks1": pks.Pks1PublicKey, "pks2": pks.Pks2PublicKey, "lw": pks.LwPublicKey,
+    "sas1": sas.SasSignerPublic, "sas2": sas.SasSignerPublic, "ms": ms.MsPublicKey,
+}
+_PARAMS_CLASS = {"sas1": sas.Sas1Params, "sas2": sas.Sas2Params, "ms": ms.MsParams}
 
 
-def _pk_from_elements(suite, variant, e):
-    r = lambda a, b: tuple(e[a:b])
-    if variant == "pks1":
-        return pks.Pks1PublicKey(
-            suite=suite, g=e[0], u=e[1], h=e[2], w1=e[3], w2=e[4], w3=e[5], w=e[6],
-            g_hat_row=r(7, 11), u_hat_row=r(11, 15), h_hat_row=r(15, 19),
-            v_hat_row=r(19, 22), omega=e[22],
-        )
-    if variant == "pks2":
-        return pks.Pks2PublicKey(
-            suite=suite, g_row=r(0, 3), u_row=r(3, 6), h_row=r(6, 9), w_row=r(9, 12),
-            g_hat_row=r(12, 15), u_hat_row=r(15, 18), h_hat_row=r(18, 21), omega=e[21],
-        )
-    if variant == "lw":
-        return pks.LwPublicKey(
-            suite=suite, w_row=r(0, 3),
-            g_hat_row=r(3, 6), u_hat_row=r(6, 9), h_hat_row=r(9, 12), omega=e[12],
-        )
-    if variant == "sas1":
-        return sas.SasSignerPublic(
-            variant="sas1", g1_elems=r(0, 2),
-            u_hat_row=r(2, 6), h_hat_row=r(6, 10), omega=e[10],
-        )
-    if variant == "sas2":
-        return sas.SasSignerPublic(
-            variant="sas2", g1_elems=r(0, 6),
-            u_hat_row=r(6, 9), h_hat_row=r(9, 12), omega=e[12],
-        )
-    if variant == "ms":
-        return ms.MsPublicKey(suite=suite, omega=e[0])
-    raise MalformedEncodingError(f"unknown scheme {variant!r}")
+def _encode_layout(magic: bytes, obj) -> bytes:
+    elems = obj.elements()
+    header = _header(magic, elems[0].suite) + bytes([SCHEME_BYTE[obj.variant]])
+    return header + _encode_elements(elems)
 
 
-def _pk_variant(pk) -> str:
-    if isinstance(pk, pks.Pks1PublicKey):
-        return "pks1"
-    if isinstance(pk, pks.Pks2PublicKey):
-        return "pks2"
-    if isinstance(pk, pks.LwPublicKey):
-        return "lw"
-    if isinstance(pk, sas.SasSignerPublic):
-        return pk.variant
-    if isinstance(pk, ms.MsPublicKey):
-        return "ms"
-    raise TypeError(f"not a public key: {pk!r}")
-
-
-def _pk_suite(pk):
-    if isinstance(pk, sas.SasSignerPublic):
-        return pk.omega.suite
-    return pk.suite
+def _decode_layout(magic: bytes, classes, suite: GroupSuite, data: bytes):
+    buf, off = _check_header(data, magic, suite)
+    if len(buf) < off + 1:
+        raise MalformedEncodingError(f"truncated {magic.decode()} envelope")
+    variant = SCHEME_NAME.get(buf[off])
+    if variant not in classes:
+        raise MalformedEncodingError(f"scheme byte {buf[off]} is not valid in {magic.decode()}")
+    cls = classes[variant]
+    elems, off = _decode_elements(suite, cls.element_kinds(variant), buf, off + 1)
+    _expect_end(buf, off)
+    return cls.from_elements(suite, variant, elems)
 
 
 def encode_public_key(pk) -> bytes:
-    variant = _pk_variant(pk)
-    suite = _pk_suite(pk)
-    return (
-        _header(MAGIC_PUBLIC_KEY, suite)
-        + bytes([SCHEME_BYTE[variant]])
-        + _encode_elements(pk.elements())
-    )
+    return _encode_layout(MAGIC_PUBLIC_KEY, pk)
 
 
 def decode_public_key(suite: GroupSuite, data: bytes):
-    buf, off = _check_header(data, MAGIC_PUBLIC_KEY, suite)
-    if len(buf) < off + 1:
-        raise MalformedEncodingError("truncated public-key envelope")
-    variant = SCHEME_NAME.get(buf[off])
-    if variant is None:
-        raise MalformedEncodingError("unknown scheme byte")
-    off += 1
-    elems, off = _decode_elements(suite, _pk_layout(suite, variant), buf, off)
-    _expect_end(buf, off)
-    return _pk_from_elements(suite, variant, elems)
+    return _decode_layout(MAGIC_PUBLIC_KEY, _PUBLIC_KEY_CLASS, suite, data)
+
+
+def encode_params(params) -> bytes:
+    return _encode_layout(MAGIC_PARAMS, params)
+
+
+def decode_params(suite: GroupSuite, data: bytes):
+    return _decode_layout(MAGIC_PARAMS, _PARAMS_CLASS, suite, data)
 
 
 # ---------------------------------------------------------------------------
@@ -292,51 +226,6 @@ def decode_private_key(suite: GroupSuite, data: bytes):
             raise MalformedEncodingError("bad scalar count for multi-signature key")
         return variant, ms.MsPrivateKey(alpha=scalars[0], pk_id=pk_id)
     raise MalformedEncodingError("unknown scheme byte")
-
-
-# ---------------------------------------------------------------------------
-# public parameters (APRM)
-
-def _params_layout(variant):
-    if variant == "sas1":
-        return ["g1"] * 5 + ["g2"] * 7
-    if variant == "sas2":
-        return ["g1"] * 6 + ["g2"] * 3 + ["gt"]
-    if variant == "ms":
-        return ["g1"] * 12 + ["g2"] * 9 + ["gt"]
-    raise MalformedEncodingError(f"scheme {variant!r} has no shared parameters")
-
-
-def encode_params(params) -> bytes:
-    suite = params.suite
-    return (
-        _header(MAGIC_PARAMS, suite)
-        + bytes([SCHEME_BYTE[params.variant]])
-        + _encode_elements(params.elements())
-    )
-
-
-def decode_params(suite: GroupSuite, data: bytes):
-    buf, off = _check_header(data, MAGIC_PARAMS, suite)
-    if len(buf) < off + 1:
-        raise MalformedEncodingError("truncated parameter envelope")
-    variant = SCHEME_NAME.get(buf[off])
-    off += 1
-    if variant is None:
-        raise MalformedEncodingError("unknown scheme byte")
-    e, off = _decode_elements(suite, _params_layout(variant), buf, off)
-    _expect_end(buf, off)
-    if variant == "sas1":
-        return sas.Sas1Params(suite=suite, g=e[0], w1=e[1], w2=e[2], w3=e[3], w=e[4],
-                              g_hat_row=tuple(e[5:9]), v_hat_row=tuple(e[9:12]))
-    if variant == "sas2":
-        return sas.Sas2Params(suite=suite, g_row=tuple(e[0:3]), w_row=tuple(e[3:6]),
-                              g_hat_row=tuple(e[6:9]), lam=e[9])
-    return ms.MsParams(
-        suite=suite, g_row=tuple(e[0:3]), u_row=tuple(e[3:6]), h_row=tuple(e[6:9]),
-        w_row=tuple(e[9:12]), g_hat_row=tuple(e[12:15]), u_hat_row=tuple(e[15:18]),
-        h_hat_row=tuple(e[18:21]), lam=e[21],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ exponent stream.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import struct
 import threading
@@ -59,8 +61,8 @@ class MockDlogBackend:
     def __init__(self, order: int):
         if not _is_prime(order):
             raise ValueError(f"mock group order must be prime, got {order}")
-        if order < 101:
-            raise ValueError("mock group order must be at least 101")
+        if not 101 <= order < 1 << 32:
+            raise ValueError("mock group order must lie in [101, 2^32): elements are 4 bytes")
         self.order = order
 
     def generator(self, kind):
@@ -344,6 +346,71 @@ class GTElem(_Elem):
 
 
 _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
+
+
+class ElementLayout:
+    """Mixin for frozen dataclasses that hold a fixed layout of group elements.
+
+    ``LAYOUT`` declares the element fields once, in dataclass field order:
+    ``kind`` for one element, ``kind*n`` for a tuple of n, e.g.
+    ``"g1*3 g2*3 gt"``. A class whose layout depends on its ``variant``
+    field maps each variant to a declaration. The only other fields allowed
+    are ``suite`` and ``variant``. The declaration fixes the element order
+    (and so key ids and envelope bytes), the kinds a decoder reads, and
+    construction from decoded elements.
+    """
+
+    LAYOUT: str | dict[str, str]
+
+    def elements(self) -> list:
+        out = []
+        for name, count in _parse_layout(type(self), self.variant)[0]:
+            value = getattr(self, name)
+            if count is None:
+                out.append(value)
+            else:
+                out.extend(value)
+        return out
+
+    @classmethod
+    def element_kinds(cls, variant: str) -> tuple[str, ...]:
+        return _parse_layout(cls, variant)[1]
+
+    @classmethod
+    def from_elements(cls, suite: GroupSuite, variant: str, elems):
+        slots, _, context = _parse_layout(cls, variant)
+        kwargs, i = {}, 0
+        for name, count in slots:
+            kwargs[name] = elems[i] if count is None else tuple(elems[i:i + count])
+            i += count or 1
+        given = {"suite": suite, "variant": variant}
+        return cls(**kwargs, **{name: given[name] for name in context})
+
+
+@functools.cache
+def _parse_layout(cls, variant):
+    """(slots, kinds, context) of ``cls.LAYOUT`` for ``variant``, parsed once.
+
+    ``slots`` pairs each element field with its tuple length (None for a
+    single element), ``kinds`` lists the kind of every element in order and
+    ``context`` names the ``suite``/``variant`` fields.
+    """
+    spec = cls.LAYOUT if isinstance(cls.LAYOUT, str) else cls.LAYOUT[variant]
+    names = [f.name for f in dataclasses.fields(cls)]
+    context = tuple(n for n in names if n in ("suite", "variant"))
+    fields = [n for n in names if n not in context]
+    tokens = spec.split()
+    if len(tokens) != len(fields):
+        raise TypeError(f"{cls.__name__} layout {spec!r} does not match fields {fields}")
+    slots, kinds = [], []
+    for name, token in zip(fields, tokens):
+        kind, star, n = token.partition("*")
+        if kind not in _KIND_CLS:
+            raise TypeError(f"{cls.__name__} layout names unknown kind {kind!r}")
+        count = int(n) if star else None
+        slots.append((name, count))
+        kinds += [kind] * (count or 1)
+    return tuple(slots), tuple(kinds), context
 
 
 @dataclass

@@ -84,7 +84,7 @@ class CertRegistry:
 
     def register(self, params, pk, witness: RegistrationWitness) -> CertRecord:
         """Certify ``pk`` after reconstructing it from the witness."""
-        variant = envelopes._pk_variant(pk)
+        variant = pk.variant
         if variant != witness.variant:
             raise RegistrationError("witness scheme does not match the public key")
         rebuilt = _reconstruct(params, witness)
@@ -149,18 +149,20 @@ class CertRegistry:
             scheme = envelopes.SCHEME_NAME.get(buf[off + 32])
             blob_len = struct.unpack(">I", buf[off + 33:off + 37])[0]
             off += 37
-            if scheme is None:
-                raise MalformedEncodingError("unknown scheme byte in registry record")
             if len(buf) < off + blob_len + 1 + 8:
                 raise MalformedEncodingError("truncated registry record body")
             pk = envelopes.decode_public_key(suite, bytes(buf[off:off + blob_len]))
             off += blob_len
-            verified = buf[off] == 1
+            flag = buf[off]
             timestamp = struct.unpack(">Q", buf[off + 1:off + 9])[0]
             off += 9
+            if scheme != pk.variant:
+                raise MalformedEncodingError("registry record scheme does not match its key")
+            if flag not in (0, 1):
+                raise MalformedEncodingError(f"registry record witness flag {flag} is not 0 or 1")
             if pks.key_id(pk) != kid:
                 raise MalformedEncodingError("registry record key-id does not match its key")
-            registry._records[kid] = CertRecord(kid, scheme, pk, verified, timestamp)
+            registry._records[kid] = CertRecord(kid, scheme, pk, flag == 1, timestamp)
         envelopes._expect_end(buf, off)
         return registry
 

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .errors import CrossSuiteError, InvalidAggregateError, MalformedEncodingError
 from .groups import (
+    ElementLayout,
     G1Elem,
     G2Elem,
     GroupSuite,
@@ -35,7 +36,9 @@ _MSG_TAG = b"seqsig/ms/message"
 
 
 @dataclass(frozen=True)
-class MsParams:
+class MsParams(ElementLayout):
+    LAYOUT = "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 gt"
+    variant = "ms"
     suite: GroupSuite
     g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
     u_row: tuple[G1Elem, ...]
@@ -45,23 +48,14 @@ class MsParams:
     u_hat_row: tuple[G2Elem, ...]
     h_hat_row: tuple[G2Elem, ...]
     lam: GTElem  # e(g, ghat)
-    variant = "ms"
-
-    def elements(self):
-        return (
-            list(self.g_row) + list(self.u_row) + list(self.h_row) + list(self.w_row)
-            + list(self.g_hat_row) + list(self.u_hat_row) + list(self.h_hat_row)
-            + [self.lam]
-        )
 
 
 @dataclass(frozen=True)
 class MsPublicKey(CachedKeyId):
+    LAYOUT = "gt"
+    variant = "ms"
     suite: GroupSuite
     omega: GTElem
-
-    def elements(self):
-        return [self.omega]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from typing import Sequence
 
 from .errors import KeyMismatchError, MalformedEncodingError
 from .groups import (
+    ElementLayout,
     G1Elem,
     G2Elem,
     GroupSuite,
@@ -55,8 +56,8 @@ MESSAGE_WIDTH = {"pks1": "reduced", "pks2": "full", "lw": "reduced"}
 _MSG_TAG = b"seqsig/pks/message"
 
 
-class CachedKeyId:
-    """Public-key mixin: the key id is hashed once per (frozen) key object."""
+class CachedKeyId(ElementLayout):
+    """Public-key mixin: the key id, over the layout's elements, is hashed once per key."""
 
     @functools.cached_property
     def key_id(self) -> bytes:
@@ -66,6 +67,8 @@ class CachedKeyId:
 
 @dataclass(frozen=True)
 class Pks1PublicKey(CachedKeyId):
+    LAYOUT = "g1 g1 g1 g1 g1 g1 g1 g2*4 g2*4 g2*4 g2*3 gt"
+    variant = "pks1"
     suite: GroupSuite
     g: G1Elem
     u: G1Elem
@@ -80,16 +83,11 @@ class Pks1PublicKey(CachedKeyId):
     v_hat_row: tuple[G2Elem, ...]  # vhat, vhat^nu3, vhat^-pi
     omega: GTElem
 
-    def elements(self):
-        return (
-            [self.g, self.u, self.h, self.w1, self.w2, self.w3, self.w]
-            + list(self.g_hat_row) + list(self.u_hat_row) + list(self.h_hat_row)
-            + list(self.v_hat_row) + [self.omega]
-        )
-
 
 @dataclass(frozen=True)
 class Pks2PublicKey(CachedKeyId):
+    LAYOUT = "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 gt"
+    variant = "pks2"
     suite: GroupSuite
     g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
     u_row: tuple[G1Elem, ...]
@@ -100,28 +98,17 @@ class Pks2PublicKey(CachedKeyId):
     h_hat_row: tuple[G2Elem, ...]
     omega: GTElem
 
-    def elements(self):
-        return (
-            list(self.g_row) + list(self.u_row) + list(self.h_row) + list(self.w_row)
-            + list(self.g_hat_row) + list(self.u_hat_row) + list(self.h_hat_row)
-            + [self.omega]
-        )
-
 
 @dataclass(frozen=True)
 class LwPublicKey(CachedKeyId):
+    LAYOUT = "g1*3 g2*3 g2*3 g2*3 gt"
+    variant = "lw"
     suite: GroupSuite
     w_row: tuple[G1Elem, ...]  # w1, w2, w
     g_hat_row: tuple[G2Elem, ...]
     u_hat_row: tuple[G2Elem, ...]
     h_hat_row: tuple[G2Elem, ...]
     omega: GTElem
-
-    def elements(self):
-        return (
-            list(self.w_row) + list(self.g_hat_row) + list(self.u_hat_row)
-            + list(self.h_hat_row) + [self.omega]
-        )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import (
     MissingWitnessError,
 )
 from .groups import (
+    ElementLayout,
     G1Elem,
     G2Elem,
     GroupSuite,
@@ -49,7 +50,9 @@ _CHAIN_TAG = b"seqsig/sas/chain"
 
 
 @dataclass(frozen=True)
-class Sas1Params:
+class Sas1Params(ElementLayout):
+    LAYOUT = "g1 g1 g1 g1 g1 g2*4 g2*3"
+    variant = "sas1"
     suite: GroupSuite
     g: G1Elem
     w1: G1Elem
@@ -58,36 +61,28 @@ class Sas1Params:
     w: G1Elem
     g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu1, ghat^nu2, ghat^-tau
     v_hat_row: tuple[G2Elem, ...]  # vhat, vhat^nu3, vhat^-pi
-    variant = "sas1"
-
-    def elements(self):
-        return [self.g, self.w1, self.w2, self.w3, self.w] + list(self.g_hat_row) + list(self.v_hat_row)
 
 
 @dataclass(frozen=True)
-class Sas2Params:
+class Sas2Params(ElementLayout):
+    LAYOUT = "g1*3 g1*3 g2*3 gt"
+    variant = "sas2"
     suite: GroupSuite
     g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
     w_row: tuple[G1Elem, ...]  # w1, w2, w
     g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu, ghat^-tau
     lam: GTElem  # e(g, ghat)
-    variant = "sas2"
-
-    def elements(self):
-        return list(self.g_row) + list(self.w_row) + list(self.g_hat_row) + [self.lam]
 
 
 @dataclass(frozen=True)
 class SasSignerPublic(pks.CachedKeyId):
+    LAYOUT = {"sas1": "g1*2 g2*4 g2*4 gt", "sas2": "g1*6 g2*3 g2*3 gt"}
     variant: str
     # sas1: u, h in g1_elems; sas2: blinded u-row and h-row (3 + 3)
     g1_elems: tuple[G1Elem, ...]
     u_hat_row: tuple[G2Elem, ...]
     h_hat_row: tuple[G2Elem, ...]
     omega: GTElem
-
-    def elements(self):
-        return list(self.g1_elems) + list(self.u_hat_row) + list(self.h_hat_row) + [self.omega]
 
 
 @dataclass(frozen=True)
@@ -300,7 +295,7 @@ def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
     if certified is not None and not all(certified(s) for s in agg.signers):
         return False
     if agg.length == 0:
-        return all(e.is_identity() for e in agg.row1 + agg.row2)
+        return agg_verify_with_coins(params, agg, 1)  # l = 0 draws no coins
     t = random_nonzero_scalar(suite, rng)
     if params.variant == "sas1":
         s1 = random_scalar(suite, rng)
@@ -310,7 +305,13 @@ def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
 
 
 def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
-    """The pairing check for given coins; t must be nonzero (``ValueError``)."""
+    """The pairing check for given coins; t must be nonzero (``ValueError``).
+
+    The empty aggregate (l = 0) has no pairing equation and uses no coin: it
+    is valid exactly when every component is the identity.
+    """
+    if not agg.signers:
+        return all(e.is_identity() for e in agg.row1 + agg.row2)
     terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
     v_hat_row = params.v_hat_row if params.variant == "sas1" else None
     omega = pks.product([si.omega for si in agg.signers])

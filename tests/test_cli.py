@@ -243,3 +243,22 @@ class TestReports:
         code, _ = run(capsys, "setup", "--scheme", "ms", "--out",
                       str(tmp_path / "p.bin"), "--backend", "quantum")
         assert code == 2
+
+    @pytest.mark.parametrize("order", ["4294967311", "100"])
+    def test_unusable_mock_order_exits_two(self, capsys, tmp_path, order):
+        # 2^32 + 15 is prime but its elements do not fit 4 bytes; 100 is not prime
+        code = main(["setup", "--scheme", "ms", "--out", str(tmp_path / "p.bin"),
+                     "--backend", f"mock:{order}"])
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(out) == 1 and out[0].startswith("result=malformed ")
+        assert not (tmp_path / "p.bin").exists()
+
+    def test_envelope_without_backend_tag_exits_two(self, capsys, tmp_path):
+        params = tmp_path / "params.bin"
+        run(capsys, *det("setup", "--scheme", "sas2", "--out", str(params)))
+        params.write_bytes(params.read_bytes()[:5])  # magic and version only
+        code, fields = run(capsys, *det("keygen", "--scheme", "sas2", "--params", str(params),
+                                        "--pub-out", str(tmp_path / "pk.bin"),
+                                        "--priv-out", str(tmp_path / "sk.bin")))
+        assert code == 2 and fields["result"] == ["malformed"]

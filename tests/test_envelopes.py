@@ -1,10 +1,12 @@
 """Envelope formats: round trips, suite binding, corruption handling."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from seqsig import envelopes as env, ms, pks, sas
 from seqsig.errors import MalformedEncodingError
-from seqsig.groups import suite_generate
+from seqsig.groups import ElementLayout, suite_generate
 
 
 class TestSignatureEnvelope:
@@ -108,6 +110,62 @@ class TestParamsEnvelope:
         params = build(mock_suite, rng)
         again = env.decode_params(mock_suite, env.encode_params(params))
         assert again == params
+
+
+class TestLayouts:
+    """Each key and params class declares its element layout once."""
+
+    def _objects(self, suite, rng):
+        objs = [pks.keygen(suite, v, rng)[0] for v in pks.VARIANTS]
+        for v in sas.VARIANTS:
+            params = sas.setup(suite, v, rng)
+            objs += [params, sas.keygen(params, rng)[0]]
+        params = ms.ms_setup(suite, rng)
+        return objs + [params, ms.ms_keygen(params, rng)[0]]
+
+    def test_layout_rebuilds_every_object(self, mock_suite, rng):
+        for obj in self._objects(mock_suite, rng):
+            elems = obj.elements()
+            kinds = type(obj).element_kinds(obj.variant)
+            assert [e.kind for e in elems] == list(kinds)
+            assert type(obj).from_elements(mock_suite, obj.variant, elems) == obj
+
+    def test_element_counts(self, mock_suite, rng):
+        counts = {(type(o).__name__, o.variant): len(o.elements())
+                  for o in self._objects(mock_suite, rng)}
+        assert counts == {
+            ("Pks1PublicKey", "pks1"): 23, ("Pks2PublicKey", "pks2"): 22,
+            ("LwPublicKey", "lw"): 13, ("Sas1Params", "sas1"): 12,
+            ("SasSignerPublic", "sas1"): 11, ("Sas2Params", "sas2"): 10,
+            ("SasSignerPublic", "sas2"): 13, ("MsParams", "ms"): 22,
+            ("MsPublicKey", "ms"): 1,
+        }
+
+    def test_layout_must_match_fields(self):
+        @dataclass(frozen=True)
+        class Short(ElementLayout):
+            LAYOUT = "g1"
+            variant = "x"
+            a: object
+            b: object
+
+        @dataclass(frozen=True)
+        class BadKind(ElementLayout):
+            LAYOUT = "g3"
+            variant = "x"
+            a: object
+
+        with pytest.raises(TypeError):
+            Short.element_kinds("x")
+        with pytest.raises(TypeError):
+            BadKind.element_kinds("x")
+
+    def test_key_scheme_byte_is_not_params(self, mock_suite, rng):
+        blob = bytearray(env.encode_params(ms.ms_setup(mock_suite, rng)))
+        header = len(env._header(env.MAGIC_PARAMS, mock_suite))
+        blob[header] = env.SCHEME_BYTE["pks2"]
+        with pytest.raises(MalformedEncodingError):
+            env.decode_params(mock_suite, bytes(blob))
 
 
 class TestAggregateEnvelope:

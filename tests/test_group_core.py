@@ -28,6 +28,11 @@ class TestSuiteGeneration:
         with pytest.raises(ValueError):
             suite_generate("mock", 97)
 
+    def test_mock_order_must_fit_four_bytes(self):
+        suite_generate("mock", 4294967291)  # the largest prime below 2^32
+        with pytest.raises(ValueError):
+            suite_generate("mock", 4294967311)  # prime, above 2^32
+
     def test_mock_requires_explicit_order(self):
         with pytest.raises(ValueError):
             suite_generate("mock")

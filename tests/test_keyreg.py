@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqsig import keyreg, ms, pks, sas
+from seqsig import envelopes, keyreg, ms, pks, sas
 from seqsig.errors import MalformedEncodingError, RegistrationError
 
 
@@ -137,3 +137,31 @@ class TestPersistence:
         tiny = suite_generate("mock", 101)
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(tiny, data)
+
+    def _first_record_offset(self, reg, data):
+        """Offset of the first record's scheme byte (just after its key id)."""
+        return data.index(reg.records()[0].key_id) + 32
+
+    def test_scheme_byte_must_match_key(self, mock_suite, rng):
+        reg, _ = self._populated(mock_suite, rng)
+        data = bytearray(reg.save_bytes())
+        off = self._first_record_offset(reg, data)
+        assert data[off] == envelopes.SCHEME_BYTE["sas2"]
+        data[off] = envelopes.SCHEME_BYTE["ms"]
+        with pytest.raises(MalformedEncodingError):
+            keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_witness_flag_must_be_a_bit(self, mock_suite, rng, flag):
+        reg, _ = self._populated(mock_suite, rng)
+        data = bytearray(reg.save_bytes())
+        off = self._first_record_offset(reg, data)
+        blob_len = int.from_bytes(data[off + 1:off + 5], "big")
+        flag_off = off + 5 + blob_len
+        assert data[flag_off] == 1
+        data[flag_off] = 0
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        assert not loaded.records()[0].witness_verified
+        data[flag_off] = flag
+        with pytest.raises(MalformedEncodingError):
+            keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))

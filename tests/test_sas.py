@@ -29,6 +29,15 @@ class TestAggregation:
         params = sas.setup(mock_suite, variant, rng)
         assert sas.agg_verify(params, sas.empty_aggregate(params), rng)
 
+    def test_empty_aggregate_with_coins(self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        empty = sas.empty_aggregate(params)
+        assert sas.agg_verify_with_coins(params, empty, 5)
+        bad = sas.AggregateSignature(variant, (mock_suite.g,) + empty.row1[1:],
+                                     empty.row2, (), ())
+        assert not sas.agg_verify(params, bad, rng)
+        assert not sas.agg_verify_with_coins(params, bad, 5)
+
     def test_chain_grows_and_verifies(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         agg, _ = build_chain(params, rng, MSGS)
