@@ -210,13 +210,6 @@ def fq12_frobenius(x, k):
 # G1: y^2 = x^3 + 3 over Fp, affine tuples (x, y) with None as infinity.
 
 
-def g1_is_on_curve(pt):
-    if pt is None:
-        return True
-    x, y = pt
-    return (y * y - x * x * x - B) % P == 0
-
-
 def g1_neg(pt):
     if pt is None:
         return None

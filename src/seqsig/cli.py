@@ -86,6 +86,15 @@ def _load_registry(suite, args, *, required=False):
     return keyreg.CertRegistry.load(suite, path)
 
 
+def _load_params(suite, args, scheme):
+    if args.params is None:
+        raise MalformedEncodingError(f"scheme {scheme} needs a parameter file (--params)")
+    params = envelopes.decode_params(suite, _read(args.params))
+    if params.variant != scheme:
+        raise MalformedEncodingError(f"parameter file is for {params.variant}, not {scheme}")
+    return params
+
+
 def _load_signer_keys(suite, paths):
     return [envelopes.decode_public_key(suite, _read(p)) for p in paths or []]
 
@@ -113,9 +122,7 @@ def cmd_keygen(args):
     if args.scheme in pks.VARIANTS:
         pk, sk = pks.keygen(suite, args.scheme, rng)
     else:
-        params = envelopes.decode_params(suite, _read(args.params))
-        if params.variant != args.scheme:
-            raise MalformedEncodingError("parameter file does not match --scheme")
+        params = _load_params(suite, args, args.scheme)
         if args.scheme in sas.VARIANTS:
             pk, sk = sas.keygen(params, rng)
         else:
@@ -155,9 +162,7 @@ def cmd_verify(args):
 def cmd_agg_sign(args):
     suite = _make_suite(args.backend)
     rng = _make_rng(args)
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != args.scheme:
-        raise MalformedEncodingError("parameter file does not match --scheme")
+    params = _load_params(suite, args, args.scheme)
     known = _load_signer_keys(suite, args.keys)
     pub = envelopes.decode_public_key(suite, _read(args.pub))
     variant, priv = envelopes.decode_private_key(suite, _read(args.priv))
@@ -179,9 +184,7 @@ def cmd_agg_sign(args):
 def cmd_agg_verify(args):
     suite = _make_suite(args.backend)
     rng = _make_rng(args)
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != args.scheme:
-        raise MalformedEncodingError("parameter file does not match --scheme")
+    params = _load_params(suite, args, args.scheme)
     known = _load_signer_keys(suite, args.keys)
     agg = envelopes.decode_aggregate(suite, _read(args.agg), known)
     registry = _load_registry(suite, args)
@@ -199,9 +202,7 @@ def cmd_agg_verify(args):
 def cmd_ms_combine(args):
     suite = _make_suite(args.backend)
     rng = _make_rng(args)
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != "ms":
-        raise MalformedEncodingError("parameter file is not for the multi-signature scheme")
+    params = _load_params(suite, args, "ms")
     pk_list = [envelopes.decode_public_key(suite, _read(p)) for p in args.pubs]
     sigs = []
     for path in args.sigs:
@@ -220,9 +221,7 @@ def cmd_ms_combine(args):
 def cmd_ms_sign(args):
     suite = _make_suite(args.backend)
     rng = _make_rng(args)
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != "ms":
-        raise MalformedEncodingError("parameter file is not for the multi-signature scheme")
+    params = _load_params(suite, args, "ms")
     pk = envelopes.decode_public_key(suite, _read(args.pub))
     variant, sk = envelopes.decode_private_key(suite, _read(args.priv))
     if variant != "ms":
@@ -238,9 +237,7 @@ def cmd_ms_sign(args):
 def cmd_ms_verify(args):
     suite = _make_suite(args.backend)
     rng = _make_rng(args)
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != "ms":
-        raise MalformedEncodingError("parameter file is not for the multi-signature scheme")
+    params = _load_params(suite, args, "ms")
     pk_list = [envelopes.decode_public_key(suite, _read(p)) for p in args.pubs]
     msig, m, signers = envelopes.decode_multisignature(suite, _read(args.msig), pk_list)
     message = _message_bytes(args)

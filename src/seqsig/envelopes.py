@@ -176,56 +176,52 @@ def decode_params(suite: GroupSuite, data: bytes):
 # ---------------------------------------------------------------------------
 # private keys (ASEC) — research artifact: held scalars are stored in clear
 
-def encode_private_key(suite: GroupSuite, variant: str, sk) -> bytes:
-    if variant in pks.VARIANTS:
-        scalars = [sk.alpha, sk.x or 0, sk.y or 0]
-        pk_id = sk.pk_id
-    elif variant in sas.VARIANTS:
-        scalars = [sk.alpha, sk.x, sk.y, sk.c_u or 0, sk.c_h or 0]
-        pk_id = sk.pk_id
-    elif variant == "ms":
-        scalars = [sk.alpha]
-        pk_id = sk.pk_id
-    else:
+# The scalar slots of each variant, in envelope order; None marks a slot the
+# variant does not use, which must hold zero and decodes to None.
+_PRIVATE_SLOTS = {
+    "pks1": ("alpha", "x", "y"), "pks2": ("alpha", "x", "y"), "lw": ("alpha", "x", "y"),
+    "sas1": ("alpha", "x", "y", None, None), "sas2": ("alpha", "x", "y", "c_u", "c_h"),
+    "ms": ("alpha",),
+}
+
+
+def encode_private_key(suite: GroupSuite, variant: str, sk: pks.PrivateKey) -> bytes:
+    if variant not in _PRIVATE_SLOTS:
         raise ValueError(f"unknown scheme {variant!r}")
+    if sk.variant != variant:
+        raise ValueError(f"private key is for {sk.variant!r}, not {variant!r}")
+    slots = _PRIVATE_SLOTS[variant]
     return (
         _header(MAGIC_PRIVATE_KEY, suite)
-        + bytes([SCHEME_BYTE[variant], len(scalars)])
-        + pk_id
-        + b"".join(_encode_scalar(s) for s in scalars)
+        + bytes([SCHEME_BYTE[variant], len(slots)])
+        + sk.pk_id
+        + b"".join(_encode_scalar((getattr(sk, name) if name else None) or 0) for name in slots)
     )
 
 
 def decode_private_key(suite: GroupSuite, data: bytes):
+    """Returns (variant, private key)."""
     buf, off = _check_header(data, MAGIC_PRIVATE_KEY, suite)
     if len(buf) < off + 2 + 32:
         raise MalformedEncodingError("truncated private-key envelope")
     variant = SCHEME_NAME.get(buf[off])
     count = buf[off + 1]
-    off += 2
-    pk_id = bytes(buf[off:off + 32])
-    off += 32
-    scalars = []
-    for _ in range(count):
+    pk_id = bytes(buf[off + 2:off + 34])
+    off += 34
+    if variant not in _PRIVATE_SLOTS:
+        raise MalformedEncodingError("unknown scheme byte")
+    slots = _PRIVATE_SLOTS[variant]
+    if count != len(slots):
+        raise MalformedEncodingError(f"a {variant} private key has {len(slots)} scalars, not {count}")
+    fields = {}
+    for name in slots:
         s, off = _decode_scalar(suite, buf, off)
-        scalars.append(s)
+        if name:
+            fields[name] = s
+        elif s:
+            raise MalformedEncodingError(f"unused scalar slot of a {variant} key is not zero")
     _expect_end(buf, off)
-    if variant in pks.VARIANTS:
-        if count != 3:
-            raise MalformedEncodingError("bad scalar count for single-signer key")
-        return variant, pks.PrivateKey(variant, scalars[0], scalars[1], scalars[2], pk_id)
-    if variant in sas.VARIANTS:
-        if count != 5:
-            raise MalformedEncodingError("bad scalar count for aggregate signer key")
-        c_u = scalars[3] if variant == "sas2" else None
-        c_h = scalars[4] if variant == "sas2" else None
-        return variant, sas.SasSignerPrivate(variant, scalars[0], scalars[1], scalars[2],
-                                             c_u=c_u, c_h=c_h, pk_id=pk_id)
-    if variant == "ms":
-        if count != 1:
-            raise MalformedEncodingError("bad scalar count for multi-signature key")
-        return variant, ms.MsPrivateKey(alpha=scalars[0], pk_id=pk_id)
-    raise MalformedEncodingError("unknown scheme byte")
+    return variant, pks.PrivateKey(variant, pk_id=pk_id, **fields)
 
 
 # ---------------------------------------------------------------------------

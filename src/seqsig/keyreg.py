@@ -23,24 +23,16 @@ from .errors import MalformedEncodingError, RegistrationError
 from .groups import GroupSuite
 
 
-@dataclass(frozen=True)
-class RegistrationWitness:
-    """The private material a signer surrenders at registration time."""
-
-    variant: str
-    alpha: int
-    x: int | None = None
-    y: int | None = None
-    c_u: int | None = None  # sas2 blinding witnesses only
-    c_h: int | None = None
+REGISTERED = sas.VARIANTS + ("ms",)
 
 
-def witness_from_private(variant: str, sk) -> RegistrationWitness:
-    if variant in sas.VARIANTS:
-        return RegistrationWitness(variant, sk.alpha, sk.x, sk.y, sk.c_u, sk.c_h)
-    if variant == "ms":
-        return RegistrationWitness(variant, sk.alpha)
-    raise ValueError(f"scheme {variant!r} does not register keys")
+def witness_from_private(variant: str, sk: pks.PrivateKey) -> pks.PrivateKey:
+    """The registration witness of a sas or ms key: the private key itself."""
+    if variant not in REGISTERED:
+        raise ValueError(f"scheme {variant!r} does not register keys")
+    if sk.variant != variant:
+        raise ValueError(f"private key is for {sk.variant!r}, not {variant!r}")
+    return sk
 
 
 @dataclass(frozen=True)
@@ -52,19 +44,15 @@ class CertRecord:
     timestamp: int
 
 
-def _reconstruct(params, witness: RegistrationWitness):
-    if witness.variant in sas.VARIANTS:
-        if params.variant != witness.variant:
-            raise RegistrationError("witness scheme does not match the parameters")
-        pub, _ = sas.signer_from_secrets(params, witness.alpha, witness.x, witness.y,
-                                         c_u=witness.c_u, c_h=witness.c_h)
-        return pub
+def _reconstruct(params, witness: pks.PrivateKey):
+    if witness.variant not in REGISTERED:
+        raise RegistrationError(f"scheme {witness.variant!r} does not register keys")
+    if params.variant != witness.variant:
+        raise RegistrationError("witness scheme does not match the parameters")
     if witness.variant == "ms":
-        if params.variant != "ms":
-            raise RegistrationError("witness scheme does not match the parameters")
-        pub, _ = ms.ms_key_from_secret(params, witness.alpha)
-        return pub
-    raise RegistrationError(f"scheme {witness.variant!r} does not register keys")
+        return ms.ms_key_from_secret(params, witness.alpha)[0]
+    return sas.signer_from_secrets(params, witness.alpha, witness.x, witness.y,
+                                   c_u=witness.c_u, c_h=witness.c_h)[0]
 
 
 class CertRegistry:
@@ -82,7 +70,7 @@ class CertRegistry:
         with self._lock:
             return list(self._records.values())
 
-    def register(self, params, pk, witness: RegistrationWitness) -> CertRecord:
+    def register(self, params, pk, witness: pks.PrivateKey) -> CertRecord:
         """Certify ``pk`` after reconstructing it from the witness."""
         variant = pk.variant
         if variant != witness.variant:

@@ -30,7 +30,17 @@ from .groups import (
     random_scalar,
 )
 # by name: ms functions take a ``pks`` list of public keys
-from .pks import CachedKeyId, key_id, product, sign_rows, verify_rows
+from .pks import (
+    CachedKeyId,
+    PrivateKey,
+    blind,
+    key_id,
+    param_rows3,
+    product,
+    row_pow,
+    sign_rows,
+    verify_rows,
+)
 
 _MSG_TAG = b"seqsig/ms/message"
 
@@ -59,12 +69,6 @@ class MsPublicKey(CachedKeyId):
 
 
 @dataclass(frozen=True)
-class MsPrivateKey:
-    alpha: Scalar
-    pk_id: bytes
-
-
-@dataclass(frozen=True)
 class MsSignature:
     """Six-component form, shared by individual and combined signatures."""
 
@@ -75,60 +79,32 @@ class MsSignature:
         return list(self.row1) + list(self.row2)
 
 
-@dataclass(frozen=True)
-class MsSetupExponents:
-    y_w: Scalar
-    nu: Scalar
-    phi1: Scalar
-    phi2: Scalar
-    x: Scalar
-    y: Scalar
-    c_g: Scalar
-    c_u: Scalar
-    c_h: Scalar
-
-
 def ms_setup(suite: GroupSuite, rng) -> MsParams:
+    """Public parameters: a pks2 public key with lam = e(g, ghat) in place of Omega."""
     r = lambda: random_scalar(suite, rng)
-    return ms_setup_from_exponents(suite, MsSetupExponents(r(), r(), r(), r(), r(), r(), r(), r(), r()))
+    w_row, g_hat_row = param_rows3(suite, r(), r(), r(), r())
+    x, y, c_g, c_u, c_h = r(), r(), r(), r(), r()
+    g = suite.g
+    return MsParams(suite, blind(g, w_row, c_g), blind(g ** x, w_row, c_u),
+                    blind(g ** y, w_row, c_h), w_row, g_hat_row,
+                    row_pow(g_hat_row, x), row_pow(g_hat_row, y), pair(g, suite.g_hat))
 
 
-def ms_setup_from_exponents(suite: GroupSuite, e: MsSetupExponents) -> MsParams:
-    g, ghat = suite.g, suite.g_hat
-    p = suite.order
-    tau = (e.phi1 + e.nu * e.phi2) % p
-    w = g ** e.y_w
-    w1, w2 = w ** e.phi1, w ** e.phi2
-    u, h = g ** e.x, g ** e.y
-    uhat, hhat = ghat ** e.x, ghat ** e.y
-    return MsParams(
-        suite=suite,
-        g_row=(g * w1 ** e.c_g, w2 ** e.c_g, w ** e.c_g),
-        u_row=(u * w1 ** e.c_u, w2 ** e.c_u, w ** e.c_u),
-        h_row=(h * w1 ** e.c_h, w2 ** e.c_h, w ** e.c_h),
-        w_row=(w1, w2, w),
-        g_hat_row=(ghat, ghat ** e.nu, ghat ** (-tau % p)),
-        u_hat_row=(uhat, uhat ** e.nu, uhat ** (-tau % p)),
-        h_hat_row=(hhat, hhat ** e.nu, hhat ** (-tau % p)),
-        lam=pair(g, ghat),
-    )
-
-
-def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, MsPrivateKey]:
+def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, PrivateKey]:
     alpha = random_scalar(params.suite, rng)
     return ms_key_from_secret(params, alpha)
 
 
 def ms_key_from_secret(params: MsParams, alpha: Scalar):
     pk = MsPublicKey(suite=params.suite, omega=params.lam ** alpha)
-    return pk, MsPrivateKey(alpha=alpha, pk_id=key_id(pk))
+    return pk, PrivateKey("ms", alpha, pk_id=key_id(pk))
 
 
 def message_scalar(params: MsParams, message: bytes) -> Scalar:
     return hash_to_scalar(params.suite, _MSG_TAG, message, width="full")
 
 
-def ms_sign(params: MsParams, message: bytes, sk: MsPrivateKey, rng) -> MsSignature:
+def ms_sign(params: MsParams, message: bytes, sk: PrivateKey, rng) -> MsSignature:
     return ms_sign_scalar(params, message_scalar(params, message), sk, rng)
 
 

@@ -67,16 +67,13 @@ class CachedKeyId(ElementLayout):
 
 @dataclass(frozen=True)
 class Pks1PublicKey(CachedKeyId):
-    LAYOUT = "g1 g1 g1 g1 g1 g1 g1 g2*4 g2*4 g2*4 g2*3 gt"
+    LAYOUT = "g1 g1 g1 g1*4 g2*4 g2*4 g2*4 g2*3 gt"
     variant = "pks1"
     suite: GroupSuite
     g: G1Elem
     u: G1Elem
     h: G1Elem
-    w1: G1Elem
-    w2: G1Elem
-    w3: G1Elem
-    w: G1Elem
+    w_row: tuple[G1Elem, ...]  # w^phi1, w^phi2, w^phi3, w
     g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu1, ghat^nu2, ghat^-tau
     u_hat_row: tuple[G2Elem, ...]
     h_hat_row: tuple[G2Elem, ...]
@@ -113,12 +110,19 @@ class LwPublicKey(CachedKeyId):
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Held exponents; u and h are recomputed from the suite generator."""
+    """The held scalars of a pks, sas or ms signer; the ones a variant lacks are None.
+
+    pks and sas keys hold alpha, x and y (pks2/lw rebuild the clear u and h
+    from x and y); sas2 keys add the blinding witnesses c_u and c_h; ms keys
+    hold alpha alone. The key registry takes this record as the witness.
+    """
 
     variant: str
     alpha: Scalar
-    x: Scalar | None = None  # pks1 verifiers never need these, but the
-    y: Scalar | None = None  # signer key record keeps them for registries
+    x: Scalar | None = None
+    y: Scalar | None = None
+    c_u: Scalar | None = None
+    c_h: Scalar | None = None
     pk_id: bytes = b""
 
 
@@ -183,55 +187,24 @@ def _draw_exponents(suite, variant, rng):
 
 
 def keygen_from_exponents(suite: GroupSuite, variant: str, e):
-    g, ghat = suite.g, suite.g_hat
-    p = suite.order
+    g = suite.g
     if variant == "pks1":
-        tau = (e.phi1 + e.nu1 * e.phi2 + e.nu2 * e.phi3) % p
-        pi = (e.phi2 + e.nu3 * e.phi3) % p
-        w = g ** e.y_w
-        vhat = ghat ** e.y_v
-        uhat, hhat = ghat ** e.x, ghat ** e.y
-        pk = Pks1PublicKey(
-            suite=suite,
-            g=g, u=g ** e.x, h=g ** e.y,
-            w1=w ** e.phi1, w2=w ** e.phi2, w3=w ** e.phi3, w=w,
-            g_hat_row=(ghat, ghat ** e.nu1, ghat ** e.nu2, ghat ** (-tau % p)),
-            u_hat_row=(uhat, uhat ** e.nu1, uhat ** e.nu2, uhat ** (-tau % p)),
-            h_hat_row=(hhat, hhat ** e.nu1, hhat ** e.nu2, hhat ** (-tau % p)),
-            v_hat_row=(vhat, vhat ** e.nu3, vhat ** (-pi % p)),
-            omega=pair(g, ghat) ** e.alpha,
-        )
+        w_row, g_hat_row, v_hat_row = param_rows4(
+            suite, e.y_w, e.y_v, e.nu1, e.nu2, e.nu3, e.phi1, e.phi2, e.phi3)
     elif variant in ("pks2", "lw"):
-        tau = (e.phi1 + e.nu * e.phi2) % p
-        w = g ** e.y_w
-        w1, w2 = w ** e.phi1, w ** e.phi2
-        uhat, hhat = ghat ** e.x, ghat ** e.y
-        g_hat_row = (ghat, ghat ** e.nu, ghat ** (-tau % p))
-        u_hat_row = (uhat, uhat ** e.nu, uhat ** (-tau % p))
-        h_hat_row = (hhat, hhat ** e.nu, hhat ** (-tau % p))
-        omega = pair(g, ghat) ** e.alpha
-        if variant == "pks2":
-            u, h = g ** e.x, g ** e.y
-            pk = Pks2PublicKey(
-                suite=suite,
-                g_row=(g * w1 ** e.c_g, w2 ** e.c_g, w ** e.c_g),
-                u_row=(u * w1 ** e.c_u, w2 ** e.c_u, w ** e.c_u),
-                h_row=(h * w1 ** e.c_h, w2 ** e.c_h, w ** e.c_h),
-                w_row=(w1, w2, w),
-                g_hat_row=g_hat_row, u_hat_row=u_hat_row, h_hat_row=h_hat_row,
-                omega=omega,
-            )
-        else:
-            pk = LwPublicKey(
-                suite=suite,
-                w_row=(w1, w2, w),
-                g_hat_row=g_hat_row, u_hat_row=u_hat_row, h_hat_row=h_hat_row,
-                omega=omega,
-            )
+        w_row, g_hat_row = param_rows3(suite, e.y_w, e.nu, e.phi1, e.phi2)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    sk = PrivateKey(variant=variant, alpha=e.alpha, x=e.x, y=e.y, pk_id=key_id(pk))
-    return pk, sk
+    rows = dict(w_row=w_row, g_hat_row=g_hat_row, u_hat_row=row_pow(g_hat_row, e.x),
+                h_hat_row=row_pow(g_hat_row, e.y), omega=pair(g, suite.g_hat) ** e.alpha)
+    if variant == "pks1":
+        pk = Pks1PublicKey(suite, g, g ** e.x, g ** e.y, v_hat_row=v_hat_row, **rows)
+    elif variant == "pks2":
+        pk = Pks2PublicKey(suite, blind(g, w_row, e.c_g), blind(g ** e.x, w_row, e.c_u),
+                           blind(g ** e.y, w_row, e.c_h), **rows)
+    else:
+        pk = LwPublicKey(suite, **rows)
+    return pk, PrivateKey(variant, e.alpha, e.x, e.y, pk_id=key_id(pk))
 
 
 def _check_variant(variant: str):
@@ -259,15 +232,14 @@ def sign_scalar(variant: str, m: Scalar, sk: PrivateKey, pk, rng) -> Signature:
 
 
 def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2) -> Signature:
+    _check_variant(variant)
     g = pk.suite.g
     if variant == "pks1":
-        u, h, w_row = pk.u, pk.h, (pk.w1, pk.w2, pk.w3, pk.w)
-    elif variant in ("pks2", "lw"):
-        # signing uses the unblinded g, u, h known only to the key holder
-        u, h, w_row = g ** sk.x, g ** sk.y, pk.w_row
+        u, h = pk.u, pk.h
     else:
-        raise ValueError(f"unknown variant {variant!r}")
-    row1, row2 = sign_rows((g,), sk.alpha, (u ** m * h,), w_row, r, c1, c2)
+        # signing uses the unblinded u, h known only to the key holder
+        u, h = g ** sk.x, g ** sk.y
+    row1, row2 = sign_rows((g,), sk.alpha, (u ** m * h,), pk.w_row, r, c1, c2)
     return Signature(variant, row1, row2)
 
 
@@ -282,6 +254,47 @@ def verification_components(variant: str, pk, m: Scalar, t: Scalar, s1: Scalar =
     """The verifier's rows (V1, V2) in the paper's form (coin t on G2) for given coins."""
     v1, v2 = verifier_rows(*_key_rows(variant, pk, m), t, s1, s2)
     return tuple(v ** t for v in v1), tuple(v ** t for v in v2)
+
+
+# -- Key and parameter rows, shared with sas and ms -------------------------
+#
+# Every scheme's public rows come from one dual-system construction: a G1
+# row w_row and a G2 row g_hat_row with prod_k e(w_row[k], g_hat_row[k]) = 1,
+# so the w_row terms that blind signatures and keys vanish in verification.
+# pks1 and sas1 use the 4-wide rows (plus the randomization row v_hat_row);
+# pks2, lw, sas2 and ms use the 3-wide ones.
+
+
+def _orthogonal_row(base, nus, phis):
+    """(base, base^nu_1, ..., base^-tau) with tau = phi_1 + sum_i nu_i * phi_(i+1),
+    the G2 row that pairs to one against (w^phi_1, ..., w^phi_n, w)."""
+    order = base.suite.order
+    tau = (phis[0] + sum(nu * phi for nu, phi in zip(nus, phis[1:]))) % order
+    return (base,) + tuple(base ** nu for nu in nus) + (base ** (-tau % order),)
+
+
+def param_rows4(suite: GroupSuite, y_w, y_v, nu1, nu2, nu3, phi1, phi2, phi3):
+    """(w_row, g_hat_row, v_hat_row) of pks1 and sas1, with w = g^y_w, vhat = ghat^y_v."""
+    w = suite.g ** y_w
+    return ((w ** phi1, w ** phi2, w ** phi3, w),
+            _orthogonal_row(suite.g_hat, (nu1, nu2), (phi1, phi2, phi3)),
+            _orthogonal_row(suite.g_hat ** y_v, (nu3,), (phi2, phi3)))
+
+
+def param_rows3(suite: GroupSuite, y_w, nu, phi1, phi2):
+    """(w_row, g_hat_row) of pks2, lw, sas2 and ms, with w = g^y_w."""
+    w = suite.g ** y_w
+    return (w ** phi1, w ** phi2, w), _orthogonal_row(suite.g_hat, (nu,), (phi1, phi2))
+
+
+def blind(base, w_row, c):
+    """The blinded G1 row (base * w_row[0]^c, w_row[1]^c, ..., w_row[-1]^c)."""
+    return (base * w_row[0] ** c,) + row_pow(w_row[1:], c)
+
+
+def row_pow(row, k):
+    """The row raised to k element by element, e.g. a signer's u_hat_row = g_hat_row^x."""
+    return tuple(e ** k for e in row)
 
 
 # -- Row core, shared with sas and ms --------------------------------------

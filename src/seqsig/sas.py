@@ -26,6 +26,7 @@ from . import pks
 from .errors import (
     DuplicateSignerError,
     InvalidAggregateError,
+    KeyMismatchError,
     MalformedEncodingError,
     MissingWitnessError,
 )
@@ -51,14 +52,11 @@ _CHAIN_TAG = b"seqsig/sas/chain"
 
 @dataclass(frozen=True)
 class Sas1Params(ElementLayout):
-    LAYOUT = "g1 g1 g1 g1 g1 g2*4 g2*3"
+    LAYOUT = "g1 g1*4 g2*4 g2*3"
     variant = "sas1"
     suite: GroupSuite
     g: G1Elem
-    w1: G1Elem
-    w2: G1Elem
-    w3: G1Elem
-    w: G1Elem
+    w_row: tuple[G1Elem, ...]  # w^phi1, w^phi2, w^phi3, w
     g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu1, ghat^nu2, ghat^-tau
     v_hat_row: tuple[G2Elem, ...]  # vhat, vhat^nu3, vhat^-pi
 
@@ -86,17 +84,6 @@ class SasSignerPublic(pks.CachedKeyId):
 
 
 @dataclass(frozen=True)
-class SasSignerPrivate:
-    variant: str
-    alpha: Scalar
-    x: Scalar
-    y: Scalar
-    c_u: Scalar | None = None  # sas2 blinding witnesses
-    c_h: Scalar | None = None
-    pk_id: bytes = b""
-
-
-@dataclass(frozen=True)
 class AggregateSignature:
     variant: str
     row1: tuple[G1Elem, ...]
@@ -112,69 +99,20 @@ class AggregateSignature:
         return list(self.row1) + list(self.row2)
 
 
-@dataclass(frozen=True)
-class Sas1SetupExponents:
-    y_w: Scalar
-    y_v: Scalar
-    nu1: Scalar
-    nu2: Scalar
-    nu3: Scalar
-    phi1: Scalar
-    phi2: Scalar
-    phi3: Scalar
-
-
-@dataclass(frozen=True)
-class Sas2SetupExponents:
-    y_w: Scalar
-    nu: Scalar
-    phi1: Scalar
-    phi2: Scalar
-    c_g: Scalar
-
-
 def setup(suite: GroupSuite, variant: str, rng):
-    return setup_from_exponents(suite, variant, draw_setup_exponents(suite, variant, rng))
-
-
-def draw_setup_exponents(suite, variant, rng):
+    """Public parameters: the pks rows of the variant's width without a signer."""
     r = lambda: random_scalar(suite, rng)
     if variant == "sas1":
-        return Sas1SetupExponents(r(), r(), r(), r(), r(), r(), r(), r())
+        w_row, g_hat_row, v_hat_row = pks.param_rows4(suite, *(r() for _ in range(8)))
+        return Sas1Params(suite, suite.g, w_row, g_hat_row, v_hat_row)
     if variant == "sas2":
-        return Sas2SetupExponents(r(), r(), r(), r(), r())
+        w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
+        return Sas2Params(suite, pks.blind(suite.g, w_row, r()), w_row, g_hat_row,
+                          pair(suite.g, suite.g_hat))
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def setup_from_exponents(suite: GroupSuite, variant: str, e):
-    g, ghat = suite.g, suite.g_hat
-    p = suite.order
-    if variant == "sas1":
-        tau = (e.phi1 + e.nu1 * e.phi2 + e.nu2 * e.phi3) % p
-        pi = (e.phi2 + e.nu3 * e.phi3) % p
-        w = g ** e.y_w
-        vhat = ghat ** e.y_v
-        return Sas1Params(
-            suite=suite, g=g,
-            w1=w ** e.phi1, w2=w ** e.phi2, w3=w ** e.phi3, w=w,
-            g_hat_row=(ghat, ghat ** e.nu1, ghat ** e.nu2, ghat ** (-tau % p)),
-            v_hat_row=(vhat, vhat ** e.nu3, vhat ** (-pi % p)),
-        )
-    if variant == "sas2":
-        tau = (e.phi1 + e.nu * e.phi2) % p
-        w = g ** e.y_w
-        w1, w2 = w ** e.phi1, w ** e.phi2
-        return Sas2Params(
-            suite=suite,
-            g_row=(g * w1 ** e.c_g, w2 ** e.c_g, w ** e.c_g),
-            w_row=(w1, w2, w),
-            g_hat_row=(ghat, ghat ** e.nu, ghat ** (-tau % p)),
-            lam=pair(g, ghat),
-        )
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def keygen(params, rng) -> tuple[SasSignerPublic, SasSignerPrivate]:
+def keygen(params, rng) -> tuple[SasSignerPublic, pks.PrivateKey]:
     suite = params.suite
     alpha = random_scalar(suite, rng)
     x = random_scalar(suite, rng)
@@ -188,32 +126,21 @@ def keygen(params, rng) -> tuple[SasSignerPublic, SasSignerPrivate]:
 
 def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
     """Deterministic key build; also the registry's reconstruction path."""
-    suite = params.suite
-    ghat_row = params.g_hat_row
-    u_hat_row = tuple(el ** x for el in ghat_row)
-    h_hat_row = tuple(el ** y for el in ghat_row)
     if params.variant == "sas1":
-        pub = SasSignerPublic(
-            variant="sas1",
-            g1_elems=(params.g ** x, params.g ** y),
-            u_hat_row=u_hat_row, h_hat_row=h_hat_row,
-            omega=pair(params.g, suite.g_hat) ** alpha,
-        )
-        priv = SasSignerPrivate("sas1", alpha, x, y, pk_id=pks.key_id(pub))
-        return pub, priv
-    if c_u is None or c_h is None:
-        raise MissingWitnessError("sas2 keys require the c_u and c_h blinding witnesses")
-    gr, wr = params.g_row, params.w_row
-    u_row = tuple(gr[k] ** x * wr[k] ** c_u for k in range(3))
-    h_row = tuple(gr[k] ** y * wr[k] ** c_h for k in range(3))
-    pub = SasSignerPublic(
-        variant="sas2",
-        g1_elems=u_row + h_row,
-        u_hat_row=u_hat_row, h_hat_row=h_hat_row,
-        omega=params.lam ** alpha,
-    )
-    priv = SasSignerPrivate("sas2", alpha, x, y, c_u=c_u, c_h=c_h, pk_id=pks.key_id(pub))
-    return pub, priv
+        g = params.g
+        g1_elems = (g ** x, g ** y)
+        omega = pair(g, params.suite.g_hat) ** alpha
+        c_u = c_h = None
+    else:
+        if c_u is None or c_h is None:
+            raise MissingWitnessError("sas2 keys require the c_u and c_h blinding witnesses")
+        g_row, w_row = params.g_row, params.w_row
+        g1_elems = tuple(a ** s * w ** c for s, c in ((x, c_u), (y, c_h))
+                         for a, w in zip(g_row, w_row))
+        omega = params.lam ** alpha
+    pub = SasSignerPublic(params.variant, g1_elems, pks.row_pow(params.g_hat_row, x),
+                          pks.row_pow(params.g_hat_row, y), omega)
+    return pub, pks.PrivateKey(params.variant, alpha, x, y, c_u, c_h, pks.key_id(pub))
 
 
 def empty_aggregate(params) -> AggregateSignature:
@@ -230,7 +157,7 @@ def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[byte
 
 
 def agg_sign(params, prev: AggregateSignature, message: bytes,
-             pub: SasSignerPublic, priv: SasSignerPrivate, rng, *,
+             pub: SasSignerPublic, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
     m = chained_message_scalar(params.suite, params.variant, [message])
     return agg_sign_scalar(params, prev, m, pub, priv, rng,
@@ -242,9 +169,11 @@ def agg_sign_scalar(params, prev, m, pub, priv, rng, *,
     suite = params.suite
     if prev.variant != params.variant:
         raise MalformedEncodingError("aggregate variant does not match parameters")
+    kid = pks.key_id(pub)
+    if priv.pk_id and priv.pk_id != kid:
+        raise KeyMismatchError("private key does not belong to this public key")
     if verify_prev and not agg_verify(params, prev, rng, certified=certified):
         raise InvalidAggregateError("aggregate-so-far failed verification; halting")
-    kid = pks.key_id(pub)
     if any(pks.key_id(s) == kid for s in prev.signers):
         raise DuplicateSignerError("signer already present in the aggregate")
     r = random_scalar(suite, rng)
@@ -257,17 +186,14 @@ def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> Aggregate
     d = (priv.x * m + priv.y) % params.suite.order
     messages = prev.messages + (m,)
     signers = prev.signers + (pub,)
-    alpha_row, w_row = _g1_rows(params)
-    row1, row2 = pks.sign_rows(alpha_row, priv.alpha, _message_bases(messages, signers), w_row,
-                               r, c1, c2, prev=(prev.row1, prev.row2), d=d)
+    row1, row2 = pks.sign_rows(_alpha_row(params), priv.alpha, _message_bases(messages, signers),
+                               params.w_row, r, c1, c2, prev=(prev.row1, prev.row2), d=d)
     return AggregateSignature(params.variant, row1, row2, messages, signers)
 
 
-def _g1_rows(params):
-    """(alpha_row, w_row): the G1 bases that carry alpha and r, and the w row."""
-    if params.variant == "sas1":
-        return (params.g,), (params.w1, params.w2, params.w3, params.w)
-    return params.g_row, params.w_row
+def _alpha_row(params):
+    """The G1 bases that carry alpha and r: the clear g (sas1) or the blinded g row."""
+    return (params.g,) if params.variant == "sas1" else params.g_row
 
 
 def _message_bases(messages, signers):
@@ -282,6 +208,29 @@ def _message_bases(messages, signers):
 
 def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
     suite = params.suite
+    if not _distinct_signers(params, agg):
+        return False
+    if certified is not None and not all(certified(s) for s in agg.signers):
+        return False
+    if agg.length == 0:
+        return _pairing_check(params, agg, 1)  # l = 0 draws no coins
+    t = random_nonzero_scalar(suite, rng)
+    if params.variant == "sas1":
+        s1 = random_scalar(suite, rng)
+        s2 = random_scalar(suite, rng)
+        return _pairing_check(params, agg, t, s1, s2)
+    return _pairing_check(params, agg, t)
+
+
+def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
+    """:func:`agg_verify` for given coins and no certification predicate;
+    t must be nonzero (``ValueError``)."""
+    return _distinct_signers(params, agg) and _pairing_check(params, agg, t, s1, s2)
+
+
+def _distinct_signers(params, agg) -> bool:
+    """Whether no signer occurs twice; an aggregate that does not fit the
+    parameters (variant, width, message count) raises ``MalformedEncodingError``."""
     if agg.variant != params.variant:
         raise MalformedEncodingError("aggregate variant does not match parameters")
     width = AGG_WIDTH[params.variant]
@@ -290,26 +239,13 @@ def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
     if len(agg.messages) != len(agg.signers):
         raise MalformedEncodingError("message and signer lists differ in length")
     ids = [pks.key_id(s) for s in agg.signers]
-    if len(set(ids)) != len(ids):
-        return False
-    if certified is not None and not all(certified(s) for s in agg.signers):
-        return False
-    if agg.length == 0:
-        return agg_verify_with_coins(params, agg, 1)  # l = 0 draws no coins
-    t = random_nonzero_scalar(suite, rng)
-    if params.variant == "sas1":
-        s1 = random_scalar(suite, rng)
-        s2 = random_scalar(suite, rng)
-        return agg_verify_with_coins(params, agg, t, s1, s2)
-    return agg_verify_with_coins(params, agg, t)
+    return len(set(ids)) == len(ids)
 
 
-def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
-    """The pairing check for given coins; t must be nonzero (``ValueError``).
-
-    The empty aggregate (l = 0) has no pairing equation and uses no coin: it
-    is valid exactly when every component is the identity.
-    """
+def _pairing_check(params, agg, t, s1=0, s2=0) -> bool:
+    """The pairing equation for given coins. The empty aggregate (l = 0) has
+    none and uses no coin: it is valid exactly when every component is the
+    identity."""
     if not agg.signers:
         return all(e.is_identity() for e in agg.row1 + agg.row2)
     terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
@@ -319,7 +255,7 @@ def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
 
 
 def strip_to_single(params, agg: AggregateSignature, target_index: int,
-                    witnesses: Mapping[bytes, SasSignerPrivate]) -> pks.Signature:
+                    witnesses: Mapping[bytes, pks.PrivateKey]) -> pks.Signature:
     """Unwind an aggregate to the target signer's single-signer signature.
 
     ``witnesses`` maps key-ids to private keys for every signer except
@@ -346,8 +282,7 @@ def pks_view(params, pub: SasSignerPublic):
     if params.variant == "sas1":
         u, h = pub.g1_elems
         return pks.Pks1PublicKey(
-            suite=suite, g=params.g, u=u, h=h,
-            w1=params.w1, w2=params.w2, w3=params.w3, w=params.w,
+            suite=suite, g=params.g, u=u, h=h, w_row=params.w_row,
             g_hat_row=params.g_hat_row,
             u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row,
             v_hat_row=params.v_hat_row, omega=pub.omega,
@@ -364,7 +299,7 @@ def pks_view(params, pub: SasSignerPublic):
 
 
 def remove_signer(params, agg: AggregateSignature, pub: SasSignerPublic,
-                  priv: SasSignerPrivate, m_old: Scalar) -> AggregateSignature:
+                  priv: pks.PrivateKey, m_old: Scalar) -> AggregateSignature:
     """Divide one signer's contribution out of an aggregate.
 
     The leftover blinding shift is absorbed into the aggregate's composed
@@ -384,7 +319,7 @@ def remove_signer(params, agg: AggregateSignature, pub: SasSignerPublic,
 def _divide_signer(params, row1, row2, priv, m):
     """row1 with alpha_row[k]^alpha * row2[k]^d of one signer divided out of each slot."""
     d = (priv.x * m + priv.y) % params.suite.order
-    alpha_row, _ = _g1_rows(params)
+    alpha_row = _alpha_row(params)
     return tuple(
         s / (row2[k] ** d if a is None else a ** priv.alpha * row2[k] ** d)
         for k, (s, a) in enumerate(zip_longest(row1, alpha_row))
@@ -392,7 +327,7 @@ def _divide_signer(params, row1, row2, priv, m):
 
 
 def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
-               new_message: bytes, pub: SasSignerPublic, priv: SasSignerPrivate,
+               new_message: bytes, pub: SasSignerPublic, priv: pks.PrivateKey,
                rng) -> AggregateSignature:
     """Replace this signer's contribution with one covering the extended chain.
 

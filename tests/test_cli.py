@@ -180,6 +180,23 @@ class TestAggregatePipeline:
         assert code == 1
         assert fields["reason"] == ["uncertified"]
 
+    def test_mismatched_key_pair_exits_one(self, setup, tmp_path, capsys):
+        params, signers = setup
+        (pub0, _), (_, priv1) = signers[:2]
+        out = tmp_path / "agg-mismatch.bin"
+        code, fields = run(capsys, *det("agg-sign", "--scheme", "sas2",
+                                        "--params", str(params), "--pub", str(pub0),
+                                        "--priv", str(priv1), "--out", str(out),
+                                        "--message", "m0"))
+        assert code == 1 and fields["result"] == ["invalid"]
+        assert not out.exists()
+
+    def test_keygen_without_params_exits_two(self, tmp_path, capsys):
+        code, fields = run(capsys, *det("keygen", "--scheme", "sas2",
+                                        "--pub-out", str(tmp_path / "pk.bin"),
+                                        "--priv-out", str(tmp_path / "sk.bin")))
+        assert code == 2 and fields["result"] == ["malformed"]
+
     def test_registry_env_variable(self, setup, tmp_path, capsys, monkeypatch):
         params, signers = setup
         registry = tmp_path / "registry-env.bin"

@@ -100,6 +100,23 @@ class TestKeyEnvelopes:
             env.decode_private_key(tiny_suite, bytes(blob))
 
 
+    def test_nonzero_unused_slot_rejected(self, mock_suite, rng):
+        params = sas.setup(mock_suite, "sas1", rng)
+        _, priv = sas.keygen(params, rng)
+        assert priv.c_u is None and priv.c_h is None
+        blob = bytearray(env.encode_private_key(mock_suite, "sas1", priv))
+        slot3 = len(blob) - 2 * 32  # the c_u slot, unused by sas1
+        assert blob[slot3:slot3 + 32] == bytes(32)
+        blob[slot3:slot3 + 32] = (5).to_bytes(32, "big")
+        with pytest.raises(MalformedEncodingError):
+            env.decode_private_key(mock_suite, bytes(blob))
+
+    def test_encode_refuses_a_key_of_another_variant(self, mock_suite, rng):
+        _, sk = pks.keygen(mock_suite, "pks2", rng)
+        with pytest.raises(ValueError):
+            env.encode_private_key(mock_suite, "sas2", sk)
+
+
 class TestParamsEnvelope:
     @pytest.mark.parametrize("build", [
         lambda s, r: sas.setup(s, "sas1", r),

@@ -34,8 +34,8 @@ class TestRegistration:
     def test_wrong_alpha_rejected(self, sas2_setup, mock_suite):
         params, pub, priv = sas2_setup
         reg = keyreg.CertRegistry(mock_suite)
-        bad = keyreg.RegistrationWitness("sas2", (priv.alpha + 1) % mock_suite.order,
-                                         priv.x, priv.y, priv.c_u, priv.c_h)
+        bad = pks.PrivateKey("sas2", (priv.alpha + 1) % mock_suite.order,
+                             priv.x, priv.y, priv.c_u, priv.c_h)
         with pytest.raises(RegistrationError):
             reg.register(params, pub, bad)
         assert not reg.is_certified(pub)
@@ -44,7 +44,7 @@ class TestRegistration:
         params, pub, priv = sas2_setup
         reg = keyreg.CertRegistry(mock_suite)
         from seqsig.errors import MissingWitnessError
-        bad = keyreg.RegistrationWitness("sas2", priv.alpha, priv.x, priv.y)
+        bad = pks.PrivateKey("sas2", priv.alpha, priv.x, priv.y)
         with pytest.raises((RegistrationError, MissingWitnessError)):
             reg.register(params, pub, bad)
         assert not reg.is_certified(pub)
@@ -53,7 +53,7 @@ class TestRegistration:
         params1 = sas.setup(mock_suite, "sas1", rng)
         pub, priv = sas.keygen(params1, rng)
         reg = keyreg.CertRegistry(mock_suite)
-        wrong = keyreg.RegistrationWitness("sas2", priv.alpha, priv.x, priv.y, 1, 2)
+        wrong = pks.PrivateKey("sas2", priv.alpha, priv.x, priv.y, 1, 2)
         with pytest.raises(RegistrationError):
             reg.register(params1, pub, wrong)
 

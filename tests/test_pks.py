@@ -132,7 +132,7 @@ class TestHandFixture:
     def test_public_key_exponents(self, tiny_suite):
         pk, _, _ = self._fixture(tiny_suite)
         # w = g^6, w_i = w^phi_i; tau = 2 + 3*3 + 4*4 = 27, pi = 3 + 5*4 = 23
-        assert [pk.w1.h, pk.w2.h, pk.w3.h, pk.w.h] == [12, 18, 24, 6]
+        assert [e.h for e in pk.w_row] == [12, 18, 24, 6]
         assert [e.h for e in pk.g_hat_row] == [1, 3, 4, (-27) % 101]
         assert [e.h for e in pk.u_hat_row] == [2, 6, 8, (-54) % 101]
         assert [e.h for e in pk.h_hat_row] == [3, 9, 12, (-81) % 101]

@@ -1,11 +1,14 @@
 """Sequential aggregates: growth, constant size, stripping, re-signing."""
 
+import dataclasses
+
 import pytest
 
 from seqsig import pks, sas
 from seqsig.errors import (
     DuplicateSignerError,
     InvalidAggregateError,
+    KeyMismatchError,
     MalformedEncodingError,
     MissingWitnessError,
 )
@@ -152,6 +155,13 @@ class TestAggregation:
                                 pub, priv, rng)
         assert not sas.agg_verify(params, broken, rng)
 
+    def test_foreign_private_key_refused(self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        pub, _ = sas.keygen(params, rng)
+        _, other_priv = sas.keygen(params, rng)
+        with pytest.raises(KeyMismatchError):
+            sas.agg_sign(params, sas.empty_aggregate(params), b"m", pub, other_priv, rng)
+
     def test_variant_mismatch_is_malformed(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         other = "sas2" if variant == "sas1" else "sas1"
@@ -159,6 +169,42 @@ class TestAggregation:
         agg = sas.empty_aggregate(other_params)
         with pytest.raises(MalformedEncodingError):
             sas.agg_verify(params, agg, rng)
+
+
+class TestCoinLevelChecks:
+    """``agg_verify_with_coins`` refuses what ``agg_verify`` refuses before any pairing."""
+
+    MALFORMED = {
+        "relabelled": lambda agg: dataclasses.replace(agg, variant="sas1"),
+        "cut-short": lambda agg: dataclasses.replace(agg, row1=agg.row1[:2], row2=agg.row2[:2]),
+        "message-dropped": lambda agg: dataclasses.replace(agg, messages=agg.messages[:-1]),
+    }
+
+    @pytest.fixture
+    def chain(self, mock_suite, rng):
+        params = sas.setup(mock_suite, "sas2", rng)
+        agg, _ = build_chain(params, rng, MSGS[:3])
+        assert sas.agg_verify_with_coins(params, agg, 5)
+        return params, agg
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_raises(self, chain, rng, case):
+        params, agg = chain
+        bad = self.MALFORMED[case](agg)
+        with pytest.raises(MalformedEncodingError):
+            sas.agg_verify(params, bad, rng)
+        with pytest.raises(MalformedEncodingError):
+            sas.agg_verify_with_coins(params, bad, 5)
+
+    def test_duplicate_signer_rejected(self, mock_suite, rng):
+        params = sas.setup(mock_suite, "sas2", rng)
+        pub, priv = sas.keygen(params, rng)
+        dup = sas.empty_aggregate(params)
+        for m in (3, 4):  # the randomness-level builder has no duplicate check
+            dup = sas.agg_sign_with_randomness(params, dup, m, pub, priv, 5, 6, 7)
+        assert sas._pairing_check(params, dup, 5)  # the pairing equation alone holds
+        assert not sas.agg_verify(params, dup, rng)
+        assert not sas.agg_verify_with_coins(params, dup, 5)
 
 
 class TestSizes:
