@@ -552,31 +552,12 @@ def miller_loop_product(pairs):
     return f
 
 
-_HARD_EXP = (P ** 4 - P ** 2 + 1) // ORDER
-_HARD_DIGITS = []
-_h = _HARD_EXP
-while _h:
-    _HARD_DIGITS.append(_h % P)
-    _h //= P
-
-
-def _cyc_pow(x, e):
-    """x^e for cyclotomic x and small positive e (square-and-multiply)."""
-    result = None
-    for bit in bin(e)[2:]:
-        if result is not None:
-            result = fq12_cyc_sqr(result)
-        if bit == "1":
-            result = x if result is None else fq12_mul(result, x)
-    return result if result is not None else FQ12_ONE
-
-
 def _hard_part_chain(m):
     """t^((p^4 - p^2 + 1)/r) via the standard BN addition chain in the
     curve parameter x (valid for x > 0, which holds here)."""
-    fx = _cyc_pow(m, T_PARAM)
-    fx2 = _cyc_pow(fx, T_PARAM)
-    fx3 = _cyc_pow(fx2, T_PARAM)
+    fx = _cyc_wnaf_pow(m, T_PARAM)
+    fx2 = _cyc_wnaf_pow(fx, T_PARAM)
+    fx3 = _cyc_wnaf_pow(fx2, T_PARAM)
     y0 = fq12_mul(fq12_mul(fq12_frobenius(m, 1), fq12_frobenius(m, 2)),
                   fq12_frobenius(m, 3))
     y1 = fq12_conj(m)
@@ -600,30 +581,6 @@ def final_exponentiation(f):
     t = fq12_mul(fq12_conj(f), fq12_inv(f))
     t = fq12_mul(fq12_frobenius(t, 2), t)
     return _hard_part_chain(t)
-
-
-def _hard_part_digits(t):
-    """Reference hard part: joint exponentiation of the base-p digits of
-    (p^4 - p^2 + 1)/r against t^(p^k) = frobenius^k(t). Slower than the
-    addition chain; kept as the correctness oracle for it."""
-    bases = [t]
-    for k in range(1, len(_HARD_DIGITS)):
-        bases.append(fq12_frobenius(t, k))
-    table = {0: FQ12_ONE}
-    for i, base in enumerate(bases):
-        for mask in list(table):
-            table[mask | (1 << i)] = fq12_mul(table[mask], base)
-    nbits = max(d.bit_length() for d in _HARD_DIGITS)
-    result = FQ12_ONE
-    for j in range(nbits - 1, -1, -1):
-        result = fq12_cyc_sqr(result)
-        mask = 0
-        for i, d in enumerate(_HARD_DIGITS):
-            if (d >> j) & 1:
-                mask |= 1 << i
-        if mask:
-            result = fq12_mul(result, table[mask])
-    return result
 
 
 def pairing(p, q):
@@ -668,11 +625,17 @@ def fq12_cyc_sqr(x):
 
 
 def gt_pow(x, e):
-    """Exponentiation in G_T (order-r subgroup): signed window with the
-    free conjugation inverse and cyclotomic squarings."""
+    """Exponentiation in G_T (order-r subgroup)."""
     e %= ORDER
     if e == 0:
         return FQ12_ONE
+    return _cyc_wnaf_pow(x, e)
+
+
+def _cyc_wnaf_pow(x, e):
+    """x^e for cyclotomic x and e > 0: signed window with the free
+    conjugation inverse and cyclotomic squarings. The final exponentiation
+    calls it directly, so traced ``gt_pow`` calls count G_T work only."""
     # odd powers x, x^3, x^5, x^7 for width-4 NAF digits
     x2 = fq12_cyc_sqr(x)
     table = [x]

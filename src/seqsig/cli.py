@@ -12,11 +12,11 @@ import argparse
 import os
 import random
 import sys
-import time
 
 from . import envelopes, keyreg, ms, pks, sas
 from .errors import (
     InvalidAggregateError,
+    KeyMismatchError,
     MalformedEncodingError,
     RegistrationError,
     SeqsigError,
@@ -139,7 +139,7 @@ def cmd_sign(args):
     rng = _make_rng(args)
     pk = envelopes.decode_public_key(suite, _read(args.pub))
     variant, sk = envelopes.decode_private_key(suite, _read(args.priv))
-    if variant != args.scheme or variant not in pks.VARIANTS:
+    if variant != args.scheme or pk.variant != args.scheme:
         raise MalformedEncodingError("key files do not match --scheme")
     sig = pks.sign(variant, _message_bytes(args), sk, pk, rng)
     _write(args.out, envelopes.encode_signature(sig), args.format)
@@ -154,6 +154,8 @@ def cmd_verify(args):
     sig = envelopes.decode_signature(suite, _read(args.sig))
     if sig.variant != args.scheme:
         raise MalformedEncodingError("signature file does not match --scheme")
+    if pk.variant != args.scheme:
+        raise MalformedEncodingError("public key file does not match --scheme")
     ok_ = pks.verify(sig.variant, sig, _message_bytes(args), pk, rng)
     _emit(result="valid" if ok_ else "invalid", command="verify", scheme=sig.variant)
     return EXIT_OK if ok_ else EXIT_INVALID
@@ -226,6 +228,8 @@ def cmd_ms_sign(args):
     variant, sk = envelopes.decode_private_key(suite, _read(args.priv))
     if variant != "ms":
         raise MalformedEncodingError("private key is not a multi-signature key")
+    if sk.pk_id != pks.key_id(pk):
+        raise KeyMismatchError("private key does not belong to this public key")
     message = _message_bytes(args)
     sig = ms.ms_sign(params, message, sk, rng)
     blob = envelopes.encode_multisignature(sig, ms.message_scalar(params, message), [pk])
@@ -260,6 +264,8 @@ def cmd_register(args):
     params = envelopes.decode_params(suite, _read(args.params))
     pub = envelopes.decode_public_key(suite, _read(args.pub))
     variant, priv = envelopes.decode_private_key(suite, _read(args.priv))
+    if variant not in keyreg.REGISTERED:
+        raise MalformedEncodingError(f"scheme {variant} does not register keys")
     path = _registry_path(args)
     if path is None:
         raise MalformedEncodingError("no registry path (use --registry or the environment)")
@@ -272,57 +278,6 @@ def cmd_register(args):
     registry.save(path)
     _emit(result="ok", command="register", scheme=variant,
           key_id=record.key_id.hex()[:16], registry=path)
-    return EXIT_OK
-
-
-def cmd_bench(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    scheme = args.scheme
-    lengths = [int(tok) for tok in args.lengths.split(",")]
-    rows = []
-    if scheme in sas.VARIANTS:
-        params = sas.setup(suite, scheme, rng)
-        for l in lengths:
-            signers = [sas.keygen(params, rng) for _ in range(l)]
-            agg = sas.empty_aggregate(params)
-            for i, (pub, priv) in enumerate(signers):
-                agg = sas.agg_sign(params, agg, f"m{i}".encode(), pub, priv, rng,
-                                   verify_prev=False)
-            deltas, elapsed = [], 0.0
-            for _ in range(args.trials):
-                before = suite.pairing_count
-                start = time.perf_counter()
-                assert sas.agg_verify(params, agg, rng)
-                elapsed += time.perf_counter() - start
-                deltas.append(suite.pairing_count - before)
-            rows.append((l, deltas[0], elapsed / args.trials))
-            assert all(d == deltas[0] for d in deltas)
-    elif scheme == "ms":
-        params = ms.ms_setup(suite, rng)
-        for l in lengths:
-            keys = [ms.ms_keygen(params, rng) for _ in range(l)]
-            sigs = [ms.ms_sign(params, b"bench", sk, rng) for _, sk in keys]
-            pk_list = [pk for pk, _ in keys]
-            msig = ms.ms_combine(sigs, b"bench", pk_list, params, rng,
-                                 skip_individual_checks=True)
-            deltas, elapsed = [], 0.0
-            for _ in range(args.trials):
-                before = suite.pairing_count
-                start = time.perf_counter()
-                assert ms.ms_mult_verify(msig, b"bench", pk_list, params, rng)
-                elapsed += time.perf_counter() - start
-                deltas.append(suite.pairing_count - before)
-            rows.append((l, deltas[0], elapsed / args.trials))
-            assert all(d == deltas[0] for d in deltas)
-    else:
-        raise MalformedEncodingError("bench covers sas1, sas2, and ms")
-    for l, pairings, secs in rows:
-        _emit(result="ok", command="bench", scheme=scheme, l=l,
-              pairings=pairings, mean_verify_s=f"{secs:.6f}")
-    flat = len({p for _, p, _ in rows}) == 1
-    _emit(result="ok", command="bench", scheme=scheme,
-          pairings_flat_in_l=str(flat).lower())
     return EXIT_OK
 
 
@@ -340,7 +295,7 @@ def cmd_demo_chain(args):
         statement = f"certify level {level + 1} key".encode()
         agg = sas.agg_sign(params, agg, statement, pub, priv, rng)
     valid = sas.agg_verify(params, agg, rng)
-    width = sas.AGG_WIDTH[scheme]
+    width = pks.ROW_WIDTH[scheme]
     elem_size = suite.backend.encoded_size("g1")
     aggregate_bytes = 2 * width * elem_size
     naive_bytes = args.depth * aggregate_bytes  # one full signature per issuer
@@ -447,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--pub", required=True)
     p.add_argument("--priv", required=True)
-
-    p = add("bench", cmd_bench, help="pairing-count and timing report")
-    p.add_argument("--scheme", required=True, choices=("sas1", "sas2", "ms"))
-    p.add_argument("--lengths", default="1,5,20", help="comma-separated aggregate lengths")
-    p.add_argument("--trials", type=int, default=3)
 
     p = add("demo-chain", cmd_demo_chain, help="certificate-chain size demo")
     p.add_argument("--scheme", required=True, choices=sas.VARIANTS)

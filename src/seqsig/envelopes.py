@@ -97,16 +97,29 @@ def _expect_end(buf: memoryview, off: int):
         raise MalformedEncodingError("trailing bytes after envelope payload")
 
 
+# Signatures, aggregates and multi-signatures end in their two G1 rows, each
+# pks.ROW_WIDTH[variant] elements wide.
+
+def _encode_rows(sig) -> bytes:
+    return _encode_elements(sig.elements())
+
+
+def _decode_rows(suite, variant: str, buf: memoryview, off: int):
+    """(row1, row2, offset after them) of a ``variant`` signature."""
+    width = pks.ROW_WIDTH[variant]
+    elems, off = _decode_elements(suite, ["g1"] * (2 * width), buf, off)
+    return tuple(elems[:width]), tuple(elems[width:]), off
+
+
 # ---------------------------------------------------------------------------
 # single-signer signatures (APKS)
 
 def encode_signature(sig: pks.Signature) -> bytes:
     suite = sig.row1[0].suite
-    body = _encode_elements(sig.row1) + _encode_elements(sig.row2)
     return (
         _header(MAGIC_SIGNATURE, suite)
         + bytes([SCHEME_BYTE[sig.variant], 2 * len(sig.row1)])
-        + body
+        + _encode_rows(sig)
     )
 
 
@@ -119,12 +132,11 @@ def decode_signature(suite: GroupSuite, data: bytes) -> pks.Signature:
     off += 2
     if variant not in pks.VARIANTS:
         raise MalformedEncodingError("not a single-signer signature variant")
-    width = pks.SIG_WIDTH[variant]
-    if count != 2 * width:
+    if count != 2 * pks.ROW_WIDTH[variant]:
         raise MalformedEncodingError("element count does not match variant width")
-    elems, off = _decode_elements(suite, ["g1"] * count, buf, off)
+    row1, row2, off = _decode_rows(suite, variant, buf, off)
     _expect_end(buf, off)
-    return pks.Signature(variant, tuple(elems[:width]), tuple(elems[width:]))
+    return pks.Signature(variant, row1, row2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +202,8 @@ def encode_private_key(suite: GroupSuite, variant: str, sk: pks.PrivateKey) -> b
         raise ValueError(f"unknown scheme {variant!r}")
     if sk.variant != variant:
         raise ValueError(f"private key is for {sk.variant!r}, not {variant!r}")
+    if len(sk.pk_id) != 32:
+        raise ValueError(f"private key id must be 32 bytes, not {len(sk.pk_id)}")
     slots = _PRIVATE_SLOTS[variant]
     return (
         _header(MAGIC_PRIVATE_KEY, suite)
@@ -242,8 +256,7 @@ def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
     for m, signer in zip(agg.messages, agg.signers):
         parts.append(pks.key_id(signer))
         parts.append(_encode_scalar(m))
-    parts.append(_encode_elements(agg.row1))
-    parts.append(_encode_elements(agg.row2))
+    parts.append(_encode_rows(agg))
     return b"".join(parts)
 
 
@@ -271,11 +284,9 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
             raise MalformedEncodingError(f"signer {i} key belongs to a different scheme")
         messages.append(m)
         signers.append(by_id[kid])
-    width = sas.AGG_WIDTH[variant]
-    elems, off = _decode_elements(suite, ["g1"] * (2 * width), buf, off)
+    row1, row2, off = _decode_rows(suite, variant, buf, off)
     _expect_end(buf, off)
-    return sas.AggregateSignature(variant, tuple(elems[:width]), tuple(elems[width:]),
-                                  tuple(messages), tuple(signers))
+    return sas.AggregateSignature(variant, row1, row2, tuple(messages), tuple(signers))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +302,7 @@ def encode_multisignature(msig: ms.MsSignature, message_hash: int,
     for pk in pk_list:
         parts.append(pks.key_id(pk))
     parts.append(_encode_scalar(message_hash))
-    parts.append(_encode_elements(msig.elements()))
+    parts.append(_encode_rows(msig))
     return b"".join(parts)
 
 
@@ -314,9 +325,9 @@ def decode_multisignature(suite: GroupSuite, data: bytes,
             raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
         pk_list.append(by_id[kid])
     message_hash, off = _decode_scalar(suite, buf, off)
-    elems, off = _decode_elements(suite, ["g1"] * 6, buf, off)
+    row1, row2, off = _decode_rows(suite, ms.MsSignature.variant, buf, off)
     _expect_end(buf, off)
-    return ms.MsSignature(tuple(elems[:3]), tuple(elems[3:])), message_hash, pk_list
+    return ms.MsSignature(row1, row2), message_hash, pk_list
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,6 @@ class MockDlogBackend:
     def eq(self, kind, h1, h2):
         return h1 == h2
 
-    def pair_raw(self, h1, h2):
-        return h1 * h2 % self.order
-
     def pair_product_raw(self, num, den):
         acc = 0
         for h1, h2 in num:
@@ -123,11 +120,7 @@ class Bn254Backend:
     order = bn254.ORDER
 
     def generator(self, kind):
-        if kind == "g1":
-            return bn254.G1_GEN
-        if kind == "g2":
-            return bn254.G2_GEN
-        return bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
+        return bn254.G1_GEN if kind == "g1" else bn254.G2_GEN
 
     def identity(self, kind):
         if kind == "gt":
@@ -158,18 +151,10 @@ class Bn254Backend:
     def multi_exp(self, kind, pairs):
         if kind == "g1":
             return bn254.g1_multi_exp(pairs)
-        if kind == "g2":
-            return bn254.g2_multi_exp(pairs)
-        acc = self.identity(kind)
-        for h, k in pairs:
-            acc = self.op(kind, acc, self.exp(kind, h, k))
-        return acc
+        return bn254.g2_multi_exp(pairs)
 
     def eq(self, kind, h1, h2):
         return h1 == h2
-
-    def pair_raw(self, h1, h2):
-        return bn254.pairing(h1, h2)
 
     def pair_product_raw(self, num, den):
         pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
@@ -457,14 +442,8 @@ def suite_generate(backend: str, order: int | None = None) -> GroupSuite:
 
 
 def pair(a: G1Elem, b: G2Elem) -> GTElem:
-    """Bilinear map; increments the suite's pairing counter by one."""
-    if not isinstance(a, G1Elem) or not isinstance(b, G2Elem):
-        raise TypeError("pair expects (G1Elem, G2Elem)")
-    if a.suite is not b.suite:
-        raise CrossSuiteError("pairing arguments belong to different suites")
-    suite = a.suite
-    suite._count(1)
-    return GTElem(suite, suite.backend.pair_raw(a.h, b.h))
+    """Bilinear map: the one-pair :func:`pairing_product`, counted as one pairing."""
+    return pairing_product([(a, b)])
 
 
 def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
@@ -507,12 +486,14 @@ def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: 
 
 
 def multi_exp(items) -> "_Elem":
-    """prod elem_i^{k_i} over same-kind elements, via one shared chain."""
+    """prod elem_i^{k_i} over same-kind G1 or G2 elements, via one shared chain."""
     items = list(items)
     if not items:
         raise ValueError("multi_exp requires at least one (element, scalar) item")
     first = items[0][0]
     suite, kind = first.suite, first.kind
+    if kind == "gt":
+        raise TypeError("multi_exp takes G1 or G2 elements, not GT")
     for elem, _ in items:
         if elem.suite is not suite:
             raise CrossSuiteError("multi_exp arguments belong to different suites")

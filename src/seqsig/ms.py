@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CrossSuiteError, InvalidAggregateError, MalformedEncodingError
+from .errors import CrossSuiteError, InvalidAggregateError
 from .groups import (
     ElementLayout,
     G1Elem,
@@ -33,7 +33,9 @@ from .groups import (
 from .pks import (
     CachedKeyId,
     PrivateKey,
+    SignatureRows,
     blind,
+    check_rows,
     key_id,
     param_rows3,
     product,
@@ -69,14 +71,12 @@ class MsPublicKey(CachedKeyId):
 
 
 @dataclass(frozen=True)
-class MsSignature:
-    """Six-component form, shared by individual and combined signatures."""
+class MsSignature(SignatureRows):
+    """One form for individual and combined signatures."""
 
+    variant = "ms"
     row1: tuple[G1Elem, ...]
     row2: tuple[G1Elem, ...]
-
-    def elements(self):
-        return list(self.row1) + list(self.row2)
 
 
 def ms_setup(suite: GroupSuite, rng) -> MsParams:
@@ -160,7 +160,6 @@ def ms_mult_verify_scalar(msig, m, pks, params, rng) -> bool:
 def ms_mult_verify_with_coins(msig, m, pks, params, t) -> bool:
     if not pks:
         raise ValueError("verification requires at least one public key")
-    if len(msig.row1) != 3 or len(msig.row2) != 3:
-        raise MalformedEncodingError("multi-signature must have width 3 + 3")
+    check_rows(msig, params.variant)
     terms = [(params.u_hat_row, params.h_hat_row, m)]
     return verify_rows(msig, params.g_hat_row, None, terms, product([pk.omega for pk in pks]), t)

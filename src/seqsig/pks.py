@@ -30,7 +30,6 @@ import hashlib
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
 
 from .errors import KeyMismatchError, MalformedEncodingError
 from .groups import (
@@ -51,7 +50,9 @@ from .groups import (
 
 VARIANTS = ("pks1", "pks2", "lw")
 
-SIG_WIDTH = {"pks1": 4, "pks2": 3, "lw": 3}
+# The width of the two G1 rows of every scheme's signatures, aggregates and
+# multi-signatures; it does not grow with the number of signers.
+ROW_WIDTH = {"pks1": 4, "sas1": 4, "pks2": 3, "lw": 3, "sas2": 3, "ms": 3}
 MESSAGE_WIDTH = {"pks1": "reduced", "pks2": "full", "lw": "reduced"}
 _MSG_TAG = b"seqsig/pks/message"
 
@@ -126,14 +127,31 @@ class PrivateKey:
     pk_id: bytes = b""
 
 
+class SignatureRows:
+    """Mixin for pks signatures, sas aggregates and ms multi-signatures: two
+    G1 rows ``row1`` and ``row2``, each ``ROW_WIDTH[variant]`` wide."""
+
+    def elements(self) -> list:
+        return list(self.row1) + list(self.row2)
+
+
+def check_rows(sig, variant: str):
+    """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant``
+    signature whose rows have that variant's width."""
+    if sig.variant != variant:
+        raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
+    width = ROW_WIDTH[variant]
+    if len(sig.row1) != width or len(sig.row2) != width:
+        raise MalformedEncodingError(
+            f"signature width {len(sig.row1)}/{len(sig.row2)} does not match variant {variant}"
+        )
+
+
 @dataclass(frozen=True)
-class Signature:
+class Signature(SignatureRows):
     variant: str
     row1: tuple[G1Elem, ...]
     row2: tuple[G1Elem, ...]
-
-    def elements(self):
-        return list(self.row1) + list(self.row2)
 
 
 def key_id(pk) -> bytes:
@@ -233,6 +251,8 @@ def sign_scalar(variant: str, m: Scalar, sk: PrivateKey, pk, rng) -> Signature:
 
 def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2) -> Signature:
     _check_variant(variant)
+    if pk.variant != variant:
+        raise ValueError(f"a {pk.variant} key does not make {variant} signatures")
     g = pk.suite.g
     if variant == "pks1":
         u, h = pk.u, pk.h
@@ -246,6 +266,8 @@ def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2)
 def _key_rows(variant: str, pk, m: Scalar):
     """(g_hat_row, v_hat_row, terms) of a single-signer key, for the row core."""
     _check_variant(variant)
+    if pk.variant != variant:
+        raise MalformedEncodingError(f"a {pk.variant} key does not verify {variant} signatures")
     v_hat_row = pk.v_hat_row if variant == "pks1" else None
     return pk.g_hat_row, v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)]
 
@@ -366,11 +388,6 @@ def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Sc
     return tuple(v1), tuple(v2)
 
 
-def check_product(sig, v1: Sequence[G2Elem], v2: Sequence[G2Elem], rhs: GTElem) -> bool:
-    """The paper's pairing equation: e(row1, V1) * e(row2, V2) == rhs."""
-    return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == rhs
-
-
 def verify_rows(sig, g_hat_row, v_hat_row, terms, omega: GTElem, t: Scalar,
                 s1: Scalar = 0, s2: Scalar = 0) -> bool:
     """The verification of pks, sas and ms: with (V1', V2') from
@@ -398,10 +415,6 @@ def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:
-    _check_variant(variant)
-    width = SIG_WIDTH[variant]
-    if sig.variant != variant or len(sig.row1) != width or len(sig.row2) != width:
-        raise MalformedEncodingError(
-            f"signature width {len(sig.row1)}/{len(sig.row2)} does not match variant {variant}"
-        )
-    return verify_rows(sig, *_key_rows(variant, pk, m), pk.omega, t, s1, s2)
+    rows = _key_rows(variant, pk, m)
+    check_rows(sig, variant)
+    return verify_rows(sig, *rows, pk.omega, t, s1, s2)

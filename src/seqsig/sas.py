@@ -45,7 +45,6 @@ from .groups import (
 )
 
 VARIANTS = ("sas1", "sas2")
-AGG_WIDTH = {"sas1": 4, "sas2": 3}
 MESSAGE_WIDTH = {"sas1": "reduced", "sas2": "full"}
 _CHAIN_TAG = b"seqsig/sas/chain"
 
@@ -84,7 +83,7 @@ class SasSignerPublic(pks.CachedKeyId):
 
 
 @dataclass(frozen=True)
-class AggregateSignature:
+class AggregateSignature(pks.SignatureRows):
     variant: str
     row1: tuple[G1Elem, ...]
     row2: tuple[G1Elem, ...]
@@ -94,9 +93,6 @@ class AggregateSignature:
     @property
     def length(self):
         return len(self.messages)
-
-    def elements(self):
-        return list(self.row1) + list(self.row2)
 
 
 def setup(suite: GroupSuite, variant: str, rng):
@@ -145,7 +141,7 @@ def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
 
 def empty_aggregate(params) -> AggregateSignature:
     """The unique l = 0 aggregate: every component is the identity."""
-    width = AGG_WIDTH[params.variant]
+    width = pks.ROW_WIDTH[params.variant]
     one = params.suite.identity("g1")
     return AggregateSignature(params.variant, (one,) * width, (one,) * width, (), ())
 
@@ -167,8 +163,7 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
 def agg_sign_scalar(params, prev, m, pub, priv, rng, *,
                     certified=None, verify_prev=True) -> AggregateSignature:
     suite = params.suite
-    if prev.variant != params.variant:
-        raise MalformedEncodingError("aggregate variant does not match parameters")
+    pks.check_rows(prev, params.variant)
     kid = pks.key_id(pub)
     if priv.pk_id and priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
@@ -231,11 +226,7 @@ def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
 def _distinct_signers(params, agg) -> bool:
     """Whether no signer occurs twice; an aggregate that does not fit the
     parameters (variant, width, message count) raises ``MalformedEncodingError``."""
-    if agg.variant != params.variant:
-        raise MalformedEncodingError("aggregate variant does not match parameters")
-    width = AGG_WIDTH[params.variant]
-    if len(agg.row1) != width or len(agg.row2) != width:
-        raise MalformedEncodingError("aggregate width does not match variant")
+    pks.check_rows(agg, params.variant)
     if len(agg.messages) != len(agg.signers):
         raise MalformedEncodingError("message and signer lists differ in length")
     ids = [pks.key_id(s) for s in agg.signers]

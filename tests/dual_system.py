@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from seqsig import pks
 from seqsig.errors import KeyMismatchError
-from seqsig.groups import GroupSuite, Scalar, random_nonzero_scalar, random_scalar
+from seqsig.groups import GroupSuite, Scalar, pairing_product, random_nonzero_scalar, random_scalar
 
 
 @dataclass(frozen=True)
@@ -116,4 +116,9 @@ def verify_sf_with_coins(variant, sig, m, pk, trapdoor, tags, t, s1=0, s2=0) -> 
         v2 = (v2[0], v2[1] * fhat ** sczc, v2[2] * fneg ** sczc)
     else:
         raise ValueError("semi-functional oracles exist for pks1 and pks2 only")
-    return pks.check_product(sig, v1, v2, pk.omega ** t)
+    return check_product(sig, v1, v2, pk.omega ** t)
+
+
+def check_product(sig, v1, v2, rhs) -> bool:
+    """The paper's pairing equation: e(row1, V1) * e(row2, V2) == rhs."""
+    return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == rhs

@@ -1,5 +1,8 @@
 """CLI: full pipelines, exit codes, and deterministic seeding."""
 
+import contextlib
+import io
+
 import pytest
 
 from seqsig.cli import main
@@ -242,13 +245,6 @@ class TestMultisigPipeline:
 
 
 class TestReports:
-    def test_bench_pairings_flat(self, capsys):
-        code, fields = run(capsys, *det("bench", "--scheme", "sas2",
-                                        "--lengths", "1,3,5", "--trials", "1"))
-        assert code == 0
-        assert fields["pairings_flat_in_l"] == ["true"]
-        assert set(fields["pairings"]) == {"6"}
-
     def test_demo_chain_ratio(self, capsys):
         code, fields = run(capsys, *det("demo-chain", "--scheme", "sas2",
                                         "--depth", "5"))
@@ -279,3 +275,71 @@ class TestReports:
                                         "--pub-out", str(tmp_path / "pk.bin"),
                                         "--priv-out", str(tmp_path / "sk.bin")))
         assert code == 2 and fields["result"] == ["malformed"]
+
+
+SCHEMES = ("pks1", "pks2", "lw", "sas1", "sas2", "ms")
+
+# Each command with the files of its own scheme (first entry), except that
+# {pub} and {priv} name the key files of the scheme under test; {d} is the
+# directory of the prepared files and {out} a fresh one.
+KEY_FILE_CASES = {
+    "sign-pub": ("pks2", "sign --scheme pks2 --pub {pub} --priv {d}/pks2.key"
+                         " --out {out}/s.bin --message hi"),
+    "sign-priv": ("pks2", "sign --scheme pks2 --pub {d}/pks2.pub --priv {priv}"
+                          " --out {out}/s.bin --message hi"),
+    "verify": ("pks2", "verify --scheme pks2 --pub {pub} --sig {d}/pks2.sig --message hi"),
+    "register": ("sas2", "register --params {d}/sas2.prm --pub {pub} --priv {priv}"
+                         " --registry {out}/reg.bin"),
+    "agg-sign-pub": ("sas2", "agg-sign --scheme sas2 --params {d}/sas2.prm --pub {pub}"
+                             " --priv {d}/sas2.key --out {out}/a.bin --message hi"),
+    "agg-sign-priv": ("sas2", "agg-sign --scheme sas2 --params {d}/sas2.prm --pub {d}/sas2.pub"
+                              " --priv {priv} --out {out}/a.bin --message hi"),
+    "agg-verify": ("sas2", "agg-verify --scheme sas2 --params {d}/sas2.prm --agg {d}/sas2.agg"
+                           " --keys {pub}"),
+    "ms-sign-pub": ("ms", "ms-sign --params {d}/ms.prm --pub {pub} --priv {d}/ms.key"
+                          " --out {out}/m.bin --message hi"),
+    "ms-sign-priv": ("ms", "ms-sign --params {d}/ms.prm --pub {d}/ms.pub --priv {priv}"
+                           " --out {out}/m.bin --message hi"),
+    "ms-combine": ("ms", "ms-combine --params {d}/ms.prm --sigs {d}/ms.sig --pubs {pub}"
+                         " --out {out}/c.bin --message hi"),
+    "ms-verify": ("ms", "ms-verify --params {d}/ms.prm --msig {d}/ms.sig --pubs {pub} --message hi"),
+}
+
+
+@pytest.fixture(scope="module")
+def key_files(tmp_path_factory):
+    """Params, a key pair of every scheme, and a pks2 signature, a sas2
+    aggregate and an ms share made with them, all on the mock backend."""
+    d = tmp_path_factory.mktemp("keys")
+    steps = [(f"setup --scheme {s} --out {d}/{s}.prm", 7) for s in ("sas1", "sas2", "ms")]
+    for i, s in enumerate(SCHEMES):  # a distinct seed, so no two keys share a secret
+        params = f" --params {d}/{s}.prm" if s in ("sas1", "sas2", "ms") else ""
+        steps.append((f"keygen --scheme {s}{params} --pub-out {d}/{s}.pub"
+                       f" --priv-out {d}/{s}.key", 100 + i))
+    steps += [
+        (f"sign --scheme pks2 --pub {d}/pks2.pub --priv {d}/pks2.key --out {d}/pks2.sig"
+         " --message hi", 7),
+        (f"agg-sign --scheme sas2 --params {d}/sas2.prm --pub {d}/sas2.pub --priv {d}/sas2.key"
+         f" --out {d}/sas2.agg --message hi", 7),
+        (f"ms-sign --params {d}/ms.prm --pub {d}/ms.pub --priv {d}/ms.key --out {d}/ms.sig"
+         " --message hi", 7),
+    ]
+    for step, seed in steps:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(det(*step.split(), seed=seed))) == 0, step
+    return d
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("case", sorted(KEY_FILE_CASES))
+def test_key_files_of_every_scheme(key_files, tmp_path, capsys, case, scheme):
+    """A key file of any scheme gets an exit code and one result line; only
+    the command's own scheme succeeds."""
+    home, template = KEY_FILE_CASES[case]
+    argv = template.format(d=key_files, out=tmp_path, pub=key_files / f"{scheme}.pub",
+                           priv=key_files / f"{scheme}.key").split()
+    code = main(list(det(*argv)))
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code in (0, 1, 2)
+    assert len(out) == 1 and all("=" in tok for tok in out[0].split())
+    assert (code == 0) == (scheme == home), out[0]

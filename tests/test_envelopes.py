@@ -116,6 +116,13 @@ class TestKeyEnvelopes:
         with pytest.raises(ValueError):
             env.encode_private_key(mock_suite, "sas2", sk)
 
+    @pytest.mark.parametrize("pk_id", [b"", bytes(31), bytes(33)])
+    def test_encode_refuses_a_key_id_that_is_not_32_bytes(self, mock_suite, pk_id):
+        # such an envelope would be one its own decoder rejects as truncated
+        sk = pks.PrivateKey("sas2", 1, 2, 3, 4, 5, pk_id)
+        with pytest.raises(ValueError):
+            env.encode_private_key(mock_suite, "sas2", sk)
+
 
 class TestParamsEnvelope:
     @pytest.mark.parametrize("build", [

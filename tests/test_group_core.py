@@ -93,6 +93,12 @@ class TestElementAlgebra:
         expected = (gh ** 3) ** 10 * (gh ** 7) ** 20 * (gh ** 11) ** 5
         assert multi_exp(items) == expected
 
+    def test_multi_exp_refuses_gt_on_both_backends(self, mock_suite, real_suite):
+        for suite in (mock_suite, real_suite):
+            gt = pair(suite.g, suite.g_hat)
+            with pytest.raises(TypeError):
+                multi_exp([(gt, 2), (gt, 3)])
+
     _law_suite = suite_generate("mock", 10007)
 
     @settings(max_examples=30, deadline=None)

@@ -39,7 +39,7 @@ class TestRoundTrips:
     def test_signature_width(self, mock_suite, rng, variant):
         pk, sk = pks.keygen(mock_suite, variant, rng)
         sig = pks.sign(variant, MSG, sk, pk, rng)
-        assert len(sig.row1) == len(sig.row2) == pks.SIG_WIDTH[variant]
+        assert len(sig.row1) == len(sig.row2) == pks.ROW_WIDTH[variant]
 
     def test_resigning_randomizes(self, mock_suite, rng, variant):
         pk, sk = pks.keygen(mock_suite, variant, rng)
@@ -61,6 +61,18 @@ class TestInterfaceGuards:
         sig2 = pks.sign("pks2", MSG, sk2, pk2, rng)
         with pytest.raises(MalformedEncodingError):
             pks.verify("pks1", sig2, MSG, pk1, rng)
+
+    def test_variant_other_than_the_keys_is_refused(self, mock_suite, rng):
+        # lw hashes into the reduced message space; a pks2 key must not sign or accept that
+        pk, sk = pks.keygen(mock_suite, "pks2", rng)
+        with pytest.raises(ValueError):
+            pks.sign("lw", MSG, sk, pk, rng)
+        sig = pks.sign("pks2", MSG, sk, pk, rng)
+        lw_sig = pks.Signature("lw", sig.row1, sig.row2)
+        with pytest.raises(MalformedEncodingError):
+            pks.verify("lw", lw_sig, MSG, pk, rng)
+        with pytest.raises(MalformedEncodingError):
+            pks.verify_with_coins("lw", lw_sig, 5, pk, t=2)
 
     def test_foreign_private_key_refused(self, mock_suite, rng):
         pk, _ = pks.keygen(mock_suite, "pks2", rng)

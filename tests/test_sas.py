@@ -49,7 +49,7 @@ class TestAggregation:
 
     def test_width_is_constant_in_l(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
-        width = sas.AGG_WIDTH[variant]
+        width = pks.ROW_WIDTH[variant]
         agg = sas.empty_aggregate(params)
         for i, msg in enumerate(MSGS):
             assert len(agg.row1) == len(agg.row2) == width
@@ -102,7 +102,7 @@ class TestAggregation:
 
     def test_pairing_cost_flat_in_l(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
-        expected = 2 * sas.AGG_WIDTH[variant]
+        expected = 2 * pks.ROW_WIDTH[variant]
         costs = []
         for l in (1, 3, 5):
             agg, _ = build_chain(params, rng, MSGS[:l])
