@@ -8,28 +8,20 @@ Python pairings. Only `groups` should import this module directly.
 
 from __future__ import annotations
 
-try:
-    # gmpy2 roughly halves 256-bit modular arithmetic cost; the module is
-    # fully functional on plain ints when it is absent.
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    def _mpz(x):
-        return x
-
 # Curve parameters (the Ethereum alt_bn128 instantiation).
-P = _mpz(21888242871839275222246405745257275088696311157297823662689037894645226208583)
+P = 21888242871839275222246405745257275088696311157297823662689037894645226208583
 ORDER = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 B = 3
 T_PARAM = 4965661367192848881
 ATE_LOOP = 6 * T_PARAM + 2
 
-G1_GEN = (_mpz(1), _mpz(2))
+G1_GEN = (1, 2)
 
 G2_GEN = (
-    (_mpz(10857046999023057135944570762232829481370756359578518086990519993285655852781),
-     _mpz(11559732032986387107991004021392285783925812861821192530917403151452391805634)),
-    (_mpz(8495653923123431417604973247489272438418190587263600148770280649306958101930),
-     _mpz(4082367875863433681332203403145435568316851327593401208105741076214120093531)),
+    (10857046999023057135944570762232829481370756359578518086990519993285655852781,
+     11559732032986387107991004021392285783925812861821192530917403151452391805634),
+    (8495653923123431417604973247489272438418190587263600148770280649306958101930,
+     4082367875863433681332203403145435568316851327593401208105741076214120093531),
 )
 
 # ---------------------------------------------------------------------------
@@ -37,7 +29,7 @@ G2_GEN = (
 
 FQ2_ZERO = (0, 0)
 FQ2_ONE = (1, 0)
-XI = (_mpz(9), _mpz(1))  # v^3 = XI in the Fp6 tower
+XI = (9, 1)  # v^3 = XI in the Fp6 tower
 
 
 def fq2_add(x, y):
@@ -175,17 +167,6 @@ def fq12_inv(x):
     a0, a1 = x
     norm = fq6_inv(fq6_sub(fq6_sqr(a0), fq6_mul_by_v(fq6_sqr(a1))))
     return (fq6_mul(a0, norm), fq6_neg(fq6_mul(a1, norm)))
-
-
-def fq12_pow(x, e):
-    if e < 0:
-        return fq12_pow(fq12_inv(x), -e)
-    result = FQ12_ONE
-    for bit in bin(e)[2:]:
-        result = fq12_sqr(result)
-        if bit == "1":
-            result = fq12_mul(result, x)
-    return result
 
 
 # Frobenius: write x = sum b_i w^i with b_i in Fp2; then x^(p^k) maps
@@ -424,7 +405,7 @@ def _interleaved_wnaf(pairs, one, double, add, neg, to_affine):
         for _ in range(3):
             table.append(add(table[-1], twice))
         tables.append(table)
-        naf_rows.append(_wnaf(int(k)))
+        naf_rows.append(_wnaf(k))
     if not tables:
         return None
     length = max(len(row) for row in naf_rows)
@@ -642,7 +623,7 @@ def _cyc_wnaf_pow(x, e):
     for _ in range(3):
         table.append(fq12_mul(table[-1], x2))
     result = None
-    for d in reversed(_wnaf(int(e))):
+    for d in reversed(_wnaf(e)):
         if result is not None:
             result = fq12_cyc_sqr(result)
         if d:

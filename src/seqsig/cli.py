@@ -2,8 +2,9 @@
 
 Every command is a thin delegation to exactly one library operation.
 Exit codes: 0 = success/valid, 1 = cryptographically invalid,
-2 = malformed input. One machine-readable ``key=value`` result line is
-printed on standard output per command.
+2 = malformed input; a file of another scheme than the command's is
+malformed. One machine-readable ``key=value`` result line is printed on
+standard output per command.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ import random
 import sys
 
 from . import envelopes, keyreg, ms, pks, sas
-from .errors import (
-    InvalidAggregateError,
-    KeyMismatchError,
-    MalformedEncodingError,
-    RegistrationError,
-    SeqsigError,
-    SubgroupMembershipError,
-)
+from .errors import KeyMismatchError, MalformedEncodingError, SeqsigError, SubgroupMembershipError
 from .groups import suite_generate
 
 REGISTRY_ENV = "SEQSIG_REGISTRY"
+PARAM_SCHEMES = sas.VARIANTS + ("ms",)  # the schemes with shared parameters
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -33,6 +28,11 @@ EXIT_MALFORMED = 2
 
 def _emit(**fields):
     print(" ".join(f"{k}={v}" for k, v in fields.items()))
+
+
+def _verdict(valid: bool, **fields) -> int:
+    _emit(result="valid" if valid else "invalid", **fields)
+    return EXIT_OK if valid else EXIT_INVALID
 
 
 def _make_suite(spec: str):
@@ -73,56 +73,68 @@ def _message_bytes(args) -> bytes:
     raise MalformedEncodingError("a message (--message or --message-file) is required")
 
 
+# ---------------------------------------------------------------------------
+# loaders: each decodes one kind of file and refuses a file of another scheme
+
+def _of_scheme(obj, scheme: str, what: str):
+    if obj.variant != scheme:
+        raise MalformedEncodingError(f"{what} is for {obj.variant}, not {scheme}")
+    return obj
+
+
+def _load_params(suite, path, scheme):
+    if path is None:
+        raise MalformedEncodingError(f"scheme {scheme} needs a parameter file (--params)")
+    return _of_scheme(envelopes.decode_params(suite, _read(path)), scheme, "parameter file")
+
+
+def _load_public_key(suite, path, scheme):
+    return _of_scheme(envelopes.decode_public_key(suite, _read(path)), scheme, "public key file")
+
+
+def _load_private_key(suite, path, scheme):
+    _, sk = envelopes.decode_private_key(suite, _read(path))
+    return _of_scheme(sk, scheme, "private key file")
+
+
+def _load_ms(suite, args, pub_paths):
+    """(params, public keys, message, message scalar) of an ms command."""
+    params = _load_params(suite, args.params, "ms")
+    keys = [_load_public_key(suite, p, "ms") for p in pub_paths]
+    message = _message_bytes(args)
+    return params, keys, message, ms.message_scalar(params, message)
+
+
 def _registry_path(args) -> str | None:
     return args.registry or os.environ.get(REGISTRY_ENV)
 
 
-def _load_registry(suite, args, *, required=False):
+def _certified(suite, args):
+    """The registry's certification predicate, or None without a registry file."""
     path = _registry_path(args)
     if path is None or not os.path.exists(path):
-        if required:
-            raise MalformedEncodingError("no registry file (use --registry or the environment)")
         return None
-    return keyreg.CertRegistry.load(suite, path)
-
-
-def _load_params(suite, args, scheme):
-    if args.params is None:
-        raise MalformedEncodingError(f"scheme {scheme} needs a parameter file (--params)")
-    params = envelopes.decode_params(suite, _read(args.params))
-    if params.variant != scheme:
-        raise MalformedEncodingError(f"parameter file is for {params.variant}, not {scheme}")
-    return params
-
-
-def _load_signer_keys(suite, paths):
-    return [envelopes.decode_public_key(suite, _read(p)) for p in paths or []]
+    return keyreg.CertRegistry.load(suite, path).predicate()
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, the suite and the rng
 
-def cmd_setup(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    if args.scheme in sas.VARIANTS:
-        params = sas.setup(suite, args.scheme, rng)
-    elif args.scheme == "ms":
+def cmd_setup(args, suite, rng):
+    if args.scheme == "ms":
         params = ms.ms_setup(suite, rng)
     else:
-        raise MalformedEncodingError(f"scheme {args.scheme!r} has no shared parameters")
+        params = sas.setup(suite, args.scheme, rng)
     _write(args.out, envelopes.encode_params(params), args.format)
     _emit(result="ok", command="setup", scheme=args.scheme, out=args.out)
     return EXIT_OK
 
 
-def cmd_keygen(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
+def cmd_keygen(args, suite, rng):
     if args.scheme in pks.VARIANTS:
         pk, sk = pks.keygen(suite, args.scheme, rng)
     else:
-        params = _load_params(suite, args, args.scheme)
+        params = _load_params(suite, args.params, args.scheme)
         if args.scheme in sas.VARIANTS:
             pk, sk = sas.keygen(params, rng)
         else:
@@ -134,138 +146,96 @@ def cmd_keygen(args):
     return EXIT_OK
 
 
-def cmd_sign(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    pk = envelopes.decode_public_key(suite, _read(args.pub))
-    variant, sk = envelopes.decode_private_key(suite, _read(args.priv))
-    if variant != args.scheme or pk.variant != args.scheme:
-        raise MalformedEncodingError("key files do not match --scheme")
-    sig = pks.sign(variant, _message_bytes(args), sk, pk, rng)
+def cmd_sign(args, suite, rng):
+    pk = _load_public_key(suite, args.pub, args.scheme)
+    sk = _load_private_key(suite, args.priv, args.scheme)
+    sig = pks.sign(args.scheme, _message_bytes(args), sk, pk, rng)
     _write(args.out, envelopes.encode_signature(sig), args.format)
-    _emit(result="ok", command="sign", scheme=variant, out=args.out)
+    _emit(result="ok", command="sign", scheme=args.scheme, out=args.out)
     return EXIT_OK
 
 
-def cmd_verify(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    pk = envelopes.decode_public_key(suite, _read(args.pub))
-    sig = envelopes.decode_signature(suite, _read(args.sig))
-    if sig.variant != args.scheme:
-        raise MalformedEncodingError("signature file does not match --scheme")
-    if pk.variant != args.scheme:
-        raise MalformedEncodingError("public key file does not match --scheme")
-    ok_ = pks.verify(sig.variant, sig, _message_bytes(args), pk, rng)
-    _emit(result="valid" if ok_ else "invalid", command="verify", scheme=sig.variant)
-    return EXIT_OK if ok_ else EXIT_INVALID
+def cmd_verify(args, suite, rng):
+    pk = _load_public_key(suite, args.pub, args.scheme)
+    sig = _of_scheme(envelopes.decode_signature(suite, _read(args.sig)), args.scheme,
+                     "signature file")
+    valid = pks.verify(args.scheme, sig, _message_bytes(args), pk, rng)
+    return _verdict(valid, command="verify", scheme=args.scheme)
 
 
-def cmd_agg_sign(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    params = _load_params(suite, args, args.scheme)
-    known = _load_signer_keys(suite, args.keys)
-    pub = envelopes.decode_public_key(suite, _read(args.pub))
-    variant, priv = envelopes.decode_private_key(suite, _read(args.priv))
-    if variant != args.scheme:
-        raise MalformedEncodingError("private key does not match --scheme")
+def cmd_agg_sign(args, suite, rng):
+    params = _load_params(suite, args.params, args.scheme)
+    known = [_load_public_key(suite, p, args.scheme) for p in args.keys]
+    pub = _load_public_key(suite, args.pub, args.scheme)
+    priv = _load_private_key(suite, args.priv, args.scheme)
     if args.prev is not None:
         prev = envelopes.decode_aggregate(suite, _read(args.prev), known + [pub])
     else:
         prev = sas.empty_aggregate(params)
-    registry = _load_registry(suite, args)
-    certified = registry.predicate() if registry is not None else None
     agg = sas.agg_sign(params, prev, _message_bytes(args), pub, priv, rng,
-                       certified=certified)
+                       certified=_certified(suite, args))
     _write(args.out, envelopes.encode_aggregate(agg), args.format)
-    _emit(result="ok", command="agg-sign", scheme=variant, l=agg.length, out=args.out)
+    _emit(result="ok", command="agg-sign", scheme=args.scheme, l=agg.length, out=args.out)
     return EXIT_OK
 
 
-def cmd_agg_verify(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    params = _load_params(suite, args, args.scheme)
-    known = _load_signer_keys(suite, args.keys)
+def cmd_agg_verify(args, suite, rng):
+    params = _load_params(suite, args.params, args.scheme)
+    known = [_load_public_key(suite, p, args.scheme) for p in args.keys]
     agg = envelopes.decode_aggregate(suite, _read(args.agg), known)
-    registry = _load_registry(suite, args)
-    certified = registry.predicate() if registry is not None else None
+    certified = _certified(suite, args)
     if certified is not None and not all(certified(s) for s in agg.signers):
-        _emit(result="invalid", command="agg-verify", reason="uncertified")
-        return EXIT_INVALID
+        return _verdict(False, command="agg-verify", reason="uncertified")
     before = suite.pairing_count
-    ok_ = sas.agg_verify(params, agg, rng, certified=certified)
-    _emit(result="valid" if ok_ else "invalid", command="agg-verify",
-          scheme=agg.variant, l=agg.length, pairings=suite.pairing_count - before)
-    return EXIT_OK if ok_ else EXIT_INVALID
+    valid = sas.agg_verify(params, agg, rng, certified=certified)
+    return _verdict(valid, command="agg-verify", scheme=agg.variant, l=agg.length,
+                    pairings=suite.pairing_count - before)
 
 
-def cmd_ms_combine(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    params = _load_params(suite, args, "ms")
-    pk_list = [envelopes.decode_public_key(suite, _read(p)) for p in args.pubs]
-    sigs = []
-    for path in args.sigs:
-        sig, m, _ = envelopes.decode_multisignature(suite, _read(path), pk_list)
-        sigs.append((sig, m))
-    message = _message_bytes(args)
-    expected = ms.message_scalar(params, message)
-    if any(m != expected for _, m in sigs):
-        raise MalformedEncodingError("an input signature covers a different message")
-    msig = ms.ms_combine([s for s, _ in sigs], message, pk_list, params, rng)
-    _write(args.out, envelopes.encode_multisignature(msig, expected, pk_list), args.format)
-    _emit(result="ok", command="ms-combine", l=len(pk_list), out=args.out)
-    return EXIT_OK
-
-
-def cmd_ms_sign(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    params = _load_params(suite, args, "ms")
-    pk = envelopes.decode_public_key(suite, _read(args.pub))
-    variant, sk = envelopes.decode_private_key(suite, _read(args.priv))
-    if variant != "ms":
-        raise MalformedEncodingError("private key is not a multi-signature key")
+def cmd_ms_sign(args, suite, rng):
+    params, (pk,), _, m = _load_ms(suite, args, [args.pub])
+    sk = _load_private_key(suite, args.priv, "ms")
     if sk.pk_id != pks.key_id(pk):
         raise KeyMismatchError("private key does not belong to this public key")
-    message = _message_bytes(args)
-    sig = ms.ms_sign(params, message, sk, rng)
-    blob = envelopes.encode_multisignature(sig, ms.message_scalar(params, message), [pk])
-    _write(args.out, blob, args.format)
+    sig = ms.ms_sign_scalar(params, m, sk, rng)
+    _write(args.out, envelopes.encode_multisignature(sig, m, [pk]), args.format)
     _emit(result="ok", command="ms-sign", out=args.out)
     return EXIT_OK
 
 
-def cmd_ms_verify(args):
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    params = _load_params(suite, args, "ms")
-    pk_list = [envelopes.decode_public_key(suite, _read(p)) for p in args.pubs]
-    msig, m, signers = envelopes.decode_multisignature(suite, _read(args.msig), pk_list)
-    message = _message_bytes(args)
-    if m != ms.message_scalar(params, message):
-        _emit(result="invalid", command="ms-verify", reason="message-mismatch")
-        return EXIT_INVALID
-    registry = _load_registry(suite, args)
-    if registry is not None and not all(registry.is_certified(pk) for pk in signers):
-        _emit(result="invalid", command="ms-verify", reason="uncertified")
-        return EXIT_INVALID
+def cmd_ms_combine(args, suite, rng):
+    params, pk_list, message, m = _load_ms(suite, args, args.pubs)
+    sigs = []
+    for path in args.sigs:
+        sig, covered, _ = envelopes.decode_multisignature(suite, _read(path), pk_list)
+        if covered != m:
+            raise MalformedEncodingError("an input signature covers a different message")
+        sigs.append(sig)
+    msig = ms.ms_combine(sigs, message, pk_list, params, rng)
+    _write(args.out, envelopes.encode_multisignature(msig, m, pk_list), args.format)
+    _emit(result="ok", command="ms-combine", l=len(pk_list), out=args.out)
+    return EXIT_OK
+
+
+def cmd_ms_verify(args, suite, rng):
+    params, pk_list, _, m = _load_ms(suite, args, args.pubs)
+    msig, covered, signers = envelopes.decode_multisignature(suite, _read(args.msig), pk_list)
+    if covered != m:
+        return _verdict(False, command="ms-verify", reason="message-mismatch")
+    certified = _certified(suite, args)
+    if certified is not None and not all(certified(pk) for pk in signers):
+        return _verdict(False, command="ms-verify", reason="uncertified")
     before = suite.pairing_count
-    ok_ = ms.ms_mult_verify(msig, message, signers, params, rng)
-    _emit(result="valid" if ok_ else "invalid", command="ms-verify",
-          l=len(signers), pairings=suite.pairing_count - before)
-    return EXIT_OK if ok_ else EXIT_INVALID
+    valid = ms.ms_mult_verify_scalar(msig, m, signers, params, rng)
+    return _verdict(valid, command="ms-verify", l=len(signers),
+                    pairings=suite.pairing_count - before)
 
 
-def cmd_register(args):
-    suite = _make_suite(args.backend)
+def cmd_register(args, suite, rng):
+    # every scheme with shared parameters registers keys; the parameter file names it
     params = envelopes.decode_params(suite, _read(args.params))
-    pub = envelopes.decode_public_key(suite, _read(args.pub))
-    variant, priv = envelopes.decode_private_key(suite, _read(args.priv))
-    if variant not in keyreg.REGISTERED:
-        raise MalformedEncodingError(f"scheme {variant} does not register keys")
+    pub = _load_public_key(suite, args.pub, params.variant)
+    priv = _load_private_key(suite, args.priv, params.variant)
     path = _registry_path(args)
     if path is None:
         raise MalformedEncodingError("no registry path (use --registry or the environment)")
@@ -273,37 +243,28 @@ def cmd_register(args):
         registry = keyreg.CertRegistry.load(suite, path)
     else:
         registry = keyreg.CertRegistry(suite)
-    witness = keyreg.witness_from_private(variant, priv)
-    record = registry.register(params, pub, witness)
+    record = registry.register(params, pub, priv)
     registry.save(path)
-    _emit(result="ok", command="register", scheme=variant,
+    _emit(result="ok", command="register", scheme=params.variant,
           key_id=record.key_id.hex()[:16], registry=path)
     return EXIT_OK
 
 
-def cmd_demo_chain(args):
+def cmd_demo_chain(args, suite, rng):
     """Certificate-chain demo: one aggregate versus d separate signatures."""
-    suite = _make_suite(args.backend)
-    rng = _make_rng(args)
-    scheme = args.scheme
-    if scheme not in sas.VARIANTS:
-        raise MalformedEncodingError("demo-chain covers sas1 and sas2")
-    params = sas.setup(suite, scheme, rng)
+    params = sas.setup(suite, args.scheme, rng)
     issuers = [sas.keygen(params, rng) for _ in range(args.depth)]
     agg = sas.empty_aggregate(params)
     for level, (pub, priv) in enumerate(issuers):
         statement = f"certify level {level + 1} key".encode()
         agg = sas.agg_sign(params, agg, statement, pub, priv, rng)
     valid = sas.agg_verify(params, agg, rng)
-    width = pks.ROW_WIDTH[scheme]
-    elem_size = suite.backend.encoded_size("g1")
-    aggregate_bytes = 2 * width * elem_size
+    width = pks.ROW_WIDTH[args.scheme]
+    aggregate_bytes = 2 * width * suite.backend.encoded_size("g1")
     naive_bytes = args.depth * aggregate_bytes  # one full signature per issuer
-    _emit(result="valid" if valid else "invalid", command="demo-chain",
-          scheme=scheme, depth=args.depth, elements=2 * width,
-          aggregate_bytes=aggregate_bytes, naive_bytes=naive_bytes,
-          ratio=f"{aggregate_bytes / naive_bytes:.3f}")
-    return EXIT_OK if valid else EXIT_INVALID
+    return _verdict(valid, command="demo-chain", scheme=args.scheme, depth=args.depth,
+                    elements=2 * width, aggregate_bytes=aggregate_bytes,
+                    naive_bytes=naive_bytes, ratio=f"{aggregate_bytes / naive_bytes:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +283,12 @@ def _add_common(p: argparse.ArgumentParser):
                    help="output file format")
 
 
+def _add_files(p, *flags, **kw):
+    """One required file argument per flag."""
+    for flag in flags:
+        p.add_argument(flag, required=True, **kw)
+
+
 def _add_message(p):
     p.add_argument("--message", default=None, help="message as a UTF-8 string")
     p.add_argument("--message-file", default=None, help="message file (raw bytes)")
@@ -332,79 +299,59 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="pairing-based aggregate signature toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, help, schemes=None):
+        p = sub.add_parser(name, help=help)
         _add_common(p)
         p.set_defaults(fn=fn)
+        if schemes:
+            p.add_argument("--scheme", required=True, choices=schemes)
         return p
 
-    p = add("setup", cmd_setup, help="generate shared scheme parameters")
-    p.add_argument("--scheme", required=True, choices=("sas1", "sas2", "ms"))
-    p.add_argument("--out", required=True)
+    p = add("setup", cmd_setup, "generate shared scheme parameters", PARAM_SCHEMES)
+    _add_files(p, "--out")
 
-    p = add("keygen", cmd_keygen, help="generate a key pair")
-    p.add_argument("--scheme", required=True,
-                   choices=("pks1", "pks2", "lw", "sas1", "sas2", "ms"))
+    p = add("keygen", cmd_keygen, "generate a key pair", pks.VARIANTS + PARAM_SCHEMES)
     p.add_argument("--params", default=None, help="parameter file (sas/ms schemes)")
-    p.add_argument("--pub-out", required=True)
-    p.add_argument("--priv-out", required=True)
+    _add_files(p, "--pub-out", "--priv-out")
 
-    p = add("sign", cmd_sign, help="produce a single-signer signature")
-    p.add_argument("--scheme", required=True, choices=pks.VARIANTS)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--out", required=True)
+    p = add("sign", cmd_sign, "produce a single-signer signature", pks.VARIANTS)
+    _add_files(p, "--pub", "--priv", "--out")
     _add_message(p)
 
-    p = add("verify", cmd_verify, help="verify a single-signer signature")
-    p.add_argument("--scheme", required=True, choices=pks.VARIANTS)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--sig", required=True)
+    p = add("verify", cmd_verify, "verify a single-signer signature", pks.VARIANTS)
+    _add_files(p, "--pub", "--sig")
     _add_message(p)
 
-    p = add("agg-sign", cmd_agg_sign, help="append to a sequential aggregate")
-    p.add_argument("--scheme", required=True, choices=sas.VARIANTS)
-    p.add_argument("--params", required=True)
+    p = add("agg-sign", cmd_agg_sign, "append to a sequential aggregate", sas.VARIANTS)
+    _add_files(p, "--params")
     p.add_argument("--prev", default=None, help="aggregate-so-far (omit to start fresh)")
     p.add_argument("--keys", nargs="*", default=[], help="prior signers' public key files")
-    p.add_argument("--pub", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--out", required=True)
+    _add_files(p, "--pub", "--priv", "--out")
     _add_message(p)
 
-    p = add("agg-verify", cmd_agg_verify, help="verify a sequential aggregate")
-    p.add_argument("--scheme", required=True, choices=sas.VARIANTS)
-    p.add_argument("--params", required=True)
-    p.add_argument("--agg", required=True)
+    p = add("agg-verify", cmd_agg_verify, "verify a sequential aggregate", sas.VARIANTS)
+    _add_files(p, "--params", "--agg")
     p.add_argument("--keys", nargs="*", default=[], help="signers' public key files")
 
-    p = add("ms-sign", cmd_ms_sign, help="produce an individual multi-signature share")
-    p.add_argument("--params", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--out", required=True)
+    p = add("ms-sign", cmd_ms_sign, "produce an individual multi-signature share")
+    _add_files(p, "--params", "--pub", "--priv", "--out")
     _add_message(p)
 
-    p = add("ms-combine", cmd_ms_combine, help="combine same-message signatures")
-    p.add_argument("--params", required=True)
-    p.add_argument("--sigs", nargs="+", required=True)
-    p.add_argument("--pubs", nargs="+", required=True)
-    p.add_argument("--out", required=True)
+    p = add("ms-combine", cmd_ms_combine, "combine same-message signatures")
+    _add_files(p, "--params")
+    _add_files(p, "--sigs", "--pubs", nargs="+")
+    _add_files(p, "--out")
     _add_message(p)
 
-    p = add("ms-verify", cmd_ms_verify, help="verify a combined multi-signature")
-    p.add_argument("--params", required=True)
-    p.add_argument("--msig", required=True)
-    p.add_argument("--pubs", nargs="+", required=True)
+    p = add("ms-verify", cmd_ms_verify, "verify a combined multi-signature")
+    _add_files(p, "--params", "--msig")
+    _add_files(p, "--pubs", nargs="+")
     _add_message(p)
 
-    p = add("register", cmd_register, help="certify a key in the registry")
-    p.add_argument("--params", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--priv", required=True)
+    p = add("register", cmd_register, "certify a key in the registry")
+    _add_files(p, "--params", "--pub", "--priv")
 
-    p = add("demo-chain", cmd_demo_chain, help="certificate-chain size demo")
-    p.add_argument("--scheme", required=True, choices=sas.VARIANTS)
+    p = add("demo-chain", cmd_demo_chain, "certificate-chain size demo", sas.VARIANTS)
     p.add_argument("--depth", type=int, default=5)
 
     return top
@@ -413,13 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _make_suite(args.backend), _make_rng(args))
     except (MalformedEncodingError, SubgroupMembershipError, OSError) as exc:
         _emit(result="malformed", error=str(exc).replace(" ", "_"))
         return EXIT_MALFORMED
-    except (InvalidAggregateError, RegistrationError) as exc:
-        _emit(result="invalid", error=str(exc).replace(" ", "_"))
-        return EXIT_INVALID
     except SeqsigError as exc:
         _emit(result="invalid", error=str(exc).replace(" ", "_"))
         return EXIT_INVALID

@@ -97,6 +97,17 @@ def _expect_end(buf: memoryview, off: int):
         raise MalformedEncodingError("trailing bytes after envelope payload")
 
 
+def _read_signer(buf: memoryview, off: int, i: int, by_id):
+    """(key, offset after it) of signer ``i``, whose 32-byte key id starts at
+    ``off`` and must name one of the supplied keys in ``by_id``."""
+    if len(buf) < off + 32:
+        raise MalformedEncodingError("truncated key-id list")
+    kid = bytes(buf[off:off + 32])
+    if kid not in by_id:
+        raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
+    return by_id[kid], off + 32
+
+
 # Signatures, aggregates and multi-signatures end in their two G1 rows, each
 # pks.ROW_WIDTH[variant] elements wide.
 
@@ -244,12 +255,8 @@ def decode_private_key(suite: GroupSuite, data: bytes):
 # re-attached at decode time via their key-ids.
 
 def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
-    if agg.length:
-        suite = agg.signers[0].omega.suite
-    else:
-        suite = agg.row1[0].suite
     parts = [
-        _header(MAGIC_AGGREGATE, suite),
+        _header(MAGIC_AGGREGATE, agg.row1[0].suite),
         bytes([SCHEME_BYTE[agg.variant]]),
         struct.pack(">I", agg.length),
     ]
@@ -273,17 +280,12 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
     by_id = {pks.key_id(k): k for k in known_keys}
     messages, signers = [], []
     for i in range(length):
-        if len(buf) < off + 32:
-            raise MalformedEncodingError("truncated signer record")
-        kid = bytes(buf[off:off + 32])
-        off += 32
+        signer, off = _read_signer(buf, off, i, by_id)
         m, off = _decode_scalar(suite, buf, off)
-        if kid not in by_id:
-            raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
-        if by_id[kid].variant != variant:
+        if signer.variant != variant:
             raise MalformedEncodingError(f"signer {i} key belongs to a different scheme")
         messages.append(m)
-        signers.append(by_id[kid])
+        signers.append(signer)
     row1, row2, off = _decode_rows(suite, variant, buf, off)
     _expect_end(buf, off)
     return sas.AggregateSignature(variant, row1, row2, tuple(messages), tuple(signers))
@@ -317,13 +319,8 @@ def decode_multisignature(suite: GroupSuite, data: bytes,
     by_id = {pks.key_id(k): k for k in known_keys}
     pk_list = []
     for i in range(count):
-        if len(buf) < off + 32:
-            raise MalformedEncodingError("truncated key-id list")
-        kid = bytes(buf[off:off + 32])
-        off += 32
-        if kid not in by_id:
-            raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
-        pk_list.append(by_id[kid])
+        pk, off = _read_signer(buf, off, i, by_id)
+        pk_list.append(pk)
     message_hash, off = _decode_scalar(suite, buf, off)
     row1, row2, off = _decode_rows(suite, ms.MsSignature.variant, buf, off)
     _expect_end(buf, off)

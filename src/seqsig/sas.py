@@ -73,10 +73,10 @@ class Sas2Params(ElementLayout):
 
 @dataclass(frozen=True)
 class SasSignerPublic(pks.CachedKeyId):
-    LAYOUT = {"sas1": "g1*2 g2*4 g2*4 gt", "sas2": "g1*6 g2*3 g2*3 gt"}
+    LAYOUT = {"sas1": "g1*1 g1*1 g2*4 g2*4 gt", "sas2": "g1*3 g1*3 g2*3 g2*3 gt"}
     variant: str
-    # sas1: u, h in g1_elems; sas2: blinded u-row and h-row (3 + 3)
-    g1_elems: tuple[G1Elem, ...]
+    u_row: tuple[G1Elem, ...]  # sas1: (u,); sas2: the blinded u row
+    h_row: tuple[G1Elem, ...]  # sas1: (h,); sas2: the blinded h row
     u_hat_row: tuple[G2Elem, ...]
     h_hat_row: tuple[G2Elem, ...]
     omega: GTElem
@@ -124,17 +124,17 @@ def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
     """Deterministic key build; also the registry's reconstruction path."""
     if params.variant == "sas1":
         g = params.g
-        g1_elems = (g ** x, g ** y)
+        u_row, h_row = (g ** x,), (g ** y,)
         omega = pair(g, params.suite.g_hat) ** alpha
         c_u = c_h = None
     else:
         if c_u is None or c_h is None:
             raise MissingWitnessError("sas2 keys require the c_u and c_h blinding witnesses")
         g_row, w_row = params.g_row, params.w_row
-        g1_elems = tuple(a ** s * w ** c for s, c in ((x, c_u), (y, c_h))
-                         for a, w in zip(g_row, w_row))
+        u_row, h_row = (tuple(a ** s * w ** c for a, w in zip(g_row, w_row))
+                        for s, c in ((x, c_u), (y, c_h)))
         omega = params.lam ** alpha
-    pub = SasSignerPublic(params.variant, g1_elems, pks.row_pow(params.g_hat_row, x),
+    pub = SasSignerPublic(params.variant, u_row, h_row, pks.row_pow(params.g_hat_row, x),
                           pks.row_pow(params.g_hat_row, y), omega)
     return pub, pks.PrivateKey(params.variant, alpha, x, y, c_u, c_h, pks.key_id(pub))
 
@@ -193,11 +193,10 @@ def _alpha_row(params):
 
 def _message_bases(messages, signers):
     """Per slot, prod_i u_ik^m_i * h_ik over the chain (sas1: slot 0 only)."""
-    n = len(signers[0].g1_elems) // 2  # g1_elems is the u row, then the h row
     return tuple(
-        pks.product([multi_exp([(s.g1_elems[k], m) for m, s in zip(messages, signers)])]
-                    + [s.g1_elems[n + k] for s in signers])
-        for k in range(n)
+        pks.product([multi_exp([(s.u_row[k], m) for m, s in zip(messages, signers)])]
+                    + [s.h_row[k] for s in signers])
+        for k in range(len(signers[0].u_row))
     )
 
 
@@ -271,9 +270,8 @@ def pks_view(params, pub: SasSignerPublic):
     """Assemble the single-signer public key implied by (params, signer)."""
     suite = params.suite
     if params.variant == "sas1":
-        u, h = pub.g1_elems
         return pks.Pks1PublicKey(
-            suite=suite, g=params.g, u=u, h=h, w_row=params.w_row,
+            suite=suite, g=params.g, u=pub.u_row[0], h=pub.h_row[0], w_row=params.w_row,
             g_hat_row=params.g_hat_row,
             u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row,
             v_hat_row=params.v_hat_row, omega=pub.omega,
@@ -281,7 +279,7 @@ def pks_view(params, pub: SasSignerPublic):
     return pks.Pks2PublicKey(
         suite=suite,
         g_row=params.g_row,
-        u_row=pub.g1_elems[:3], h_row=pub.g1_elems[3:],
+        u_row=pub.u_row, h_row=pub.h_row,
         w_row=params.w_row,
         g_hat_row=params.g_hat_row,
         u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row,

@@ -334,7 +334,8 @@ def key_files(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(KEY_FILE_CASES))
 def test_key_files_of_every_scheme(key_files, tmp_path, capsys, case, scheme):
     """A key file of any scheme gets an exit code and one result line; only
-    the command's own scheme succeeds."""
+    the command's own scheme succeeds, and a file of another scheme is
+    malformed."""
     home, template = KEY_FILE_CASES[case]
     argv = template.format(d=key_files, out=tmp_path, pub=key_files / f"{scheme}.pub",
                            priv=key_files / f"{scheme}.key").split()
@@ -342,4 +343,13 @@ def test_key_files_of_every_scheme(key_files, tmp_path, capsys, case, scheme):
     out = capsys.readouterr().out.strip().splitlines()
     assert code in (0, 1, 2)
     assert len(out) == 1 and all("=" in tok for tok in out[0].split())
-    assert (code == 0) == (scheme == home), out[0]
+    assert code == (0 if scheme == home else 2), out[0]
+
+
+def test_register_seed_requires_test_mode(key_files, tmp_path, capsys):
+    registry = tmp_path / "reg.bin"
+    code, fields = run(capsys, "register", "--params", str(key_files / "sas2.prm"),
+                       "--pub", str(key_files / "sas2.pub"), "--priv", str(key_files / "sas2.key"),
+                       "--registry", str(registry), "--backend", BACKEND, "--seed", "7")
+    assert code == 2 and fields["result"] == ["malformed"]
+    assert not registry.exists()

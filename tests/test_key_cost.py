@@ -1,10 +1,10 @@
-"""Cost pin for key material: exponentiations per group and pairings of every
-keygen and setup, on mock:10007.
+"""Cost pins on mock:10007: exponentiations per group and pairings of every
+keygen and setup, and the paper's cost model of one verify.
 
-The golden transcript pins the bytes of keys and parameters but not what
-they cost to build; these counts do. ``multi`` counts backend
-multi-exponentiations (any number of terms), which keygen and setup do not
-use.
+The golden transcript pins the bytes of keys, parameters and signatures but
+not what they cost to build or check; these counts do. ``g1``, ``g2`` and
+``gt`` count single exponentiations; ``msm.g1`` and ``msm.g2`` count the
+terms of multi-exponentiations, which keygen and setup do not use.
 """
 
 import random
@@ -26,15 +26,20 @@ class CountingMockBackend(MockDlogBackend):
         return super().exp(kind, h, k)
 
     def multi_exp(self, kind, pairs):
-        self.counts["multi"] += 1
+        pairs = list(pairs)
+        self.counts[f"msm.{kind}"] += len(pairs)
         return super().multi_exp(kind, pairs)
 
 
-def _cost(build):
+def _counting_suite():
     backend = CountingMockBackend(10007)
-    suite = GroupSuite(backend=backend, order=backend.order)
+    return GroupSuite(backend=backend, order=backend.order)
+
+
+def _cost(build):
+    suite = _counting_suite()
     build(suite, random.Random(7))
-    return dict(backend.counts, pairings=suite.pairing_count)
+    return dict(suite.backend.counts, pairings=suite.pairing_count)
 
 
 EXPECTED = {
@@ -57,3 +62,46 @@ BUILDS = {
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_key_material_cost(name):
     assert _cost(BUILDS[name]) == EXPECTED[name]
+
+
+# One verify: pairings flat in l (8 for sas1, 6 for sas2 and ms); the G2
+# multi-exponentiation grows by 4 (sas1) or 3 (sas2) terms per signer and
+# not at all for ms, whose message bases live in the parameters.
+VERIFY_COST = {
+    ("sas1", 1): {"g1": 8, "g2": 3, "gt": 1, "msm.g2": 7, "pairings": 8},
+    ("sas1", 5): {"g1": 8, "g2": 3, "gt": 1, "msm.g2": 23, "pairings": 8},
+    ("sas1", 20): {"g1": 8, "g2": 3, "gt": 1, "msm.g2": 83, "pairings": 8},
+    ("sas2", 1): {"g1": 6, "gt": 1, "msm.g2": 3, "pairings": 6},
+    ("sas2", 5): {"g1": 6, "gt": 1, "msm.g2": 15, "pairings": 6},
+    ("sas2", 20): {"g1": 6, "gt": 1, "msm.g2": 60, "pairings": 6},
+    ("ms", 1): {"g1": 6, "gt": 1, "msm.g2": 3, "pairings": 6},
+    ("ms", 10): {"g1": 6, "gt": 1, "msm.g2": 3, "pairings": 6},
+}
+
+
+def _signed(suite, scheme, length, rng):
+    """A verify call, with the signature it checks already built."""
+    if scheme == "ms":
+        params = ms.ms_setup(suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(length)]
+        pk_list = [pk for pk, _ in keys]
+        sigs = [ms.ms_sign(params, b"m", sk, rng) for _, sk in keys]
+        msig = ms.ms_combine(sigs, b"m", pk_list, params, rng, skip_individual_checks=True)
+        return lambda: ms.ms_mult_verify(msig, b"m", pk_list, params, rng)
+    params = sas.setup(suite, scheme, rng)
+    agg = sas.empty_aggregate(params)
+    for i in range(length):
+        pub, priv = sas.keygen(params, rng)
+        agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
+    return lambda: sas.agg_verify(params, agg, rng)
+
+
+@pytest.mark.parametrize("scheme, length", sorted(VERIFY_COST))
+def test_verify_cost(scheme, length):
+    suite = _counting_suite()
+    verify = _signed(suite, scheme, length, random.Random(7))
+    suite.backend.counts.clear()
+    before = suite.pairing_count
+    assert verify()
+    cost = dict(suite.backend.counts, pairings=suite.pairing_count - before)
+    assert cost == VERIFY_COST[scheme, length]
