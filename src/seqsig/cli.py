@@ -204,6 +204,8 @@ def cmd_ms_sign(args, suite, rng):
 
 
 def cmd_ms_combine(args, suite, rng):
+    if len(args.sigs) != len(args.pubs):  # the i-th share is the i-th key's
+        raise MalformedEncodingError(f"{len(args.sigs)} --sigs but {len(args.pubs)} --pubs")
     params, pk_list, message, m = _load_ms(suite, args, args.pubs)
     sigs = []
     for path in args.sigs:
@@ -252,6 +254,8 @@ def cmd_register(args, suite, rng):
 
 def cmd_demo_chain(args, suite, rng):
     """Certificate-chain demo: one aggregate versus d separate signatures."""
+    if args.depth < 1:
+        raise MalformedEncodingError(f"--depth must be at least 1, not {args.depth}")
     params = sas.setup(suite, args.scheme, rng)
     issuers = [sas.keygen(params, rng) for _ in range(args.depth)]
     agg = sas.empty_aggregate(params)

@@ -13,7 +13,6 @@ it exists for fixture readability only.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 from . import ms, pks, sas
@@ -49,77 +48,70 @@ def _header(magic: bytes, suite: GroupSuite) -> bytes:
     return magic + bytes([VERSION]) + _backend_descriptor(suite)
 
 
-def _check_header(data: bytes, magic: bytes, suite: GroupSuite) -> tuple[memoryview, int]:
-    buf = memoryview(data)
-    if len(buf) < 5 or bytes(buf[:4]) != magic:
-        raise MalformedEncodingError(f"expected {magic.decode()} envelope")
-    if buf[4] != VERSION:
-        raise MalformedEncodingError(f"unsupported envelope version {buf[4]}")
-    descriptor = _backend_descriptor(suite)
-    off = 5 + len(descriptor)
-    if len(buf) < off:
-        raise MalformedEncodingError("truncated backend descriptor")
-    if buf[5:off] != descriptor:
-        raise MalformedEncodingError("file was produced under a different suite")
-    return buf, off
+class _Reader:
+    """Bounded cursor over one envelope. It checks the header once; every
+    read then checks the remaining length first and raises
+    ``MalformedEncodingError``, so no decoder does bounds or offset work."""
+
+    def __init__(self, data: bytes, magic: bytes, suite: GroupSuite):
+        self.buf, self.off, self.suite = memoryview(data), 5, suite
+        if len(self.buf) < 5 or bytes(self.buf[:4]) != magic:
+            raise MalformedEncodingError(f"expected {magic.decode()} envelope")
+        if self.buf[4] != VERSION:
+            raise MalformedEncodingError(f"unsupported envelope version {self.buf[4]}")
+        descriptor = _backend_descriptor(suite)
+        if self.take(len(descriptor), "backend descriptor") != descriptor:
+            raise MalformedEncodingError("file was produced under a different suite")
+
+    def take(self, n: int, what: str = "envelope payload") -> bytes:
+        if len(self.buf) - self.off < n:
+            raise MalformedEncodingError(f"truncated {what}")
+        self.off += n
+        return bytes(self.buf[self.off - n:self.off])
+
+    def byte(self) -> int:
+        return self.take(1)[0]
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def scalar(self) -> int:
+        value = int.from_bytes(self.take(_SCALAR_LEN, "scalar"), "big")
+        if value >= self.suite.order:
+            raise MalformedEncodingError("scalar exceeds the group order")
+        return value
+
+    def elements(self, kinds: Sequence[str]) -> list:
+        size = self.suite.backend.encoded_size
+        return [decode_element(self.suite, kind, self.take(size(kind), "element data"))
+                for kind in kinds]
+
+    def rows(self, variant: str):
+        """The two G1 rows, each pks.ROW_WIDTH[variant] elements wide, that
+        end a signature, an aggregate or a multi-signature."""
+        width = pks.ROW_WIDTH[variant]
+        elems = self.elements(["g1"] * (2 * width))
+        return tuple(elems[:width]), tuple(elems[width:])
+
+    def signer(self, i: int, by_id: dict):
+        """The key of signer ``i``, whose 32-byte key id must name one of the
+        supplied keys in ``by_id``."""
+        kid = self.take(32, "key-id list")
+        if kid not in by_id:
+            raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
+        return by_id[kid]
+
+    def end(self):
+        if self.off != len(self.buf):
+            raise MalformedEncodingError("trailing bytes after envelope payload")
 
 
 def _encode_elements(elems) -> bytes:
     return b"".join(encode_element(e) for e in elems)
 
 
-def _decode_elements(suite, kinds: Sequence[str], buf: memoryview, off: int):
-    out = []
-    for kind in kinds:
-        n = suite.backend.encoded_size(kind)
-        if len(buf) < off + n:
-            raise MalformedEncodingError("truncated element data")
-        out.append(decode_element(suite, kind, bytes(buf[off:off + n])))
-        off += n
-    return out, off
-
-
 def _encode_scalar(value: int) -> bytes:
     return value.to_bytes(_SCALAR_LEN, "big")
-
-
-def _decode_scalar(suite, buf: memoryview, off: int) -> tuple[int, int]:
-    if len(buf) < off + _SCALAR_LEN:
-        raise MalformedEncodingError("truncated scalar")
-    value = int.from_bytes(buf[off:off + _SCALAR_LEN], "big")
-    if value >= suite.order:
-        raise MalformedEncodingError("scalar exceeds the group order")
-    return value, off + _SCALAR_LEN
-
-
-def _expect_end(buf: memoryview, off: int):
-    if off != len(buf):
-        raise MalformedEncodingError("trailing bytes after envelope payload")
-
-
-def _read_signer(buf: memoryview, off: int, i: int, by_id):
-    """(key, offset after it) of signer ``i``, whose 32-byte key id starts at
-    ``off`` and must name one of the supplied keys in ``by_id``."""
-    if len(buf) < off + 32:
-        raise MalformedEncodingError("truncated key-id list")
-    kid = bytes(buf[off:off + 32])
-    if kid not in by_id:
-        raise MalformedEncodingError(f"signer {i} key-id not among the supplied keys")
-    return by_id[kid], off + 32
-
-
-# Signatures, aggregates and multi-signatures end in their two G1 rows, each
-# pks.ROW_WIDTH[variant] elements wide.
-
-def _encode_rows(sig) -> bytes:
-    return _encode_elements(sig.elements())
-
-
-def _decode_rows(suite, variant: str, buf: memoryview, off: int):
-    """(row1, row2, offset after them) of a ``variant`` signature."""
-    width = pks.ROW_WIDTH[variant]
-    elems, off = _decode_elements(suite, ["g1"] * (2 * width), buf, off)
-    return tuple(elems[:width]), tuple(elems[width:]), off
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +122,20 @@ def encode_signature(sig: pks.Signature) -> bytes:
     return (
         _header(MAGIC_SIGNATURE, suite)
         + bytes([SCHEME_BYTE[sig.variant], 2 * len(sig.row1)])
-        + _encode_rows(sig)
+        + _encode_elements(sig.elements())
     )
 
 
 def decode_signature(suite: GroupSuite, data: bytes) -> pks.Signature:
-    buf, off = _check_header(data, MAGIC_SIGNATURE, suite)
-    if len(buf) < off + 2:
-        raise MalformedEncodingError("truncated signature envelope")
-    variant = SCHEME_NAME.get(buf[off])
-    count = buf[off + 1]
-    off += 2
+    r = _Reader(data, MAGIC_SIGNATURE, suite)
+    variant = SCHEME_NAME.get(r.byte())
+    count = r.byte()
     if variant not in pks.VARIANTS:
         raise MalformedEncodingError("not a single-signer signature variant")
     if count != 2 * pks.ROW_WIDTH[variant]:
         raise MalformedEncodingError("element count does not match variant width")
-    row1, row2, off = _decode_rows(suite, variant, buf, off)
-    _expect_end(buf, off)
+    row1, row2 = r.rows(variant)
+    r.end()
     return pks.Signature(variant, row1, row2)
 
 
@@ -168,15 +157,14 @@ def _encode_layout(magic: bytes, obj) -> bytes:
 
 
 def _decode_layout(magic: bytes, classes, suite: GroupSuite, data: bytes):
-    buf, off = _check_header(data, magic, suite)
-    if len(buf) < off + 1:
-        raise MalformedEncodingError(f"truncated {magic.decode()} envelope")
-    variant = SCHEME_NAME.get(buf[off])
+    r = _Reader(data, magic, suite)
+    scheme = r.byte()
+    variant = SCHEME_NAME.get(scheme)
     if variant not in classes:
-        raise MalformedEncodingError(f"scheme byte {buf[off]} is not valid in {magic.decode()}")
+        raise MalformedEncodingError(f"scheme byte {scheme} is not valid in {magic.decode()}")
     cls = classes[variant]
-    elems, off = _decode_elements(suite, cls.element_kinds(variant), buf, off + 1)
-    _expect_end(buf, off)
+    elems = r.elements(cls.element_kinds(variant))
+    r.end()
     return cls.from_elements(suite, variant, elems)
 
 
@@ -226,13 +214,10 @@ def encode_private_key(suite: GroupSuite, variant: str, sk: pks.PrivateKey) -> b
 
 def decode_private_key(suite: GroupSuite, data: bytes):
     """Returns (variant, private key)."""
-    buf, off = _check_header(data, MAGIC_PRIVATE_KEY, suite)
-    if len(buf) < off + 2 + 32:
-        raise MalformedEncodingError("truncated private-key envelope")
-    variant = SCHEME_NAME.get(buf[off])
-    count = buf[off + 1]
-    pk_id = bytes(buf[off + 2:off + 34])
-    off += 34
+    r = _Reader(data, MAGIC_PRIVATE_KEY, suite)
+    variant = SCHEME_NAME.get(r.byte())
+    count = r.byte()
+    pk_id = r.take(32)
     if variant not in _PRIVATE_SLOTS:
         raise MalformedEncodingError("unknown scheme byte")
     slots = _PRIVATE_SLOTS[variant]
@@ -240,12 +225,12 @@ def decode_private_key(suite: GroupSuite, data: bytes):
         raise MalformedEncodingError(f"a {variant} private key has {len(slots)} scalars, not {count}")
     fields = {}
     for name in slots:
-        s, off = _decode_scalar(suite, buf, off)
+        s = r.scalar()
         if name:
             fields[name] = s
         elif s:
             raise MalformedEncodingError(f"unused scalar slot of a {variant} key is not zero")
-    _expect_end(buf, off)
+    r.end()
     return variant, pks.PrivateKey(variant, pk_id=pk_id, **fields)
 
 
@@ -258,36 +243,33 @@ def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
     parts = [
         _header(MAGIC_AGGREGATE, agg.row1[0].suite),
         bytes([SCHEME_BYTE[agg.variant]]),
-        struct.pack(">I", agg.length),
+        agg.length.to_bytes(4, "big"),
     ]
     for m, signer in zip(agg.messages, agg.signers):
         parts.append(pks.key_id(signer))
         parts.append(_encode_scalar(m))
-    parts.append(_encode_rows(agg))
+    parts.append(_encode_elements(agg.elements()))
     return b"".join(parts)
 
 
 def decode_aggregate(suite: GroupSuite, data: bytes,
                      known_keys: Sequence[sas.SasSignerPublic]) -> sas.AggregateSignature:
-    buf, off = _check_header(data, MAGIC_AGGREGATE, suite)
-    if len(buf) < off + 5:
-        raise MalformedEncodingError("truncated aggregate envelope")
-    variant = SCHEME_NAME.get(buf[off])
+    r = _Reader(data, MAGIC_AGGREGATE, suite)
+    variant = SCHEME_NAME.get(r.byte())
+    length = r.u32()
     if variant not in sas.VARIANTS:
         raise MalformedEncodingError("not an aggregate-signature variant")
-    length = struct.unpack(">I", buf[off + 1:off + 5])[0]
-    off += 5
     by_id = {pks.key_id(k): k for k in known_keys}
     messages, signers = [], []
     for i in range(length):
-        signer, off = _read_signer(buf, off, i, by_id)
-        m, off = _decode_scalar(suite, buf, off)
+        signer = r.signer(i, by_id)
+        m = r.scalar()
         if signer.variant != variant:
             raise MalformedEncodingError(f"signer {i} key belongs to a different scheme")
         messages.append(m)
         signers.append(signer)
-    row1, row2, off = _decode_rows(suite, variant, buf, off)
-    _expect_end(buf, off)
+    row1, row2 = r.rows(variant)
+    r.end()
     return sas.AggregateSignature(variant, row1, row2, tuple(messages), tuple(signers))
 
 
@@ -299,32 +281,73 @@ def encode_multisignature(msig: ms.MsSignature, message_hash: int,
     suite = msig.row1[0].suite
     parts = [
         _header(MAGIC_MULTISIG, suite),
-        struct.pack(">I", len(pk_list)),
+        len(pk_list).to_bytes(4, "big"),
     ]
     for pk in pk_list:
         parts.append(pks.key_id(pk))
     parts.append(_encode_scalar(message_hash))
-    parts.append(_encode_rows(msig))
+    parts.append(_encode_elements(msig.elements()))
     return b"".join(parts)
 
 
 def decode_multisignature(suite: GroupSuite, data: bytes,
                           known_keys: Sequence[ms.MsPublicKey]):
     """Returns (signature, message_hash, ordered public keys)."""
-    buf, off = _check_header(data, MAGIC_MULTISIG, suite)
-    if len(buf) < off + 4:
-        raise MalformedEncodingError("truncated multi-signature envelope")
-    count = struct.unpack(">I", buf[off:off + 4])[0]
-    off += 4
+    r = _Reader(data, MAGIC_MULTISIG, suite)
+    count = r.u32()
+    if count == 0:
+        raise MalformedEncodingError("a multi-signature must name at least one signer")
     by_id = {pks.key_id(k): k for k in known_keys}
-    pk_list = []
-    for i in range(count):
-        pk, off = _read_signer(buf, off, i, by_id)
-        pk_list.append(pk)
-    message_hash, off = _decode_scalar(suite, buf, off)
-    row1, row2, off = _decode_rows(suite, ms.MsSignature.variant, buf, off)
-    _expect_end(buf, off)
+    pk_list = [r.signer(i, by_id) for i in range(count)]
+    message_hash = r.scalar()
+    row1, row2 = r.rows(ms.MsSignature.variant)
+    r.end()
     return ms.MsSignature(row1, row2), message_hash, pk_list
+
+
+# ---------------------------------------------------------------------------
+# certified-key registries (AREG): a record count, then per record its key id,
+# scheme byte, length-prefixed public-key envelope, witness flag and
+# timestamp. A record is a (key_id, variant, pk, witness_verified, timestamp)
+# tuple, the field order of keyreg.CertRecord.
+
+def encode_registry(suite: GroupSuite, records: Sequence[tuple]) -> bytes:
+    parts = [_header(MAGIC_REGISTRY, suite), len(records).to_bytes(4, "big")]
+    for kid, variant, pk, witness_verified, timestamp in records:
+        blob = encode_public_key(pk)
+        parts += [
+            kid,
+            bytes([SCHEME_BYTE[variant]]),
+            len(blob).to_bytes(4, "big"),
+            blob,
+            bytes([1 if witness_verified else 0]),
+            timestamp.to_bytes(8, "big"),
+        ]
+    return b"".join(parts)
+
+
+def decode_registry(suite: GroupSuite, data: bytes) -> list[tuple]:
+    r = _Reader(data, MAGIC_REGISTRY, suite)
+    records, seen = [], set()
+    for _ in range(r.u32()):
+        kid = r.take(32, "registry record")
+        scheme = SCHEME_NAME.get(r.byte())
+        blob = r.take(r.u32(), "registry record body")
+        flag = r.byte()
+        timestamp = int.from_bytes(r.take(8, "registry record body"), "big")
+        pk = decode_public_key(suite, blob)
+        if scheme != pk.variant:
+            raise MalformedEncodingError("registry record scheme does not match its key")
+        if flag not in (0, 1):
+            raise MalformedEncodingError(f"registry record witness flag {flag} is not 0 or 1")
+        if pks.key_id(pk) != kid:
+            raise MalformedEncodingError("registry record key-id does not match its key")
+        if kid in seen:
+            raise MalformedEncodingError("registry lists one key-id twice")
+        seen.add(kid)
+        records.append((kid, scheme, pk, flag == 1, timestamp))
+    r.end()
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ multi-signature verifiers consult before any pairing is computed.
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import envelopes, ms, pks, sas
-from .errors import MalformedEncodingError, RegistrationError
+from .errors import RegistrationError
 from .groups import GroupSuite
 
 
@@ -35,8 +34,7 @@ def witness_from_private(variant: str, sk: pks.PrivateKey) -> pks.PrivateKey:
     return sk
 
 
-@dataclass(frozen=True)
-class CertRecord:
+class CertRecord(NamedTuple):
     key_id: bytes
     variant: str
     pk: object
@@ -103,20 +101,7 @@ class CertRegistry:
     # -- persistence -------------------------------------------------------
 
     def save_bytes(self) -> bytes:
-        records = self.records()
-        parts = [
-            envelopes._header(envelopes.MAGIC_REGISTRY, self.suite),
-            struct.pack(">I", len(records)),
-        ]
-        for rec in records:
-            blob = envelopes.encode_public_key(rec.pk)
-            parts.append(rec.key_id)
-            parts.append(bytes([envelopes.SCHEME_BYTE[rec.variant]]))
-            parts.append(struct.pack(">I", len(blob)))
-            parts.append(blob)
-            parts.append(bytes([1 if rec.witness_verified else 0]))
-            parts.append(struct.pack(">Q", rec.timestamp))
-        return b"".join(parts)
+        return envelopes.encode_registry(self.suite, self.records())
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -124,34 +109,9 @@ class CertRegistry:
 
     @classmethod
     def load_bytes(cls, suite: GroupSuite, data: bytes) -> "CertRegistry":
-        buf, off = envelopes._check_header(data, envelopes.MAGIC_REGISTRY, suite)
-        if len(buf) < off + 4:
-            raise MalformedEncodingError("truncated registry header")
-        count = struct.unpack(">I", buf[off:off + 4])[0]
-        off += 4
         registry = cls(suite)
-        for _ in range(count):
-            if len(buf) < off + 32 + 1 + 4:
-                raise MalformedEncodingError("truncated registry record")
-            kid = bytes(buf[off:off + 32])
-            scheme = envelopes.SCHEME_NAME.get(buf[off + 32])
-            blob_len = struct.unpack(">I", buf[off + 33:off + 37])[0]
-            off += 37
-            if len(buf) < off + blob_len + 1 + 8:
-                raise MalformedEncodingError("truncated registry record body")
-            pk = envelopes.decode_public_key(suite, bytes(buf[off:off + blob_len]))
-            off += blob_len
-            flag = buf[off]
-            timestamp = struct.unpack(">Q", buf[off + 1:off + 9])[0]
-            off += 9
-            if scheme != pk.variant:
-                raise MalformedEncodingError("registry record scheme does not match its key")
-            if flag not in (0, 1):
-                raise MalformedEncodingError(f"registry record witness flag {flag} is not 0 or 1")
-            if pks.key_id(pk) != kid:
-                raise MalformedEncodingError("registry record key-id does not match its key")
-            registry._records[kid] = CertRecord(kid, scheme, pk, flag == 1, timestamp)
-        envelopes._expect_end(buf, off)
+        for record in envelopes.decode_registry(suite, data):
+            registry._records[record[0]] = CertRecord(*record)
         return registry
 
     @classmethod

@@ -5,7 +5,9 @@ import io
 
 import pytest
 
+from seqsig import envelopes
 from seqsig.cli import main
+from seqsig.groups import suite_generate
 
 BACKEND = "mock:10007"
 
@@ -23,6 +25,13 @@ def run(capsys, *argv):
 
 def det(*argv, seed=7):
     return (*argv, "--backend", BACKEND, "--test-mode", "--seed", str(seed))
+
+
+def _one_malformed_line(capsys, argv):
+    code = main(list(det(*argv)))
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code == 2
+    assert len(out) == 1 and out[0].startswith("result=malformed "), out
 
 
 class TestSingleSigner:
@@ -276,6 +285,10 @@ class TestReports:
                                         "--priv-out", str(tmp_path / "sk.bin")))
         assert code == 2 and fields["result"] == ["malformed"]
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_demo_chain_without_issuers_exits_two(self, capsys, depth):
+        _one_malformed_line(capsys, ["demo-chain", "--scheme", "sas2", "--depth", depth])
+
 
 SCHEMES = ("pks1", "pks2", "lw", "sas1", "sas2", "ms")
 
@@ -353,3 +366,24 @@ def test_register_seed_requires_test_mode(key_files, tmp_path, capsys):
                        "--registry", str(registry), "--backend", BACKEND, "--seed", "7")
     assert code == 2 and fields["result"] == ["malformed"]
     assert not registry.exists()
+
+
+@pytest.mark.parametrize("command", ["ms-verify --msig {sig}", "ms-combine --sigs {sig}"
+                                     " --out {out}/c.bin"])
+def test_multisignature_naming_no_signer_exits_two(key_files, tmp_path, capsys, command):
+    blob = (key_files / "ms.sig").read_bytes()
+    header = len(envelopes._header(envelopes.MAGIC_MULTISIG, suite_generate("mock", 10007)))
+    empty = tmp_path / "empty.sig"  # count 0 and no key id, the rest unchanged
+    empty.write_bytes(blob[:header] + bytes(4) + blob[header + 4 + 32:])
+    argv = (command.format(sig=empty, out=tmp_path)
+            + f" --params {key_files}/ms.prm --pubs {key_files}/ms.pub --message hi")
+    _one_malformed_line(capsys, argv.split())
+    assert not (tmp_path / "c.bin").exists()
+
+
+def test_ms_combine_with_unequal_sigs_and_pubs_exits_two(key_files, tmp_path, capsys):
+    d = key_files
+    _one_malformed_line(capsys, f"ms-combine --params {d}/ms.prm --sigs {d}/ms.sig"
+                                f" --pubs {d}/ms.pub {d}/ms.pub --out {tmp_path}/c.bin"
+                                " --message hi".split())
+    assert not (tmp_path / "c.bin").exists()

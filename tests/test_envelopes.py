@@ -233,6 +233,18 @@ class TestMultisigEnvelope:
         assert got_sig == msig and got_mh == mh and got_pks == pk_list
         assert ms.ms_mult_verify_scalar(got_sig, got_mh, got_pks, params, rng)
 
+    def test_no_signer_rejected(self, mock_suite, rng):
+        params = ms.ms_setup(mock_suite, rng)
+        pk, sk = ms.ms_keygen(params, rng)
+        mh = ms.message_scalar(params, b"joint")
+        blob = env.encode_multisignature(ms.ms_sign(params, b"joint", sk, rng), mh, [pk])
+        header = len(env._header(env.MAGIC_MULTISIG, mock_suite))
+        assert blob[header:header + 4] == (1).to_bytes(4, "big")
+        # count 0 and no key id; the message hash and rows stay well formed
+        empty = blob[:header] + bytes(4) + blob[header + 4 + 32:]
+        with pytest.raises(MalformedEncodingError):
+            env.decode_multisignature(mock_suite, empty, [pk])
+
 
 class TestWireFormats:
     def test_hex_round_trip(self, mock_suite, rng):

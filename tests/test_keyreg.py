@@ -165,3 +165,15 @@ class TestPersistence:
         data[flag_off] = flag
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+
+    def test_duplicate_key_id_rejected(self, mock_suite, rng, sas2_setup):
+        params, pub, priv = sas2_setup
+        reg = keyreg.CertRegistry(mock_suite)
+        reg.register(params, pub, keyreg.witness_from_private("sas2", priv))
+        data = reg.save_bytes()
+        header = len(envelopes._header(envelopes.MAGIC_REGISTRY, mock_suite))
+        assert data[header:header + 4] == (1).to_bytes(4, "big")
+        record = data[header + 4:]
+        twice = data[:header] + (2).to_bytes(4, "big") + record + record
+        with pytest.raises(MalformedEncodingError):
+            keyreg.CertRegistry.load_bytes(mock_suite, twice)
