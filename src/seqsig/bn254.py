@@ -273,7 +273,8 @@ def _jac1_to_affine(pt):
 
 def g1_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
-    return _interleaved_wnaf(pairs, 1, _jac1_double, _jac1_add, _jac1_neg, _jac1_to_affine)
+    return _interleaved_wnaf(pairs, lambda pt: (*pt, 1), _jac1_double, _jac1_add, _jac1_neg,
+                             _jac1_to_affine)
 
 
 def g1_mul(pt, k):
@@ -389,26 +390,27 @@ def _wnaf(k, w=4):
     return digits
 
 
-def _interleaved_wnaf(pairs, one, double, add, neg, to_affine):
-    """prod pt_i^{k_i} over affine points of one group, given its Jacobian
-    group law: every term's 4-NAF digits share one doubling chain (Moeller,
-    "Algorithms for multi-exponentiation", SAC 2001). ``one`` is the field's
-    unit, the Z coordinate of an affine point."""
+def _interleaved_wnaf(pairs, lift, double, add, neg, finish):
+    """prod x_i^{k_i} in one group, exponents mod ORDER: every term's 4-NAF
+    digits share one doubling chain (Moeller, "Algorithms for
+    multi-exponentiation", SAC 2001).
+
+    The group is given by its working form: ``lift`` takes an element (never
+    None) into it, ``double``, ``add`` and ``neg`` are its group law, and
+    ``finish`` takes the result back, None standing for the identity."""
     tables, naf_rows = [], []
-    for pt, k in pairs:
+    for x, k in pairs:
         k %= ORDER
-        if pt is None or k == 0:
+        if x is None or k == 0:
             continue
-        base = (pt[0], pt[1], one)
+        base = lift(x)
         twice = double(base)
-        table = [base]  # odd multiples 1, 3, 5, 7 (wNAF digits up to +-7)
+        table = [base]  # odd powers 1, 3, 5, 7 (wNAF digits up to +-7)
         for _ in range(3):
             table.append(add(table[-1], twice))
         tables.append(table)
         naf_rows.append(_wnaf(k))
-    if not tables:
-        return None
-    length = max(len(row) for row in naf_rows)
+    length = max(map(len, naf_rows), default=0)
     acc = None
     for i in range(length - 1, -1, -1):
         if acc is not None:
@@ -417,13 +419,14 @@ def _interleaved_wnaf(pairs, one, double, add, neg, to_affine):
             if i < len(row) and row[i]:
                 d = row[i]
                 entry = table[d >> 1] if d > 0 else neg(table[(-d) >> 1])
-                acc = add(acc, entry)
-    return to_affine(acc)
+                acc = entry if acc is None else add(acc, entry)
+    return finish(acc)
 
 
 def g2_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
-    return _interleaved_wnaf(pairs, FQ2_ONE, _jac2_double, _jac2_add, _jac2_neg, _jac2_to_affine)
+    return _interleaved_wnaf(pairs, lambda pt: (*pt, FQ2_ONE), _jac2_double, _jac2_add,
+                             _jac2_neg, _jac2_to_affine)
 
 
 def g2_mul(pt, k):
@@ -462,7 +465,8 @@ def g2_frobenius_sq(pt):
 def _line_sparse(r, q, p_aff):
     """Line through r and q (twist points), evaluated at p_aff in G1.
 
-    Returns the sparse triple (a, b, c) for a + b*w + c*w^3 and the sum r+q.
+    Returns the sparse triple (a, b, c) for a + b*w + c*w^3 and the sum r+q,
+    or a vertical line and None, the identity, when r = -q.
     """
     xr, yr = r
     xp, yp = p_aff
@@ -479,6 +483,16 @@ def _line_sparse(r, q, p_aff):
     x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xr), q[0])
     y3 = fq2_sub(fq2_mul(lam, fq2_sub(xr, x3)), yr)
     return (yp, b, c), (x3, y3)
+
+
+def _miller_step(f, rs, addends, ps):
+    """f times the line through each R_i and its addend at P_i; R_i becomes
+    R_i + addend, or None after a vertical line, where R_i = -addend.
+    ``addends`` may be ``rs`` itself: that is the doubling step."""
+    for i, (r, q, p) in enumerate(zip(rs, addends, ps)):
+        line, rs[i] = _line_sparse(r, q, p)
+        f = _mul_line(f, line)
+    return f
 
 
 def _mul_line(f, line):
@@ -506,39 +520,24 @@ def miller_loop_product(pairs):
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not live:
         return FQ12_ONE
-    rs = [q for _, q in live]
+    ps = [p for p, _ in live]
+    qs = [q for _, q in live]
+    rs = list(qs)
     f = FQ12_ONE
     for bit in _ATE_BITS[1:]:
-        f = fq12_sqr(f)
-        for i, (p, q) in enumerate(live):
-            line, nxt = _line_sparse(rs[i], rs[i], p)
-            f = _mul_line(f, line)
-            rs[i] = nxt
+        f = _miller_step(fq12_sqr(f), rs, rs, ps)
         if bit == "1":
-            for i, (p, q) in enumerate(live):
-                line, nxt = _line_sparse(rs[i], q, p)
-                f = _mul_line(f, line)
-                if nxt is not None:
-                    rs[i] = nxt
-                else:
-                    rs[i] = g2_add(rs[i], q)
-    for i, (p, q) in enumerate(live):
-        q1 = g2_frobenius(q)
-        q2 = g2_neg(g2_frobenius_sq(q))
-        line, nxt = _line_sparse(rs[i], q1, p)
-        f = _mul_line(f, line)
-        rs[i] = nxt if nxt is not None else g2_add(rs[i], q1)
-        line, nxt = _line_sparse(rs[i], q2, p)
-        f = _mul_line(f, line)
-    return f
+            f = _miller_step(f, rs, qs, ps)
+    f = _miller_step(f, rs, [g2_frobenius(q) for q in qs], ps)
+    return _miller_step(f, rs, [g2_neg(g2_frobenius_sq(q)) for q in qs], ps)
 
 
 def _hard_part_chain(m):
     """t^((p^4 - p^2 + 1)/r) via the standard BN addition chain in the
     curve parameter x (valid for x > 0, which holds here)."""
-    fx = _cyc_wnaf_pow(m, T_PARAM)
-    fx2 = _cyc_wnaf_pow(fx, T_PARAM)
-    fx3 = _cyc_wnaf_pow(fx2, T_PARAM)
+    fx = _cyc_pow(m, T_PARAM)
+    fx2 = _cyc_pow(fx, T_PARAM)
+    fx3 = _cyc_pow(fx2, T_PARAM)
     y0 = fq12_mul(fq12_mul(fq12_frobenius(m, 1), fq12_frobenius(m, 2)),
                   fq12_frobenius(m, 3))
     y1 = fq12_conj(m)
@@ -607,26 +606,13 @@ def fq12_cyc_sqr(x):
 
 def gt_pow(x, e):
     """Exponentiation in G_T (order-r subgroup)."""
-    e %= ORDER
-    if e == 0:
-        return FQ12_ONE
-    return _cyc_wnaf_pow(x, e)
+    return _cyc_pow(x, e)
 
 
-def _cyc_wnaf_pow(x, e):
-    """x^e for cyclotomic x and e > 0: signed window with the free
-    conjugation inverse and cyclotomic squarings. The final exponentiation
-    calls it directly, so traced ``gt_pow`` calls count G_T work only."""
-    # odd powers x, x^3, x^5, x^7 for width-4 NAF digits
-    x2 = fq12_cyc_sqr(x)
-    table = [x]
-    for _ in range(3):
-        table.append(fq12_mul(table[-1], x2))
-    result = None
-    for d in reversed(_wnaf(e)):
-        if result is not None:
-            result = fq12_cyc_sqr(result)
-        if d:
-            entry = table[d >> 1] if d > 0 else fq12_conj(table[(-d) >> 1])
-            result = entry if result is None else fq12_mul(result, entry)
-    return result
+def _cyc_pow(x, e):
+    """x^(e mod ORDER) for cyclotomic x: the interleaved 4-NAF with
+    cyclotomic squarings and the free conjugation inverse. The final
+    exponentiation calls it directly with T_PARAM < ORDER, so traced
+    ``gt_pow`` calls count G_T work only."""
+    return _interleaved_wnaf([(x, e)], lambda y: y, fq12_cyc_sqr, fq12_mul, fq12_conj,
+                             lambda acc: FQ12_ONE if acc is None else acc)

@@ -204,18 +204,21 @@ def cmd_ms_sign(args, suite, rng):
 
 
 def cmd_ms_combine(args, suite, rng):
-    if len(args.sigs) != len(args.pubs):  # the i-th share is the i-th key's
+    if len(args.sigs) != len(args.pubs):
         raise MalformedEncodingError(f"{len(args.sigs)} --sigs but {len(args.pubs)} --pubs")
     params, pk_list, message, m = _load_ms(suite, args, args.pubs)
-    sigs = []
-    for path in args.sigs:
-        sig, covered, _ = envelopes.decode_multisignature(suite, _read(path), pk_list)
+    sigs, signers = [], []
+    for path in args.sigs:  # a share's own key id picks its key among --pubs
+        sig, covered, named = envelopes.decode_multisignature(suite, _read(path), pk_list)
         if covered != m:
             raise MalformedEncodingError("an input signature covers a different message")
+        if len(named) != 1:
+            raise MalformedEncodingError("an input signature names more than one signer")
         sigs.append(sig)
-    msig = ms.ms_combine(sigs, message, pk_list, params, rng)
-    _write(args.out, envelopes.encode_multisignature(msig, m, pk_list), args.format)
-    _emit(result="ok", command="ms-combine", l=len(pk_list), out=args.out)
+        signers += named
+    msig = ms.ms_combine(sigs, message, signers, params, rng)
+    _write(args.out, envelopes.encode_multisignature(msig, m, signers), args.format)
+    _emit(result="ok", command="ms-combine", l=len(signers), out=args.out)
     return EXIT_OK
 
 

@@ -300,9 +300,6 @@ class _Elem:
     def __pow__(self, k: int):
         return type(self)(self.suite, self.suite.backend.exp(self.kind, self.h, k % self.suite.order))
 
-    def inverse(self):
-        return type(self)(self.suite, self.suite.backend.inv(self.kind, self.h))
-
     def __eq__(self, other):
         if type(other) is not type(self) or other.suite is not self.suite:
             return NotImplemented

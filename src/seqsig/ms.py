@@ -26,7 +26,6 @@ from .groups import (
     Scalar,
     hash_to_scalar,
     pair,
-    random_nonzero_scalar,
     random_scalar,
 )
 # by name: ms functions take a ``pks`` list of public keys
@@ -41,6 +40,8 @@ from .pks import (
     product,
     row_pow,
     sign_rows,
+    signing_coins,
+    verifier_coins,
     verify_rows,
 )
 
@@ -109,16 +110,9 @@ def ms_sign(params: MsParams, message: bytes, sk: PrivateKey, rng) -> MsSignatur
 
 
 def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
-    suite = params.suite
-    r = random_scalar(suite, rng)
-    c1 = random_scalar(suite, rng)
-    c2 = random_scalar(suite, rng)
-    return ms_sign_with_randomness(params, m, sk, r, c1, c2)
-
-
-def ms_sign_with_randomness(params, m, sk, r, c1, c2) -> MsSignature:
     bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
-    return MsSignature(*sign_rows(params.g_row, sk.alpha, bases, params.w_row, r, c1, c2))
+    return MsSignature(*sign_rows(params.g_row, sk.alpha, bases, params.w_row,
+                                  *signing_coins(params.suite, rng)))
 
 
 def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng) -> bool:
@@ -153,7 +147,7 @@ def ms_mult_verify(msig: MsSignature, message: bytes, pks: Sequence[MsPublicKey]
 
 
 def ms_mult_verify_scalar(msig, m, pks, params, rng) -> bool:
-    t = random_nonzero_scalar(params.suite, rng)
+    t, _, _ = verifier_coins(params.suite, params.variant, rng)
     return ms_mult_verify_with_coins(msig, m, pks, params, t)
 
 

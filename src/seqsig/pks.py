@@ -242,11 +242,7 @@ def sign(variant: str, message: bytes, sk: PrivateKey, pk, rng) -> Signature:
 def sign_scalar(variant: str, m: Scalar, sk: PrivateKey, pk, rng) -> Signature:
     if sk.pk_id and sk.pk_id != key_id(pk):
         raise KeyMismatchError("private key does not belong to this public key")
-    suite = pk.suite
-    r = random_scalar(suite, rng)
-    c1 = random_scalar(suite, rng)
-    c2 = random_scalar(suite, rng)
-    return sign_with_randomness(variant, m, sk, pk, r, c1, c2)
+    return sign_with_randomness(variant, m, sk, pk, *signing_coins(pk.suite, rng))
 
 
 def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2) -> Signature:
@@ -254,12 +250,9 @@ def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2)
     if pk.variant != variant:
         raise ValueError(f"a {pk.variant} key does not make {variant} signatures")
     g = pk.suite.g
-    if variant == "pks1":
-        u, h = pk.u, pk.h
-    else:
-        # signing uses the unblinded u, h known only to the key holder
-        u, h = g ** sk.x, g ** sk.y
-    row1, row2 = sign_rows((g,), sk.alpha, (u ** m * h,), pk.w_row, r, c1, c2)
+    # the message base u^m * h = g^(x*m + y), from the held x and y: pks2 and
+    # lw publish u and h only blinded
+    row1, row2 = sign_rows((g,), sk.alpha, (g ** (sk.x * m + sk.y),), pk.w_row, r, c1, c2)
     return Signature(variant, row1, row2)
 
 
@@ -323,7 +316,23 @@ def row_pow(row, k):
 #
 # A signature is two G1 rows checked against two G2 rows. pks is the
 # one-signer case of sas, and ms is one (u, h, m) term under many keys, so
-# signing and verification for all three are written here once.
+# signing and verification for all three are written here once, and so are
+# the draws of their coins.
+
+
+def signing_coins(suite: GroupSuite, rng):
+    """A signer's coins (r, c1, c2) for :func:`sign_rows`, drawn in that order."""
+    return random_scalar(suite, rng), random_scalar(suite, rng), random_scalar(suite, rng)
+
+
+def verifier_coins(suite: GroupSuite, variant: str, rng):
+    """A verifier's coins (t, s1, s2) for :func:`verify_rows`: t is nonzero,
+    and s1, s2 are drawn only for the 4-wide variants, which have a
+    randomization row (0 otherwise)."""
+    t = random_nonzero_scalar(suite, rng)
+    if ROW_WIDTH[variant] == 4:
+        return t, random_scalar(suite, rng), random_scalar(suite, rng)
+    return t, 0, 0
 
 
 def product(elems):
@@ -407,11 +416,8 @@ def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:
 
 
 def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
-    suite = pk.suite
-    t = random_nonzero_scalar(suite, rng)
-    s1 = random_scalar(suite, rng) if variant == "pks1" else 0
-    s2 = random_scalar(suite, rng) if variant == "pks1" else 0
-    return verify_with_coins(variant, sig, m, pk, t, s1, s2)
+    _check_variant(variant)
+    return verify_with_coins(variant, sig, m, pk, *verifier_coins(pk.suite, variant, rng))
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:

@@ -40,7 +40,6 @@ from .groups import (
     hash_to_scalar,
     multi_exp,
     pair,
-    random_nonzero_scalar,
     random_scalar,
 )
 
@@ -156,13 +155,6 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
              pub: SasSignerPublic, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
     m = chained_message_scalar(params.suite, params.variant, [message])
-    return agg_sign_scalar(params, prev, m, pub, priv, rng,
-                           certified=certified, verify_prev=verify_prev)
-
-
-def agg_sign_scalar(params, prev, m, pub, priv, rng, *,
-                    certified=None, verify_prev=True) -> AggregateSignature:
-    suite = params.suite
     pks.check_rows(prev, params.variant)
     kid = pks.key_id(pub)
     if priv.pk_id and priv.pk_id != kid:
@@ -171,10 +163,8 @@ def agg_sign_scalar(params, prev, m, pub, priv, rng, *,
         raise InvalidAggregateError("aggregate-so-far failed verification; halting")
     if any(pks.key_id(s) == kid for s in prev.signers):
         raise DuplicateSignerError("signer already present in the aggregate")
-    r = random_scalar(suite, rng)
-    c1 = random_scalar(suite, rng)
-    c2 = random_scalar(suite, rng)
-    return agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2)
+    return agg_sign_with_randomness(params, prev, m, pub, priv,
+                                    *pks.signing_coins(params.suite, rng))
 
 
 def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> AggregateSignature:
@@ -201,19 +191,13 @@ def _message_bases(messages, signers):
 
 
 def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
-    suite = params.suite
     if not _distinct_signers(params, agg):
         return False
     if certified is not None and not all(certified(s) for s in agg.signers):
         return False
     if agg.length == 0:
         return _pairing_check(params, agg, 1)  # l = 0 draws no coins
-    t = random_nonzero_scalar(suite, rng)
-    if params.variant == "sas1":
-        s1 = random_scalar(suite, rng)
-        s2 = random_scalar(suite, rng)
-        return _pairing_check(params, agg, t, s1, s2)
-    return _pairing_check(params, agg, t)
+    return _pairing_check(params, agg, *pks.verifier_coins(params.suite, params.variant, rng))
 
 
 def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
@@ -329,7 +313,5 @@ def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
     m_old = chained_message_scalar(suite, params.variant, old_chain)
     stripped = remove_signer(params, agg, pub, priv, m_old)
     m_new = chained_message_scalar(suite, params.variant, list(old_chain) + [new_message])
-    r = random_scalar(suite, rng)
-    c1 = random_scalar(suite, rng)
-    c2 = random_scalar(suite, rng)
-    return agg_sign_with_randomness(params, stripped, m_new, pub, priv, r, c1, c2)
+    return agg_sign_with_randomness(params, stripped, m_new, pub, priv,
+                                    *pks.signing_coins(suite, rng))

@@ -219,10 +219,57 @@ class TestPairing:
                     r = b.fq12_mul(r, x)
             return r
 
-        for e in (0, 1, 2, rng.randrange(b.ORDER)):
+        # ORDER - 1 and -3 have negative wNAF digits, which take the conjugation inverse
+        for e in (0, 1, 2, rng.randrange(b.ORDER), b.ORDER - 1, -3):
             expect = slow(g, e % b.ORDER) if e else b.FQ12_ONE
             assert b.gt_pow(g, e) == expect
 
     def test_gt_inv_is_conjugate(self):
         g = b.pairing(b.G1_GEN, b.G2_GEN)
         assert b.gt_mul(g, b.gt_inv(g)) == b.FQ12_ONE
+
+
+FIELD_OPS = ("fq2_mul", "fq2_sqr", "fq2_inv", "fq12_mul", "fq12_cyc_sqr")
+# fixed 254-bit exponents, below ORDER so none is reduced
+E1 = 0x2ab0531c14b044d79acd8acde5f6db1d76b6745180b65386569c803601a5ba50
+E2 = 0x256bd75461076dc3ba6ace6c0a78250fb339a4769ddcc6f8efb6fbfe8de4ab47
+E3 = 0x2563c310283b73a66c2ea417b99de255f386825473b7a490f23b2cc4b4174a67
+
+
+def count_field_ops(fn, *args):
+    """Calls of each of FIELD_OPS made by fn(*args), with bn254's own names counted."""
+    counts = dict.fromkeys(FIELD_OPS, 0)
+
+    def counted(name, op):
+        def wrapper(*a):
+            counts[name] += 1
+            return op(*a)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in FIELD_OPS:
+            mp.setattr(b, name, counted(name, getattr(b, name)))
+        fn(*args)
+    return counts
+
+
+class TestArithmeticCost:
+    """Exact field-operation counts of the pairing and exponentiation layers:
+    they change only when the arithmetic does, and a change that saves work
+    updates them to show by how much."""
+
+    def test_two_pair_pairing(self):
+        pairs = [(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))]
+        got = count_field_ops(lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
+        assert got == {"fq2_mul": 6275, "fq2_sqr": 2072, "fq2_inv": 205, "fq12_mul": 267,
+                       "fq12_cyc_sqr": 193}
+
+    def test_gt_pow(self):
+        g = b.pairing(b.G1_GEN, b.G2_GEN)
+        assert count_field_ops(b.gt_pow, g, E1) == {
+            "fq2_mul": 918, "fq2_sqr": 2277, "fq2_inv": 0, "fq12_mul": 51, "fq12_cyc_sqr": 253}
+
+    def test_three_term_g2_multi_exp(self):
+        pts = [b.G2_GEN, b.g2_mul(b.G2_GEN, 2), b.g2_mul(b.G2_GEN, 3)]
+        assert count_field_ops(b.g2_multi_exp, list(zip(pts, (E1, E2, E3)))) == {
+            "fq2_mul": 2295, "fq2_sqr": 2086, "fq2_inv": 1, "fq12_mul": 0, "fq12_cyc_sqr": 0}

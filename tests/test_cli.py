@@ -220,7 +220,9 @@ class TestAggregatePipeline:
 
 
 class TestMultisigPipeline:
-    def test_sign_combine_verify(self, tmp_path, capsys):
+    @pytest.fixture
+    def shares(self, tmp_path, capsys):
+        """ms params, and two key pairs with each key's share on "joint"."""
         params = tmp_path / "params.bin"
         run(capsys, *det("setup", "--scheme", "ms", "--out", str(params)))
         pubs, sigs = [], []
@@ -236,10 +238,17 @@ class TestMultisigPipeline:
             assert code == 0
             pubs.append(pub)
             sigs.append(sig)
+        return params, pubs, sigs
+
+    @staticmethod
+    def combine_argv(params, sigs, pubs, out):
+        return ("ms-combine", "--params", str(params), "--sigs", *map(str, sigs),
+                "--pubs", *map(str, pubs), "--out", str(out), "--message", "joint")
+
+    def test_sign_combine_verify(self, shares, tmp_path, capsys):
+        params, pubs, sigs = shares
         combined = tmp_path / "combined.bin"
-        code, _ = run(capsys, *det("ms-combine", "--params", str(params),
-                                   "--sigs", *map(str, sigs), "--pubs", *map(str, pubs),
-                                   "--out", str(combined), "--message", "joint"))
+        code, _ = run(capsys, *det(*self.combine_argv(params, sigs, pubs, combined)))
         assert code == 0
         code, fields = run(capsys, *det("ms-verify", "--params", str(params),
                                         "--msig", str(combined),
@@ -251,6 +260,25 @@ class TestMultisigPipeline:
                                         "--pubs", *map(str, pubs),
                                         "--message", "different"))
         assert code == 1
+
+    def test_each_share_picks_its_own_key(self, shares, tmp_path, capsys):
+        params, pubs, sigs = shares
+        combined = tmp_path / "combined.bin"
+        code, _ = run(capsys, *det(*self.combine_argv(params, sigs, pubs[::-1], combined)))
+        assert code == 0
+        code, fields = run(capsys, *det("ms-verify", "--params", str(params),
+                                        "--msig", str(combined), "--pubs", *map(str, pubs),
+                                        "--message", "joint"))
+        assert code == 0 and fields["result"] == ["valid"]
+
+    def test_combined_share_as_input_exits_two(self, shares, tmp_path, capsys):
+        params, pubs, sigs = shares
+        combined = tmp_path / "combined.bin"
+        assert main(list(det(*self.combine_argv(params, sigs, pubs, combined)))) == 0
+        capsys.readouterr()
+        out = tmp_path / "again.bin"
+        _one_malformed_line(capsys, self.combine_argv(params, [combined, sigs[1]], pubs, out))
+        assert not out.exists()
 
 
 class TestReports:

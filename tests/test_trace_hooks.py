@@ -1,0 +1,35 @@
+"""The benchmark's tracing hooks still find every name they wrap.
+
+``perfbench`` rebinds library functions and backend methods by name from
+outside the package; a renamed or inlined target would break its traced
+runs, which Tier-1 does not otherwise run.
+"""
+
+import pytest
+
+import seqsig
+from perfbench import spans, spec
+from seqsig import bn254, cli, envelopes, groups, keyreg, ms, pks, sas
+
+# the hooks rebind names in every loaded seqsig module, so load them all
+OWNERS = (bn254, cli, envelopes, groups, keyreg, ms, pks, sas,
+          groups.Bn254Backend, groups.MockDlogBackend, keyreg.CertRegistry)
+
+
+def _bindings():
+    """Every attribute of every seqsig module and of the hooked classes."""
+    return {(owner.__name__, name): value
+            for owner in OWNERS for name, value in list(vars(owner).items())}
+
+
+@pytest.mark.parametrize("hook", ["tracer", "field-ops"])
+def test_hook_installs_and_undoes_cleanly(hook):
+    make = {"tracer": spans.Tracer,
+            "field-ops": lambda: spans.FieldOpCounter(spec.FIELD_OPS)}[hook]
+    before = _bindings()
+    with make().install(seqsig):
+        during = _bindings()
+        assert any(during[k] is not v for k, v in before.items())
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
