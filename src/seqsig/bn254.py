@@ -462,50 +462,78 @@ def g2_frobenius_sq(pt):
 # i.e. a sparse Fp12 element with coefficients at w^0 (Fp), w^1, w^3 (Fp2).
 
 
-def _line_sparse(r, q, p_aff):
-    """Line through r and q (twist points), evaluated at p_aff in G1.
+def fq2_batch_inv(xs):
+    """[fq2_inv(x) for x in xs] with one inversion in Fp: 1/x = conj(x) / N(x)
+    with the norm N(a + bu) = a^2 + b^2, and the norms are inverted together
+    by Montgomery's trick (running products, one inverse, then back down)."""
+    norms = [(a * a + b * b) % P for a, b in xs]
+    prefix = []
+    acc = 1
+    for n in norms:
+        prefix.append(acc)
+        acc = acc * n % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        a, b = xs[i]
+        n_inv = inv * prefix[i] % P
+        inv = inv * norms[i] % P
+        out[i] = (a * n_inv % P, -b * n_inv % P)
+    return out
 
-    Returns the sparse triple (a, b, c) for a + b*w + c*w^3 and the sum r+q,
-    or a vertical line and None, the identity, when r = -q.
-    """
-    xr, yr = r
-    xp, yp = p_aff
-    if xr == q[0] and yr == q[1]:
-        lam = fq2_mul(fq2_scale(fq2_sqr(xr), 3), fq2_inv(fq2_scale(yr, 2)))
-    elif xr == q[0]:
-        # vertical line: x - xr, evaluated at P gives xp - xr at w^0/w^2 mix;
-        # through the untwist: xp - xr'*w^2, sparse at w^0 (Fp) and w^2.
-        return ("vertical", xp, xr), None
-    else:
-        lam = fq2_mul(fq2_sub(q[1], yr), fq2_inv(fq2_sub(q[0], xr)))
-    b = fq2_scale(lam, -xp % P)
-    c = fq2_sub(fq2_mul(lam, xr), yr)
-    x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xr), q[0])
-    y3 = fq2_sub(fq2_mul(lam, fq2_sub(xr, x3)), yr)
-    return (yp, b, c), (x3, y3)
+
+def _fq6_mul_by_01(x, b0, b1):
+    """x * (b0 + b1*v): the Fp6 product with a zero v^2 coefficient, 5 fq2_mul."""
+    a0, a1, a2 = x
+    t0 = fq2_mul(a0, b0)
+    t1 = fq2_mul(a1, b1)
+    c0 = fq2_add(t0, fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), b1), t1)))
+    c1 = fq2_sub(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(b0, b1)), t0), t1)
+    c2 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), b0), t0), t1)
+    return (c0, c1, c2)
+
+
+def _fq6_scale(x, k):
+    return (fq2_scale(x[0], k), fq2_scale(x[1], k), fq2_scale(x[2], k))
+
+
+def _mul_line(f, a, b, c):
+    """f * (a + b*w + c*w^3) with a in Fp: in the tower the line is
+    (a, 0, 0) + (b, c, 0)*w, so the product takes two sparse Fp6 products
+    and Fp scalings instead of a dense fq12_mul."""
+    f0, f1 = f
+    return (fq6_add(_fq6_scale(f0, a), fq6_mul_by_v(_fq6_mul_by_01(f1, b, c))),
+            fq6_add(_fq6_mul_by_01(f0, b, c), _fq6_scale(f1, a)))
 
 
 def _miller_step(f, rs, addends, ps):
     """f times the line through each R_i and its addend at P_i; R_i becomes
-    R_i + addend, or None after a vertical line, where R_i = -addend.
-    ``addends`` may be ``rs`` itself: that is the doubling step."""
-    for i, (r, q, p) in enumerate(zip(rs, addends, ps)):
-        line, rs[i] = _line_sparse(r, q, p)
-        f = _mul_line(f, line)
+    R_i + addend. ``addends`` may be ``rs`` itself: that is the doubling step.
+
+    Every slope's denominator is inverted in one :func:`fq2_batch_inv`.
+    Where R_i = -addend the line is the vertical xP - xR'*w^2, which lies in
+    Fp6; the easy part of the final exponentiation (the power p^6 - 1) sends
+    every nonzero Fp6 element to 1, so that line is left out, and R_i
+    becomes None, the identity."""
+    slopes = []  # (numerator, denominator), or None for a vertical line
+    for r, q in zip(rs, addends):
+        if r[0] != q[0]:
+            slopes.append((fq2_sub(q[1], r[1]), fq2_sub(q[0], r[0])))
+        elif r[1] == q[1]:
+            slopes.append((fq2_scale(fq2_sqr(r[0]), 3), fq2_scale(r[1], 2)))
+        else:
+            slopes.append(None)
+    invs = iter(fq2_batch_inv([s[1] for s in slopes if s is not None]))
+    for i, (r, q, p, s) in enumerate(zip(rs, addends, ps, slopes)):
+        if s is None:
+            rs[i] = None
+            continue
+        lam = fq2_mul(s[0], next(invs))
+        xr, yr = r
+        x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xr), q[0])
+        rs[i] = (x3, fq2_sub(fq2_mul(lam, fq2_sub(xr, x3)), yr))
+        f = _mul_line(f, p[1], fq2_scale(lam, -p[0] % P), fq2_sub(fq2_mul(lam, xr), yr))
     return f
-
-
-def _mul_line(f, line):
-    """Multiply accumulator f by a sparse line value."""
-    if line[0] == "vertical":
-        _, xp, xr = line
-        # xp - xr*w^2: coefficients at w^0 (Fp scalar) and w^2 (Fp2).
-        other = (((xp % P, 0), fq2_neg(xr), FQ2_ZERO), FQ6_ZERO)
-        return fq12_mul(f, other)
-    a, b, c = line
-    # a at w^0, b at w^1, c at w^3  =>  c0 = (a, 0, 0), c1 = (b, c, 0)
-    other = (((a % P, 0), FQ2_ZERO, FQ2_ZERO), (b, c, FQ2_ZERO))
-    return fq12_mul(f, other)
 
 
 _ATE_BITS = bin(ATE_LOOP)[2:]

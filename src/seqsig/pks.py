@@ -1,7 +1,7 @@
 """Single-signer signatures behind one variant-parameterized interface.
 
 Three variants share the same verification skeleton (a fused pairing
-product against Omega^t with fresh verifier coins):
+product against Omega with fresh verifier coins):
 
 * ``pks1`` — 8-element signatures, extra verifier randomization row.
 * ``pks2`` — 6-element signatures, blinded generator rows in the public key.
@@ -12,11 +12,15 @@ The row core at the end of this module (``sign_rows``, ``verifier_rows``,
 ``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
 :mod:`seqsig.ms` too.
 
-Where the coin t lives: the paper raises the verifier's G2 rows to t. Here
-t is applied to the G1 signature rows instead (e(S, V^t) = e(S^t, V)), so
-the G2 rows need no t and each signer adds one multi-exponentiation term
-per slot; the pairing product, and so every verdict for given coins, is the
-paper's. ``verification_components`` still returns the paper-form rows.
+Where the coin t lives: the paper raises the verifier's G2 rows to t,
+V = (V')^t, and checks e(row1, V1) * e(row2, V2)^-1 == Omega^t. The left
+side is (e(row1, V1') * e(row2, V2')^-1)^t, and t is nonzero in the
+prime-order group GT, so the check holds exactly when the t-free product
+equals Omega; that is the one this module computes. The G2 rows V' need no
+t and each signer adds one multi-exponentiation term per slot. The 4-wide
+variants keep t in their randomization row, through s1/t and s2/t, so for
+given coins every verdict is the paper's. ``verification_components``
+still returns the paper-form rows.
 
 Randomness always flows through the supplied rng; the ``*_from_exponents``
 and ``*_with_randomness`` builders make every transcript reproducible for
@@ -370,8 +374,9 @@ def sign_rows(alpha_row, alpha, msg_row, w_row, r, c1, c2, prev=None, d=0):
 def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
     """The verifier's G2 rows (V1', V2') for coins (t, s1, s2), t left out.
 
-    The paper's rows are V = (V')^t; :func:`verify_rows` raises the G1 side
-    to t instead (e(S, V'^t) = e(S^t, V')), so here V1'_k = g_hat_row[k] and
+    The paper's rows are V = (V')^t, and :func:`verify_rows` checks the
+    pairing product on V' against Omega instead of V against Omega^t, so
+    here V1'_k = g_hat_row[k] and
 
         V2'_k = prod_i u_hat_ik^m_i * prod_i h_hat_ik
 
@@ -400,15 +405,14 @@ def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Sc
 def verify_rows(sig, g_hat_row, v_hat_row, terms, omega: GTElem, t: Scalar,
                 s1: Scalar = 0, s2: Scalar = 0) -> bool:
     """The verification of pks, sas and ms: with (V1', V2') from
-    :func:`verifier_rows`, e(row1^t, V1') * e(row2^t, V2') == omega^t.
+    :func:`verifier_rows`, e(row1, V1') * e(row2, V2')^-1 == omega.
 
-    That is the paper's product e(row1, V1) * e(row2, V2) for the same
-    coins, so verdicts and pairing counts are the paper's.
+    The paper's check is this one raised to t (its rows are V = (V')^t,
+    its right side omega^t); t is nonzero and GT has prime order, so for
+    the same coins both give the same verdict, with the same pairings.
     """
     v1, v2 = verifier_rows(g_hat_row, v_hat_row, terms, t, s1, s2)
-    row1 = [s ** t for s in sig.row1]
-    row2 = [s ** t for s in sig.row2]
-    return pairing_product(zip(row1, v1), zip(row2, v2)) == omega ** t
+    return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == omega
 
 
 def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:

@@ -12,8 +12,9 @@ randomness via (S'_2)^(x*M + y), then re-randomizes with fresh exponents,
 so the result is distributed like a fresh aggregate with composed
 randomness. Verification cost is a constant 8 (sas1) or 6 (sas2) pairings
 regardless of how many signers contributed. Verification runs the row core
-of :mod:`seqsig.pks`, which applies the verifier's coin t to the aggregate's
-G1 rows, not to the G2 rows built from the signers' keys.
+of :mod:`seqsig.pks`, whose pairing equation leaves the verifier's coin t
+out: neither the aggregate nor the G2 rows built from the signers' keys are
+raised to it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
-"""Verification with the coin t on G1: same verdicts as the paper's equation.
+"""Verification with the coin t out of the pairing equation: the paper's verdicts.
 
-The three verify paths check e(row1^t, V1') * e(row2^t, V2') == Omega^t with
-t-free G2 rows (V1', V2'). The paper checks e(row1, V1) * e(row2, V2) ==
-Omega^t with V = (V')^t; for the same coins both must give the same verdict,
-on honest and on tampered input alike.
+The three verify paths check e(row1, V1') * e(row2, V2')^-1 == Omega on the
+verifier rows (V1', V2') of ``pks.verifier_rows``; t enters them only
+through s1/t and s2/t on the randomization row of pks1 and sas1. The paper
+checks e(row1, V1) * e(row2, V2)^-1 == Omega^t with V = (V')^t, the same
+equation raised to t, which is nonzero in a group of prime order. So for the
+same coins both must give the same verdict, on honest and on tampered input
+alike; coins (t, s1, s2) must give the verdict of (1, s1/t, s2/t); and a
+coin t = 0 mod the order, which would make every input pass the paper's
+equation, is still refused.
 """
 
 import pytest
@@ -92,6 +97,24 @@ def test_folded_check_matches_paper_form(mock_suite, rng, variant, build):
         for candidate, honest in ((sig, True), (bad, False)):
             paper = check_product(candidate, v1, v2, omega ** t)
             assert verify(candidate, t, s1, s2) == paper == honest
+
+
+@pytest.mark.parametrize("variant, build", CASES, ids=[v for v, _ in CASES])
+def test_coin_t_folds_into_randomization_row(mock_suite, rng, variant, build):
+    sig, bad, _, _, verify = build(mock_suite, rng, variant)
+    p = mock_suite.order
+    for _ in range(3):
+        t, s1, s2 = rng.randrange(2, p), rng.randrange(p), rng.randrange(p)
+        t_inv = pow(t, -1, p)
+        for candidate, honest in ((sig, True), (bad, False)):
+            folded = verify(candidate, 1, s1 * t_inv % p, s2 * t_inv % p)
+            assert verify(candidate, t, s1, s2) == folded == honest
+
+
+def test_coin_minus_one_on_real_backend(real_suite, rng):
+    sig, bad, _, _, verify = _pks_case(real_suite, rng, "pks2")
+    for candidate, honest in ((sig, True), (bad, False)):
+        assert verify(candidate, real_suite.order - 1, 0, 0) == verify(candidate, 1, 0, 0) == honest
 
 
 @pytest.mark.parametrize("variant", ["pks1", "pks2"])
