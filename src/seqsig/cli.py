@@ -19,7 +19,6 @@ from .errors import KeyMismatchError, MalformedEncodingError, SeqsigError, Subgr
 from .groups import suite_generate
 
 REGISTRY_ENV = "SEQSIG_REGISTRY"
-PARAM_SCHEMES = sas.VARIANTS + ("ms",)  # the schemes with shared parameters
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -110,9 +109,9 @@ def _registry_path(args) -> str | None:
 
 
 def _certified(suite, args):
-    """The registry's certification predicate, or None without a registry file."""
+    """The registry's certification predicate, or None when no registry is named."""
     path = _registry_path(args)
-    if path is None or not os.path.exists(path):
+    if path is None:
         return None
     return keyreg.CertRegistry.load(suite, path).predicate()
 
@@ -314,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", required=True, choices=schemes)
         return p
 
-    p = add("setup", cmd_setup, "generate shared scheme parameters", PARAM_SCHEMES)
+    p = add("setup", cmd_setup, "generate shared scheme parameters", envelopes.REGISTERED)
     _add_files(p, "--out")
 
-    p = add("keygen", cmd_keygen, "generate a key pair", pks.VARIANTS + PARAM_SCHEMES)
+    p = add("keygen", cmd_keygen, "generate a key pair", pks.VARIANTS + envelopes.REGISTERED)
     p.add_argument("--params", default=None, help="parameter file (sas/ms schemes)")
     _add_files(p, "--pub-out", "--priv-out")
 

@@ -19,8 +19,6 @@ from . import ms, pks, sas
 from .errors import MalformedEncodingError
 from .groups import GroupSuite, decode_element, encode_element
 
-VERSION = 1
-
 MAGIC_SIGNATURE = b"APKS"
 MAGIC_AGGREGATE = b"ASAS"
 MAGIC_MULTISIG = b"AMSG"
@@ -29,8 +27,17 @@ MAGIC_PUBLIC_KEY = b"AKEY"
 MAGIC_PRIVATE_KEY = b"ASEC"
 MAGIC_PARAMS = b"APRM"
 
+# the envelope version of each magic; a file of any other version is malformed
+VERSION = {
+    MAGIC_SIGNATURE: 1, MAGIC_AGGREGATE: 1, MAGIC_MULTISIG: 1, MAGIC_REGISTRY: 2,
+    MAGIC_PUBLIC_KEY: 1, MAGIC_PRIVATE_KEY: 1, MAGIC_PARAMS: 1,
+}
+
 SCHEME_BYTE = {"pks1": 1, "pks2": 2, "lw": 3, "sas1": 4, "sas2": 5, "ms": 6}
 SCHEME_NAME = {v: k for k, v in SCHEME_BYTE.items()}
+
+# the schemes with shared parameters; exactly these register keys
+REGISTERED = sas.VARIANTS + ("ms",)
 
 _BACKEND_MOCK = 0
 _BACKEND_REAL = 1
@@ -45,7 +52,7 @@ def _backend_descriptor(suite: GroupSuite) -> bytes:
 
 
 def _header(magic: bytes, suite: GroupSuite) -> bytes:
-    return magic + bytes([VERSION]) + _backend_descriptor(suite)
+    return magic + bytes([VERSION[magic]]) + _backend_descriptor(suite)
 
 
 class _Reader:
@@ -57,7 +64,7 @@ class _Reader:
         self.buf, self.off, self.suite = memoryview(data), 5, suite
         if len(self.buf) < 5 or bytes(self.buf[:4]) != magic:
             raise MalformedEncodingError(f"expected {magic.decode()} envelope")
-        if self.buf[4] != VERSION:
+        if self.buf[4] != VERSION[magic]:
             raise MalformedEncodingError(f"unsupported envelope version {self.buf[4]}")
         descriptor = _backend_descriptor(suite)
         if self.take(len(descriptor), "backend descriptor") != descriptor:
@@ -306,23 +313,18 @@ def decode_multisignature(suite: GroupSuite, data: bytes,
 
 
 # ---------------------------------------------------------------------------
-# certified-key registries (AREG): a record count, then per record its key id,
-# scheme byte, length-prefixed public-key envelope, witness flag and
-# timestamp. A record is a (key_id, variant, pk, witness_verified, timestamp)
-# tuple, the field order of keyreg.CertRecord.
+# certified-key registries (AREG, version 2): a record count, then one 42-byte
+# record per key: key id (32 bytes), scheme byte, witness flag and 8-byte
+# timestamp. A verifier asks only whether a key's id is listed, and the id is
+# a SHA-256 hash of the key's elements, so the registry stores no key. A record
+# is a (key_id, variant, witness_verified, timestamp) tuple, the field order
+# of keyreg.CertRecord.
 
 def encode_registry(suite: GroupSuite, records: Sequence[tuple]) -> bytes:
     parts = [_header(MAGIC_REGISTRY, suite), len(records).to_bytes(4, "big")]
-    for kid, variant, pk, witness_verified, timestamp in records:
-        blob = encode_public_key(pk)
-        parts += [
-            kid,
-            bytes([SCHEME_BYTE[variant]]),
-            len(blob).to_bytes(4, "big"),
-            blob,
-            bytes([1 if witness_verified else 0]),
-            timestamp.to_bytes(8, "big"),
-        ]
+    for kid, variant, witness_verified, timestamp in records:
+        parts += [kid, bytes([SCHEME_BYTE[variant], 1 if witness_verified else 0]),
+                  timestamp.to_bytes(8, "big")]
     return b"".join(parts)
 
 
@@ -331,21 +333,18 @@ def decode_registry(suite: GroupSuite, data: bytes) -> list[tuple]:
     records, seen = [], set()
     for _ in range(r.u32()):
         kid = r.take(32, "registry record")
-        scheme = SCHEME_NAME.get(r.byte())
-        blob = r.take(r.u32(), "registry record body")
-        flag = r.byte()
-        timestamp = int.from_bytes(r.take(8, "registry record body"), "big")
-        pk = decode_public_key(suite, blob)
-        if scheme != pk.variant:
-            raise MalformedEncodingError("registry record scheme does not match its key")
+        scheme, flag = r.take(2, "registry record")
+        timestamp = int.from_bytes(r.take(8, "registry record"), "big")
+        variant = SCHEME_NAME.get(scheme)
+        if variant not in REGISTERED:
+            raise MalformedEncodingError(
+                f"registry record scheme byte {scheme} names no registering scheme")
         if flag not in (0, 1):
             raise MalformedEncodingError(f"registry record witness flag {flag} is not 0 or 1")
-        if pks.key_id(pk) != kid:
-            raise MalformedEncodingError("registry record key-id does not match its key")
         if kid in seen:
             raise MalformedEncodingError("registry lists one key-id twice")
         seen.add(kid)
-        records.append((kid, scheme, pk, flag == 1, timestamp))
+        records.append((kid, variant, flag == 1, timestamp))
     r.end()
     return records
 
@@ -363,8 +362,7 @@ def to_wire(data: bytes, fmt: str) -> bytes:
 
 def from_wire(data: bytes) -> bytes:
     """Accept either raw bytes or the hex wrapping, sniffing the magic."""
-    if data[:4] in (MAGIC_SIGNATURE, MAGIC_AGGREGATE, MAGIC_MULTISIG,
-                    MAGIC_REGISTRY, MAGIC_PUBLIC_KEY, MAGIC_PRIVATE_KEY, MAGIC_PARAMS):
+    if data[:4] in VERSION:
         return data
     try:
         return bytes.fromhex(data.decode("ascii").strip())

@@ -2,13 +2,15 @@
 
 Registration demands the signer's full private witness. The registry
 deterministically rebuilds the public key from the witness and the shared
-parameters and accepts only on a byte-for-byte match of the canonical
-encodings — the desk-scale realization of handing the certifier the key
-pair outright. Witnesses are checked and discarded: only a boolean
-"witness verified" record is kept, so a registry compromise leaks no key.
+parameters and accepts only if the rebuilt key has the submitted key's id —
+the desk-scale realization of handing the certifier the key pair outright.
+Witnesses are checked and discarded, and so is the key: a record holds the
+key id, the scheme, a "witness verified" flag and a timestamp, so a
+registry compromise leaks no key.
 
-The certification predicate produced here is what the aggregate and
-multi-signature verifiers consult before any pairing is computed.
+The certification predicate produced here, a key-id lookup, is what the
+aggregate and multi-signature verifiers consult before any pairing is
+computed.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from .errors import RegistrationError
 from .groups import GroupSuite
 
 
-REGISTERED = sas.VARIANTS + ("ms",)
-
-
 def witness_from_private(variant: str, sk: pks.PrivateKey) -> pks.PrivateKey:
     """The registration witness of a sas or ms key: the private key itself."""
-    if variant not in REGISTERED:
+    if variant not in envelopes.REGISTERED:
         raise ValueError(f"scheme {variant!r} does not register keys")
     if sk.variant != variant:
         raise ValueError(f"private key is for {sk.variant!r}, not {variant!r}")
@@ -37,13 +36,12 @@ def witness_from_private(variant: str, sk: pks.PrivateKey) -> pks.PrivateKey:
 class CertRecord(NamedTuple):
     key_id: bytes
     variant: str
-    pk: object
     witness_verified: bool
     timestamp: int
 
 
 def _reconstruct(params, witness: pks.PrivateKey):
-    if witness.variant not in REGISTERED:
+    if witness.variant not in envelopes.REGISTERED:
         raise RegistrationError(f"scheme {witness.variant!r} does not register keys")
     if params.variant != witness.variant:
         raise RegistrationError("witness scheme does not match the parameters")
@@ -69,24 +67,16 @@ class CertRegistry:
             return list(self._records.values())
 
     def register(self, params, pk, witness: pks.PrivateKey) -> CertRecord:
-        """Certify ``pk`` after reconstructing it from the witness."""
-        variant = pk.variant
-        if variant != witness.variant:
+        """Certify ``pk`` after reconstructing it from the witness; a key
+        already certified keeps its record."""
+        if pk.variant != witness.variant:
             raise RegistrationError("witness scheme does not match the public key")
-        rebuilt = _reconstruct(params, witness)
-        submitted = envelopes.encode_public_key(pk)
-        if envelopes.encode_public_key(rebuilt) != submitted:
-            raise RegistrationError("witness does not reproduce the submitted key")
         kid = pks.key_id(pk)
+        if pks.key_id(_reconstruct(params, witness)) != kid:
+            raise RegistrationError("witness does not reproduce the submitted key")
+        record = CertRecord(kid, pk.variant, True, int(time.time()))
         with self._lock:
-            existing = self._records.get(kid)
-            if existing is not None:
-                if envelopes.encode_public_key(existing.pk) == submitted:
-                    return existing  # idempotent re-registration
-                raise RegistrationError("key-id collision with a different key")
-            record = CertRecord(kid, variant, pk, True, int(time.time()))
-            self._records[kid] = record
-            return record
+            return self._records.setdefault(kid, record)
 
     def is_certified(self, pk) -> bool:
         with self._lock:

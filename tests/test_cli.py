@@ -415,3 +415,33 @@ def test_ms_combine_with_unequal_sigs_and_pubs_exits_two(key_files, tmp_path, ca
                                 f" --pubs {d}/ms.pub {d}/ms.pub --out {tmp_path}/c.bin"
                                 " --message hi".split())
     assert not (tmp_path / "c.bin").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("case", ["agg-sign-pub", "agg-verify", "ms-verify"])
+def test_missing_registry_exits_two(key_files, tmp_path, capsys, monkeypatch, case, via):
+    """A named registry that does not exist is malformed, not skipped."""
+    home, template = KEY_FILE_CASES[case]
+    argv = template.format(d=key_files, out=tmp_path, pub=key_files / f"{home}.pub",
+                           priv=key_files / f"{home}.key").split()
+    missing = str(tmp_path / "no-such.reg")
+    if via == "flag":
+        argv += ["--registry", missing]
+    else:
+        monkeypatch.setenv("SEQSIG_REGISTRY", missing)
+    _one_malformed_line(capsys, argv)
+    assert not (tmp_path / "a.bin").exists()
+
+
+def test_version_1_registry_exits_two(key_files, tmp_path, capsys):
+    registry = tmp_path / "old.bin"
+    d = key_files
+    assert main(list(det(*f"register --params {d}/sas2.prm --pub {d}/sas2.pub"
+                           f" --priv {d}/sas2.key --registry {registry}".split()))) == 0
+    capsys.readouterr()
+    blob = bytearray(registry.read_bytes())
+    blob[4] = 1  # the version byte
+    registry.write_bytes(bytes(blob))
+    _one_malformed_line(capsys, f"agg-verify --scheme sas2 --params {d}/sas2.prm"
+                                f" --agg {d}/sas2.agg --keys {d}/sas2.pub"
+                                f" --registry {registry}".split())

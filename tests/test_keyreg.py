@@ -4,6 +4,7 @@ import pytest
 
 from seqsig import envelopes, keyreg, ms, pks, sas
 from seqsig.errors import MalformedEncodingError, RegistrationError
+from seqsig.groups import suite_generate
 
 
 @pytest.fixture
@@ -118,17 +119,18 @@ class TestPersistence:
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(mock_suite, data[:-5])
 
-    def test_flipped_key_id_rejected(self, mock_suite, rng):
-        reg, _ = self._populated(mock_suite, rng)
+    def test_flipped_key_id_no_longer_certifies_the_key(self, mock_suite, rng):
+        reg, pubs = self._populated(mock_suite, rng)
         data = bytearray(reg.save_bytes())
-        # corrupt the first byte of the first record's key-id
-        off = data.index(reg.records()[0].key_id)
-        data[off] ^= 0xFF
-        with pytest.raises(MalformedEncodingError):
-            keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        off = self._first_record_offset(mock_suite)
+        assert data[off:off + 32] == pubs[0].key_id
+        data[off] ^= 0xFF  # there is no key to hash, so the load succeeds
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        assert len(loaded) == 3
+        assert not loaded.is_certified(pubs[0])
+        assert all(loaded.is_certified(pub) for pub in pubs[1:])
 
     def test_wrong_suite_rejected(self, mock_suite, rng):
-        from seqsig.groups import suite_generate
         reg, _ = self._populated(mock_suite, rng)
         other = suite_generate("mock", 10007)
         data = reg.save_bytes()
@@ -138,26 +140,36 @@ class TestPersistence:
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(tiny, data)
 
-    def _first_record_offset(self, reg, data):
-        """Offset of the first record's scheme byte (just after its key id)."""
-        return data.index(reg.records()[0].key_id) + 32
+    @staticmethod
+    def _first_record_offset(suite):
+        """Offset of the first record: just after the header and the count."""
+        return len(envelopes._header(envelopes.MAGIC_REGISTRY, suite)) + 4
 
-    def test_scheme_byte_must_match_key(self, mock_suite, rng):
+    def test_record_is_42_bytes(self, mock_suite, rng):
+        params = sas.setup(mock_suite, "sas2", rng)
+        reg = keyreg.CertRegistry(mock_suite)
+        for n in range(4):
+            assert len(reg.save_bytes()) == self._first_record_offset(mock_suite) + 42 * n
+            pub, priv = sas.keygen(params, rng)
+            reg.register(params, pub, keyreg.witness_from_private("sas2", priv))
+
+    def test_non_registering_scheme_byte_rejected(self, mock_suite, rng):
         reg, _ = self._populated(mock_suite, rng)
         data = bytearray(reg.save_bytes())
-        off = self._first_record_offset(reg, data)
+        off = self._first_record_offset(mock_suite) + 32
         assert data[off] == envelopes.SCHEME_BYTE["sas2"]
-        data[off] = envelopes.SCHEME_BYTE["ms"]
-        with pytest.raises(MalformedEncodingError):
-            keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        data[off] = envelopes.SCHEME_BYTE["ms"]  # any registering scheme loads
+        assert keyreg.CertRegistry.load_bytes(mock_suite, bytes(data)).records()[0].variant == "ms"
+        for scheme in (0, *(envelopes.SCHEME_BYTE[v] for v in pks.VARIANTS), 7, 255):
+            data[off] = scheme
+            with pytest.raises(MalformedEncodingError, match="no registering scheme"):
+                keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
 
     @pytest.mark.parametrize("flag", [2, 7, 255])
     def test_witness_flag_must_be_a_bit(self, mock_suite, rng, flag):
         reg, _ = self._populated(mock_suite, rng)
         data = bytearray(reg.save_bytes())
-        off = self._first_record_offset(reg, data)
-        blob_len = int.from_bytes(data[off + 1:off + 5], "big")
-        flag_off = off + 5 + blob_len
+        flag_off = self._first_record_offset(mock_suite) + 33
         assert data[flag_off] == 1
         data[flag_off] = 0
         loaded = keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
@@ -165,6 +177,29 @@ class TestPersistence:
         data[flag_off] = flag
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+
+    def test_version_1_registry_rejected(self, mock_suite, rng):
+        """A registry of the first format, whose records also carry the key."""
+        reg, pubs = self._populated(mock_suite, rng)
+        v2 = reg.save_bytes()
+        parts = [v2[:4], b"\x01", v2[5:self._first_record_offset(mock_suite)]]
+        for record, pub in zip(reg.records(), pubs):
+            blob = envelopes.encode_public_key(pub)
+            parts += [record.key_id, bytes([envelopes.SCHEME_BYTE["sas2"]]),
+                      len(blob).to_bytes(4, "big"), blob, b"\x01",
+                      record.timestamp.to_bytes(8, "big")]
+        with pytest.raises(MalformedEncodingError, match="unsupported envelope version 1"):
+            keyreg.CertRegistry.load_bytes(mock_suite, b"".join(parts))
+
+    def test_reregistering_a_loaded_key_returns_its_record(self, mock_suite, rng, sas2_setup):
+        params, pub, priv = sas2_setup
+        reg = keyreg.CertRegistry(mock_suite)
+        reg.register(params, pub, keyreg.witness_from_private("sas2", priv))
+        data = reg.save_bytes()
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, data)
+        record = loaded.register(params, pub, keyreg.witness_from_private("sas2", priv))
+        assert record == loaded.records()[0] == reg.records()[0]
+        assert len(loaded) == 1 and loaded.save_bytes() == data
 
     def test_duplicate_key_id_rejected(self, mock_suite, rng, sas2_setup):
         params, pub, priv = sas2_setup
@@ -177,3 +212,21 @@ class TestPersistence:
         twice = data[:header] + (2).to_bytes(4, "big") + record + record
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(mock_suite, twice)
+
+
+@pytest.mark.parametrize("backend", ["mock", "real"])
+def test_load_decodes_no_group_element(backend, rng, monkeypatch):
+    suite = suite_generate("mock", 10007) if backend == "mock" else suite_generate("real")
+    reg = keyreg.CertRegistry(suite)
+    for params in (sas.setup(suite, "sas2", rng), ms.ms_setup(suite, rng)):
+        keygen = ms.ms_keygen if params.variant == "ms" else sas.keygen
+        pub, priv = keygen(params, rng)
+        reg.register(params, pub, keyreg.witness_from_private(params.variant, priv))
+    data = reg.save_bytes()
+
+    def no_decode(*args):
+        raise AssertionError("a registry load decoded a group element")
+
+    monkeypatch.setattr(envelopes, "decode_element", no_decode)
+    loaded = keyreg.CertRegistry.load_bytes(suite, data)
+    assert loaded.records() == reg.records() and loaded.save_bytes() == data
