@@ -4,6 +4,13 @@ and the optimal ate pairing with a shared-Miller-loop product form.
 Field elements are plain tuples of ints and module-level functions, not
 classes; the interpreter overhead of an object layer is what kills pure
 Python pairings. Only `groups` should import this module directly.
+
+Exponentiation in G1, G2 and G_T is one interleaved 4-NAF routine,
+:func:`_interleaved_wnaf`; a single exponentiation is its one-term case. In
+G1 and G2 the tables of odd multiples are affine, batch-normalised with one
+inversion, and the accumulator is Jacobian, so every addition is a mixed
+one. The G2 group law works on flat Fp2 integer components, not through
+``fq2_mul``.
 """
 
 from __future__ import annotations
@@ -69,6 +76,30 @@ def fq2_inv(x):
     a, b = x
     norm = pow(a * a + b * b, -1, P)
     return (a * norm % P, -b * norm % P)
+
+
+def fq_batch_inv(xs):
+    """[pow(x, -1, P) for x in xs] with one inversion: Montgomery's trick
+    (running products, one inverse, then back down)."""
+    prefix = []
+    acc = 1
+    for x in xs:
+        prefix.append(acc)
+        acc = acc * x % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % P
+        inv = inv * xs[i] % P
+    return out
+
+
+def fq2_batch_inv(xs):
+    """[fq2_inv(x) for x in xs] with one inversion in Fp: 1/x = conj(x) / N(x)
+    with the norm N(a + bu) = a^2 + b^2, the norms inverted together by
+    :func:`fq_batch_inv`."""
+    invs = fq_batch_inv([(a * a + b * b) % P for a, b in xs])
+    return [(a * n % P, -b * n % P) for (a, b), n in zip(xs, invs)]
 
 
 def fq2_pow(x, e):
@@ -219,62 +250,48 @@ def g1_add(p1, p2):
 
 def _jac1_double(pt):
     X, Y, Z = pt
-    A = X * X % P
     Bv = Y * Y % P
-    C = Bv * Bv % P
-    D = 2 * ((X + Bv) * (X + Bv) - A - C) % P
-    E = 3 * A % P
+    D = 4 * X * Bv % P  # 2((X + B)^2 - X^2 - B^2)
+    E = 3 * X * X % P
     nX = (E * E - 2 * D) % P
-    nY = (E * (D - nX) - 8 * C) % P
+    nY = (E * (D - nX) - 8 * Bv * Bv) % P
     nZ = 2 * Y * Z % P
     return None if nZ == 0 else (nX, nY, nZ)
 
 
-def _jac1_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    X1, Y1, Z1 = p1
-    X2, Y2, Z2 = p2
-    Z1Z1 = Z1 * Z1 % P
-    Z2Z2 = Z2 * Z2 % P
-    U1 = X1 * Z2Z2 % P
-    U2 = X2 * Z1Z1 % P
-    S1 = Y1 * Z2 * Z2Z2 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    if U1 == U2:
-        if S1 == S2:
-            return _jac1_double(p1)
-        return None
-    H = U2 - U1
-    I = 4 * H * H % P
-    J = H * I % P
-    rr = 2 * (S2 - S1)
-    V = U1 * I % P
-    nX = (rr * rr - J - 2 * V) % P
-    nY = (rr * (V - nX) - 2 * S1 * J) % P
-    nZ = 2 * Z1 * Z2 * H % P
-    return (nX, nY, nZ)
-
-
-def _jac1_neg(pt):
-    return (pt[0], -pt[1] % P, pt[2])
-
-
-def _jac1_to_affine(pt):
+def _jac1_madd(pt, q):
+    """pt + q for Jacobian pt (None for the identity) and affine q:
+    madd-2007-bl, 7M + 4S against 11M + 5S for two Jacobian points."""
+    x2, y2 = q
     if pt is None:
-        return None
-    X, Y, Z = pt
-    zi = pow(Z, -1, P)
-    zi2 = zi * zi % P
-    return (X * zi2 % P, Y * zi2 * zi % P)
+        return (x2, y2, 1)
+    X1, Y1, Z1 = pt
+    Z1Z1 = Z1 * Z1 % P
+    H = (x2 * Z1Z1 - X1) % P
+    rr = 2 * (y2 * Z1 * Z1Z1 - Y1) % P
+    if H == 0:
+        return _jac1_double(pt) if rr == 0 else None
+    HH = H * H % P
+    J = 4 * H * HH % P
+    V = 4 * X1 * HH % P
+    nX = (rr * rr - J - 2 * V) % P
+    nY = (rr * (V - nX) - 2 * Y1 * J) % P
+    return (nX, nY, 2 * Z1 * H % P)
+
+
+def _jac1_to_affine(pts):
+    """The affine forms of Jacobian points, none the identity, with one
+    inversion in all."""
+    out = []
+    for (X, Y, _), zi in zip(pts, fq_batch_inv([pt[2] for pt in pts])):
+        zi2 = zi * zi % P
+        out.append((X * zi2 % P, Y * zi2 * zi % P))
+    return out
 
 
 def g1_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
-    return _interleaved_wnaf(pairs, lambda pt: (*pt, 1), _jac1_double, _jac1_add, _jac1_neg,
-                             _jac1_to_affine)
+    return _jacobian_multi_exp(pairs, _jac1_double, _jac1_madd, g1_neg, _jac1_to_affine)
 
 
 def g1_mul(pt, k):
@@ -317,116 +334,140 @@ def g2_add(p1, p2):
     return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
 
 
-# Jacobian coordinates over Fp2 for inversion-free scalar multiplication.
+# Jacobian coordinates over Fp2, flat: (X0, X1, Y0, Y1, Z0, Z1) stands for
+# X = X0 + X1*u and so on. The group law works on the integer components,
+# with u^2 = -1 written out and one reduction per output coefficient, not
+# through fq2_mul and a tuple per intermediate.
 
 def _jac2_double(pt):
-    X, Y, Z = pt
-    A = fq2_sqr(X)
-    Bv = fq2_sqr(Y)
-    C = fq2_sqr(Bv)
-    D = fq2_scale(fq2_sub(fq2_sub(fq2_sqr(fq2_add(X, Bv)), A), C), 2)
-    E = fq2_scale(A, 3)
-    F = fq2_sqr(E)
-    nX = fq2_sub(F, fq2_scale(D, 2))
-    nY = fq2_sub(fq2_mul(E, fq2_sub(D, nX)), fq2_scale(C, 8))
-    nZ = fq2_scale(fq2_mul(Y, Z), 2)
-    return None if nZ == FQ2_ZERO else (nX, nY, nZ)
+    X0, X1, Y0, Y1, Z0, Z1 = pt
+    A0, A1 = (X0 + X1) * (X0 - X1) % P, 2 * X0 * X1 % P  # A = X^2
+    B0, B1 = (Y0 + Y1) * (Y0 - Y1) % P, 2 * Y0 * Y1 % P  # B = Y^2
+    C0, C1 = (B0 + B1) * (B0 - B1), 2 * B0 * B1  # C = B^2, unreduced
+    D0 = 4 * (X0 * B0 - X1 * B1) % P  # D = 2((X + B)^2 - A - C) = 4XB
+    D1 = 4 * (X0 * B1 + X1 * B0) % P
+    E0, E1 = 3 * A0, 3 * A1
+    nX0 = ((E0 + E1) * (E0 - E1) - 2 * D0) % P
+    nX1 = (2 * E0 * E1 - 2 * D1) % P
+    T0, T1 = D0 - nX0, D1 - nX1
+    nY0 = (E0 * T0 - E1 * T1 - 8 * C0) % P
+    nY1 = (E0 * T1 + E1 * T0 - 8 * C1) % P
+    nZ0 = 2 * (Y0 * Z0 - Y1 * Z1) % P
+    nZ1 = 2 * (Y0 * Z1 + Y1 * Z0) % P
+    return None if nZ0 == nZ1 == 0 else (nX0, nX1, nY0, nY1, nZ0, nZ1)
 
 
-def _jac2_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    X1, Y1, Z1 = p1
-    X2, Y2, Z2 = p2
-    Z1Z1 = fq2_sqr(Z1)
-    Z2Z2 = fq2_sqr(Z2)
-    U1 = fq2_mul(X1, Z2Z2)
-    U2 = fq2_mul(X2, Z1Z1)
-    S1 = fq2_mul(fq2_mul(Y1, Z2), Z2Z2)
-    S2 = fq2_mul(fq2_mul(Y2, Z1), Z1Z1)
-    if U1 == U2:
-        if S1 == S2:
-            return _jac2_double(p1)
-        return None
-    H = fq2_sub(U2, U1)
-    I = fq2_sqr(fq2_scale(H, 2))
-    J = fq2_mul(H, I)
-    rr = fq2_scale(fq2_sub(S2, S1), 2)
-    V = fq2_mul(U1, I)
-    nX = fq2_sub(fq2_sub(fq2_sqr(rr), J), fq2_scale(V, 2))
-    nY = fq2_sub(fq2_mul(rr, fq2_sub(V, nX)), fq2_scale(fq2_mul(S1, J), 2))
-    nZ = fq2_mul(fq2_sub(fq2_sub(fq2_sqr(fq2_add(Z1, Z2)), Z1Z1), Z2Z2), H)
-    return (nX, nY, nZ)
-
-
-def _jac2_neg(pt):
-    return (pt[0], fq2_neg(pt[1]), pt[2])
-
-
-def _jac2_to_affine(pt):
+def _jac2_madd(pt, q):
+    """pt + q for flat Jacobian pt (None for the identity) and affine q:
+    madd-2007-bl, as :func:`_jac1_madd` over Fp2."""
+    (x0, x1), (y0, y1) = q
     if pt is None:
-        return None
-    X, Y, Z = pt
-    zi = fq2_inv(Z)
-    zi2 = fq2_sqr(zi)
-    return (fq2_mul(X, zi2), fq2_mul(Y, fq2_mul(zi2, zi)))
+        return (x0, x1, y0, y1, 1, 0)
+    X0, X1, Y0, Y1, Z0, Z1 = pt
+    ZZ0, ZZ1 = (Z0 + Z1) * (Z0 - Z1) % P, 2 * Z0 * Z1 % P  # Z^2
+    ZZZ0, ZZZ1 = (Z0 * ZZ0 - Z1 * ZZ1) % P, (Z0 * ZZ1 + Z1 * ZZ0) % P  # Z^3
+    H0 = (x0 * ZZ0 - x1 * ZZ1 - X0) % P  # H = x*Z^2 - X
+    H1 = (x0 * ZZ1 + x1 * ZZ0 - X1) % P
+    r0 = 2 * (y0 * ZZZ0 - y1 * ZZZ1 - Y0) % P  # r = 2(y*Z^3 - Y)
+    r1 = 2 * (y0 * ZZZ1 + y1 * ZZZ0 - Y1) % P
+    if H0 == H1 == 0:
+        return _jac2_double(pt) if r0 == r1 == 0 else None
+    HH0, HH1 = (H0 + H1) * (H0 - H1) % P, 2 * H0 * H1 % P
+    J0 = 4 * (H0 * HH0 - H1 * HH1) % P  # J = 4H^3
+    J1 = 4 * (H0 * HH1 + H1 * HH0) % P
+    V0 = 4 * (X0 * HH0 - X1 * HH1) % P  # V = 4X*H^2
+    V1 = 4 * (X0 * HH1 + X1 * HH0) % P
+    nX0 = ((r0 + r1) * (r0 - r1) - J0 - 2 * V0) % P
+    nX1 = (2 * r0 * r1 - J1 - 2 * V1) % P
+    T0, T1 = V0 - nX0, V1 - nX1
+    nY0 = (r0 * T0 - r1 * T1 - 2 * (Y0 * J0 - Y1 * J1)) % P
+    nY1 = (r0 * T1 + r1 * T0 - 2 * (Y0 * J1 + Y1 * J0)) % P
+    nZ0 = 2 * (Z0 * H0 - Z1 * H1) % P
+    nZ1 = 2 * (Z0 * H1 + Z1 * H0) % P
+    return (nX0, nX1, nY0, nY1, nZ0, nZ1)
 
 
-def _wnaf(k, w=4):
-    """Width-w non-adjacent form, least significant digit first."""
+def _jac2_to_affine(pts):
+    """The affine forms of flat Jacobian points, none the identity, with one
+    inversion in all."""
+    out = []
+    for pt, zi in zip(pts, fq2_batch_inv([pt[4:] for pt in pts])):
+        zi2 = fq2_sqr(zi)
+        out.append((fq2_mul(pt[0:2], zi2), fq2_mul(pt[2:4], fq2_mul(zi2, zi))))
+    return out
+
+
+def _wnaf(k):
+    """The nonzero digits of k's width-4 non-adjacent form, as (position,
+    digit) pairs from the least significant; every digit is odd, in -7..7."""
     digits = []
+    i = 0
     while k:
-        if k & 1:
-            d = k & ((1 << w) - 1)
-            if d >= 1 << (w - 1):
-                d -= 1 << w
-            k -= d
-            digits.append(d)
-        else:
-            digits.append(0)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        d = k & 15
+        if d > 7:
+            d -= 16
+        digits.append((i, d))
+        k -= d  # now a multiple of 16: the next three digits are zero
     return digits
 
 
-def _interleaved_wnaf(pairs, lift, double, add, neg, finish):
+def _interleaved_wnaf(pairs, odd_multiples, double, add, neg):
     """prod x_i^{k_i} in one group, exponents mod ORDER: every term's 4-NAF
     digits share one doubling chain (Moeller, "Algorithms for
-    multi-exponentiation", SAC 2001).
+    multi-exponentiation", SAC 2001). Returns the accumulator, None for the
+    identity.
 
-    The group is given by its working form: ``lift`` takes an element (never
-    None) into it, ``double``, ``add`` and ``neg`` are its group law, and
-    ``finish`` takes the result back, None standing for the identity."""
-    tables, naf_rows = [], []
-    for x, k in pairs:
-        k %= ORDER
-        if x is None or k == 0:
-            continue
-        base = lift(x)
-        twice = double(base)
-        table = [base]  # odd powers 1, 3, 5, 7 (wNAF digits up to +-7)
-        for _ in range(3):
-            table.append(add(table[-1], twice))
-        tables.append(table)
-        naf_rows.append(_wnaf(k))
-    length = max(map(len, naf_rows), default=0)
+    The group is given by its working form. ``odd_multiples`` maps the bases
+    (none the identity) to their tables [x, x^3, x^5, x^7]; ``neg`` negates
+    a table entry, so each table is extended once to its 8 signed digits.
+    ``double`` and ``add`` act on the accumulator, and ``add`` takes a table
+    entry as its second argument and None as the identity in its first."""
+    terms = [(x, k % ORDER) for x, k in pairs if x is not None]
+    terms = [(x, k) for x, k in terms if k]
+    tables = odd_multiples([x for x, _ in terms])
+    # entry d >> 1 of a signed table is the digit d's multiple, for d = +-1..7
+    signed = [table + [neg(e) for e in reversed(table)] for table in tables]
+    rows = [_wnaf(k) for _, k in terms]
+    adds = [[] for _ in range(max((row[-1][0] + 1 for row in rows), default=0))]
+    for table, row in zip(signed, rows):
+        for i, d in row:
+            adds[i].append(table[d >> 1])
     acc = None
-    for i in range(length - 1, -1, -1):
+    for entries in reversed(adds):
         if acc is not None:
             acc = double(acc)
-        for table, row in zip(tables, naf_rows):
-            if i < len(row) and row[i]:
-                d = row[i]
-                entry = table[d >> 1] if d > 0 else neg(table[(-d) >> 1])
-                acc = entry if acc is None else add(acc, entry)
-    return finish(acc)
+        for entry in entries:
+            acc = add(acc, entry)
+    return acc
+
+
+def _jacobian_multi_exp(pairs, double, madd, neg, to_affine):
+    """:func:`_interleaved_wnaf` in G1 or G2, given the group's Jacobian
+    doubling, mixed addition, affine negation and batch conversion to affine
+    form. The tables of odd multiples are affine: 3x = 2x + x, 5x = 4x + x
+    and 7x = 6x + x are built in Jacobian form and converted together, with
+    one inversion for all terms. The accumulator stays Jacobian, so every
+    addition is a mixed one (Cohen, Miyaji and Ono, ASIACRYPT 1998), and one
+    more inversion converts the result."""
+    def odd_multiples(bases):
+        jac = []
+        for x in bases:
+            x2 = double(madd(None, x))
+            x3 = madd(x2, x)
+            jac += (x3, madd(double(x2), x), madd(double(x3), x))
+        aff = to_affine(jac)
+        return [[x, *aff[3 * i:3 * i + 3]] for i, x in enumerate(bases)]
+
+    acc = _interleaved_wnaf(pairs, odd_multiples, double, madd, neg)
+    return None if acc is None else to_affine([acc])[0]
 
 
 def g2_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
-    return _interleaved_wnaf(pairs, lambda pt: (*pt, FQ2_ONE), _jac2_double, _jac2_add,
-                             _jac2_neg, _jac2_to_affine)
+    return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine)
 
 
 def g2_mul(pt, k):
@@ -460,26 +501,6 @@ def g2_frobenius_sq(pt):
 # (x', y') -> (x' w^2, y' w^3) a line at R' evaluated at P in G1 becomes
 #   yP - lam*xP*w + (lam*xR' - yR')*w^3
 # i.e. a sparse Fp12 element with coefficients at w^0 (Fp), w^1, w^3 (Fp2).
-
-
-def fq2_batch_inv(xs):
-    """[fq2_inv(x) for x in xs] with one inversion in Fp: 1/x = conj(x) / N(x)
-    with the norm N(a + bu) = a^2 + b^2, and the norms are inverted together
-    by Montgomery's trick (running products, one inverse, then back down)."""
-    norms = [(a * a + b * b) % P for a, b in xs]
-    prefix = []
-    acc = 1
-    for n in norms:
-        prefix.append(acc)
-        acc = acc * n % P
-    inv = pow(acc, -1, P)
-    out = [None] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        a, b = xs[i]
-        n_inv = inv * prefix[i] % P
-        inv = inv * norms[i] % P
-        out[i] = (a * n_inv % P, -b * n_inv % P)
-    return out
 
 
 def _fq6_mul_by_01(x, b0, b1):
@@ -637,10 +658,23 @@ def gt_pow(x, e):
     return _cyc_pow(x, e)
 
 
+def _gt_odd_multiples(xs):
+    """[x, x^3, x^5, x^7] for each x, from one cyclotomic squaring."""
+    tables = []
+    for x in xs:
+        twice = fq12_cyc_sqr(x)
+        table = [x]
+        for _ in range(3):
+            table.append(fq12_mul(table[-1], twice))
+        tables.append(table)
+    return tables
+
+
 def _cyc_pow(x, e):
     """x^(e mod ORDER) for cyclotomic x: the interleaved 4-NAF with
     cyclotomic squarings and the free conjugation inverse. The final
     exponentiation calls it directly with T_PARAM < ORDER, so traced
     ``gt_pow`` calls count G_T work only."""
-    return _interleaved_wnaf([(x, e)], lambda y: y, fq12_cyc_sqr, fq12_mul, fq12_conj,
-                             lambda acc: FQ12_ONE if acc is None else acc)
+    acc = _interleaved_wnaf([(x, e)], _gt_odd_multiples, fq12_cyc_sqr,
+                            lambda acc, y: y if acc is None else fq12_mul(acc, y), fq12_conj)
+    return FQ12_ONE if acc is None else acc

@@ -8,9 +8,10 @@ Witnesses are checked and discarded, and so is the key: a record holds the
 key id, the scheme, a "witness verified" flag and a timestamp, so a
 registry compromise leaks no key.
 
-The certification predicate produced here, a key-id lookup, is what the
-aggregate and multi-signature verifiers consult before any pairing is
-computed.
+The certification predicate produced here is what the aggregate and
+multi-signature verifiers consult before any pairing is computed. A key is
+certified only by a record with its key id, its scheme and the witness flag
+set; a record loaded from a file that says otherwise certifies nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ def _reconstruct(params, witness: pks.PrivateKey):
                                    c_u=witness.c_u, c_h=witness.c_h)[0]
 
 
+def _certifies(record: CertRecord | None, pk) -> bool:
+    return record is not None and record.witness_verified and record.variant == pk.variant
+
+
 class CertRegistry:
     """Append-only certification list; concurrent reads, exclusive writes."""
 
@@ -68,7 +73,8 @@ class CertRegistry:
 
     def register(self, params, pk, witness: pks.PrivateKey) -> CertRecord:
         """Certify ``pk`` after reconstructing it from the witness; a key
-        already certified keeps its record."""
+        already certified keeps its record, and a record of its id that does
+        not certify it is replaced."""
         if pk.variant != witness.variant:
             raise RegistrationError("witness scheme does not match the public key")
         kid = pks.key_id(pk)
@@ -76,17 +82,20 @@ class CertRegistry:
             raise RegistrationError("witness does not reproduce the submitted key")
         record = CertRecord(kid, pk.variant, True, int(time.time()))
         with self._lock:
-            return self._records.setdefault(kid, record)
+            if not _certifies(self._records.get(kid), pk):
+                self._records[kid] = record
+            return self._records[kid]
 
     def is_certified(self, pk) -> bool:
+        kid = pks.key_id(pk)
         with self._lock:
-            return pks.key_id(pk) in self._records
+            return _certifies(self._records.get(kid), pk)
 
     def predicate(self):
         """A consistent-snapshot certification predicate for verifiers."""
         with self._lock:
-            snapshot = frozenset(self._records)
-        return lambda pk: pks.key_id(pk) in snapshot
+            snapshot = dict(self._records)
+        return lambda pk: _certifies(snapshot.get(pks.key_id(pk)), pk)
 
     # -- persistence -------------------------------------------------------
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seqsig import bn254 as b
+from seqsig.groups import Bn254Backend
 
 rng = random.Random(20240817)
 
@@ -20,12 +21,35 @@ def naive_g1_mul(pt, k):
 
 
 def naive_g2_mul(pt, k):
+    return naive_g2_ladder(pt, k % b.ORDER)
+
+
+def naive_g2_ladder(pt, k):
+    """Affine double-and-add with k as given, not reduced mod ORDER, so it
+    also multiplies twist points outside G2 correctly."""
     acc = None
-    for bit in bin(k % b.ORDER)[2:]:
+    for bit in bin(k)[2:]:
         acc = b.g2_add(acc, acc)
         if bit == "1":
             acc = b.g2_add(acc, pt)
     return acc
+
+
+def twist_point_of_order_10069():
+    """[(2p - r) r / 10069]Q for the first twist point Q = ((i, 1), y) whose
+    result is not the identity: the twist has order r(2p - r), and 10069
+    divides the cofactor 2p - r."""
+    cofactor = 2 * b.P - b.ORDER
+    assert cofactor % 10069 == 0
+    for i in range(1, 100):
+        x = (i, 1)
+        y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
+        if y is not None:
+            t = naive_g2_ladder((x, y), cofactor // 10069 * b.ORDER)
+            if t is not None:
+                assert naive_g2_ladder(t, 10069) is None
+                return t
+    raise AssertionError("no twist point of order 10069 found")
 
 
 def naive_fq12_pow(x, e):
@@ -215,6 +239,43 @@ class TestGroups:
         assert multi_exp([(pt, k), (neg(pt), k)]) is None
         assert multi_exp([(pt, k), (neg(pt), k), (gen, 7)]) == naive(gen, 7)
 
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_mixed_add_of_equal_and_opposite_points(self, group):
+        """The mixed add's H = 0 branches, met with a Jacobian point whose Z
+        is not 1: an equal affine point doubles it, its negation cancels it."""
+        gen, neg, naive, double, madd, to_affine = {
+            "g1": (b.G1_GEN, b.g1_neg, naive_g1_mul, b._jac1_double, b._jac1_madd,
+                   b._jac1_to_affine),
+            "g2": (b.G2_GEN, b.g2_neg, naive_g2_mul, b._jac2_double, b._jac2_madd,
+                   b._jac2_to_affine),
+        }[group]
+        pt = naive(gen, 999)
+        twice = double(madd(None, pt))
+        twice_affine = to_affine([twice])[0]
+        assert twice_affine == naive(pt, 2)
+        assert to_affine([madd(twice, twice_affine)])[0] == naive(pt, 4)
+        assert madd(twice, neg(twice_affine)) is None
+
+    @pytest.mark.parametrize("k", [1, 2, b.ORDER - 1], ids=["1", "2", "ORDER-1"])
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_one_term_multi_exp_edges(self, group, k):
+        gen, multi_exp, naive = {
+            "g1": (b.G1_GEN, b.g1_multi_exp, naive_g1_mul),
+            "g2": (b.G2_GEN, b.g2_multi_exp, naive_g2_mul),
+        }[group]
+        pt = naive(gen, 4242)
+        assert multi_exp([(pt, k)]) == naive(pt, k)
+
+    def test_g2_multi_exp_on_a_twist_point_of_order_10069(self):
+        """Points on the twist outside G2, which a subgroup check must take:
+        the exponent is reduced mod ORDER, then multiplied exactly."""
+        t = twist_point_of_order_10069()
+        for k in (1, 2, 10068, 10069, 10070, b.ORDER - 1, b.ORDER + 3, rng.randrange(b.ORDER)):
+            assert b.g2_mul(t, k) == naive_g2_ladder(t, k % b.ORDER)
+        k1, k2 = rng.randrange(b.ORDER), rng.randrange(b.ORDER)
+        want = b.g2_add(naive_g2_ladder(t, k1), naive_g2_mul(b.G2_GEN, k2))
+        assert b.g2_multi_exp([(t, k1), (b.G2_GEN, k2)]) == want
+
     def test_g1_add_mul_consistency(self):
         p5 = b.g1_mul(b.G1_GEN, 5)
         p7 = b.g1_mul(b.G1_GEN, 7)
@@ -320,7 +381,12 @@ E3 = 0x2563c310283b73a66c2ea417b99de255f386825473b7a490f23b2cc4b4174a67
 
 def count_field_ops(fn, *args):
     """Calls of each of FIELD_OPS made by fn(*args), with bn254's own names counted."""
-    counts = dict.fromkeys(FIELD_OPS, 0)
+    return count_calls(FIELD_OPS, fn, *args)
+
+
+def count_calls(names, fn, *args):
+    """Calls of each of bn254's functions ``names`` made by fn(*args)."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, op):
         def wrapper(*a):
@@ -329,7 +395,7 @@ def count_field_ops(fn, *args):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in FIELD_OPS:
+        for name in names:
             mp.setattr(b, name, counted(name, getattr(b, name)))
         fn(*args)
     return counts
@@ -351,7 +417,22 @@ class TestArithmeticCost:
         assert count_field_ops(b.gt_pow, g, E1) == {
             "fq2_mul": 918, "fq2_sqr": 2277, "fq2_inv": 0, "fq12_mul": 51, "fq12_cyc_sqr": 253}
 
-    def test_three_term_g2_multi_exp(self):
-        pts = [b.G2_GEN, b.g2_mul(b.G2_GEN, 2), b.g2_mul(b.G2_GEN, 3)]
-        assert count_field_ops(b.g2_multi_exp, list(zip(pts, (E1, E2, E3)))) == {
-            "fq2_mul": 2295, "fq2_sqr": 2086, "fq2_inv": 1, "fq12_mul": 0, "fq12_cyc_sqr": 0}
+    @pytest.mark.parametrize("group, n, want", [
+        pytest.param(g, n, want, id=f"{g}-{n}")
+        for g in ("g1", "g2") for n, want in ((3, (261, 166, 2)), (20, (314, 1097, 2)))
+    ])
+    def test_multi_exp_group_law(self, group, n, want):
+        """Doublings, mixed additions and batch inversions of an n-term MSM
+        with fixed exponents. Each term's affine table takes 3 doublings and
+        4 mixed additions (x lifted, then 3x, 5x and 7x); the chain takes a
+        doubling per 4-NAF position below the top one and a mixed addition
+        per nonzero digit; one batch inversion normalises every table and
+        one the result. G1 and G2 share the routine, so their counts agree."""
+        gen, multi_exp, mul = {"g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul),
+                               "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul)}[group]
+        pts = [mul(gen, i + 1) for i in range(n)]
+        draw = random.Random(n).randrange
+        ks = [E1, E2, E3] if n == 3 else [draw(b.ORDER) for _ in range(n)]
+        ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
+        got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(pts, ks)))
+        assert tuple(got.values()) == want

@@ -445,3 +445,22 @@ def test_version_1_registry_exits_two(key_files, tmp_path, capsys):
     _one_malformed_line(capsys, f"agg-verify --scheme sas2 --params {d}/sas2.prm"
                                 f" --agg {d}/sas2.agg --keys {d}/sas2.pub"
                                 f" --registry {registry}".split())
+
+
+@pytest.mark.parametrize("offset, value", [(33, 0), (32, envelopes.SCHEME_BYTE["ms"])],
+                         ids=["witness-flag-0", "sas2-relabelled-ms"])
+def test_record_that_does_not_vouch_for_the_key_is_uncertified(key_files, tmp_path, capsys,
+                                                              offset, value):
+    registry = tmp_path / "reg.bin"
+    d = key_files
+    assert main(list(det(*f"register --params {d}/sas2.prm --pub {d}/sas2.pub"
+                           f" --priv {d}/sas2.key --registry {registry}".split()))) == 0
+    capsys.readouterr()
+    blob = bytearray(registry.read_bytes())
+    header = len(envelopes._header(envelopes.MAGIC_REGISTRY, suite_generate("mock", 10007)))
+    blob[header + 4 + offset] = value  # the only record's flag or scheme byte
+    registry.write_bytes(bytes(blob))
+    code, fields = run(capsys, *det(*f"agg-verify --scheme sas2 --params {d}/sas2.prm"
+                                     f" --agg {d}/sas2.agg --keys {d}/sas2.pub"
+                                     f" --registry {registry}".split()))
+    assert code == 1 and fields["result"] == ["invalid"] and fields["reason"] == ["uncertified"]

@@ -178,6 +178,29 @@ class TestPersistence:
         with pytest.raises(MalformedEncodingError):
             keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
 
+    @pytest.mark.parametrize("offset, value", [(33, 0), (32, envelopes.SCHEME_BYTE["ms"])],
+                             ids=["witness-flag-0", "sas2-relabelled-ms"])
+    def test_record_that_does_not_vouch_for_the_key_does_not_certify(
+            self, mock_suite, rng, offset, value):
+        reg, pubs = self._populated(mock_suite, rng)
+        data = bytearray(reg.save_bytes())
+        data[self._first_record_offset(mock_suite) + offset] = value
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        certified = loaded.predicate()
+        assert loaded.is_certified(pubs[0]) is False and certified(pubs[0]) is False
+        assert all(loaded.is_certified(pub) and certified(pub) for pub in pubs[1:])
+
+    def test_registering_replaces_a_record_that_does_not_certify(self, mock_suite, sas2_setup):
+        params, pub, priv = sas2_setup
+        reg = keyreg.CertRegistry(mock_suite)
+        reg.register(params, pub, keyreg.witness_from_private("sas2", priv))
+        data = bytearray(reg.save_bytes())
+        data[self._first_record_offset(mock_suite) + 33] = 0
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, bytes(data))
+        record = loaded.register(params, pub, keyreg.witness_from_private("sas2", priv))
+        assert record.witness_verified and loaded.records() == [record]
+        assert loaded.is_certified(pub)
+
     def test_version_1_registry_rejected(self, mock_suite, rng):
         """A registry of the first format, whose records also carry the key."""
         reg, pubs = self._populated(mock_suite, rng)
