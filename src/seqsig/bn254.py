@@ -11,6 +11,13 @@ G1 and G2 the tables of odd multiples are affine, batch-normalised with one
 inversion, and the accumulator is Jacobian, so every addition is a mixed
 one. The G2 group law works on flat Fp2 integer components, not through
 ``fq2_mul``.
+
+The pairing's tower arithmetic works on integer components the same way:
+the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
+squaring and the Miller step's G2 side keep products unreduced and reduce
+each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
+Gebotys and Lopez, EUROCRYPT 2011). Fp12 values cross every function
+boundary as nested tower tuples.
 """
 
 from __future__ import annotations
@@ -124,10 +131,6 @@ FQ6_ZERO = (FQ2_ZERO, FQ2_ZERO, FQ2_ZERO)
 FQ6_ONE = (FQ2_ONE, FQ2_ZERO, FQ2_ZERO)
 
 
-def fq6_add(x, y):
-    return (fq2_add(x[0], y[0]), fq2_add(x[1], y[1]), fq2_add(x[2], y[2]))
-
-
 def fq6_sub(x, y):
     return (fq2_sub(x[0], y[0]), fq2_sub(x[1], y[1]), fq2_sub(x[2], y[2]))
 
@@ -136,16 +139,29 @@ def fq6_neg(x):
     return (fq2_neg(x[0]), fq2_neg(x[1]), fq2_neg(x[2]))
 
 
+def _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """The Fp6 product of (a0 + a1*u) + (a2 + a3*u)*v + (a4 + a5*u)*v^2 and
+    the same in b, as six unreduced ints in that order: Karatsuba over Fp2
+    (six Fp2 products), with u^2 = -1 and v^3 = 9 + u written out. The
+    inputs may be unreduced sums, so callers reduce each output once."""
+    t0r, t0i = a0 * b0 - a1 * b1, a0 * b1 + a1 * b0  # a_0 b_0
+    t1r, t1i = a2 * b2 - a3 * b3, a2 * b3 + a3 * b2  # a_1 b_1
+    t2r, t2i = a4 * b4 - a5 * b5, a4 * b5 + a5 * b4  # a_2 b_2
+    x, y, z, w = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    sr, si = x * z - y * w - t1r - t2r, x * w + y * z - t1i - t2i  # a_1 b_2 + a_2 b_1
+    x, y, z, w = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    ur, ui = x * z - y * w - t0r - t1r, x * w + y * z - t0i - t1i  # a_0 b_1 + a_1 b_0
+    x, y, z, w = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    return (t0r + 9 * sr - si, t0i + sr + 9 * si,
+            ur + 9 * t2r - t2i, ui + t2r + 9 * t2i,
+            x * z - y * w - t0r - t2r + t1r, x * w + y * z - t0i - t2i + t1i)
+
+
 def fq6_mul(x, y):
-    a0, a1, a2 = x
-    b0, b1, b2 = y
-    t0 = fq2_mul(a0, b0)
-    t1 = fq2_mul(a1, b1)
-    t2 = fq2_mul(a2, b2)
-    c0 = fq2_add(t0, fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), fq2_add(b1, b2)), fq2_add(t1, t2))))
-    c1 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(b0, b1)), fq2_add(t0, t1)), fq2_mul_xi(t2))
-    c2 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), fq2_add(b0, b2)), fq2_add(t0, t2)), t1)
-    return (c0, c1, c2)
+    (a0, a1), (a2, a3), (a4, a5) = x
+    (b0, b1), (b2, b3), (b4, b5) = y
+    c0, c1, c2, c3, c4, c5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
 def fq6_sqr(x):
@@ -173,21 +189,38 @@ FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
 
 
 def fq12_mul(x, y):
-    a0, a1 = x
-    b0, b1 = y
-    t0 = fq6_mul(a0, b0)
-    t1 = fq6_mul(a1, b1)
-    c0 = fq6_add(t0, fq6_mul_by_v(t1))
-    c1 = fq6_sub(fq6_sub(fq6_mul(fq6_add(a0, a1), fq6_add(b0, b1)), t0), t1)
-    return (c0, c1)
+    """Karatsuba over Fp6: three unreduced Fp6 products, w^2 = v written
+    out, one reduction per output coefficient."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = x
+    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = y
+    t0, t1, t2, t3, t4, t5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    s0, s1, s2, s3, s4, s5 = _fq6_mul_unreduced(a6, a7, a8, a9, a10, a11,
+                                                b6, b7, b8, b9, b10, b11)
+    u0, u1, u2, u3, u4, u5 = _fq6_mul_unreduced(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11)
+    # c0 = t + v*s, c1 = u - t - s
+    return ((((t0 + 9 * s4 - s5) % P, (t1 + s4 + 9 * s5) % P),
+             ((t2 + s0) % P, (t3 + s1) % P),
+             ((t4 + s2) % P, (t5 + s3) % P)),
+            (((u0 - t0 - s0) % P, (u1 - t1 - s1) % P),
+             ((u2 - t2 - s2) % P, (u3 - t3 - s3) % P),
+             ((u4 - t4 - s4) % P, (u5 - t5 - s5) % P)))
 
 
 def fq12_sqr(x):
-    a0, a1 = x
-    t = fq6_mul(a0, a1)
-    c0 = fq6_sub(fq6_sub(fq6_mul(fq6_add(a0, a1), fq6_add(a0, fq6_mul_by_v(a1))), t), fq6_mul_by_v(t))
-    c1 = fq6_add(t, t)
-    return (c0, c1)
+    """(a + b*w)^2 = ((a + b)(a + v*b) - t - v*t) + 2t*w with t = a*b: two
+    unreduced Fp6 products, one reduction per output coefficient."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = x
+    t0, t1, t2, t3, t4, t5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5,
+                                                a6, a7, a8, a9, a10, a11)
+    u0, u1, u2, u3, u4, u5 = _fq6_mul_unreduced(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        a0 + 9 * a10 - a11, a1 + a10 + 9 * a11, a2 + a6, a3 + a7, a4 + a8, a5 + a9)
+    return ((((u0 - t0 - 9 * t4 + t5) % P, (u1 - t1 - t4 - 9 * t5) % P),
+             ((u2 - t2 - t0) % P, (u3 - t3 - t1) % P),
+             ((u4 - t4 - t2) % P, (u5 - t5 - t3) % P)),
+            ((2 * t0 % P, 2 * t1 % P), (2 * t2 % P, 2 * t3 % P), (2 * t4 % P, 2 * t5 % P)))
 
 
 def fq12_conj(x):
@@ -216,6 +249,14 @@ def fq12_frobenius(x, k):
         bs = [fq2_conj(b) for b in bs]
     bs = [fq2_mul(b, coeffs[i]) for i, b in enumerate(bs)]
     return ((bs[0], bs[2], bs[4]), (bs[1], bs[3], bs[5]))
+
+
+def fq12_is_cyclotomic(x):
+    """x is nonzero and x^(p^4) * x == x^(p^2), so x^(p^4 - p^2 + 1) = 1:
+    x lies in the cyclotomic subgroup, which holds G_T and is where
+    :func:`fq12_cyc_sqr` is valid. x^(p^4) is two p^2 Frobenius maps."""
+    x2 = fq12_frobenius(x, 2)
+    return x != (FQ6_ZERO, FQ6_ZERO) and fq12_mul(fq12_frobenius(x2, 2), x) == x2
 
 
 # ---------------------------------------------------------------------------
@@ -503,57 +544,75 @@ def g2_frobenius_sq(pt):
 # i.e. a sparse Fp12 element with coefficients at w^0 (Fp), w^1, w^3 (Fp2).
 
 
-def _fq6_mul_by_01(x, b0, b1):
-    """x * (b0 + b1*v): the Fp6 product with a zero v^2 coefficient, 5 fq2_mul."""
-    a0, a1, a2 = x
-    t0 = fq2_mul(a0, b0)
-    t1 = fq2_mul(a1, b1)
-    c0 = fq2_add(t0, fq2_mul_xi(fq2_sub(fq2_mul(fq2_add(a1, a2), b1), t1)))
-    c1 = fq2_sub(fq2_sub(fq2_mul(fq2_add(a0, a1), fq2_add(b0, b1)), t0), t1)
-    c2 = fq2_add(fq2_sub(fq2_mul(fq2_add(a0, a2), b0), t0), t1)
-    return (c0, c1, c2)
-
-
-def _fq6_scale(x, k):
-    return (fq2_scale(x[0], k), fq2_scale(x[1], k), fq2_scale(x[2], k))
-
-
 def _mul_line(f, a, b, c):
     """f * (a + b*w + c*w^3) with a in Fp: in the tower the line is
-    (a, 0, 0) + (b, c, 0)*w, so the product takes two sparse Fp6 products
-    and Fp scalings instead of a dense fq12_mul."""
-    f0, f1 = f
-    return (fq6_add(_fq6_scale(f0, a), fq6_mul_by_v(_fq6_mul_by_01(f1, b, c))),
-            fq6_add(_fq6_mul_by_01(f0, b, c), _fq6_scale(f1, a)))
+    (a, 0, 0) + (b + c*v)*w, so for f = F + G*w the product is
+    (a*F + v*G*(b + c*v)) + (F*(b + c*v) + a*G)*w. Both sparse Fp6 products
+    are written out on the integer components, one reduction per output
+    coefficient."""
+    ((f0, f1), (f2, f3), (f4, f5)), ((g0, g1), (g2, g3), (g4, g5)) = f
+    b0, b1 = b
+    c0, c1 = c
+    # F*(b + c*v) = (F_0 b + XI F_2 c) + (F_0 c + F_1 b) v + (F_1 c + F_2 b) v^2
+    pr, pi = f4 * c0 - f5 * c1, f4 * c1 + f5 * c0
+    e0r, e0i = f0 * b0 - f1 * b1 + 9 * pr - pi, f0 * b1 + f1 * b0 + pr + 9 * pi
+    e1r = f0 * c0 - f1 * c1 + f2 * b0 - f3 * b1
+    e1i = f0 * c1 + f1 * c0 + f2 * b1 + f3 * b0
+    e2r = f2 * c0 - f3 * c1 + f4 * b0 - f5 * b1
+    e2i = f2 * c1 + f3 * c0 + f4 * b1 + f5 * b0
+    # G*(b + c*v), the same way
+    pr, pi = g4 * c0 - g5 * c1, g4 * c1 + g5 * c0
+    h0r, h0i = g0 * b0 - g1 * b1 + 9 * pr - pi, g0 * b1 + g1 * b0 + pr + 9 * pi
+    h1r = g0 * c0 - g1 * c1 + g2 * b0 - g3 * b1
+    h1i = g0 * c1 + g1 * c0 + g2 * b1 + g3 * b0
+    h2r = g2 * c0 - g3 * c1 + g4 * b0 - g5 * b1
+    h2i = g2 * c1 + g3 * c0 + g4 * b1 + g5 * b0
+    return ((((a * f0 + 9 * h2r - h2i) % P, (a * f1 + h2r + 9 * h2i) % P),
+             ((a * f2 + h0r) % P, (a * f3 + h0i) % P),
+             ((a * f4 + h1r) % P, (a * f5 + h1i) % P)),
+            (((e0r + a * g0) % P, (e0i + a * g1) % P),
+             ((e1r + a * g2) % P, (e1i + a * g3) % P),
+             ((e2r + a * g4) % P, (e2i + a * g5) % P)))
 
 
 def _miller_step(f, rs, addends, ps):
     """f times the line through each R_i and its addend at P_i; R_i becomes
     R_i + addend. ``addends`` may be ``rs`` itself: that is the doubling step.
 
-    Every slope's denominator is inverted in one :func:`fq2_batch_inv`.
-    Where R_i = -addend the line is the vertical xP - xR'*w^2, which lies in
-    Fp6; the easy part of the final exponentiation (the power p^6 - 1) sends
-    every nonzero Fp6 element to 1, so that line is left out, and R_i
-    becomes None, the identity."""
-    slopes = []  # (numerator, denominator), or None for a vertical line
+    The G2 side works on the integer components. Every slope n/d is taken
+    as n*conj(d)/N(d), with all the norms N(d) = d0^2 + d1^2 inverted in one
+    :func:`fq_batch_inv`. Where R_i = -addend the line is the vertical
+    xP - xR'*w^2, which lies in Fp6; the easy part of the final
+    exponentiation (the power p^6 - 1) sends every nonzero Fp6 element to 1,
+    so that line is left out, and R_i becomes None, the identity."""
+    slopes = []  # (n0, n1, d0, d1) of the slope n/d, or None for a vertical line
     for r, q in zip(rs, addends):
-        if r[0] != q[0]:
-            slopes.append((fq2_sub(q[1], r[1]), fq2_sub(q[0], r[0])))
-        elif r[1] == q[1]:
-            slopes.append((fq2_scale(fq2_sqr(r[0]), 3), fq2_scale(r[1], 2)))
+        (xr0, xr1), (yr0, yr1) = r
+        (xq0, xq1), (yq0, yq1) = q
+        if xr0 != xq0 or xr1 != xq1:
+            slopes.append((yq0 - yr0, yq1 - yr1, xq0 - xr0, xq1 - xr1))
+        elif yr0 == yq0 and yr1 == yq1:  # 3x^2 / 2y
+            slopes.append((3 * (xr0 + xr1) * (xr0 - xr1) % P, 6 * xr0 * xr1 % P,
+                           2 * yr0, 2 * yr1))
         else:
             slopes.append(None)
-    invs = iter(fq2_batch_inv([s[1] for s in slopes if s is not None]))
+    invs = iter(fq_batch_inv([(s[2] * s[2] + s[3] * s[3]) % P for s in slopes if s is not None]))
     for i, (r, q, p, s) in enumerate(zip(rs, addends, ps, slopes)):
         if s is None:
             rs[i] = None
             continue
-        lam = fq2_mul(s[0], next(invs))
-        xr, yr = r
-        x3 = fq2_sub(fq2_sub(fq2_sqr(lam), xr), q[0])
-        rs[i] = (x3, fq2_sub(fq2_mul(lam, fq2_sub(xr, x3)), yr))
-        f = _mul_line(f, p[1], fq2_scale(lam, -p[0] % P), fq2_sub(fq2_mul(lam, xr), yr))
+        n0, n1, d0, d1 = s
+        k = next(invs)
+        l0 = (n0 * d0 + n1 * d1) % P * k % P
+        l1 = (n1 * d0 - n0 * d1) % P * k % P
+        (xr0, xr1), (yr0, yr1) = r
+        x0 = ((l0 + l1) * (l0 - l1) - xr0 - q[0][0]) % P
+        x1 = (2 * l0 * l1 - xr1 - q[0][1]) % P
+        t0, t1 = xr0 - x0, xr1 - x1
+        rs[i] = ((x0, x1), ((l0 * t0 - l1 * t1 - yr0) % P, (l0 * t1 + l1 * t0 - yr1) % P))
+        xp, yp = p
+        f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P),
+                      ((l0 * xr0 - l1 * xr1 - yr0) % P, (l0 * xr1 + l1 * xr0 - yr1) % P))
     return f
 
 
@@ -626,31 +685,32 @@ def gt_inv(x):
     return fq12_conj(x)
 
 
-def _fq4_sqr(a, b):
-    # (a + b*s)^2 with s^2 = v: returns (a^2 + XI*b^2, (a+b)^2 - a^2 - b^2)
-    t0 = fq2_sqr(a)
-    t1 = fq2_sqr(b)
-    return (
-        fq2_add(fq2_mul_xi(t1), t0),
-        fq2_sub(fq2_sub(fq2_sqr(fq2_add(a, b)), t0), t1),
-    )
-
-
 def fq12_cyc_sqr(x):
     """Granger-Scott squaring, valid only in the cyclotomic subgroup
-    (which contains every pairing output and hence all of G_T)."""
-    (z0, z4, z3), (z2, z1, z5) = x
-    t0, t1 = _fq4_sqr(z0, z1)
-    z0 = fq2_add(fq2_scale(fq2_sub(t0, z0), 2), t0)
-    z1 = fq2_add(fq2_scale(fq2_add(t1, z1), 2), t1)
-    t0, t1 = _fq4_sqr(z2, z3)
-    t2, t3 = _fq4_sqr(z4, z5)
-    z4 = fq2_add(fq2_scale(fq2_sub(t0, z4), 2), t0)
-    z5 = fq2_add(fq2_scale(fq2_add(t1, z5), 2), t1)
-    t0 = fq2_mul_xi(t3)
-    z2 = fq2_add(fq2_scale(fq2_add(t0, z2), 2), t0)
-    z3 = fq2_add(fq2_scale(fq2_sub(t2, z3), 2), t2)
-    return ((z0, z4, z3), (z2, z1, z5))
+    (which contains every pairing output and hence all of G_T). Over
+    Fp4 = Fp2[s] / (s^2 - v) each pair (z0, z1), (z2, z3), (z4, z5) squares
+    as (a + b*s)^2 = (a^2 + XI*b^2) + 2ab*s; the results combine as
+    3t - 2z and 3t + 2z, one reduction per output coefficient."""
+    ((z0r, z0i), (z4r, z4i), (z3r, z3i)), ((z2r, z2i), (z1r, z1i), (z5r, z5i)) = x
+    sr, si = (z1r + z1i) * (z1r - z1i), 2 * z1r * z1i  # z1^2
+    t0r = (z0r + z0i) * (z0r - z0i) + 9 * sr - si  # z0^2 + XI z1^2
+    t0i = 2 * z0r * z0i + sr + 9 * si
+    t1r, t1i = 2 * (z0r * z1r - z0i * z1i), 2 * (z0r * z1i + z0i * z1r)  # 2 z0 z1
+    sr, si = (z3r + z3i) * (z3r - z3i), 2 * z3r * z3i
+    t2r = (z2r + z2i) * (z2r - z2i) + 9 * sr - si  # z2^2 + XI z3^2
+    t2i = 2 * z2r * z2i + sr + 9 * si
+    t3r, t3i = 2 * (z2r * z3r - z2i * z3i), 2 * (z2r * z3i + z2i * z3r)  # 2 z2 z3
+    sr, si = (z5r + z5i) * (z5r - z5i), 2 * z5r * z5i
+    t4r = (z4r + z4i) * (z4r - z4i) + 9 * sr - si  # z4^2 + XI z5^2
+    t4i = 2 * z4r * z4i + sr + 9 * si
+    t5r, t5i = 2 * (z4r * z5r - z4i * z5i), 2 * (z4r * z5i + z4i * z5r)  # 2 z4 z5
+    t5r, t5i = 9 * t5r - t5i, t5r + 9 * t5i  # XI * 2 z4 z5
+    return ((((3 * t0r - 2 * z0r) % P, (3 * t0i - 2 * z0i) % P),
+             ((3 * t2r - 2 * z4r) % P, (3 * t2i - 2 * z4i) % P),
+             ((3 * t4r - 2 * z3r) % P, (3 * t4i - 2 * z3i) % P)),
+            (((3 * t5r + 2 * z2r) % P, (3 * t5i + 2 * z2i) % P),
+             ((3 * t1r + 2 * z1r) % P, (3 * t1i + 2 * z1i) % P),
+             ((3 * t3r + 2 * z5r) % P, (3 * t3i + 2 * z5i) % P)))
 
 
 def gt_pow(x, e):

@@ -229,8 +229,9 @@ class Bn254Backend:
             ((coeffs[0], coeffs[1]), (coeffs[2], coeffs[3]), (coeffs[4], coeffs[5])),
             ((coeffs[6], coeffs[7]), (coeffs[8], coeffs[9]), (coeffs[10], coeffs[11])),
         )
-        if bn254.gt_pow(h, bn254.ORDER) != bn254.FQ12_ONE:
-            raise SubgroupMembershipError("GT element is outside the order-r subgroup")
+        # cyclotomic, not yet order r: a cyclotomic element outside G_T still decodes
+        if not bn254.fq12_is_cyclotomic(h):
+            raise SubgroupMembershipError("GT element is outside the cyclotomic subgroup")
         return h
 
     def encoded_size(self, kind):

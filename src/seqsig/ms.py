@@ -7,14 +7,15 @@ Verification of a combined signature costs the same six pairings as an
 individual one.
 
 Duplicate public keys in the verification list are accepted: nothing in
-the combining algebra forbids them, and rogue-key concerns are the
-certification registry's job, not the verifier's.
+the combining algebra forbids them. Rogue keys are the certification
+registry's job: the verifiers and ``ms_combine`` take its predicate as
+``certified=`` and refuse an uncertified key before any pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import CrossSuiteError, InvalidAggregateError
 from .groups import (
@@ -115,16 +116,19 @@ def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
                                   *signing_coins(params.suite, rng)))
 
 
-def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng) -> bool:
-    return ms_mult_verify(sig, message, [pk], params, rng)
+def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng, *,
+              certified: Callable | None = None) -> bool:
+    return ms_mult_verify(sig, message, [pk], params, rng, certified=certified)
 
 
 def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPublicKey],
-               params: MsParams, rng, *, skip_individual_checks: bool = False) -> MsSignature:
+               params: MsParams, rng, *, skip_individual_checks: bool = False,
+               certified: Callable | None = None) -> MsSignature:
     """Componentwise product of same-message signatures.
 
     Each input is verified first unless the caller vouches for a
-    pre-verified batch via ``skip_individual_checks``.
+    pre-verified batch via ``skip_individual_checks``. A key that the
+    ``certified`` predicate refuses halts the combination either way.
     """
     if len(sigs) != len(pks):
         raise ValueError("signature and key lists must align")
@@ -133,6 +137,8 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPubl
     for pk in pks:
         if pk.suite is not params.suite:
             raise CrossSuiteError("public key belongs to a different suite")
+    if certified is not None and not all(certified(pk) for pk in pks):
+        raise InvalidAggregateError("an input signature's key is uncertified; halting")
     if not skip_individual_checks:
         for i, (sig, pk) in enumerate(zip(sigs, pks)):
             if not ms_verify(sig, message, pk, params, rng):
@@ -142,11 +148,15 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPubl
 
 
 def ms_mult_verify(msig: MsSignature, message: bytes, pks: Sequence[MsPublicKey],
-                   params: MsParams, rng) -> bool:
-    return ms_mult_verify_scalar(msig, message_scalar(params, message), pks, params, rng)
+                   params: MsParams, rng, *, certified: Callable | None = None) -> bool:
+    return ms_mult_verify_scalar(msig, message_scalar(params, message), pks, params, rng,
+                                 certified=certified)
 
 
-def ms_mult_verify_scalar(msig, m, pks, params, rng) -> bool:
+def ms_mult_verify_scalar(msig, m, pks, params, rng, *, certified=None) -> bool:
+    """False, before any coin or pairing, when ``certified`` refuses a key."""
+    if certified is not None and not all(certified(pk) for pk in pks):
+        return False
     t, _, _ = verifier_coins(params.suite, params.variant, rng)
     return ms_mult_verify_with_coins(msig, m, pks, params, t)
 

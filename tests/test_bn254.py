@@ -62,6 +62,117 @@ def naive_fq12_pow(x, e):
     return result
 
 
+def oracle_fq6_add(x, y):
+    return tuple(b.fq2_add(s, t) for s, t in zip(x, y))
+
+
+def oracle_fq6_sub(x, y):
+    return tuple(b.fq2_sub(s, t) for s, t in zip(x, y))
+
+
+def oracle_fq6_mul(x, y):
+    """Karatsuba over Fp2 with a reduced tuple per intermediate: the oracle
+    for the unreduced Fp6 product."""
+    a0, a1, a2 = x
+    b0, b1, b2 = y
+    t0 = b.fq2_mul(a0, b0)
+    t1 = b.fq2_mul(a1, b1)
+    t2 = b.fq2_mul(a2, b2)
+    c0 = b.fq2_add(t0, b.fq2_mul_xi(b.fq2_sub(b.fq2_mul(b.fq2_add(a1, a2), b.fq2_add(b1, b2)),
+                                                b.fq2_add(t1, t2))))
+    c1 = b.fq2_add(b.fq2_sub(b.fq2_mul(b.fq2_add(a0, a1), b.fq2_add(b0, b1)), b.fq2_add(t0, t1)),
+                   b.fq2_mul_xi(t2))
+    c2 = b.fq2_add(b.fq2_sub(b.fq2_mul(b.fq2_add(a0, a2), b.fq2_add(b0, b2)), b.fq2_add(t0, t2)),
+                   t1)
+    return (c0, c1, c2)
+
+
+def oracle_fq12_mul(x, y):
+    a0, a1 = x
+    b0, b1 = y
+    t0 = oracle_fq6_mul(a0, b0)
+    t1 = oracle_fq6_mul(a1, b1)
+    c0 = oracle_fq6_add(t0, b.fq6_mul_by_v(t1))
+    c1 = oracle_fq6_sub(oracle_fq6_sub(oracle_fq6_mul(oracle_fq6_add(a0, a1),
+                                                      oracle_fq6_add(b0, b1)), t0), t1)
+    return (c0, c1)
+
+
+def oracle_fq12_sqr(x):
+    a0, a1 = x
+    t = oracle_fq6_mul(a0, a1)
+    c0 = oracle_fq6_sub(oracle_fq6_sub(
+        oracle_fq6_mul(oracle_fq6_add(a0, a1), oracle_fq6_add(a0, b.fq6_mul_by_v(a1))), t),
+        b.fq6_mul_by_v(t))
+    return (c0, oracle_fq6_add(t, t))
+
+
+def oracle_fq6_mul_by_01(x, b0, b1):
+    """x * (b0 + b1*v): the Fp6 product with a zero v^2 coefficient, 5 fq2_mul."""
+    a0, a1, a2 = x
+    t0 = b.fq2_mul(a0, b0)
+    t1 = b.fq2_mul(a1, b1)
+    c0 = b.fq2_add(t0, b.fq2_mul_xi(b.fq2_sub(b.fq2_mul(b.fq2_add(a1, a2), b1), t1)))
+    c1 = b.fq2_sub(b.fq2_sub(b.fq2_mul(b.fq2_add(a0, a1), b.fq2_add(b0, b1)), t0), t1)
+    c2 = b.fq2_add(b.fq2_sub(b.fq2_mul(b.fq2_add(a0, a2), b0), t0), t1)
+    return (c0, c1, c2)
+
+
+def oracle_mul_line(f, a, c1, c3):
+    """f * (a + c1*w + c3*w^3) with two sparse Fp6 products and Fp scalings."""
+    f0, f1 = f
+
+    def scale(x):
+        return tuple(b.fq2_scale(t, a) for t in x)
+
+    return (oracle_fq6_add(scale(f0), b.fq6_mul_by_v(oracle_fq6_mul_by_01(f1, c1, c3))),
+            oracle_fq6_add(oracle_fq6_mul_by_01(f0, c1, c3), scale(f1)))
+
+
+def oracle_fq4_sqr(x, y):
+    # (x + y*s)^2 with s^2 = v: (x^2 + XI*y^2, (x + y)^2 - x^2 - y^2)
+    t0 = b.fq2_sqr(x)
+    t1 = b.fq2_sqr(y)
+    return (b.fq2_add(b.fq2_mul_xi(t1), t0),
+            b.fq2_sub(b.fq2_sub(b.fq2_sqr(b.fq2_add(x, y)), t0), t1))
+
+
+def oracle_fq12_cyc_sqr(x):
+    """Granger-Scott squaring on Fp2 tuples."""
+    (z0, z4, z3), (z2, z1, z5) = x
+    t0, t1 = oracle_fq4_sqr(z0, z1)
+    z0 = b.fq2_add(b.fq2_scale(b.fq2_sub(t0, z0), 2), t0)
+    z1 = b.fq2_add(b.fq2_scale(b.fq2_add(t1, z1), 2), t1)
+    t0, t1 = oracle_fq4_sqr(z2, z3)
+    t2, t3 = oracle_fq4_sqr(z4, z5)
+    z4 = b.fq2_add(b.fq2_scale(b.fq2_sub(t0, z4), 2), t0)
+    z5 = b.fq2_add(b.fq2_scale(b.fq2_add(t1, z5), 2), t1)
+    t0 = b.fq2_mul_xi(t3)
+    z2 = b.fq2_add(b.fq2_scale(b.fq2_add(t0, z2), 2), t0)
+    z3 = b.fq2_add(b.fq2_scale(b.fq2_sub(t2, z3), 2), t2)
+    return ((z0, z4, z3), (z2, z1, z5))
+
+
+def fq12_from(coeffs):
+    """The Fp12 tower tuple of twelve ints, in encoding order."""
+    c = list(coeffs)
+    return tuple(tuple((c[i], c[i + 1]) for i in range(j, j + 6, 2)) for j in (0, 6))
+
+
+def random_fq12():
+    return fq12_from(rng.randrange(b.P) for _ in range(12))
+
+
+def easy_part(f):
+    """f^((p^6 - 1)(p^2 + 1)), which lies in the cyclotomic subgroup."""
+    t = b.fq12_mul(b.fq12_conj(f), b.fq12_inv(f))
+    return b.fq12_mul(b.fq12_frobenius(t, 2), t)
+
+
+EXTREME_FQ12 = {"all-P-1": fq12_from([b.P - 1] * 12), "zero": fq12_from([0] * 12),
+                "one": b.FQ12_ONE}
+
+
 def naive_line(r, q, p):
     """The line through twist points r and q, evaluated at p in G1, as a
     dense Fp12 element, and r + q (None when the line is vertical)."""
@@ -159,11 +270,39 @@ class TestFieldTower:
         for k in (1, 2, 3):
             assert b.fq12_frobenius(x, k) == naive_fq12_pow(x, b.P ** k)
 
+    def test_flat_products_match_tuple_oracles(self):
+        for _ in range(50):
+            x, y = random_fq12(), random_fq12()
+            assert b.fq6_mul(x[0], y[1]) == oracle_fq6_mul(x[0], y[1])
+            assert b.fq12_mul(x, y) == oracle_fq12_mul(x, y)
+            assert b.fq12_sqr(x) == oracle_fq12_sqr(x)
+            a, c1, c3 = rng.randrange(b.P), y[0][0], y[0][1]
+            assert b._mul_line(x, a, c1, c3) == oracle_mul_line(x, a, c1, c3)
+            assert b.fq12_cyc_sqr(x) == oracle_fq12_cyc_sqr(x)
+
+    @pytest.mark.parametrize("y", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
+    @pytest.mark.parametrize("x", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
+    def test_flat_products_on_extreme_inputs(self, x, y):
+        """Every coefficient P - 1 gives the largest unreduced intermediates."""
+        assert b.fq6_mul(x[0], y[0]) == oracle_fq6_mul(x[0], y[0])
+        assert b.fq6_mul(x[1], y[0]) == oracle_fq6_mul(x[1], y[0])
+        assert b.fq12_mul(x, y) == oracle_fq12_mul(x, y)
+        assert b.fq12_sqr(x) == oracle_fq12_sqr(x)
+        assert b.fq12_cyc_sqr(x) == oracle_fq12_cyc_sqr(x)
+        (a, _), c1, c3 = y[0]
+        assert b._mul_line(x, a, c1, c3) == oracle_mul_line(x, a, c1, c3)
+
     def test_cyclotomic_square_matches_generic(self):
+        """Granger-Scott squaring equals the generic square (and its tuple
+        oracle) on the cyclotomic subgroup: powers of a pairing output,
+        easy-part images of random elements and the unit."""
         x = b.pairing(b.g1_mul(b.G1_GEN, 9), b.g2_mul(b.G2_GEN, 11))
+        xs = [b.FQ12_ONE] + [easy_part(random_fq12()) for _ in range(50)]
         for _ in range(5):
-            assert b.fq12_cyc_sqr(x) == b.fq12_sqr(x)
+            xs.append(x)
             x = b.fq12_mul(b.fq12_sqr(x), x)
+        for x in xs:
+            assert b.fq12_cyc_sqr(x) == b.fq12_sqr(x) == oracle_fq12_sqr(x)
 
 
 class TestGroups:
@@ -372,16 +511,11 @@ class TestPairing:
         assert b.gt_mul(g, b.gt_inv(g)) == b.FQ12_ONE
 
 
-FIELD_OPS = ("fq2_mul", "fq2_sqr", "fq2_inv", "fq12_mul", "fq12_cyc_sqr")
+TOWER_OPS = ("fq12_mul", "fq12_sqr", "fq12_cyc_sqr", "_mul_line", "fq_batch_inv", "fq2_inv")
 # fixed 254-bit exponents, below ORDER so none is reduced
 E1 = 0x2ab0531c14b044d79acd8acde5f6db1d76b6745180b65386569c803601a5ba50
 E2 = 0x256bd75461076dc3ba6ace6c0a78250fb339a4769ddcc6f8efb6fbfe8de4ab47
 E3 = 0x2563c310283b73a66c2ea417b99de255f386825473b7a490f23b2cc4b4174a67
-
-
-def count_field_ops(fn, *args):
-    """Calls of each of FIELD_OPS made by fn(*args), with bn254's own names counted."""
-    return count_calls(FIELD_OPS, fn, *args)
 
 
 def count_calls(names, fn, *args):
@@ -402,20 +536,31 @@ def count_calls(names, fn, *args):
 
 
 class TestArithmeticCost:
-    """Exact field-operation counts of the pairing and exponentiation layers:
+    """Exact operation counts of the pairing and exponentiation layers:
     they change only when the arithmetic does, and a change that saves work
     updates them to show by how much."""
 
     def test_two_pair_pairing(self):
+        """The ate loop 6u + 2 has 65 bits, 37 of them ones: 64 doubling
+        steps, each after one fq12_sqr, 36 addition steps and 2 Frobenius
+        steps, 102 steps in all. Each step makes one fq_batch_inv and one
+        _mul_line per pair, so _mul_line = pairs x 102 lines. The final
+        exponentiation makes the fq12_mul and fq12_cyc_sqr calls, and its
+        one fq12_inv the fq2_inv."""
         pairs = [(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))]
-        got = count_field_ops(lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
-        assert got == {"fq2_mul": 4643, "fq2_sqr": 2072, "fq2_inv": 1, "fq12_mul": 63,
-                       "fq12_cyc_sqr": 193}
+        got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
+        assert got == {"fq12_mul": 63, "fq12_sqr": 64, "fq12_cyc_sqr": 193, "_mul_line": 204,
+                       "fq_batch_inv": 102, "fq2_inv": 1}
 
     def test_gt_pow(self):
+        """E1's 4-NAF has 49 nonzero digits, the top one at position 252.
+        The table takes one fq12_cyc_sqr and 3 fq12_mul; the chain takes an
+        fq12_cyc_sqr per position below the top and an fq12_mul per digit
+        after the first: 1 + 252 and 3 + 48."""
         g = b.pairing(b.G1_GEN, b.G2_GEN)
-        assert count_field_ops(b.gt_pow, g, E1) == {
-            "fq2_mul": 918, "fq2_sqr": 2277, "fq2_inv": 0, "fq12_mul": 51, "fq12_cyc_sqr": 253}
+        assert count_calls(TOWER_OPS, b.gt_pow, g, E1) == {
+            "fq12_mul": 51, "fq12_sqr": 0, "fq12_cyc_sqr": 253, "_mul_line": 0,
+            "fq_batch_inv": 0, "fq2_inv": 0}
 
     @pytest.mark.parametrize("group, n, want", [
         pytest.param(g, n, want, id=f"{g}-{n}")

@@ -418,7 +418,7 @@ def test_ms_combine_with_unequal_sigs_and_pubs_exits_two(key_files, tmp_path, ca
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
-@pytest.mark.parametrize("case", ["agg-sign-pub", "agg-verify", "ms-verify"])
+@pytest.mark.parametrize("case", ["agg-sign-pub", "agg-verify", "ms-combine", "ms-verify"])
 def test_missing_registry_exits_two(key_files, tmp_path, capsys, monkeypatch, case, via):
     """A named registry that does not exist is malformed, not skipped."""
     home, template = KEY_FILE_CASES[case]
@@ -464,3 +464,26 @@ def test_record_that_does_not_vouch_for_the_key_is_uncertified(key_files, tmp_pa
                                      f" --agg {d}/sas2.agg --keys {d}/sas2.pub"
                                      f" --registry {registry}".split()))
     assert code == 1 and fields["result"] == ["invalid"] and fields["reason"] == ["uncertified"]
+
+
+def test_ms_commands_refuse_an_uncertified_signer(key_files, tmp_path, capsys):
+    """ms-combine and ms-verify hand the registry's predicate to the library,
+    which refuses the unregistered ms key before any pairing; once the key
+    is registered, both succeed."""
+    registry = tmp_path / "reg.bin"
+    d = key_files
+    tail = f" --pubs {d}/ms.pub --message hi --registry {registry}"
+    combine = f"ms-combine --params {d}/ms.prm --sigs {d}/ms.sig --out {tmp_path}/c.bin" + tail
+    verify = f"ms-verify --params {d}/ms.prm --msig {d}/ms.sig" + tail
+    for scheme in ("sas2", "ms"):
+        assert main(list(det(*f"register --params {d}/{scheme}.prm --pub {d}/{scheme}.pub"
+                               f" --priv {d}/{scheme}.key --registry {registry}".split()))) == 0
+        capsys.readouterr()
+        combined, _ = run(capsys, *det(*combine.split()))
+        code, fields = run(capsys, *det(*verify.split()))
+        if scheme == "sas2":
+            assert combined == 1 and not (tmp_path / "c.bin").exists()
+            assert code == 1 and fields["reason"] == ["uncertified"]
+        else:
+            assert combined == 0 and (tmp_path / "c.bin").exists()
+            assert code == 0 and fields["result"] == ["valid"] and fields["pairings"] == ["6"]

@@ -155,6 +155,24 @@ class TestSerialization:
         with pytest.raises((SubgroupMembershipError, MalformedEncodingError)):
             decode_element(real_suite, "g1", bad)
 
+    def test_real_gt_must_be_cyclotomic(self, real_suite):
+        """A random Fp12 element and zero are refused as GT; a pairing
+        output, the unit and an easy-part image (cyclotomic) are accepted."""
+        from seqsig import bn254
+        draw = random.Random(12)
+
+        def encode(coeffs):
+            return b"".join(c.to_bytes(32, "big") for c in coeffs)
+
+        for coeffs in ([draw.randrange(bn254.P) for _ in range(12)], [0] * 12):
+            with pytest.raises(SubgroupMembershipError):
+                decode_element(real_suite, "gt", encode(coeffs))
+        f = bn254.pairing(bn254.G1_GEN, bn254.G2_GEN)
+        t = bn254.fq12_mul(bn254.fq12_conj(f), bn254.fq12_inv(f))
+        for h in (f, bn254.FQ12_ONE, bn254.fq12_mul(bn254.fq12_frobenius(t, 2), t)):
+            coeffs = [c for half in h for pair_ in half for c in pair_]
+            assert decode_element(real_suite, "gt", encode(coeffs)).h == h
+
     def test_wrong_length_rejected(self, real_suite):
         with pytest.raises(MalformedEncodingError):
             decode_element(real_suite, "g2", b"\x00" * 10)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from seqsig import ms
-from seqsig.errors import CrossSuiteError, InvalidAggregateError, MalformedEncodingError
+from seqsig import keyreg, ms
+from seqsig.errors import (CrossSuiteError, InvalidAggregateError, MalformedEncodingError,
+                           RegistrationError)
 
 MSG = b"joint statement"
 
@@ -126,3 +127,49 @@ class TestCombining:
         sig = ms.ms_sign(params, MSG, keys[0][1], rng)
         with pytest.raises(ValueError):
             ms.ms_mult_verify(sig, MSG, [], params, rng)
+
+
+class TestCertification:
+    @pytest.fixture
+    def rogue(self, setup3, rng):
+        """A rogue key Omega_R = Omega_A / Omega_V: with the victim's key it
+        multiplies to the attacker's, so the attacker's lone signature passes
+        as a multi-signature of victim and rogue key. The registry certifies
+        the victim and the attacker."""
+        params, keys = setup3
+        (victim, _), (attacker, attacker_sk) = keys[:2]
+        rogue = ms.MsPublicKey(suite=params.suite, omega=attacker.omega / victim.omega)
+        registry = keyreg.CertRegistry(params.suite)
+        for pk, sk in keys[:2]:
+            registry.register(params, pk, keyreg.witness_from_private("ms", sk))
+        forgery = ms.ms_sign(params, MSG, attacker_sk, rng)
+        return params, keys, forgery, [victim, rogue], registry
+
+    def test_rogue_key_forgery_is_refused_before_any_pairing(self, rogue, rng, mock_suite):
+        params, _, forgery, signers, registry = rogue
+        assert ms.ms_mult_verify(forgery, MSG, signers, params, rng)
+        certified = registry.predicate()
+        before, state = mock_suite.pairing_count, rng.getstate()
+        assert not ms.ms_mult_verify(forgery, MSG, signers, params, rng, certified=certified)
+        assert not ms.ms_verify(forgery, MSG, signers[1], params, rng, certified=certified)
+        with pytest.raises(InvalidAggregateError):
+            ms.ms_combine([forgery, forgery], MSG, signers, params, rng,
+                          skip_individual_checks=True, certified=certified)
+        assert mock_suite.pairing_count == before and rng.getstate() == state
+
+    def test_certified_signers_still_verify(self, rogue, rng):
+        params, keys, _, _, registry = rogue
+        certified = registry.predicate()
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys[:2]]
+        pks_ = [pk for pk, _ in keys[:2]]
+        msig = ms.ms_combine(sigs, MSG, pks_, params, rng, certified=certified)
+        assert ms.ms_mult_verify(msig, MSG, pks_, params, rng, certified=certified)
+        assert ms.ms_verify(sigs[0], MSG, pks_[0], params, rng, certified=certified)
+
+    def test_rogue_key_cannot_register(self, rogue):
+        """No one knows the rogue key's secret; the attacker's does not
+        reproduce it."""
+        params, keys, _, (_, rogue_pk), registry = rogue
+        with pytest.raises(RegistrationError):
+            registry.register(params, rogue_pk, keyreg.witness_from_private("ms", keys[1][1]))
+        assert not registry.is_certified(rogue_pk)
