@@ -16,8 +16,8 @@ The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
 squaring and the Miller step's G2 side keep products unreduced and reduce
 each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
-Gebotys and Lopez, EUROCRYPT 2011). Fp12 values cross every function
-boundary as nested tower tuples.
+Gebotys and Lopez, EUROCRYPT 2011). An Fp12 value, and so every G_T
+element, is one flat tuple of twelve ints in the order of its encoding.
 """
 
 from __future__ import annotations
@@ -125,25 +125,15 @@ def fq2_mul_xi(x):
 
 
 # ---------------------------------------------------------------------------
-# Fp6 = Fp2[v] / (v^3 - XI), elements (c0, c1, c2).
-
-FQ6_ZERO = (FQ2_ZERO, FQ2_ZERO, FQ2_ZERO)
-FQ6_ONE = (FQ2_ONE, FQ2_ZERO, FQ2_ZERO)
-
-
-def fq6_sub(x, y):
-    return (fq2_sub(x[0], y[0]), fq2_sub(x[1], y[1]), fq2_sub(x[2], y[2]))
-
-
-def fq6_neg(x):
-    return (fq2_neg(x[0]), fq2_neg(x[1]), fq2_neg(x[2]))
+# Fp6 = Fp2[v] / (v^3 - XI): an element (a0 + a1*u) + (a2 + a3*u)*v +
+# (a4 + a5*u)*v^2 appears only as its six ints a0..a5, in that order.
 
 
 def _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
-    """The Fp6 product of (a0 + a1*u) + (a2 + a3*u)*v + (a4 + a5*u)*v^2 and
-    the same in b, as six unreduced ints in that order: Karatsuba over Fp2
-    (six Fp2 products), with u^2 = -1 and v^3 = 9 + u written out. The
-    inputs may be unreduced sums, so callers reduce each output once."""
+    """The Fp6 product of a0..a5 and b0..b5, as six unreduced ints in the
+    same order: Karatsuba over Fp2 (six Fp2 products), with u^2 = -1 and
+    v^3 = 9 + u written out. The inputs may be unreduced sums, so callers
+    reduce each output once."""
     t0r, t0i = a0 * b0 - a1 * b1, a0 * b1 + a1 * b0  # a_0 b_0
     t1r, t1i = a2 * b2 - a3 * b3, a2 * b3 + a3 * b2  # a_1 b_1
     t2r, t2i = a4 * b4 - a5 * b5, a4 * b5 + a5 * b4  # a_2 b_2
@@ -157,42 +147,29 @@ def _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
             x * z - y * w - t0r - t2r + t1r, x * w + y * z - t0i - t2i + t1i)
 
 
-def fq6_mul(x, y):
-    (a0, a1), (a2, a3), (a4, a5) = x
-    (b0, b1), (b2, b3), (b4, b5) = y
-    c0, c1, c2, c3, c4, c5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
-    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
-
-
-def fq6_sqr(x):
-    return fq6_mul(x, x)
-
-
-def fq6_mul_by_v(x):
-    return (fq2_mul_xi(x[2]), x[0], x[1])
-
-
-def fq6_inv(x):
-    a0, a1, a2 = x
-    c0 = fq2_sub(fq2_sqr(a0), fq2_mul_xi(fq2_mul(a1, a2)))
-    c1 = fq2_sub(fq2_mul_xi(fq2_sqr(a2)), fq2_mul(a0, a1))
-    c2 = fq2_sub(fq2_sqr(a1), fq2_mul(a0, a2))
-    norm = fq2_add(fq2_mul(a0, c0), fq2_mul_xi(fq2_add(fq2_mul(a2, c1), fq2_mul(a1, c2))))
+def fq6_inv(a0, a1, a2, a3, a4, a5):
+    """The inverse of a0..a5 as six ints: adjugate over Fp2, one fq2_inv."""
+    x, y, z = (a0, a1), (a2, a3), (a4, a5)
+    c0 = fq2_sub(fq2_sqr(x), fq2_mul_xi(fq2_mul(y, z)))
+    c1 = fq2_sub(fq2_mul_xi(fq2_sqr(z)), fq2_mul(x, y))
+    c2 = fq2_sub(fq2_sqr(y), fq2_mul(x, z))
+    norm = fq2_add(fq2_mul(x, c0), fq2_mul_xi(fq2_add(fq2_mul(z, c1), fq2_mul(y, c2))))
     inv = fq2_inv(norm)
-    return (fq2_mul(c0, inv), fq2_mul(c1, inv), fq2_mul(c2, inv))
+    return (*fq2_mul(c0, inv), *fq2_mul(c1, inv), *fq2_mul(c2, inv))
 
 
 # ---------------------------------------------------------------------------
-# Fp12 = Fp6[w] / (w^2 - v), elements (c0, c1).
+# Fp12 = Fp6[w] / (w^2 - v): an element c0 + c1*w is one flat tuple of
+# twelve ints, c0's six then c1's, the order of the 384-byte encoding.
 
-FQ12_ONE = (FQ6_ONE, FQ6_ZERO)
+FQ12_ONE = (1,) + (0,) * 11
 
 
 def fq12_mul(x, y):
     """Karatsuba over Fp6: three unreduced Fp6 products, w^2 = v written
     out, one reduction per output coefficient."""
-    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = x
-    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = y
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = x
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = y
     t0, t1, t2, t3, t4, t5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
     s0, s1, s2, s3, s4, s5 = _fq6_mul_unreduced(a6, a7, a8, a9, a10, a11,
                                                 b6, b7, b8, b9, b10, b11)
@@ -200,55 +177,56 @@ def fq12_mul(x, y):
         a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
         b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11)
     # c0 = t + v*s, c1 = u - t - s
-    return ((((t0 + 9 * s4 - s5) % P, (t1 + s4 + 9 * s5) % P),
-             ((t2 + s0) % P, (t3 + s1) % P),
-             ((t4 + s2) % P, (t5 + s3) % P)),
-            (((u0 - t0 - s0) % P, (u1 - t1 - s1) % P),
-             ((u2 - t2 - s2) % P, (u3 - t3 - s3) % P),
-             ((u4 - t4 - s4) % P, (u5 - t5 - s5) % P)))
+    return ((t0 + 9 * s4 - s5) % P, (t1 + s4 + 9 * s5) % P,
+            (t2 + s0) % P, (t3 + s1) % P, (t4 + s2) % P, (t5 + s3) % P,
+            (u0 - t0 - s0) % P, (u1 - t1 - s1) % P, (u2 - t2 - s2) % P,
+            (u3 - t3 - s3) % P, (u4 - t4 - s4) % P, (u5 - t5 - s5) % P)
 
 
 def fq12_sqr(x):
     """(a + b*w)^2 = ((a + b)(a + v*b) - t - v*t) + 2t*w with t = a*b: two
     unreduced Fp6 products, one reduction per output coefficient."""
-    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = x
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = x
     t0, t1, t2, t3, t4, t5 = _fq6_mul_unreduced(a0, a1, a2, a3, a4, a5,
                                                 a6, a7, a8, a9, a10, a11)
     u0, u1, u2, u3, u4, u5 = _fq6_mul_unreduced(
         a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
         a0 + 9 * a10 - a11, a1 + a10 + 9 * a11, a2 + a6, a3 + a7, a4 + a8, a5 + a9)
-    return ((((u0 - t0 - 9 * t4 + t5) % P, (u1 - t1 - t4 - 9 * t5) % P),
-             ((u2 - t2 - t0) % P, (u3 - t3 - t1) % P),
-             ((u4 - t4 - t2) % P, (u5 - t5 - t3) % P)),
-            ((2 * t0 % P, 2 * t1 % P), (2 * t2 % P, 2 * t3 % P), (2 * t4 % P, 2 * t5 % P)))
+    return ((u0 - t0 - 9 * t4 + t5) % P, (u1 - t1 - t4 - 9 * t5) % P,
+            (u2 - t2 - t0) % P, (u3 - t3 - t1) % P, (u4 - t4 - t2) % P, (u5 - t5 - t3) % P,
+            2 * t0 % P, 2 * t1 % P, 2 * t2 % P, 2 * t3 % P, 2 * t4 % P, 2 * t5 % P)
 
 
 def fq12_conj(x):
-    return (x[0], fq6_neg(x[1]))
+    return (*x[:6], -x[6] % P, -x[7] % P, -x[8] % P, -x[9] % P, -x[10] % P, -x[11] % P)
 
 
 def fq12_inv(x):
-    a0, a1 = x
-    norm = fq6_inv(fq6_sub(fq6_sqr(a0), fq6_mul_by_v(fq6_sqr(a1))))
-    return (fq6_mul(a0, norm), fq6_neg(fq6_mul(a1, norm)))
+    """1/(a + b*w) = (a - b*w) / (a^2 - v*b^2), the Fp6 norm inverted by
+    :func:`fq6_inv`."""
+    a, b = x[:6], x[6:]
+    s0, s1, s2, s3, s4, s5 = _fq6_mul_unreduced(*a, *a)
+    t0, t1, t2, t3, t4, t5 = _fq6_mul_unreduced(*b, *b)
+    n = fq6_inv((s0 - 9 * t4 + t5) % P, (s1 - t4 - 9 * t5) % P,
+                (s2 - t0) % P, (s3 - t1) % P, (s4 - t2) % P, (s5 - t3) % P)
+    return (tuple(c % P for c in _fq6_mul_unreduced(*a, *n))
+            + tuple(-c % P for c in _fq6_mul_unreduced(*b, *n)))
 
 
 # Frobenius: write x = sum b_i w^i with b_i in Fp2; then x^(p^k) maps
-# b_i -> conj^k(b_i) * XI^(i (p^k - 1) / 6). The (c0, c1) tower packs the
-# w-coefficients as c0 = (b0, b2, b4), c1 = (b1, b3, b5).
+# b_i -> conj^k(b_i) * XI^(i (p^k - 1) / 6). The flat tuple holds the
+# w-coefficients in the order b0, b2, b4, b1, b3, b5, and so do the tables.
 _FROB_COEFF = {
-    k: [fq2_pow(XI, i * (P ** k - 1) // 6) for i in range(6)] for k in (1, 2, 3)
+    k: [fq2_pow(XI, i * (P ** k - 1) // 6) for i in (0, 2, 4, 1, 3, 5)] for k in (1, 2, 3)
 }
 
 
 def fq12_frobenius(x, k):
-    coeffs = _FROB_COEFF[k]
-    (b0, b2, b4), (b1, b3, b5) = x
-    bs = [b0, b1, b2, b3, b4, b5]
-    if k % 2 == 1:
-        bs = [fq2_conj(b) for b in bs]
-    bs = [fq2_mul(b, coeffs[i]) for i, b in enumerate(bs)]
-    return ((bs[0], bs[2], bs[4]), (bs[1], bs[3], bs[5]))
+    s = -1 if k % 2 else 1  # odd k: conj(b_i), its negated half reduced by fq2_mul
+    out = ()
+    for i, coeff in enumerate(_FROB_COEFF[k]):
+        out += fq2_mul((x[2 * i], s * x[2 * i + 1]), coeff)
+    return out
 
 
 def fq12_is_cyclotomic(x):
@@ -256,7 +234,7 @@ def fq12_is_cyclotomic(x):
     x lies in the cyclotomic subgroup, which holds G_T and is where
     :func:`fq12_cyc_sqr` is valid. x^(p^4) is two p^2 Frobenius maps."""
     x2 = fq12_frobenius(x, 2)
-    return x != (FQ6_ZERO, FQ6_ZERO) and fq12_mul(fq12_frobenius(x2, 2), x) == x2
+    return any(x) and fq12_mul(fq12_frobenius(x2, 2), x) == x2
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +528,7 @@ def _mul_line(f, a, b, c):
     (a*F + v*G*(b + c*v)) + (F*(b + c*v) + a*G)*w. Both sparse Fp6 products
     are written out on the integer components, one reduction per output
     coefficient."""
-    ((f0, f1), (f2, f3), (f4, f5)), ((g0, g1), (g2, g3), (g4, g5)) = f
+    f0, f1, f2, f3, f4, f5, g0, g1, g2, g3, g4, g5 = f
     b0, b1 = b
     c0, c1 = c
     # F*(b + c*v) = (F_0 b + XI F_2 c) + (F_0 c + F_1 b) v + (F_1 c + F_2 b) v^2
@@ -567,12 +545,10 @@ def _mul_line(f, a, b, c):
     h1i = g0 * c1 + g1 * c0 + g2 * b1 + g3 * b0
     h2r = g2 * c0 - g3 * c1 + g4 * b0 - g5 * b1
     h2i = g2 * c1 + g3 * c0 + g4 * b1 + g5 * b0
-    return ((((a * f0 + 9 * h2r - h2i) % P, (a * f1 + h2r + 9 * h2i) % P),
-             ((a * f2 + h0r) % P, (a * f3 + h0i) % P),
-             ((a * f4 + h1r) % P, (a * f5 + h1i) % P)),
-            (((e0r + a * g0) % P, (e0i + a * g1) % P),
-             ((e1r + a * g2) % P, (e1i + a * g3) % P),
-             ((e2r + a * g4) % P, (e2i + a * g5) % P)))
+    return ((a * f0 + 9 * h2r - h2i) % P, (a * f1 + h2r + 9 * h2i) % P,
+            (a * f2 + h0r) % P, (a * f3 + h0i) % P, (a * f4 + h1r) % P, (a * f5 + h1i) % P,
+            (e0r + a * g0) % P, (e0i + a * g1) % P, (e1r + a * g2) % P, (e1i + a * g3) % P,
+            (e2r + a * g4) % P, (e2i + a * g5) % P)
 
 
 def _miller_step(f, rs, addends, ps):
@@ -691,7 +667,7 @@ def fq12_cyc_sqr(x):
     Fp4 = Fp2[s] / (s^2 - v) each pair (z0, z1), (z2, z3), (z4, z5) squares
     as (a + b*s)^2 = (a^2 + XI*b^2) + 2ab*s; the results combine as
     3t - 2z and 3t + 2z, one reduction per output coefficient."""
-    ((z0r, z0i), (z4r, z4i), (z3r, z3i)), ((z2r, z2i), (z1r, z1i), (z5r, z5i)) = x
+    z0r, z0i, z4r, z4i, z3r, z3i, z2r, z2i, z1r, z1i, z5r, z5i = x
     sr, si = (z1r + z1i) * (z1r - z1i), 2 * z1r * z1i  # z1^2
     t0r = (z0r + z0i) * (z0r - z0i) + 9 * sr - si  # z0^2 + XI z1^2
     t0i = 2 * z0r * z0i + sr + 9 * si
@@ -705,12 +681,12 @@ def fq12_cyc_sqr(x):
     t4i = 2 * z4r * z4i + sr + 9 * si
     t5r, t5i = 2 * (z4r * z5r - z4i * z5i), 2 * (z4r * z5i + z4i * z5r)  # 2 z4 z5
     t5r, t5i = 9 * t5r - t5i, t5r + 9 * t5i  # XI * 2 z4 z5
-    return ((((3 * t0r - 2 * z0r) % P, (3 * t0i - 2 * z0i) % P),
-             ((3 * t2r - 2 * z4r) % P, (3 * t2i - 2 * z4i) % P),
-             ((3 * t4r - 2 * z3r) % P, (3 * t4i - 2 * z3i) % P)),
-            (((3 * t5r + 2 * z2r) % P, (3 * t5i + 2 * z2i) % P),
-             ((3 * t1r + 2 * z1r) % P, (3 * t1i + 2 * z1i) % P),
-             ((3 * t3r + 2 * z5r) % P, (3 * t3i + 2 * z5i) % P)))
+    return ((3 * t0r - 2 * z0r) % P, (3 * t0i - 2 * z0i) % P,
+            (3 * t2r - 2 * z4r) % P, (3 * t2i - 2 * z4i) % P,
+            (3 * t4r - 2 * z3r) % P, (3 * t4i - 2 * z3i) % P,
+            (3 * t5r + 2 * z2r) % P, (3 * t5i + 2 * z2i) % P,
+            (3 * t1r + 2 * z1r) % P, (3 * t1i + 2 * z1i) % P,
+            (3 * t3r + 2 * z5r) % P, (3 * t3i + 2 * z5i) % P)
 
 
 def gt_pow(x, e):

@@ -116,6 +116,15 @@ def _certified(suite, args):
     return keyreg.CertRegistry.load(suite, path).predicate()
 
 
+def _certification(suite, args, keys) -> str:
+    """A verify command's ``certified`` field: ``unchecked`` when no registry
+    is named, else ``yes`` or ``no`` as its predicate takes every key."""
+    certified = _certified(suite, args)
+    if certified is None:
+        return "unchecked"
+    return "yes" if all(certified(k) for k in keys) else "no"
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, the suite and the rng
 
@@ -182,13 +191,13 @@ def cmd_agg_verify(args, suite, rng):
     params = _load_params(suite, args.params, args.scheme)
     known = [_load_public_key(suite, p, args.scheme) for p in args.keys]
     agg = envelopes.decode_aggregate(suite, _read(args.agg), known)
-    certified = _certified(suite, args)
-    if certified is not None and not all(certified(s) for s in agg.signers):
-        return _verdict(False, command="agg-verify", reason="uncertified")
+    certified = _certification(suite, args, agg.signers)
+    if certified == "no":
+        return _verdict(False, command="agg-verify", reason="uncertified", certified=certified)
     before = suite.pairing_count
-    valid = sas.agg_verify(params, agg, rng, certified=certified)
+    valid = sas.agg_verify(params, agg, rng)
     return _verdict(valid, command="agg-verify", scheme=agg.variant, l=agg.length,
-                    pairings=suite.pairing_count - before)
+                    pairings=suite.pairing_count - before, certified=certified)
 
 
 def cmd_ms_sign(args, suite, rng):
@@ -225,15 +234,16 @@ def cmd_ms_combine(args, suite, rng):
 def cmd_ms_verify(args, suite, rng):
     params, pk_list, _, m = _load_ms(suite, args, args.pubs)
     msig, covered, signers = envelopes.decode_multisignature(suite, _read(args.msig), pk_list)
+    certified = _certification(suite, args, signers)
+    if certified == "no":
+        return _verdict(False, command="ms-verify", reason="uncertified", certified=certified)
     if covered != m:
-        return _verdict(False, command="ms-verify", reason="message-mismatch")
+        return _verdict(False, command="ms-verify", reason="message-mismatch",
+                        certified=certified)
     before = suite.pairing_count
-    valid = ms.ms_mult_verify_scalar(msig, m, signers, params, rng,
-                                     certified=_certified(suite, args))
-    pairings = suite.pairing_count - before
-    if not valid and not pairings:  # only the certification check refuses before pairing
-        return _verdict(False, command="ms-verify", reason="uncertified")
-    return _verdict(valid, command="ms-verify", l=len(signers), pairings=pairings)
+    valid = ms.ms_mult_verify_scalar(msig, m, signers, params, rng)
+    return _verdict(valid, command="ms-verify", l=len(signers),
+                    pairings=suite.pairing_count - before, certified=certified)
 
 
 def cmd_register(args, suite, rng):

@@ -114,7 +114,7 @@ class MockDlogBackend:
 
 class Bn254Backend:
     """BN254 Type-3 curve; G1/G2 handles are affine points (None = identity),
-    GT handles are Fp12 tower tuples."""
+    GT handles are flat tuples of twelve Fp ints in encoding order."""
 
     name = "real"
     order = bn254.ORDER
@@ -172,9 +172,7 @@ class Bn254Backend:
             (x0, x1), y = h
             parity = (y[0] & 1) if y[0] != 0 else (y[1] & 1)
             return (x0 | (parity << 510) | (x1 << 255)).to_bytes(64, "big")
-        return b"".join(
-            c.to_bytes(32, "big") for pair_ in h for triple in pair_ for c in triple
-        )
+        return b"".join(c.to_bytes(32, "big") for c in h)
 
     def decode(self, kind, data):
         if kind == "g1":
@@ -222,13 +220,9 @@ class Bn254Backend:
             return point
         if len(data) != 384:
             raise MalformedEncodingError("GT encoding must be 384 bytes")
-        coeffs = [int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12)]
-        if any(c >= bn254.P for c in coeffs):
+        h = tuple(int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12))
+        if any(c >= bn254.P for c in h):
             raise MalformedEncodingError("GT coefficient out of field range")
-        h = (
-            ((coeffs[0], coeffs[1]), (coeffs[2], coeffs[3]), (coeffs[4], coeffs[5])),
-            ((coeffs[6], coeffs[7]), (coeffs[8], coeffs[9]), (coeffs[10], coeffs[11])),
-        )
         # cyclotomic, not yet order r: a cyclotomic element outside G_T still decodes
         if not bn254.fq12_is_cyclotomic(h):
             raise SubgroupMembershipError("GT element is outside the cyclotomic subgroup")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
 from .groups import (
     ElementLayout,
@@ -28,22 +29,6 @@ from .groups import (
     hash_to_scalar,
     pair,
     random_scalar,
-)
-# by name: ms functions take a ``pks`` list of public keys
-from .pks import (
-    CachedKeyId,
-    PrivateKey,
-    SignatureRows,
-    blind,
-    check_rows,
-    key_id,
-    param_rows3,
-    product,
-    row_pow,
-    sign_rows,
-    signing_coins,
-    verifier_coins,
-    verify_rows,
 )
 
 _MSG_TAG = b"seqsig/ms/message"
@@ -65,7 +50,7 @@ class MsParams(ElementLayout):
 
 
 @dataclass(frozen=True)
-class MsPublicKey(CachedKeyId):
+class MsPublicKey(pks.CachedKeyId):
     LAYOUT = "gt"
     variant = "ms"
     suite: GroupSuite
@@ -73,7 +58,7 @@ class MsPublicKey(CachedKeyId):
 
 
 @dataclass(frozen=True)
-class MsSignature(SignatureRows):
+class MsSignature(pks.SignatureRows):
     """One form for individual and combined signatures."""
 
     variant = "ms"
@@ -84,36 +69,36 @@ class MsSignature(SignatureRows):
 def ms_setup(suite: GroupSuite, rng) -> MsParams:
     """Public parameters: a pks2 public key with lam = e(g, ghat) in place of Omega."""
     r = lambda: random_scalar(suite, rng)
-    w_row, g_hat_row = param_rows3(suite, r(), r(), r(), r())
+    w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
     x, y, c_g, c_u, c_h = r(), r(), r(), r(), r()
     g = suite.g
-    return MsParams(suite, blind(g, w_row, c_g), blind(g ** x, w_row, c_u),
-                    blind(g ** y, w_row, c_h), w_row, g_hat_row,
-                    row_pow(g_hat_row, x), row_pow(g_hat_row, y), pair(g, suite.g_hat))
+    return MsParams(suite, pks.blind(g, w_row, c_g), pks.blind(g ** x, w_row, c_u),
+                    pks.blind(g ** y, w_row, c_h), w_row, g_hat_row,
+                    pks.row_pow(g_hat_row, x), pks.row_pow(g_hat_row, y), pair(g, suite.g_hat))
 
 
-def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, PrivateKey]:
+def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, pks.PrivateKey]:
     alpha = random_scalar(params.suite, rng)
     return ms_key_from_secret(params, alpha)
 
 
 def ms_key_from_secret(params: MsParams, alpha: Scalar):
     pk = MsPublicKey(suite=params.suite, omega=params.lam ** alpha)
-    return pk, PrivateKey("ms", alpha, pk_id=key_id(pk))
+    return pk, pks.PrivateKey("ms", alpha, pk_id=pks.key_id(pk))
 
 
 def message_scalar(params: MsParams, message: bytes) -> Scalar:
     return hash_to_scalar(params.suite, _MSG_TAG, message, width="full")
 
 
-def ms_sign(params: MsParams, message: bytes, sk: PrivateKey, rng) -> MsSignature:
+def ms_sign(params: MsParams, message: bytes, sk: pks.PrivateKey, rng) -> MsSignature:
     return ms_sign_scalar(params, message_scalar(params, message), sk, rng)
 
 
 def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
     bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
-    return MsSignature(*sign_rows(params.g_row, sk.alpha, bases, params.w_row,
-                                  *signing_coins(params.suite, rng)))
+    return MsSignature(*pks.sign_rows(params.g_row, sk.alpha, bases, params.w_row,
+                                      *pks.signing_coins(params.suite, rng)))
 
 
 def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng, *,
@@ -121,7 +106,7 @@ def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParam
     return ms_mult_verify(sig, message, [pk], params, rng, certified=certified)
 
 
-def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPublicKey],
+def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[MsPublicKey],
                params: MsParams, rng, *, skip_individual_checks: bool = False,
                certified: Callable | None = None) -> MsSignature:
     """Componentwise product of same-message signatures.
@@ -130,40 +115,41 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, pks: Sequence[MsPubl
     pre-verified batch via ``skip_individual_checks``. A key that the
     ``certified`` predicate refuses halts the combination either way.
     """
-    if len(sigs) != len(pks):
+    if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
     if not sigs:
         raise ValueError("nothing to combine")
-    for pk in pks:
+    for pk in keys:
         if pk.suite is not params.suite:
             raise CrossSuiteError("public key belongs to a different suite")
-    if certified is not None and not all(certified(pk) for pk in pks):
+    if certified is not None and not all(certified(pk) for pk in keys):
         raise InvalidAggregateError("an input signature's key is uncertified; halting")
     if not skip_individual_checks:
-        for i, (sig, pk) in enumerate(zip(sigs, pks)):
+        for i, (sig, pk) in enumerate(zip(sigs, keys)):
             if not ms_verify(sig, message, pk, params, rng):
                 raise InvalidAggregateError(f"input signature {i} is invalid; halting")
-    return MsSignature(tuple(product(col) for col in zip(*(sig.row1 for sig in sigs))),
-                       tuple(product(col) for col in zip(*(sig.row2 for sig in sigs))))
+    return MsSignature(tuple(pks.product(col) for col in zip(*(sig.row1 for sig in sigs))),
+                       tuple(pks.product(col) for col in zip(*(sig.row2 for sig in sigs))))
 
 
-def ms_mult_verify(msig: MsSignature, message: bytes, pks: Sequence[MsPublicKey],
+def ms_mult_verify(msig: MsSignature, message: bytes, keys: Sequence[MsPublicKey],
                    params: MsParams, rng, *, certified: Callable | None = None) -> bool:
-    return ms_mult_verify_scalar(msig, message_scalar(params, message), pks, params, rng,
+    return ms_mult_verify_scalar(msig, message_scalar(params, message), keys, params, rng,
                                  certified=certified)
 
 
-def ms_mult_verify_scalar(msig, m, pks, params, rng, *, certified=None) -> bool:
+def ms_mult_verify_scalar(msig, m, keys, params, rng, *, certified=None) -> bool:
     """False, before any coin or pairing, when ``certified`` refuses a key."""
-    if certified is not None and not all(certified(pk) for pk in pks):
+    if certified is not None and not all(certified(pk) for pk in keys):
         return False
-    t, _, _ = verifier_coins(params.suite, params.variant, rng)
-    return ms_mult_verify_with_coins(msig, m, pks, params, t)
+    t, _, _ = pks.verifier_coins(params.suite, params.variant, rng)
+    return ms_mult_verify_with_coins(msig, m, keys, params, t)
 
 
-def ms_mult_verify_with_coins(msig, m, pks, params, t) -> bool:
-    if not pks:
+def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
+    if not keys:
         raise ValueError("verification requires at least one public key")
-    check_rows(msig, params.variant)
+    pks.check_rows(msig, params.variant)
     terms = [(params.u_hat_row, params.h_hat_row, m)]
-    return verify_rows(msig, params.g_hat_row, None, terms, product([pk.omega for pk in pks]), t)
+    omega = pks.product([pk.omega for pk in keys])
+    return pks.verify_rows(msig, params.g_hat_row, None, terms, omega, t)

@@ -160,7 +160,9 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
     kid = pks.key_id(pub)
     if priv.pk_id and priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
-    if verify_prev and not agg_verify(params, prev, rng, certified=certified):
+    if certified is not None and not all(certified(s) for s in prev.signers):
+        raise InvalidAggregateError("aggregate-so-far has an uncertified signer; halting")
+    if verify_prev and not agg_verify(params, prev, rng):
         raise InvalidAggregateError("aggregate-so-far failed verification; halting")
     if any(pks.key_id(s) == kid for s in prev.signers):
         raise DuplicateSignerError("signer already present in the aggregate")

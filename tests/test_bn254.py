@@ -52,14 +52,40 @@ def twist_point_of_order_10069():
     raise AssertionError("no twist point of order 10069 found")
 
 
-def naive_fq12_pow(x, e):
-    """Square-and-multiply: the oracle for the Frobenius maps."""
-    result = b.FQ12_ONE
-    for bit in bin(e)[2:]:
-        result = b.fq12_sqr(result)
-        if bit == "1":
-            result = b.fq12_mul(result, x)
-    return result
+# g2_in_subgroup computes g2_mul(pt, ORDER), whose exponent is reduced mod
+# ORDER to 0, so every twist point passes (ROADMAP item 1). The tests marked
+# with this pass, and so fail as strict xfails, once the check is real.
+G2_SUBGROUP_GAP = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                    reason="g2_in_subgroup accepts every point on the twist")
+
+
+# The nested-tuple tower below is the independent reference for bn254's flat
+# one: an Fp6 element is a triple of Fp2 pairs, an Fp12 element a pair of
+# Fp6 triples (c0, c1) = c0 + c1*w. `flat` and `fq12_from` convert between
+# it and bn254's flat 12-tuples.
+
+def flat6(x):
+    return tuple(c for pair_ in x for c in pair_)
+
+
+def flat(x):
+    """The flat 12-tuple of a nested Fp12 element, in encoding order."""
+    return flat6(x[0]) + flat6(x[1])
+
+
+def reduced_fq6_mul(x, y):
+    """bn254's unreduced Fp6 product of two flat 6-tuples, reduced."""
+    return tuple(c % b.P for c in b._fq6_mul_unreduced(*x, *y))
+
+
+def fq12_from(coeffs):
+    """The nested Fp12 element of twelve ints in encoding order."""
+    c = list(coeffs)
+    return tuple(tuple((c[i], c[i + 1]) for i in range(j, j + 6, 2)) for j in (0, 6))
+
+
+ORACLE_FQ6_ZERO = (b.FQ2_ZERO,) * 3
+ORACLE_FQ12_ONE = ((b.FQ2_ONE, b.FQ2_ZERO, b.FQ2_ZERO), ORACLE_FQ6_ZERO)
 
 
 def oracle_fq6_add(x, y):
@@ -68,6 +94,14 @@ def oracle_fq6_add(x, y):
 
 def oracle_fq6_sub(x, y):
     return tuple(b.fq2_sub(s, t) for s, t in zip(x, y))
+
+
+def oracle_fq6_neg(x):
+    return tuple(b.fq2_neg(s) for s in x)
+
+
+def oracle_fq6_mul_by_v(x):
+    return (b.fq2_mul_xi(x[2]), x[0], x[1])
 
 
 def oracle_fq6_mul(x, y):
@@ -87,12 +121,26 @@ def oracle_fq6_mul(x, y):
     return (c0, c1, c2)
 
 
+def oracle_fq6_inv(x):
+    """Adjugate over Fp2; the Fp2 inverse is a^-1 = a^(p^2 - 2), not fq2_inv."""
+    a0, a1, a2 = x
+    c0 = b.fq2_sub(b.fq2_sqr(a0), b.fq2_mul_xi(b.fq2_mul(a1, a2)))
+    c1 = b.fq2_sub(b.fq2_mul_xi(b.fq2_sqr(a2)), b.fq2_mul(a0, a1))
+    c2 = b.fq2_sub(b.fq2_sqr(a1), b.fq2_mul(a0, a2))
+    norm = b.fq2_add(b.fq2_mul(a0, c0), b.fq2_mul_xi(b.fq2_add(b.fq2_mul(a2, c1),
+                                                               b.fq2_mul(a1, c2))))
+    if norm == b.FQ2_ZERO:
+        raise ValueError("zero has no inverse")
+    inv = b.fq2_pow(norm, b.P ** 2 - 2)
+    return (b.fq2_mul(c0, inv), b.fq2_mul(c1, inv), b.fq2_mul(c2, inv))
+
+
 def oracle_fq12_mul(x, y):
     a0, a1 = x
     b0, b1 = y
     t0 = oracle_fq6_mul(a0, b0)
     t1 = oracle_fq6_mul(a1, b1)
-    c0 = oracle_fq6_add(t0, b.fq6_mul_by_v(t1))
+    c0 = oracle_fq6_add(t0, oracle_fq6_mul_by_v(t1))
     c1 = oracle_fq6_sub(oracle_fq6_sub(oracle_fq6_mul(oracle_fq6_add(a0, a1),
                                                       oracle_fq6_add(b0, b1)), t0), t1)
     return (c0, c1)
@@ -102,9 +150,54 @@ def oracle_fq12_sqr(x):
     a0, a1 = x
     t = oracle_fq6_mul(a0, a1)
     c0 = oracle_fq6_sub(oracle_fq6_sub(
-        oracle_fq6_mul(oracle_fq6_add(a0, a1), oracle_fq6_add(a0, b.fq6_mul_by_v(a1))), t),
-        b.fq6_mul_by_v(t))
+        oracle_fq6_mul(oracle_fq6_add(a0, a1), oracle_fq6_add(a0, oracle_fq6_mul_by_v(a1))), t),
+        oracle_fq6_mul_by_v(t))
     return (c0, oracle_fq6_add(t, t))
+
+
+def oracle_fq12_conj(x):
+    return (x[0], oracle_fq6_neg(x[1]))
+
+
+def oracle_fq12_inv(x):
+    a0, a1 = x
+    norm = oracle_fq6_inv(oracle_fq6_sub(oracle_fq6_mul(a0, a0),
+                                         oracle_fq6_mul_by_v(oracle_fq6_mul(a1, a1))))
+    return (oracle_fq6_mul(a0, norm), oracle_fq6_neg(oracle_fq6_mul(a1, norm)))
+
+
+ORACLE_FROB_COEFF = {
+    k: [b.fq2_pow(b.XI, i * (b.P ** k - 1) // 6) for i in range(6)] for k in (1, 2, 3)
+}
+
+
+def oracle_fq12_frobenius(x, k):
+    """b_i -> conj^k(b_i) * XI^(i (p^k - 1) / 6) on the w-coefficients
+    b_0..b_5, which the tower packs as c0 = (b0, b2, b4), c1 = (b1, b3, b5)."""
+    (b0, b2, b4), (b1, b3, b5) = x
+    bs = [b0, b1, b2, b3, b4, b5]
+    if k % 2 == 1:
+        bs = [b.fq2_conj(t) for t in bs]
+    bs = [b.fq2_mul(t, c) for t, c in zip(bs, ORACLE_FROB_COEFF[k])]
+    return ((bs[0], bs[2], bs[4]), (bs[1], bs[3], bs[5]))
+
+
+def oracle_fq12_pow(x, e):
+    """Square-and-multiply on the nested tower."""
+    result = ORACLE_FQ12_ONE
+    for bit in bin(e)[2:]:
+        result = oracle_fq12_sqr(result)
+        if bit == "1":
+            result = oracle_fq12_mul(result, x)
+    return result
+
+
+def oracle_final_exponentiation(f):
+    """f^((p^12 - 1)/r): the easy part by conjugate, inverse and Frobenius,
+    the hard part (p^4 - p^2 + 1)/r by square-and-multiply."""
+    t = oracle_fq12_mul(oracle_fq12_conj(f), oracle_fq12_inv(f))
+    t = oracle_fq12_mul(oracle_fq12_frobenius(t, 2), t)
+    return oracle_fq12_pow(t, (b.P ** 4 - b.P ** 2 + 1) // b.ORDER)
 
 
 def oracle_fq6_mul_by_01(x, b0, b1):
@@ -125,7 +218,7 @@ def oracle_mul_line(f, a, c1, c3):
     def scale(x):
         return tuple(b.fq2_scale(t, a) for t in x)
 
-    return (oracle_fq6_add(scale(f0), b.fq6_mul_by_v(oracle_fq6_mul_by_01(f1, c1, c3))),
+    return (oracle_fq6_add(scale(f0), oracle_fq6_mul_by_v(oracle_fq6_mul_by_01(f1, c1, c3))),
             oracle_fq6_add(oracle_fq6_mul_by_01(f0, c1, c3), scale(f1)))
 
 
@@ -153,24 +246,19 @@ def oracle_fq12_cyc_sqr(x):
     return ((z0, z4, z3), (z2, z1, z5))
 
 
-def fq12_from(coeffs):
-    """The Fp12 tower tuple of twelve ints, in encoding order."""
-    c = list(coeffs)
-    return tuple(tuple((c[i], c[i + 1]) for i in range(j, j + 6, 2)) for j in (0, 6))
-
-
 def random_fq12():
+    """A random nested Fp12 element."""
     return fq12_from(rng.randrange(b.P) for _ in range(12))
 
 
 def easy_part(f):
-    """f^((p^6 - 1)(p^2 + 1)), which lies in the cyclotomic subgroup."""
+    """f^((p^6 - 1)(p^2 + 1)) for flat f, which lies in the cyclotomic subgroup."""
     t = b.fq12_mul(b.fq12_conj(f), b.fq12_inv(f))
     return b.fq12_mul(b.fq12_frobenius(t, 2), t)
 
 
 EXTREME_FQ12 = {"all-P-1": fq12_from([b.P - 1] * 12), "zero": fq12_from([0] * 12),
-                "one": b.FQ12_ONE}
+                "one": ORACLE_FQ12_ONE}
 
 
 def naive_line(r, q, p):
@@ -181,7 +269,7 @@ def naive_line(r, q, p):
         lam = b.fq2_mul(b.fq2_scale(b.fq2_sqr(xr), 3), b.fq2_inv(b.fq2_scale(yr, 2)))
     elif xr == q[0]:
         # the vertical x - xr' untwists to xp - xr'*w^2
-        return (((xp, 0), b.fq2_neg(xr), b.FQ2_ZERO), b.FQ6_ZERO), None
+        return (((xp, 0), b.fq2_neg(xr), b.FQ2_ZERO), ORACLE_FQ6_ZERO), None
     else:
         lam = b.fq2_mul(b.fq2_sub(q[1], yr), b.fq2_inv(b.fq2_sub(q[0], xr)))
     x3 = b.fq2_sub(b.fq2_sub(b.fq2_sqr(lam), xr), q[0])
@@ -192,9 +280,10 @@ def naive_line(r, q, p):
 
 
 def naive_miller_loop_product(pairs):
-    """Affine shared Miller loop with one fq2_inv and one dense fq12_mul per
-    line, vertical lines included: the oracle for the sparse, batch-inverted
-    loop, to be compared after the final exponentiation."""
+    """Affine shared Miller loop on the nested tower with one fq2_inv and one
+    dense Fp12 product per line, vertical lines included: the oracle for the
+    sparse, batch-inverted loop, to be compared after the final
+    exponentiation."""
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     ps = [p for p, _ in live]
     qs = [q for _, q in live]
@@ -203,12 +292,12 @@ def naive_miller_loop_product(pairs):
     def step(f, addends):
         for i, (q, p) in enumerate(zip(addends, ps)):
             line, rs[i] = naive_line(rs[i], q, p)
-            f = b.fq12_mul(f, line)
+            f = oracle_fq12_mul(f, line)
         return f
 
-    f = b.FQ12_ONE
+    f = ORACLE_FQ12_ONE
     for bit in bin(b.ATE_LOOP)[3:]:
-        f = step(b.fq12_sqr(f), list(rs))
+        f = step(oracle_fq12_sqr(f), list(rs))
         if bit == "1":
             f = step(f, qs)
     f = step(f, [b.g2_frobenius(q) for q in qs])
@@ -268,41 +357,67 @@ class TestFieldTower:
     def test_frobenius_is_p_power(self):
         x = b.pairing(b.g1_mul(b.G1_GEN, 5), b.G2_GEN)
         for k in (1, 2, 3):
-            assert b.fq12_frobenius(x, k) == naive_fq12_pow(x, b.P ** k)
+            assert b.fq12_frobenius(x, k) == flat(oracle_fq12_pow(fq12_from(x), b.P ** k))
 
     def test_flat_products_match_tuple_oracles(self):
         for _ in range(50):
             x, y = random_fq12(), random_fq12()
-            assert b.fq6_mul(x[0], y[1]) == oracle_fq6_mul(x[0], y[1])
-            assert b.fq12_mul(x, y) == oracle_fq12_mul(x, y)
-            assert b.fq12_sqr(x) == oracle_fq12_sqr(x)
+            fx, fy = flat(x), flat(y)
+            assert reduced_fq6_mul(fx[:6], fy[6:]) == flat6(oracle_fq6_mul(x[0], y[1]))
+            assert b.fq12_mul(fx, fy) == flat(oracle_fq12_mul(x, y))
+            assert b.fq12_sqr(fx) == flat(oracle_fq12_sqr(x))
             a, c1, c3 = rng.randrange(b.P), y[0][0], y[0][1]
-            assert b._mul_line(x, a, c1, c3) == oracle_mul_line(x, a, c1, c3)
-            assert b.fq12_cyc_sqr(x) == oracle_fq12_cyc_sqr(x)
+            assert b._mul_line(fx, a, c1, c3) == flat(oracle_mul_line(x, a, c1, c3))
+            assert b.fq12_cyc_sqr(fx) == flat(oracle_fq12_cyc_sqr(x))
 
     @pytest.mark.parametrize("y", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
     @pytest.mark.parametrize("x", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
     def test_flat_products_on_extreme_inputs(self, x, y):
         """Every coefficient P - 1 gives the largest unreduced intermediates."""
-        assert b.fq6_mul(x[0], y[0]) == oracle_fq6_mul(x[0], y[0])
-        assert b.fq6_mul(x[1], y[0]) == oracle_fq6_mul(x[1], y[0])
-        assert b.fq12_mul(x, y) == oracle_fq12_mul(x, y)
-        assert b.fq12_sqr(x) == oracle_fq12_sqr(x)
-        assert b.fq12_cyc_sqr(x) == oracle_fq12_cyc_sqr(x)
+        fx, fy = flat(x), flat(y)
+        assert reduced_fq6_mul(fx[:6], fy[:6]) == flat6(oracle_fq6_mul(x[0], y[0]))
+        assert reduced_fq6_mul(fx[6:], fy[:6]) == flat6(oracle_fq6_mul(x[1], y[0]))
+        assert b.fq12_mul(fx, fy) == flat(oracle_fq12_mul(x, y))
+        assert b.fq12_sqr(fx) == flat(oracle_fq12_sqr(x))
+        assert b.fq12_cyc_sqr(fx) == flat(oracle_fq12_cyc_sqr(x))
         (a, _), c1, c3 = y[0]
-        assert b._mul_line(x, a, c1, c3) == oracle_mul_line(x, a, c1, c3)
+        assert b._mul_line(fx, a, c1, c3) == flat(oracle_mul_line(x, a, c1, c3))
+
+    def test_inverse_conjugate_and_frobenius_match_tuple_oracles(self):
+        for _ in range(20):
+            self.check_against_oracles(random_fq12())
+
+    @pytest.mark.parametrize("x", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
+    def test_inverse_conjugate_and_frobenius_on_extreme_inputs(self, x):
+        """Zero has no inverse in either tower."""
+        zero = x == EXTREME_FQ12["zero"]
+        if zero:
+            with pytest.raises(ValueError):
+                b.fq12_inv(flat(x))
+            with pytest.raises(ValueError):
+                oracle_fq12_inv(x)
+        self.check_against_oracles(x, invert=not zero)
+
+    @staticmethod
+    def check_against_oracles(x, invert=True):
+        fx = flat(x)
+        if invert:
+            assert b.fq12_inv(fx) == flat(oracle_fq12_inv(x))
+        assert b.fq12_conj(fx) == flat(oracle_fq12_conj(x))
+        for k in (1, 2, 3):
+            assert b.fq12_frobenius(fx, k) == flat(oracle_fq12_frobenius(x, k))
 
     def test_cyclotomic_square_matches_generic(self):
         """Granger-Scott squaring equals the generic square (and its tuple
         oracle) on the cyclotomic subgroup: powers of a pairing output,
         easy-part images of random elements and the unit."""
         x = b.pairing(b.g1_mul(b.G1_GEN, 9), b.g2_mul(b.G2_GEN, 11))
-        xs = [b.FQ12_ONE] + [easy_part(random_fq12()) for _ in range(50)]
+        xs = [b.FQ12_ONE] + [easy_part(flat(random_fq12())) for _ in range(50)]
         for _ in range(5):
             xs.append(x)
             x = b.fq12_mul(b.fq12_sqr(x), x)
         for x in xs:
-            assert b.fq12_cyc_sqr(x) == b.fq12_sqr(x) == oracle_fq12_sqr(x)
+            assert b.fq12_cyc_sqr(x) == b.fq12_sqr(x) == flat(oracle_fq12_sqr(fq12_from(x)))
 
 
 class TestGroups:
@@ -312,6 +427,22 @@ class TestGroups:
 
     def test_g2_subgroup_check(self):
         assert b.g2_in_subgroup(b.g2_mul(b.G2_GEN, 12345))
+
+    @G2_SUBGROUP_GAP
+    def test_g2_subgroup_check_refuses_a_point_of_order_10069(self):
+        assert not b.g2_in_subgroup(twist_point_of_order_10069())
+
+    @G2_SUBGROUP_GAP
+    def test_g2_subgroup_check_refuses_a_random_twist_point(self):
+        draw = random.Random(10069)
+        while True:
+            x = (draw.randrange(b.P), draw.randrange(b.P))
+            y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
+            if y is not None:
+                break
+        if naive_g2_ladder((x, y), b.ORDER) is None:
+            raise RuntimeError("the random twist point lies in G2")
+        assert not b.g2_in_subgroup((x, y))
 
     def test_g2_mul_matches_naive(self):
         for _ in range(5):
@@ -457,13 +588,13 @@ class TestPairing:
         pairs = [(b.g1_mul(b.G1_GEN, rng.randrange(1, b.ORDER)),
                   b.g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))) for _ in range(n)]
         fast = b.final_exponentiation(b.miller_loop_product(pairs))
-        assert fast == b.final_exponentiation(naive_miller_loop_product(pairs))
+        assert fast == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
 
     def test_miller_loop_identity_pairs_match_naive(self):
         q = b.g2_mul(b.G2_GEN, 77)
         pairs = [(None, q), (b.G1_GEN, None), (b.G1_GEN, q), (None, None)]
         fast = b.final_exponentiation(b.miller_loop_product(pairs))
-        assert fast == b.final_exponentiation(naive_miller_loop_product(pairs))
+        assert fast == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
         assert fast == b.pairing(b.G1_GEN, q)
 
     def test_miller_loop_inverse_pair_cancels(self):
@@ -471,14 +602,14 @@ class TestPairing:
         q = b.g2_mul(b.G2_GEN, 4242)
         pairs = [(p, q), (p, b.g2_neg(q))]
         assert b.final_exponentiation(b.miller_loop_product(pairs)) == b.FQ12_ONE
-        assert b.final_exponentiation(naive_miller_loop_product(pairs)) == b.FQ12_ONE
+        assert b.final_exponentiation(flat(naive_miller_loop_product(pairs))) == b.FQ12_ONE
 
     def test_vertical_line_is_left_out(self):
         """At R = -Q the line is vertical and lies in Fp6, which the final
         exponentiation sends to 1; the step leaves f as it is."""
         p, q = b.g1_mul(b.G1_GEN, 5), b.g2_mul(b.G2_GEN, 9)
         line, total = naive_line(q, b.g2_neg(q), p)
-        assert total is None and b.final_exponentiation(line) == b.FQ12_ONE
+        assert total is None and b.final_exponentiation(flat(line)) == b.FQ12_ONE
         f = b.pairing(b.G1_GEN, b.G2_GEN)
         rs = [q]
         assert b._miller_step(f, rs, [b.g2_neg(q)], [p]) == f
@@ -491,20 +622,24 @@ class TestPairing:
         assert b._hard_part_chain(t) == hard_part_digits(t)
 
     def test_gt_pow_matches_slow_ladder(self):
-        g = b.pairing(b.G1_GEN, b.G2_GEN)
-
-        def slow(x, e):
-            r = b.FQ12_ONE
-            for bit in bin(e)[2:]:
-                r = b.fq12_sqr(r)
-                if bit == "1":
-                    r = b.fq12_mul(r, x)
-            return r
-
+        """Against square-and-multiply on the nested tower, for a pairing
+        output, the unit and an easy-part image (cyclotomic, order not r)."""
+        bases = [b.pairing(b.G1_GEN, b.G2_GEN), b.FQ12_ONE, easy_part(flat(random_fq12()))]
         # ORDER - 1 and -3 have negative wNAF digits, which take the conjugation inverse
-        for e in (0, 1, 2, rng.randrange(b.ORDER), b.ORDER - 1, -3):
-            expect = slow(g, e % b.ORDER) if e else b.FQ12_ONE
-            assert b.gt_pow(g, e) == expect
+        for g in bases:
+            for e in (0, 1, 2, rng.randrange(b.ORDER), b.ORDER - 1, -3):
+                assert b.gt_pow(g, e) == flat(oracle_fq12_pow(fq12_from(g), e % b.ORDER))
+
+    @pytest.mark.parametrize("ks", [(1, 1), (b.ORDER - 1, 1), (1, b.ORDER - 1), "random"],
+                             ids=["gens", "neg-g1", "neg-g2", "random"])
+    def test_pairing_matches_tuple_oracle(self, ks):
+        """The whole pairing, Miller loop and final exponentiation, against
+        the nested tower's loop and square-and-multiply final exponentiation."""
+        if ks == "random":
+            ks = (rng.randrange(1, b.ORDER), rng.randrange(1, b.ORDER))
+        p, q = b.g1_mul(b.G1_GEN, ks[0]), b.g2_mul(b.G2_GEN, ks[1])
+        want = oracle_final_exponentiation(naive_miller_loop_product([(p, q)]))
+        assert b.pairing(p, q) == flat(want)
 
     def test_gt_inv_is_conjugate(self):
         g = b.pairing(b.G1_GEN, b.G2_GEN)

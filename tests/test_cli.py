@@ -150,7 +150,7 @@ class TestAggregatePipeline:
                                         "--params", str(params), "--agg", str(agg),
                                         "--keys", *map(str, keys)))
         assert code == 0 and fields["result"] == ["valid"]
-        assert fields["pairings"] == ["6"]
+        assert fields["pairings"] == ["6"] and fields["certified"] == ["unchecked"]
 
     def test_tampered_aggregate_exits_one(self, setup, tmp_path, capsys):
         params, signers = setup
@@ -190,7 +190,13 @@ class TestAggregatePipeline:
                                         "--keys", *map(str, keys + [pub3]),
                                         "--registry", str(registry)))
         assert code == 1
-        assert fields["reason"] == ["uncertified"]
+        assert fields["reason"] == ["uncertified"] and fields["certified"] == ["no"]
+        assert "pairings" not in fields
+        code, fields = run(capsys, *det("agg-verify", "--scheme", "sas2",
+                                        "--params", str(params), "--agg", str(agg),
+                                        "--keys", *map(str, keys),
+                                        "--registry", str(registry)))
+        assert code == 0 and fields["certified"] == ["yes"] and fields["pairings"] == ["6"]
 
     def test_mismatched_key_pair_exits_one(self, setup, tmp_path, capsys):
         params, signers = setup
@@ -255,11 +261,13 @@ class TestMultisigPipeline:
                                         "--pubs", *map(str, pubs),
                                         "--message", "joint"))
         assert code == 0 and fields["result"] == ["valid"]
+        assert fields["certified"] == ["unchecked"]
         code, fields = run(capsys, *det("ms-verify", "--params", str(params),
                                         "--msig", str(combined),
                                         "--pubs", *map(str, pubs),
                                         "--message", "different"))
-        assert code == 1
+        assert code == 1 and fields["reason"] == ["message-mismatch"]
+        assert fields["certified"] == ["unchecked"]
 
     def test_each_share_picks_its_own_key(self, shares, tmp_path, capsys):
         params, pubs, sigs = shares
@@ -467,9 +475,9 @@ def test_record_that_does_not_vouch_for_the_key_is_uncertified(key_files, tmp_pa
 
 
 def test_ms_commands_refuse_an_uncertified_signer(key_files, tmp_path, capsys):
-    """ms-combine and ms-verify hand the registry's predicate to the library,
-    which refuses the unregistered ms key before any pairing; once the key
-    is registered, both succeed."""
+    """ms-combine and ms-verify refuse the unregistered ms key before any
+    pairing, and ms-verify says so with certified=no; once the key is
+    registered, both succeed and ms-verify prints certified=yes."""
     registry = tmp_path / "reg.bin"
     d = key_files
     tail = f" --pubs {d}/ms.pub --message hi --registry {registry}"
@@ -484,6 +492,8 @@ def test_ms_commands_refuse_an_uncertified_signer(key_files, tmp_path, capsys):
         if scheme == "sas2":
             assert combined == 1 and not (tmp_path / "c.bin").exists()
             assert code == 1 and fields["reason"] == ["uncertified"]
+            assert fields["certified"] == ["no"] and "pairings" not in fields
         else:
             assert combined == 0 and (tmp_path / "c.bin").exists()
             assert code == 0 and fields["result"] == ["valid"] and fields["pairings"] == ["6"]
+            assert fields["certified"] == ["yes"]

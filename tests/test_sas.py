@@ -100,6 +100,26 @@ class TestAggregation:
         certified_ids.add(keys[1][1].pk_id)
         assert sas.agg_verify(params, agg, rng, certified=predicate)
 
+    @pytest.mark.parametrize("verify_prev", [True, False])
+    def test_uncertified_prefix_refused_at_signing(self, mock_suite, rng, variant, verify_prev):
+        """An aggregate whose first signer the predicate refuses is not
+        extended, whether or not the aggregate so far is verified: the
+        refusal comes before any coin or pairing."""
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:2])
+        pub, priv = sas.keygen(params, rng)
+        certified_ids = {keys[1][1].pk_id, priv.pk_id}
+        predicate = lambda key: pks.key_id(key) in certified_ids
+        state, pairings = rng.getstate(), mock_suite.pairing_count
+        with pytest.raises(InvalidAggregateError):
+            sas.agg_sign(params, agg, MSGS[2], pub, priv, rng, certified=predicate,
+                         verify_prev=verify_prev)
+        assert rng.getstate() == state and mock_suite.pairing_count == pairings
+        certified_ids.add(keys[0][1].pk_id)
+        longer = sas.agg_sign(params, agg, MSGS[2], pub, priv, rng, certified=predicate,
+                              verify_prev=verify_prev)
+        assert sas.agg_verify(params, longer, rng, certified=predicate)
+
     def test_pairing_cost_flat_in_l(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         expected = 2 * pks.ROW_WIDTH[variant]
