@@ -148,13 +148,7 @@ def decode_signature(suite: GroupSuite, data: bytes) -> pks.Signature:
 
 # ---------------------------------------------------------------------------
 # public keys (AKEY) and public parameters (APRM): one scheme byte, then the
-# elements in the order the class's LAYOUT declares
-
-_PUBLIC_KEY_CLASS = {
-    "pks1": pks.Pks1PublicKey, "pks2": pks.Pks2PublicKey, "lw": pks.LwPublicKey,
-    "sas1": sas.SasSignerPublic, "sas2": sas.SasSignerPublic, "ms": ms.MsPublicKey,
-}
-_PARAMS_CLASS = {"sas1": sas.Sas1Params, "sas2": sas.Sas2Params, "ms": ms.MsParams}
+# elements in the order the variant's LAYOUT in pks.PublicKey or pks.Params declares
 
 
 def _encode_layout(magic: bytes, obj) -> bytes:
@@ -163,13 +157,12 @@ def _encode_layout(magic: bytes, obj) -> bytes:
     return header + _encode_elements(elems)
 
 
-def _decode_layout(magic: bytes, classes, suite: GroupSuite, data: bytes):
+def _decode_layout(magic: bytes, cls, suite: GroupSuite, data: bytes):
     r = _Reader(data, magic, suite)
     scheme = r.byte()
     variant = SCHEME_NAME.get(scheme)
-    if variant not in classes:
+    if variant not in cls.LAYOUT:
         raise MalformedEncodingError(f"scheme byte {scheme} is not valid in {magic.decode()}")
-    cls = classes[variant]
     elems = r.elements(cls.element_kinds(variant))
     r.end()
     return cls.from_elements(suite, variant, elems)
@@ -179,16 +172,16 @@ def encode_public_key(pk) -> bytes:
     return _encode_layout(MAGIC_PUBLIC_KEY, pk)
 
 
-def decode_public_key(suite: GroupSuite, data: bytes):
-    return _decode_layout(MAGIC_PUBLIC_KEY, _PUBLIC_KEY_CLASS, suite, data)
+def decode_public_key(suite: GroupSuite, data: bytes) -> pks.PublicKey:
+    return _decode_layout(MAGIC_PUBLIC_KEY, pks.PublicKey, suite, data)
 
 
 def encode_params(params) -> bytes:
     return _encode_layout(MAGIC_PARAMS, params)
 
 
-def decode_params(suite: GroupSuite, data: bytes):
-    return _decode_layout(MAGIC_PARAMS, _PARAMS_CLASS, suite, data)
+def decode_params(suite: GroupSuite, data: bytes) -> pks.Params:
+    return _decode_layout(MAGIC_PARAMS, pks.Params, suite, data)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
 
 
 def decode_aggregate(suite: GroupSuite, data: bytes,
-                     known_keys: Sequence[sas.SasSignerPublic]) -> sas.AggregateSignature:
+                     known_keys: Sequence[pks.PublicKey]) -> sas.AggregateSignature:
     r = _Reader(data, MAGIC_AGGREGATE, suite)
     variant = SCHEME_NAME.get(r.byte())
     length = r.u32()
@@ -284,7 +277,7 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
 # multi-signatures (AMSG)
 
 def encode_multisignature(msig: ms.MsSignature, message_hash: int,
-                          pk_list: Sequence[ms.MsPublicKey]) -> bytes:
+                          pk_list: Sequence[pks.PublicKey]) -> bytes:
     suite = msig.row1[0].suite
     parts = [
         _header(MAGIC_MULTISIG, suite),
@@ -298,7 +291,7 @@ def encode_multisignature(msig: ms.MsSignature, message_hash: int,
 
 
 def decode_multisignature(suite: GroupSuite, data: bytes,
-                          known_keys: Sequence[ms.MsPublicKey]):
+                          known_keys: Sequence[pks.PublicKey]):
     """Returns (signature, message_hash, ordered public keys)."""
     r = _Reader(data, MAGIC_MULTISIG, suite)
     count = r.u32()

@@ -330,11 +330,12 @@ class ElementLayout:
 
     ``LAYOUT`` declares the element fields once, in dataclass field order:
     ``kind`` for one element, ``kind*n`` for a tuple of n, e.g.
-    ``"g1*3 g2*3 gt"``. A class whose layout depends on its ``variant``
-    field maps each variant to a declaration. The only other fields allowed
-    are ``suite`` and ``variant``. The declaration fixes the element order
-    (and so key ids and envelope bytes), the kinds a decoder reads, and
-    construction from decoded elements.
+    ``"g1*3 g2*3 gt"``, and ``kind*0`` for a field the variant lacks, which
+    holds no element and keeps its default. A class whose layout depends on
+    its ``variant`` field maps each variant to a declaration. The only other
+    fields allowed are ``suite`` and ``variant``. The declaration fixes the
+    element order (and so key ids and envelope bytes), the kinds a decoder
+    reads, and construction from decoded elements.
     """
 
     LAYOUT: str | dict[str, str]
@@ -359,7 +360,7 @@ class ElementLayout:
         kwargs, i = {}, 0
         for name, count in slots:
             kwargs[name] = elems[i] if count is None else tuple(elems[i:i + count])
-            i += count or 1
+            i += 1 if count is None else count
         given = {"suite": suite, "variant": variant}
         return cls(**kwargs, **{name: given[name] for name in context})
 
@@ -368,9 +369,10 @@ class ElementLayout:
 def _parse_layout(cls, variant):
     """(slots, kinds, context) of ``cls.LAYOUT`` for ``variant``, parsed once.
 
-    ``slots`` pairs each element field with its tuple length (None for a
-    single element), ``kinds`` lists the kind of every element in order and
-    ``context`` names the ``suite``/``variant`` fields.
+    ``slots`` pairs each element field the variant has with its tuple length
+    (None for a single element); a ``kind*0`` field is left out.
+    ``kinds`` lists the kind of every element in order and ``context`` names
+    the ``suite``/``variant`` fields.
     """
     spec = cls.LAYOUT if isinstance(cls.LAYOUT, str) else cls.LAYOUT[variant]
     names = [f.name for f in dataclasses.fields(cls)]
@@ -385,8 +387,9 @@ def _parse_layout(cls, variant):
         if kind not in _KIND_CLS:
             raise TypeError(f"{cls.__name__} layout names unknown kind {kind!r}")
         count = int(n) if star else None
-        slots.append((name, count))
-        kinds += [kind] * (count or 1)
+        if count != 0:
+            slots.append((name, count))
+        kinds += [kind] * (1 if count is None else count)
     return tuple(slots), tuple(kinds), context
 
 

@@ -19,42 +19,9 @@ from typing import Callable, Sequence
 
 from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
-from .groups import (
-    ElementLayout,
-    G1Elem,
-    G2Elem,
-    GroupSuite,
-    GTElem,
-    Scalar,
-    hash_to_scalar,
-    pair,
-    random_scalar,
-)
+from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, pair, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
-
-
-@dataclass(frozen=True)
-class MsParams(ElementLayout):
-    LAYOUT = "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 gt"
-    variant = "ms"
-    suite: GroupSuite
-    g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
-    u_row: tuple[G1Elem, ...]
-    h_row: tuple[G1Elem, ...]
-    w_row: tuple[G1Elem, ...]  # w1, w2, w
-    g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu, ghat^-tau
-    u_hat_row: tuple[G2Elem, ...]
-    h_hat_row: tuple[G2Elem, ...]
-    lam: GTElem  # e(g, ghat)
-
-
-@dataclass(frozen=True)
-class MsPublicKey(pks.CachedKeyId):
-    LAYOUT = "gt"
-    variant = "ms"
-    suite: GroupSuite
-    omega: GTElem
 
 
 @dataclass(frozen=True)
@@ -66,32 +33,33 @@ class MsSignature(pks.SignatureRows):
     row2: tuple[G1Elem, ...]
 
 
-def ms_setup(suite: GroupSuite, rng) -> MsParams:
-    """Public parameters: a pks2 public key with lam = e(g, ghat) in place of Omega."""
+def ms_setup(suite: GroupSuite, rng) -> pks.Params:
+    """Public parameters: the rows of a pks2 public key with lam = e(g, ghat) in place of Omega."""
     r = lambda: random_scalar(suite, rng)
     w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
     x, y, c_g, c_u, c_h = r(), r(), r(), r(), r()
     g = suite.g
-    return MsParams(suite, pks.blind(g, w_row, c_g), pks.blind(g ** x, w_row, c_u),
-                    pks.blind(g ** y, w_row, c_h), w_row, g_hat_row,
-                    pks.row_pow(g_hat_row, x), pks.row_pow(g_hat_row, y), pair(g, suite.g_hat))
+    return pks.Params(suite=suite, variant="ms", g_row=pks.blind(g, w_row, c_g),
+                      u_row=pks.blind(g ** x, w_row, c_u), h_row=pks.blind(g ** y, w_row, c_h),
+                      w_row=w_row, g_hat_row=g_hat_row, u_hat_row=pks.row_pow(g_hat_row, x),
+                      h_hat_row=pks.row_pow(g_hat_row, y), lam=pair(g, suite.g_hat))
 
 
-def ms_keygen(params: MsParams, rng) -> tuple[MsPublicKey, pks.PrivateKey]:
+def ms_keygen(params: pks.Params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
     alpha = random_scalar(params.suite, rng)
     return ms_key_from_secret(params, alpha)
 
 
-def ms_key_from_secret(params: MsParams, alpha: Scalar):
-    pk = MsPublicKey(suite=params.suite, omega=params.lam ** alpha)
+def ms_key_from_secret(params: pks.Params, alpha: Scalar):
+    pk = pks.PublicKey(suite=params.suite, variant="ms", omega=params.lam ** alpha)
     return pk, pks.PrivateKey("ms", alpha, pk_id=pks.key_id(pk))
 
 
-def message_scalar(params: MsParams, message: bytes) -> Scalar:
+def message_scalar(params: pks.Params, message: bytes) -> Scalar:
     return hash_to_scalar(params.suite, _MSG_TAG, message, width="full")
 
 
-def ms_sign(params: MsParams, message: bytes, sk: pks.PrivateKey, rng) -> MsSignature:
+def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> MsSignature:
     return ms_sign_scalar(params, message_scalar(params, message), sk, rng)
 
 
@@ -101,13 +69,13 @@ def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
                                       *pks.signing_coins(params.suite, rng)))
 
 
-def ms_verify(sig: MsSignature, message: bytes, pk: MsPublicKey, params: MsParams, rng, *,
+def ms_verify(sig: MsSignature, message: bytes, pk: pks.PublicKey, params: pks.Params, rng, *,
               certified: Callable | None = None) -> bool:
     return ms_mult_verify(sig, message, [pk], params, rng, certified=certified)
 
 
-def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[MsPublicKey],
-               params: MsParams, rng, *, skip_individual_checks: bool = False,
+def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[pks.PublicKey],
+               params: pks.Params, rng, *, skip_individual_checks: bool = False,
                certified: Callable | None = None) -> MsSignature:
     """Componentwise product of same-message signatures.
 
@@ -132,8 +100,8 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[MsPub
                        tuple(pks.product(col) for col in zip(*(sig.row2 for sig in sigs))))
 
 
-def ms_mult_verify(msig: MsSignature, message: bytes, keys: Sequence[MsPublicKey],
-                   params: MsParams, rng, *, certified: Callable | None = None) -> bool:
+def ms_mult_verify(msig: MsSignature, message: bytes, keys: Sequence[pks.PublicKey],
+                   params: pks.Params, rng, *, certified: Callable | None = None) -> bool:
     return ms_mult_verify_scalar(msig, message_scalar(params, message), keys, params, rng,
                                  certified=certified)
 

@@ -61,56 +61,61 @@ MESSAGE_WIDTH = {"pks1": "reduced", "pks2": "full", "lw": "reduced"}
 _MSG_TAG = b"seqsig/pks/message"
 
 
-class CachedKeyId(ElementLayout):
-    """Public-key mixin: the key id, over the layout's elements, is hashed once per key."""
+@dataclass(frozen=True, kw_only=True)
+class _Rows(ElementLayout):
+    """The one row order of every key and parameter set; see :class:`PublicKey`."""
+
+    suite: GroupSuite
+    variant: str
+    g_row: tuple[G1Elem, ...] = ()  # (g,), or the blinded row g*w1^cg, w2^cg, w^cg
+    u_row: tuple[G1Elem, ...] = ()  # (u,) with u = g^x, or the blinded u row
+    h_row: tuple[G1Elem, ...] = ()  # (h,) with h = g^y, or the blinded h row
+    w_row: tuple[G1Elem, ...] = ()  # w^phi1, w^phi2, w^phi3, w; or w1, w2, w
+    g_hat_row: tuple[G2Elem, ...] = ()  # ghat, ghat^nu1, ..., ghat^-tau
+    u_hat_row: tuple[G2Elem, ...] = ()  # g_hat_row^x
+    h_hat_row: tuple[G2Elem, ...] = ()  # g_hat_row^y
+    v_hat_row: tuple[G2Elem, ...] = ()  # vhat, vhat^nu3, vhat^-pi (4-wide only)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PublicKey(_Rows):
+    """A signer's public key in every scheme: the rows its variant publishes,
+    then Omega = e(g, ghat)^alpha.
+
+    All six schemes take their rows from one dual-system construction, so a
+    key is a subsequence of one row order; a ``*0`` row is one the variant
+    does not publish. sas keys leave the shared rows to the parameters, and
+    ms keys leave every row to them.
+    """
+
+    LAYOUT = {
+        "pks1": "g1*1 g1*1 g1*1 g1*4 g2*4 g2*4 g2*4 g2*3 gt",
+        "pks2": "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
+        "lw":   "g1*0 g1*0 g1*0 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
+        "sas1": "g1*0 g1*1 g1*1 g1*0 g2*0 g2*4 g2*4 g2*0 gt",
+        "sas2": "g1*0 g1*3 g1*3 g1*0 g2*0 g2*3 g2*3 g2*0 gt",
+        "ms":   "g1*0 g1*0 g1*0 g1*0 g2*0 g2*0 g2*0 g2*0 gt",
+    }
+    omega: GTElem
 
     @functools.cached_property
     def key_id(self) -> bytes:
-        payload = b"".join(encode_element(e) for e in self.elements())
-        return hashlib.sha256(payload).digest()
+        """SHA-256 of the layout's elements, hashed once per key."""
+        return hashlib.sha256(b"".join(encode_element(e) for e in self.elements())).digest()
 
 
-@dataclass(frozen=True)
-class Pks1PublicKey(CachedKeyId):
-    LAYOUT = "g1 g1 g1 g1*4 g2*4 g2*4 g2*4 g2*3 gt"
-    variant = "pks1"
-    suite: GroupSuite
-    g: G1Elem
-    u: G1Elem
-    h: G1Elem
-    w_row: tuple[G1Elem, ...]  # w^phi1, w^phi2, w^phi3, w
-    g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu1, ghat^nu2, ghat^-tau
-    u_hat_row: tuple[G2Elem, ...]
-    h_hat_row: tuple[G2Elem, ...]
-    v_hat_row: tuple[G2Elem, ...]  # vhat, vhat^nu3, vhat^-pi
-    omega: GTElem
+@dataclass(frozen=True, kw_only=True)
+class Params(_Rows):
+    """The shared parameters of sas and ms, in the row order of
+    :class:`PublicKey`, then Lambda = e(g, ghat); sas1 signers pair the
+    clear g, so its ``lam`` is None."""
 
-
-@dataclass(frozen=True)
-class Pks2PublicKey(CachedKeyId):
-    LAYOUT = "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 gt"
-    variant = "pks2"
-    suite: GroupSuite
-    g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
-    u_row: tuple[G1Elem, ...]
-    h_row: tuple[G1Elem, ...]
-    w_row: tuple[G1Elem, ...]  # w1, w2, w
-    g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu, ghat^-tau
-    u_hat_row: tuple[G2Elem, ...]
-    h_hat_row: tuple[G2Elem, ...]
-    omega: GTElem
-
-
-@dataclass(frozen=True)
-class LwPublicKey(CachedKeyId):
-    LAYOUT = "g1*3 g2*3 g2*3 g2*3 gt"
-    variant = "lw"
-    suite: GroupSuite
-    w_row: tuple[G1Elem, ...]  # w1, w2, w
-    g_hat_row: tuple[G2Elem, ...]
-    u_hat_row: tuple[G2Elem, ...]
-    h_hat_row: tuple[G2Elem, ...]
-    omega: GTElem
+    LAYOUT = {
+        "sas1": "g1*1 g1*0 g1*0 g1*4 g2*4 g2*0 g2*0 g2*3 gt*0",
+        "sas2": "g1*3 g1*0 g1*0 g1*3 g2*3 g2*0 g2*0 g2*0 gt",
+        "ms":   "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
+    }
+    lam: GTElem | None = None
 
 
 @dataclass(frozen=True)
@@ -213,19 +218,17 @@ def keygen_from_exponents(suite: GroupSuite, variant: str, e):
     if variant == "pks1":
         w_row, g_hat_row, v_hat_row = param_rows4(
             suite, e.y_w, e.y_v, e.nu1, e.nu2, e.nu3, e.phi1, e.phi2, e.phi3)
+        rows = dict(g_row=(g,), u_row=(g ** e.x,), h_row=(g ** e.y,), v_hat_row=v_hat_row)
     elif variant in ("pks2", "lw"):
         w_row, g_hat_row = param_rows3(suite, e.y_w, e.nu, e.phi1, e.phi2)
+        rows = {} if variant == "lw" else dict(
+            g_row=blind(g, w_row, e.c_g), u_row=blind(g ** e.x, w_row, e.c_u),
+            h_row=blind(g ** e.y, w_row, e.c_h))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    rows = dict(w_row=w_row, g_hat_row=g_hat_row, u_hat_row=row_pow(g_hat_row, e.x),
-                h_hat_row=row_pow(g_hat_row, e.y), omega=pair(g, suite.g_hat) ** e.alpha)
-    if variant == "pks1":
-        pk = Pks1PublicKey(suite, g, g ** e.x, g ** e.y, v_hat_row=v_hat_row, **rows)
-    elif variant == "pks2":
-        pk = Pks2PublicKey(suite, blind(g, w_row, e.c_g), blind(g ** e.x, w_row, e.c_u),
-                           blind(g ** e.y, w_row, e.c_h), **rows)
-    else:
-        pk = LwPublicKey(suite, **rows)
+    pk = PublicKey(suite=suite, variant=variant, w_row=w_row, g_hat_row=g_hat_row,
+                   u_hat_row=row_pow(g_hat_row, e.x), h_hat_row=row_pow(g_hat_row, e.y),
+                   omega=pair(g, suite.g_hat) ** e.alpha, **rows)
     return pk, PrivateKey(variant, e.alpha, e.x, e.y, pk_id=key_id(pk))
 
 
@@ -244,7 +247,7 @@ def sign(variant: str, message: bytes, sk: PrivateKey, pk, rng) -> Signature:
 
 
 def sign_scalar(variant: str, m: Scalar, sk: PrivateKey, pk, rng) -> Signature:
-    if sk.pk_id and sk.pk_id != key_id(pk):
+    if sk.pk_id != key_id(pk):
         raise KeyMismatchError("private key does not belong to this public key")
     return sign_with_randomness(variant, m, sk, pk, *signing_coins(pk.suite, rng))
 
@@ -265,8 +268,7 @@ def _key_rows(variant: str, pk, m: Scalar):
     _check_variant(variant)
     if pk.variant != variant:
         raise MalformedEncodingError(f"a {pk.variant} key does not verify {variant} signatures")
-    v_hat_row = pk.v_hat_row if variant == "pks1" else None
-    return pk.g_hat_row, v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)]
+    return pk.g_hat_row, pk.v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)]
 
 
 def verification_components(variant: str, pk, m: Scalar, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
@@ -382,8 +384,8 @@ def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Sc
 
     over the ``terms``, one (u_hat_row, h_hat_row, m) per signer: one
     multi-exponentiation term per signer and slot, plus plain products.
-    ``v_hat_row`` is the randomization row of the 4-wide variants (None for
-    3-wide ones); its entry k - 1 joins slot k >= 1 of V1' with exponent
+    ``v_hat_row`` is the randomization row of the 4-wide variants (empty or
+    None for 3-wide ones); its entry k - 1 joins slot k >= 1 of V1' with exponent
     s1/t and of V2' with exponent s2/t. A coin t = 0 mod the order would
     accept any signature and is rejected with ``ValueError``.
     """
@@ -394,7 +396,7 @@ def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Sc
     v1, v2 = [], []
     for k, g_hat in enumerate(g_hat_row):
         items = [(u[k], m) for u, _, m in terms]
-        if v_hat_row is not None and k > 0:
+        if v_hat_row and k > 0:
             g_hat = g_hat * v_hat_row[k - 1] ** (s1 * t_inv)
             items.append((v_hat_row[k - 1], s2 * t_inv))
         v1.append(g_hat)

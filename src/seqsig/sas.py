@@ -31,55 +31,12 @@ from .errors import (
     MalformedEncodingError,
     MissingWitnessError,
 )
-from .groups import (
-    ElementLayout,
-    G1Elem,
-    G2Elem,
-    GroupSuite,
-    GTElem,
-    Scalar,
-    hash_to_scalar,
-    multi_exp,
-    pair,
-    random_scalar,
-)
+from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, multi_exp, pair, random_scalar
 
 VARIANTS = ("sas1", "sas2")
 MESSAGE_WIDTH = {"sas1": "reduced", "sas2": "full"}
 _CHAIN_TAG = b"seqsig/sas/chain"
-
-
-@dataclass(frozen=True)
-class Sas1Params(ElementLayout):
-    LAYOUT = "g1 g1*4 g2*4 g2*3"
-    variant = "sas1"
-    suite: GroupSuite
-    g: G1Elem
-    w_row: tuple[G1Elem, ...]  # w^phi1, w^phi2, w^phi3, w
-    g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu1, ghat^nu2, ghat^-tau
-    v_hat_row: tuple[G2Elem, ...]  # vhat, vhat^nu3, vhat^-pi
-
-
-@dataclass(frozen=True)
-class Sas2Params(ElementLayout):
-    LAYOUT = "g1*3 g1*3 g2*3 gt"
-    variant = "sas2"
-    suite: GroupSuite
-    g_row: tuple[G1Elem, ...]  # g*w1^cg, w2^cg, w^cg
-    w_row: tuple[G1Elem, ...]  # w1, w2, w
-    g_hat_row: tuple[G2Elem, ...]  # ghat, ghat^nu, ghat^-tau
-    lam: GTElem  # e(g, ghat)
-
-
-@dataclass(frozen=True)
-class SasSignerPublic(pks.CachedKeyId):
-    LAYOUT = {"sas1": "g1*1 g1*1 g2*4 g2*4 gt", "sas2": "g1*3 g1*3 g2*3 g2*3 gt"}
-    variant: str
-    u_row: tuple[G1Elem, ...]  # sas1: (u,); sas2: the blinded u row
-    h_row: tuple[G1Elem, ...]  # sas1: (h,); sas2: the blinded h row
-    u_hat_row: tuple[G2Elem, ...]
-    h_hat_row: tuple[G2Elem, ...]
-    omega: GTElem
+_PKS_VARIANT = {"sas1": "pks1", "sas2": "pks2"}  # the base scheme of each
 
 
 @dataclass(frozen=True)
@@ -88,7 +45,7 @@ class AggregateSignature(pks.SignatureRows):
     row1: tuple[G1Elem, ...]
     row2: tuple[G1Elem, ...]
     messages: tuple[Scalar, ...]
-    signers: tuple[SasSignerPublic, ...]
+    signers: tuple[pks.PublicKey, ...]
 
     @property
     def length(self):
@@ -100,15 +57,16 @@ def setup(suite: GroupSuite, variant: str, rng):
     r = lambda: random_scalar(suite, rng)
     if variant == "sas1":
         w_row, g_hat_row, v_hat_row = pks.param_rows4(suite, *(r() for _ in range(8)))
-        return Sas1Params(suite, suite.g, w_row, g_hat_row, v_hat_row)
+        return pks.Params(suite=suite, variant=variant, g_row=(suite.g,), w_row=w_row,
+                          g_hat_row=g_hat_row, v_hat_row=v_hat_row)
     if variant == "sas2":
         w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
-        return Sas2Params(suite, pks.blind(suite.g, w_row, r()), w_row, g_hat_row,
-                          pair(suite.g, suite.g_hat))
+        return pks.Params(suite=suite, variant=variant, g_row=pks.blind(suite.g, w_row, r()),
+                          w_row=w_row, g_hat_row=g_hat_row, lam=pair(suite.g, suite.g_hat))
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def keygen(params, rng) -> tuple[SasSignerPublic, pks.PrivateKey]:
+def keygen(params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
     suite = params.suite
     alpha = random_scalar(suite, rng)
     x = random_scalar(suite, rng)
@@ -123,7 +81,7 @@ def keygen(params, rng) -> tuple[SasSignerPublic, pks.PrivateKey]:
 def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
     """Deterministic key build; also the registry's reconstruction path."""
     if params.variant == "sas1":
-        g = params.g
+        g = params.g_row[0]
         u_row, h_row = (g ** x,), (g ** y,)
         omega = pair(g, params.suite.g_hat) ** alpha
         c_u = c_h = None
@@ -134,8 +92,9 @@ def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
         u_row, h_row = (tuple(a ** s * w ** c for a, w in zip(g_row, w_row))
                         for s, c in ((x, c_u), (y, c_h)))
         omega = params.lam ** alpha
-    pub = SasSignerPublic(params.variant, u_row, h_row, pks.row_pow(params.g_hat_row, x),
-                          pks.row_pow(params.g_hat_row, y), omega)
+    pub = pks.PublicKey(suite=params.suite, variant=params.variant, u_row=u_row, h_row=h_row,
+                        u_hat_row=pks.row_pow(params.g_hat_row, x),
+                        h_hat_row=pks.row_pow(params.g_hat_row, y), omega=omega)
     return pub, pks.PrivateKey(params.variant, alpha, x, y, c_u, c_h, pks.key_id(pub))
 
 
@@ -153,12 +112,12 @@ def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[byte
 
 
 def agg_sign(params, prev: AggregateSignature, message: bytes,
-             pub: SasSignerPublic, priv: pks.PrivateKey, rng, *,
+             pub: pks.PublicKey, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
     m = chained_message_scalar(params.suite, params.variant, [message])
     pks.check_rows(prev, params.variant)
     kid = pks.key_id(pub)
-    if priv.pk_id and priv.pk_id != kid:
+    if priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
     if certified is not None and not all(certified(s) for s in prev.signers):
         raise InvalidAggregateError("aggregate-so-far has an uncertified signer; halting")
@@ -174,14 +133,9 @@ def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> Aggregate
     d = (priv.x * m + priv.y) % params.suite.order
     messages = prev.messages + (m,)
     signers = prev.signers + (pub,)
-    row1, row2 = pks.sign_rows(_alpha_row(params), priv.alpha, _message_bases(messages, signers),
+    row1, row2 = pks.sign_rows(params.g_row, priv.alpha, _message_bases(messages, signers),
                                params.w_row, r, c1, c2, prev=(prev.row1, prev.row2), d=d)
     return AggregateSignature(params.variant, row1, row2, messages, signers)
-
-
-def _alpha_row(params):
-    """The G1 bases that carry alpha and r: the clear g (sas1) or the blinded g row."""
-    return (params.g,) if params.variant == "sas1" else params.g_row
 
 
 def _message_bases(messages, signers):
@@ -226,9 +180,8 @@ def _pairing_check(params, agg, t, s1=0, s2=0) -> bool:
     if not agg.signers:
         return all(e.is_identity() for e in agg.row1 + agg.row2)
     terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
-    v_hat_row = params.v_hat_row if params.variant == "sas1" else None
     omega = pks.product([si.omega for si in agg.signers])
-    return pks.verify_rows(agg, params.g_hat_row, v_hat_row, terms, omega, t, s1, s2)
+    return pks.verify_rows(agg, params.g_hat_row, params.v_hat_row, terms, omega, t, s1, s2)
 
 
 def strip_to_single(params, agg: AggregateSignature, target_index: int,
@@ -249,32 +202,19 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
         if kid not in witnesses:
             raise MissingWitnessError(f"no private witness for signer {i}")
         row1 = _divide_signer(params, row1, agg.row2, witnesses[kid], mi)
-    variant = "pks1" if params.variant == "sas1" else "pks2"
-    return pks.Signature(variant, row1, tuple(agg.row2))
+    return pks.Signature(_PKS_VARIANT[params.variant], row1, tuple(agg.row2))
 
 
-def pks_view(params, pub: SasSignerPublic):
+def pks_view(params, pub: pks.PublicKey) -> pks.PublicKey:
     """Assemble the single-signer public key implied by (params, signer)."""
-    suite = params.suite
-    if params.variant == "sas1":
-        return pks.Pks1PublicKey(
-            suite=suite, g=params.g, u=pub.u_row[0], h=pub.h_row[0], w_row=params.w_row,
-            g_hat_row=params.g_hat_row,
-            u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row,
-            v_hat_row=params.v_hat_row, omega=pub.omega,
-        )
-    return pks.Pks2PublicKey(
-        suite=suite,
-        g_row=params.g_row,
-        u_row=pub.u_row, h_row=pub.h_row,
-        w_row=params.w_row,
-        g_hat_row=params.g_hat_row,
-        u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row,
-        omega=pub.omega,
-    )
+    return pks.PublicKey(
+        suite=params.suite, variant=_PKS_VARIANT[params.variant], g_row=params.g_row,
+        u_row=pub.u_row, h_row=pub.h_row, w_row=params.w_row, g_hat_row=params.g_hat_row,
+        u_hat_row=pub.u_hat_row, h_hat_row=pub.h_hat_row, v_hat_row=params.v_hat_row,
+        omega=pub.omega)
 
 
-def remove_signer(params, agg: AggregateSignature, pub: SasSignerPublic,
+def remove_signer(params, agg: AggregateSignature, pub: pks.PublicKey,
                   priv: pks.PrivateKey, m_old: Scalar) -> AggregateSignature:
     """Divide one signer's contribution out of an aggregate.
 
@@ -293,17 +233,16 @@ def remove_signer(params, agg: AggregateSignature, pub: SasSignerPublic,
 
 
 def _divide_signer(params, row1, row2, priv, m):
-    """row1 with alpha_row[k]^alpha * row2[k]^d of one signer divided out of each slot."""
+    """row1 with g_row[k]^alpha * row2[k]^d of one signer divided out of each slot."""
     d = (priv.x * m + priv.y) % params.suite.order
-    alpha_row = _alpha_row(params)
     return tuple(
         s / (row2[k] ** d if a is None else a ** priv.alpha * row2[k] ** d)
-        for k, (s, a) in enumerate(zip_longest(row1, alpha_row))
+        for k, (s, a) in enumerate(zip_longest(row1, params.g_row))
     )
 
 
 def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
-               new_message: bytes, pub: SasSignerPublic, priv: pks.PrivateKey,
+               new_message: bytes, pub: pks.PublicKey, priv: pks.PrivateKey,
                rng) -> AggregateSignature:
     """Replace this signer's contribution with one covering the extended chain.
 
@@ -312,6 +251,8 @@ def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
     ``old_chain`` is not detectable here and simply yields an aggregate that
     fails verification.
     """
+    if priv.pk_id != pks.key_id(pub):
+        raise KeyMismatchError("private key does not belong to this public key")
     suite = params.suite
     m_old = chained_message_scalar(suite, params.variant, old_chain)
     stripped = remove_signer(params, agg, pub, priv, m_old)

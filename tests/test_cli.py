@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import random
+import re
 
 import pytest
 
@@ -497,3 +499,74 @@ def test_ms_commands_refuse_an_uncertified_signer(key_files, tmp_path, capsys):
             assert combined == 0 and (tmp_path / "c.bin").exists()
             assert code == 0 and fields["result"] == ["valid"] and fields["pairings"] == ["6"]
             assert fields["certified"] == ["yes"]
+
+
+# The file-reading commands for the fuzz below: {name} is a file of
+# ``fuzz_files`` that the command reads, OUT the file it writes.
+FUZZ_CASES = {
+    "verify": "verify --scheme pks2 --pub {pks2.pub} --sig {pks2.sig} --message hi",
+    "sign": "sign --scheme pks2 --pub {pks2.pub} --priv {pks2.key} --out OUT --message hi",
+    "agg-sign": "agg-sign --scheme sas2 --params {sas2.prm} --prev {sas2.agg} --keys {sas2.pub}"
+                " --pub {sas2b.pub} --priv {sas2b.key} --out OUT --message hi",
+    "agg-verify": "agg-verify --scheme sas2 --params {sas2.prm} --agg {sas2.agg} --keys {sas2.pub}",
+    "agg-verify-registry": "agg-verify --scheme sas2 --params {sas2.prm} --agg {sas2.agg}"
+                           " --keys {sas2.pub} --registry {reg.bin}",
+    "ms-sign": "ms-sign --params {ms.prm} --pub {ms.pub} --priv {ms.key} --out OUT --message hi",
+    "ms-combine": "ms-combine --params {ms.prm} --sigs {ms.sig} --pubs {ms.pub} --out OUT"
+                  " --message hi",
+    "ms-verify": "ms-verify --params {ms.prm} --msig {ms.sig} --pubs {ms.pub} --message hi",
+    "register": "register --params {sas2.prm} --pub {sas2b.pub} --priv {sas2b.key}"
+                " --registry {reg.bin}",
+}
+FUZZ_FILE = re.compile(r"\{([\w.]+)\}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(key_files):
+    """``key_files`` plus a second sas2 key pair and a registry that
+    certifies the first sas2 key."""
+    d = key_files
+    for step, seed in [(f"keygen --scheme sas2 --params {d}/sas2.prm --pub-out {d}/sas2b.pub"
+                        f" --priv-out {d}/sas2b.key", 200),
+                       (f"register --params {d}/sas2.prm --pub {d}/sas2.pub --priv {d}/sas2.key"
+                        f" --registry {d}/reg.bin", 7)]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(det(*step.split(), seed=seed))) == 0, step
+    return d
+
+
+def _damaged(blob: bytes, rng) -> list:
+    """A bit flip, a truncation, random bytes and a few overwritten bytes of ``blob``."""
+    flipped, overwritten = bytearray(blob), bytearray(blob)
+    flipped[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+    for _ in range(rng.randint(1, 4)):
+        overwritten[rng.randrange(len(blob))] = rng.randrange(256)
+    return [bytes(flipped), blob[:rng.randrange(len(blob))],
+            rng.randbytes(rng.randrange(200)), bytes(overwritten)]
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+def test_damaged_input_files(fuzz_files, tmp_path, capsys, case):
+    """Each file argument, damaged in four ways with three seeds, gives exit
+    0, 1 or 2 and one key=value line, never a traceback; each run reads
+    fresh copies, so ``register`` never writes the shared registry."""
+    template = FUZZ_CASES[case]
+    argv = FUZZ_FILE.sub(lambda m: str(tmp_path / m.group(1)), template)
+    argv = argv.replace("OUT", str(tmp_path / "out.bin")).split()
+    originals = {n: (fuzz_files / n).read_bytes() for n in FUZZ_FILE.findall(template)}
+
+    def run_with(files):
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        code = main(list(det(*argv)))
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code in (0, 1, 2) and len(out) == 1, out
+        assert all("=" in tok for tok in out[0].split()), out
+        return code
+
+    assert run_with(originals) == 0
+    rng = random.Random(case)
+    for name, blob in originals.items():
+        for _ in range(3):
+            for damaged in _damaged(blob, rng):
+                run_with({**originals, name: damaged})

@@ -158,11 +158,11 @@ class TestLayouts:
         counts = {(type(o).__name__, o.variant): len(o.elements())
                   for o in self._objects(mock_suite, rng)}
         assert counts == {
-            ("Pks1PublicKey", "pks1"): 23, ("Pks2PublicKey", "pks2"): 22,
-            ("LwPublicKey", "lw"): 13, ("Sas1Params", "sas1"): 12,
-            ("SasSignerPublic", "sas1"): 11, ("Sas2Params", "sas2"): 10,
-            ("SasSignerPublic", "sas2"): 13, ("MsParams", "ms"): 22,
-            ("MsPublicKey", "ms"): 1,
+            ("PublicKey", "pks1"): 23, ("PublicKey", "pks2"): 22,
+            ("PublicKey", "lw"): 13, ("Params", "sas1"): 12,
+            ("PublicKey", "sas1"): 11, ("Params", "sas2"): 10,
+            ("PublicKey", "sas2"): 13, ("Params", "ms"): 22,
+            ("PublicKey", "ms"): 1,
         }
 
     def test_layout_must_match_fields(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqsig import keyreg, ms
+from seqsig import keyreg, ms, pks
 from seqsig.errors import (CrossSuiteError, InvalidAggregateError, MalformedEncodingError,
                            RegistrationError)
 
@@ -138,7 +138,7 @@ class TestCertification:
         the victim and the attacker."""
         params, keys = setup3
         (victim, _), (attacker, attacker_sk) = keys[:2]
-        rogue = ms.MsPublicKey(suite=params.suite, omega=attacker.omega / victim.omega)
+        rogue = pks.PublicKey(suite=params.suite, variant="ms", omega=attacker.omega / victim.omega)
         registry = keyreg.CertRegistry(params.suite)
         for pk, sk in keys[:2]:
             registry.register(params, pk, keyreg.witness_from_private("ms", sk))

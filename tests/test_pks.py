@@ -80,6 +80,17 @@ class TestInterfaceGuards:
         with pytest.raises(KeyMismatchError):
             pks.sign("pks2", MSG, sk_other, pk, rng)
 
+    def test_private_key_without_id_is_refused_before_any_coin(self, mock_suite, rng):
+        """A hand-built key names no public key, so it signs for none; the
+        refusal draws no coin."""
+        pk, _ = pks.keygen(mock_suite, "pks2", rng)
+        _, sk = pks.keygen(mock_suite, "pks2", rng)
+        bare = pks.PrivateKey("pks2", sk.alpha, sk.x, sk.y)
+        state = rng.getstate()
+        with pytest.raises(KeyMismatchError):
+            pks.sign("pks2", MSG, bare, pk, rng)
+        assert rng.getstate() == state
+
     def test_unknown_variant(self, mock_suite, rng):
         with pytest.raises(ValueError):
             pks.keygen(mock_suite, "pks9", rng)

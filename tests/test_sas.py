@@ -182,6 +182,26 @@ class TestAggregation:
         with pytest.raises(KeyMismatchError):
             sas.agg_sign(params, sas.empty_aggregate(params), b"m", pub, other_priv, rng)
 
+    def test_private_key_without_id_is_refused_before_any_coin(self, mock_suite, rng, variant):
+        """A hand-built key appended under another signer's key is refused
+        before the aggregate so far is verified, so no coin is drawn."""
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:1])
+        pub, _ = sas.keygen(params, rng)
+        _, priv = keys[0]
+        bare = pks.PrivateKey(variant, priv.alpha, priv.x, priv.y, priv.c_u, priv.c_h)
+        state = rng.getstate()
+        with pytest.raises(KeyMismatchError):
+            sas.agg_sign(params, agg, b"m", pub, bare, rng)
+        assert rng.getstate() == state
+
+    def test_resign_under_another_signers_key_is_refused(self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:2])
+        outsider, _ = sas.keygen(params, rng)
+        with pytest.raises(KeyMismatchError):
+            sas.agg_resign(params, agg, [MSGS[0]], b"amendment", outsider, keys[0][1], rng)
+
     def test_variant_mismatch_is_malformed(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         other = "sas2" if variant == "sas1" else "sas1"
