@@ -37,7 +37,7 @@ SCHEME_BYTE = {"pks1": 1, "pks2": 2, "lw": 3, "sas1": 4, "sas2": 5, "ms": 6}
 SCHEME_NAME = {v: k for k, v in SCHEME_BYTE.items()}
 
 # the schemes with shared parameters; exactly these register keys
-REGISTERED = sas.VARIANTS + ("ms",)
+REGISTERED = tuple(pks.Params.WIDTHS)
 
 _BACKEND_MOCK = 0
 _BACKEND_REAL = 1
@@ -148,7 +148,7 @@ def decode_signature(suite: GroupSuite, data: bytes) -> pks.Signature:
 
 # ---------------------------------------------------------------------------
 # public keys (AKEY) and public parameters (APRM): one scheme byte, then the
-# elements in the order the variant's LAYOUT in pks.PublicKey or pks.Params declares
+# elements in the order of the variant's WIDTHS row in pks.PublicKey or pks.Params
 
 
 def _encode_layout(magic: bytes, obj) -> bytes:
@@ -161,7 +161,7 @@ def _decode_layout(magic: bytes, cls, suite: GroupSuite, data: bytes):
     r = _Reader(data, magic, suite)
     scheme = r.byte()
     variant = SCHEME_NAME.get(scheme)
-    if variant not in cls.LAYOUT:
+    if variant not in cls.WIDTHS:
         raise MalformedEncodingError(f"scheme byte {scheme} is not valid in {magic.decode()}")
     elems = r.elements(cls.element_kinds(variant))
     r.end()

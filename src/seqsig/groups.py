@@ -17,8 +17,6 @@ exponent stream.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import struct
 import threading
@@ -82,9 +80,6 @@ class MockDlogBackend:
 
     def multi_exp(self, kind, pairs):
         return sum(h * k for h, k in pairs) % self.order
-
-    def eq(self, kind, h1, h2):
-        return h1 == h2
 
     def pair_product_raw(self, num, den):
         acc = 0
@@ -152,9 +147,6 @@ class Bn254Backend:
         if kind == "g1":
             return bn254.g1_multi_exp(pairs)
         return bn254.g2_multi_exp(pairs)
-
-    def eq(self, kind, h1, h2):
-        return h1 == h2
 
     def pair_product_raw(self, num, den):
         pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
@@ -298,13 +290,13 @@ class _Elem:
     def __eq__(self, other):
         if type(other) is not type(self) or other.suite is not self.suite:
             return NotImplemented
-        return self.suite.backend.eq(self.kind, self.h, other.h)
+        return self.h == other.h
 
     def __hash__(self):
         return hash((self.kind, encode_element(self)))
 
     def is_identity(self):
-        return self.suite.backend.eq(self.kind, self.h, self.suite.backend.identity(self.kind))
+        return self.h == self.suite.backend.identity(self.kind)
 
     def __repr__(self):
         return f"{type(self).__name__}({encode_element(self).hex()})"
@@ -323,74 +315,6 @@ class GTElem(_Elem):
 
 
 _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
-
-
-class ElementLayout:
-    """Mixin for frozen dataclasses that hold a fixed layout of group elements.
-
-    ``LAYOUT`` declares the element fields once, in dataclass field order:
-    ``kind`` for one element, ``kind*n`` for a tuple of n, e.g.
-    ``"g1*3 g2*3 gt"``, and ``kind*0`` for a field the variant lacks, which
-    holds no element and keeps its default. A class whose layout depends on
-    its ``variant`` field maps each variant to a declaration. The only other
-    fields allowed are ``suite`` and ``variant``. The declaration fixes the
-    element order (and so key ids and envelope bytes), the kinds a decoder
-    reads, and construction from decoded elements.
-    """
-
-    LAYOUT: str | dict[str, str]
-
-    def elements(self) -> list:
-        out = []
-        for name, count in _parse_layout(type(self), self.variant)[0]:
-            value = getattr(self, name)
-            if count is None:
-                out.append(value)
-            else:
-                out.extend(value)
-        return out
-
-    @classmethod
-    def element_kinds(cls, variant: str) -> tuple[str, ...]:
-        return _parse_layout(cls, variant)[1]
-
-    @classmethod
-    def from_elements(cls, suite: GroupSuite, variant: str, elems):
-        slots, _, context = _parse_layout(cls, variant)
-        kwargs, i = {}, 0
-        for name, count in slots:
-            kwargs[name] = elems[i] if count is None else tuple(elems[i:i + count])
-            i += 1 if count is None else count
-        given = {"suite": suite, "variant": variant}
-        return cls(**kwargs, **{name: given[name] for name in context})
-
-
-@functools.cache
-def _parse_layout(cls, variant):
-    """(slots, kinds, context) of ``cls.LAYOUT`` for ``variant``, parsed once.
-
-    ``slots`` pairs each element field the variant has with its tuple length
-    (None for a single element); a ``kind*0`` field is left out.
-    ``kinds`` lists the kind of every element in order and ``context`` names
-    the ``suite``/``variant`` fields.
-    """
-    spec = cls.LAYOUT if isinstance(cls.LAYOUT, str) else cls.LAYOUT[variant]
-    names = [f.name for f in dataclasses.fields(cls)]
-    context = tuple(n for n in names if n in ("suite", "variant"))
-    fields = [n for n in names if n not in context]
-    tokens = spec.split()
-    if len(tokens) != len(fields):
-        raise TypeError(f"{cls.__name__} layout {spec!r} does not match fields {fields}")
-    slots, kinds = [], []
-    for name, token in zip(fields, tokens):
-        kind, star, n = token.partition("*")
-        if kind not in _KIND_CLS:
-            raise TypeError(f"{cls.__name__} layout names unknown kind {kind!r}")
-        count = int(n) if star else None
-        if count != 0:
-            slots.append((name, count))
-        kinds += [kind] * (1 if count is None else count)
-    return tuple(slots), tuple(kinds), context
 
 
 @dataclass

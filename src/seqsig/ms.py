@@ -56,7 +56,7 @@ def ms_key_from_secret(params: pks.Params, alpha: Scalar):
 
 
 def message_scalar(params: pks.Params, message: bytes) -> Scalar:
-    return hash_to_scalar(params.suite, _MSG_TAG, message, width="full")
+    return hash_to_scalar(params.suite, _MSG_TAG, message, width=pks.MESSAGE_WIDTH["ms"])
 
 
 def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> MsSignature:

@@ -33,11 +33,10 @@ import functools
 import hashlib
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .errors import KeyMismatchError, MalformedEncodingError
 from .groups import (
-    ElementLayout,
     G1Elem,
     G2Elem,
     GroupSuite,
@@ -57,13 +56,27 @@ VARIANTS = ("pks1", "pks2", "lw")
 # The width of the two G1 rows of every scheme's signatures, aggregates and
 # multi-signatures; it does not grow with the number of signers.
 ROW_WIDTH = {"pks1": 4, "sas1": 4, "pks2": 3, "lw": 3, "sas2": 3, "ms": 3}
-MESSAGE_WIDTH = {"pks1": "reduced", "pks2": "full", "lw": "reduced"}
+MESSAGE_WIDTH = {"pks1": "reduced", "sas1": "reduced", "pks2": "full", "lw": "reduced",
+                 "sas2": "full", "ms": "full"}  # the hash_to_scalar width of messages
 _MSG_TAG = b"seqsig/pks/message"
+
+# The row fields of every key and parameter set, in element order: four G1
+# rows, then four G2 rows. A GT element follows them.
+_ROW_FIELDS = ("g_row", "u_row", "h_row", "w_row",
+               "g_hat_row", "u_hat_row", "h_hat_row", "v_hat_row")
+_ROW_KINDS = ("g1",) * 4 + ("g2",) * 4
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Rows(ElementLayout):
-    """The one row order of every key and parameter set; see :class:`PublicKey`."""
+class _Rows:
+    """The one row order of every key and parameter set; see :class:`PublicKey`.
+
+    A subclass's ``WIDTHS`` maps each variant to nine ints: the width of each
+    row in field order (0 for a row the variant lacks, which keeps its
+    default ``()``), then 1 or 0 for whether it has the GT element that its
+    ``GT_FIELD`` names. The table fixes the element order, and so key ids
+    and envelope bytes, and the kinds a decoder reads.
+    """
 
     suite: GroupSuite
     variant: str
@@ -76,6 +89,25 @@ class _Rows(ElementLayout):
     h_hat_row: tuple[G2Elem, ...] = ()  # g_hat_row^y
     v_hat_row: tuple[G2Elem, ...] = ()  # vhat, vhat^nu3, vhat^-pi (4-wide only)
 
+    def elements(self) -> list:
+        *widths, gt = self.WIDTHS[self.variant]
+        out = [e for name, w in zip(_ROW_FIELDS, widths) if w for e in getattr(self, name)]
+        return out + [getattr(self, self.GT_FIELD)] * gt
+
+    @classmethod
+    def element_kinds(cls, variant: str) -> tuple[str, ...]:
+        *widths, gt = cls.WIDTHS[variant]
+        return tuple(k for k, w in zip(_ROW_KINDS, widths) for _ in range(w)) + ("gt",) * gt
+
+    @classmethod
+    def from_elements(cls, suite: GroupSuite, variant: str, elems):
+        *widths, gt = cls.WIDTHS[variant]
+        it = iter(elems)
+        rows = {name: tuple(islice(it, w)) for name, w in zip(_ROW_FIELDS, widths)}
+        if gt:
+            rows[cls.GT_FIELD] = next(it)
+        return cls(suite=suite, variant=variant, **rows)
+
 
 @dataclass(frozen=True, kw_only=True)
 class PublicKey(_Rows):
@@ -83,24 +115,25 @@ class PublicKey(_Rows):
     then Omega = e(g, ghat)^alpha.
 
     All six schemes take their rows from one dual-system construction, so a
-    key is a subsequence of one row order; a ``*0`` row is one the variant
-    does not publish. sas keys leave the shared rows to the parameters, and
-    ms keys leave every row to them.
+    key is a subsequence of one row order. sas keys leave the shared rows to
+    the parameters, and ms keys leave every row to them.
     """
 
-    LAYOUT = {
-        "pks1": "g1*1 g1*1 g1*1 g1*4 g2*4 g2*4 g2*4 g2*3 gt",
-        "pks2": "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
-        "lw":   "g1*0 g1*0 g1*0 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
-        "sas1": "g1*0 g1*1 g1*1 g1*0 g2*0 g2*4 g2*4 g2*0 gt",
-        "sas2": "g1*0 g1*3 g1*3 g1*0 g2*0 g2*3 g2*3 g2*0 gt",
-        "ms":   "g1*0 g1*0 g1*0 g1*0 g2*0 g2*0 g2*0 g2*0 gt",
+    #         g  u  h  w  ĝ  û  ĥ  v̂  Ω
+    WIDTHS = {
+        "pks1": (1, 1, 1, 4, 4, 4, 4, 3, 1),
+        "pks2": (3, 3, 3, 3, 3, 3, 3, 0, 1),
+        "lw":   (0, 0, 0, 3, 3, 3, 3, 0, 1),
+        "sas1": (0, 1, 1, 0, 0, 4, 4, 0, 1),
+        "sas2": (0, 3, 3, 0, 0, 3, 3, 0, 1),
+        "ms":   (0, 0, 0, 0, 0, 0, 0, 0, 1),
     }
+    GT_FIELD = "omega"
     omega: GTElem
 
     @functools.cached_property
     def key_id(self) -> bytes:
-        """SHA-256 of the layout's elements, hashed once per key."""
+        """SHA-256 of the key's elements, hashed once per key."""
         return hashlib.sha256(b"".join(encode_element(e) for e in self.elements())).digest()
 
 
@@ -108,14 +141,22 @@ class PublicKey(_Rows):
 class Params(_Rows):
     """The shared parameters of sas and ms, in the row order of
     :class:`PublicKey`, then Lambda = e(g, ghat); sas1 signers pair the
-    clear g, so its ``lam`` is None."""
+    clear g, so its ``lam`` is None. Exactly these schemes register keys."""
 
-    LAYOUT = {
-        "sas1": "g1*1 g1*0 g1*0 g1*4 g2*4 g2*0 g2*0 g2*3 gt*0",
-        "sas2": "g1*3 g1*0 g1*0 g1*3 g2*3 g2*0 g2*0 g2*0 gt",
-        "ms":   "g1*3 g1*3 g1*3 g1*3 g2*3 g2*3 g2*3 g2*0 gt",
+    #         g  u  h  w  ĝ  û  ĥ  v̂  Λ
+    WIDTHS = {
+        "sas1": (1, 0, 0, 4, 4, 0, 0, 3, 0),
+        "sas2": (3, 0, 0, 3, 3, 0, 0, 0, 1),
+        "ms":   (3, 3, 3, 3, 3, 3, 3, 0, 1),
     }
+    GT_FIELD = "lam"
     lam: GTElem | None = None
+
+    @functools.cached_property
+    def omega_base(self) -> GTElem:
+        """The base of every signer's Omega = base^alpha: ``lam``, or for sas1
+        e(g, ghat) on these parameters' clear g, paired once per object."""
+        return self.lam if self.lam is not None else pair(self.g_row[0], self.suite.g_hat)
 
 
 @dataclass(frozen=True)

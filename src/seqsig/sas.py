@@ -34,7 +34,6 @@ from .errors import (
 from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, multi_exp, pair, random_scalar
 
 VARIANTS = ("sas1", "sas2")
-MESSAGE_WIDTH = {"sas1": "reduced", "sas2": "full"}
 _CHAIN_TAG = b"seqsig/sas/chain"
 _PKS_VARIANT = {"sas1": "pks1", "sas2": "pks2"}  # the base scheme of each
 
@@ -83,7 +82,6 @@ def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
     if params.variant == "sas1":
         g = params.g_row[0]
         u_row, h_row = (g ** x,), (g ** y,)
-        omega = pair(g, params.suite.g_hat) ** alpha
         c_u = c_h = None
     else:
         if c_u is None or c_h is None:
@@ -91,10 +89,10 @@ def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
         g_row, w_row = params.g_row, params.w_row
         u_row, h_row = (tuple(a ** s * w ** c for a, w in zip(g_row, w_row))
                         for s, c in ((x, c_u), (y, c_h)))
-        omega = params.lam ** alpha
     pub = pks.PublicKey(suite=params.suite, variant=params.variant, u_row=u_row, h_row=h_row,
                         u_hat_row=pks.row_pow(params.g_hat_row, x),
-                        h_hat_row=pks.row_pow(params.g_hat_row, y), omega=omega)
+                        h_hat_row=pks.row_pow(params.g_hat_row, y),
+                        omega=params.omega_base ** alpha)
     return pub, pks.PrivateKey(params.variant, alpha, x, y, c_u, c_h, pks.key_id(pub))
 
 
@@ -108,7 +106,7 @@ def empty_aggregate(params) -> AggregateSignature:
 def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[bytes]) -> Scalar:
     """Hash a message chain (multi-message support) to the scheme's space."""
     payload = b"".join(len(m).to_bytes(4, "big") + m for m in chain)
-    return hash_to_scalar(suite, _CHAIN_TAG, payload, width=MESSAGE_WIDTH[variant])
+    return hash_to_scalar(suite, _CHAIN_TAG, payload, width=pks.MESSAGE_WIDTH[variant])
 
 
 def agg_sign(params, prev: AggregateSignature, message: bytes,

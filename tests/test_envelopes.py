@@ -1,12 +1,12 @@
 """Envelope formats: round trips, suite binding, corruption handling."""
 
-from dataclasses import dataclass
+import dataclasses
 
 import pytest
 
 from seqsig import envelopes as env, ms, pks, sas
 from seqsig.errors import MalformedEncodingError
-from seqsig.groups import ElementLayout, suite_generate
+from seqsig.groups import suite_generate
 
 
 class TestSignatureEnvelope:
@@ -165,24 +165,17 @@ class TestLayouts:
             ("PublicKey", "ms"): 1,
         }
 
-    def test_layout_must_match_fields(self):
-        @dataclass(frozen=True)
-        class Short(ElementLayout):
-            LAYOUT = "g1"
-            variant = "x"
-            a: object
-            b: object
-
-        @dataclass(frozen=True)
-        class BadKind(ElementLayout):
-            LAYOUT = "g3"
-            variant = "x"
-            a: object
-
-        with pytest.raises(TypeError):
-            Short.element_kinds("x")
-        with pytest.raises(TypeError):
-            BadKind.element_kinds("x")
+    @pytest.mark.parametrize("cls", [pks.PublicKey, pks.Params])
+    def test_width_table_matches_the_fields(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)][2:]  # after suite and variant
+        assert names == [*pks._ROW_FIELDS, cls.GT_FIELD]
+        for widths in cls.WIDTHS.values():
+            assert len(widths) == len(names) and widths[-1] in (0, 1)
+        # the signature rows' width is the w_row of the key, or of the params
+        # for the schemes that have them
+        w = pks._ROW_FIELDS.index("w_row")
+        for variant in pks.VARIANTS if cls is pks.PublicKey else cls.WIDTHS:
+            assert cls.WIDTHS[variant][w] == pks.ROW_WIDTH[variant]
 
     def test_key_scheme_byte_is_not_params(self, mock_suite, rng):
         blob = bytearray(env.encode_params(ms.ms_setup(mock_suite, rng)))

@@ -93,6 +93,22 @@ class TestRegistration:
         assert rec.witness_verified is True
 
 
+@pytest.mark.parametrize("variant, pairings", [("sas1", 1), ("sas2", 0)])
+def test_register_on_decoded_params_pairs_at_most_once(rng, variant, pairings):
+    """sas1 pairs its params' own clear g once per params object; sas2
+    reads the decoded lam."""
+    params = sas.setup(suite_generate("mock", 10007), variant, rng)
+    keys = [sas.keygen(params, rng) for _ in range(2)]
+    fresh = suite_generate("mock", 10007)
+    decoded = envelopes.decode_params(fresh, envelopes.encode_params(params))
+    registry = keyreg.CertRegistry(fresh)
+    for pub, priv in keys:
+        pk = envelopes.decode_public_key(fresh, envelopes.encode_public_key(pub))
+        registry.register(decoded, pk, priv)
+    assert len(registry) == 2
+    assert fresh.pairing_count == pairings
+
+
 class TestPersistence:
     def _populated(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)

@@ -262,6 +262,13 @@ class TestSizes:
         p2 = sas.setup(mock_suite, "sas2", rng)
         assert len(sas.empty_aggregate(p2).elements()) == 6
 
+    def test_second_sas1_keygen_pairs_nothing(self, mock_suite, rng):
+        params = sas.setup(mock_suite, "sas1", rng)
+        sas.keygen(params, rng)
+        before = mock_suite.pairing_count
+        sas.keygen(params, rng)
+        assert mock_suite.pairing_count == before
+
     def test_sas2_key_requires_witnesses(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)
         with pytest.raises(MissingWitnessError):
