@@ -1,0 +1,139 @@
+"""Run the benchmark on a parent and a change checkout and write one
+BENCH_<topic>.json that compares them.
+
+    python3 scripts/bench_ab.py PARENT_DIR CHANGE_DIR --topic msm_tables \\
+        --workloads chain20 verify-short cold-files --seeds 1 2 3 4 5 --seconds 20
+
+For each seed, and within it each workload, the two checkouts run
+``perfbench/run.py --workload W --seed S --seconds N --trace 0`` one after
+the other, under this script's interpreter with PYTHONDONTWRITEBYTECODE=1.
+The parent goes first on the first, third, ... seed and the change on the
+others. Each run's last output line is its JSON result.
+
+The file holds, per workload and per end-to-end metric of the parent's
+BENCHMARK.json: every run's value, both medians and interquartile ranges,
+in how many seeds the change read lower than the parent, the relative change
+of the medians, the metric's bound and the parent's spread (max - min over
+median). A metric whose parent spread exceeds its bound is listed in
+``notes`` as unresolved.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: str):
+    """(result, env) of one benchmark run: its last-line JSON and its ``env`` line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0", "--backend", backend]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    lines = done.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"bench_ab: {' '.join(cmd)} in {checkout} printed no result "
+                         f"(exit {done.returncode}):\n{done.stderr[-2000:]}") from None
+    env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
+    return result, env
+
+
+def _iqr(xs):
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
+
+
+def compare(parent, change, bound):
+    """The per-metric record of paired per-seed values (lower is better)."""
+    pm, cm = statistics.median(parent), statistics.median(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    return {
+        "parent": parent, "change": change,
+        "parent_median": round(pm, 4), "change_median": round(cm, 4),
+        "parent_iqr": round(_iqr(parent), 4), "change_iqr": round(_iqr(change), 4),
+        "change_lower_in_pairs": f"{lower}/{len(parent)}",
+        "relative_change": round(cm / pm - 1, 4) if pm else None,
+        "bound": bound,
+        "parent_spread": round((max(parent) - min(parent)) / pm, 4) if pm else None,
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--topic", required=True, help="the file is BENCH_<topic>.json")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--backend", default="real")
+    ap.add_argument("--what", default="", help="one line on what the change does")
+    ap.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {w: {side: [] for side in SIDES} for w in args.workloads}
+    firsts = {w: [] for w in args.workloads}
+    env = {}
+    for n, seed in enumerate(args.seeds):
+        order = SIDES if n % 2 == 0 else SIDES[::-1]
+        for workload in args.workloads:
+            firsts[workload].append(order[0])
+            for side in order:
+                result, env[side] = run_once(checkouts[side], workload, seed, args.seconds,
+                                             args.backend)
+                runs[workload][side].append(result)
+                print(f"bench_ab: {workload} seed {seed} {side}: "
+                      + ", ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
+                                  if k in bounds), flush=True)
+
+    workloads, notes = {}, []
+    for workload, sides in runs.items():
+        metrics = {}
+        for name, bound in bounds.items():
+            values = {side: [round(r["metrics"][name]["value"], 4) for r in sides[side]]
+                      for side in SIDES}
+            metrics[name] = compare(values["parent"], values["change"], bound)
+            spread = metrics[name]["parent_spread"]
+            if spread is not None and spread > bound:
+                notes.append(f"{workload} {name} is unresolved: the parent's spread "
+                             f"{spread:.2f} exceeds its bound {bound}")
+        workloads[workload] = {
+            "seeds": args.seeds, "first": firsts[workload],
+            "failed": {side: sum(r["failed"] for r in sides[side]) for side in SIDES},
+            "correct": all(r["correct"] for side in SIDES for r in sides[side]),
+            "metrics": metrics,
+        }
+    parent_env = env.get("parent", {})
+    record = {
+        "what": args.what,
+        "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0 --backend {args.backend}",
+        "env": {
+            **{k: parent_env.get(k) for k in ("python", "nproc", "cpu", "arithmetic")},
+            "commit": {side: env.get(side, {}).get("commit") for side in SIDES},
+        },
+        "workloads": workloads,
+        "notes": notes,
+    }
+    path = args.out / f"BENCH_{args.topic}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"bench_ab: wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

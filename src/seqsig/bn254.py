@@ -5,12 +5,15 @@ Field elements are plain tuples of ints and module-level functions, not
 classes; the interpreter overhead of an object layer is what kills pure
 Python pairings. Only `groups` should import this module directly.
 
-Exponentiation in G1, G2 and G_T is one interleaved 4-NAF routine,
-:func:`_interleaved_wnaf`; a single exponentiation is its one-term case. In
-G1 and G2 the tables of odd multiples are affine, batch-normalised with one
-inversion, and the accumulator is Jacobian, so every addition is a mixed
-one. The G2 group law works on flat Fp2 integer components, not through
-``fq2_mul``.
+Exponentiation in G1, G2 and G_T is one interleaved w-NAF routine,
+:func:`_interleaved_wnaf`, in which each term has its own window width; a
+single exponentiation is its one-term case. In G1 and G2 the tables of odd
+multiples are affine, batch-normalised with one inversion, and the
+accumulator is Jacobian, so every addition is a mixed one. A term's table
+is either built in the call, at width 4, or a cached width-7 :class:`Table`
+that the caller built once for a base it reuses (:func:`g1_table`,
+:func:`g2_table`). The G2 group law works on flat Fp2 integer components,
+not through ``fq2_mul``.
 
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
@@ -309,8 +312,16 @@ def _jac1_to_affine(pts):
 
 
 def g1_multi_exp(pairs):
-    """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
+    """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
+    point (4-NAF) or its cached :func:`g1_table` (7-NAF)."""
     return _jacobian_multi_exp(pairs, _jac1_double, _jac1_madd, g1_neg, _jac1_to_affine)
+
+
+def g1_table(pt):
+    """The cached width-7 :class:`Table` of a G1 point, None for the identity."""
+    if pt is None:
+        return None
+    return Table(_odd_multiples([pt], TABLE_WIDTH, _jac1_double, _jac1_madd, _jac1_to_affine)[0])
 
 
 def g1_mul(pt, k):
@@ -416,44 +427,41 @@ def _jac2_to_affine(pts):
     return out
 
 
-def _wnaf(k):
-    """The nonzero digits of k's width-4 non-adjacent form, as (position,
-    digit) pairs from the least significant; every digit is odd, in -7..7."""
+def _wnaf(k, width):
+    """The nonzero digits of k's width-w non-adjacent form, as (position,
+    digit) pairs from the least significant; every digit is odd and below
+    2^(w-1) in absolute value, and w - 1 zeros follow each."""
     digits = []
     i = 0
+    full = 1 << width
     while k:
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         i += zeros
-        d = k & 15
-        if d > 7:
-            d -= 16
+        d = k & (full - 1)
+        if d >= full >> 1:
+            d -= full
         digits.append((i, d))
-        k -= d  # now a multiple of 16: the next three digits are zero
+        k -= d  # now a multiple of 2^w: the next w - 1 digits are zero
     return digits
 
 
-def _interleaved_wnaf(pairs, odd_multiples, double, add, neg):
-    """prod x_i^{k_i} in one group, exponents mod ORDER: every term's 4-NAF
-    digits share one doubling chain (Moeller, "Algorithms for
-    multi-exponentiation", SAC 2001). Returns the accumulator, None for the
-    identity.
+def _interleaved_wnaf(terms, double, add, neg):
+    """prod x_i^{k_i} in one group: every term's w-NAF digits share one
+    doubling chain (Moeller, "Algorithms for multi-exponentiation", SAC
+    2001). Returns the accumulator, None for the identity.
 
-    The group is given by its working form. ``odd_multiples`` maps the bases
-    (none the identity) to their tables [x, x^3, x^5, x^7]; ``neg`` negates
-    a table entry, so each table is extended once to its 8 signed digits.
-    ``double`` and ``add`` act on the accumulator, and ``add`` takes a table
-    entry as its second argument and None as the identity in its first."""
-    terms = [(x, k % ORDER) for x, k in pairs if x is not None]
-    terms = [(x, k) for x, k in terms if k]
-    tables = odd_multiples([x for x, _ in terms])
-    # entry d >> 1 of a signed table is the digit d's multiple, for d = +-1..7
-    signed = [table + [neg(e) for e in reversed(table)] for table in tables]
-    rows = [_wnaf(k) for _, k in terms]
-    adds = [[] for _ in range(max((row[-1][0] + 1 for row in rows), default=0))]
-    for table, row in zip(signed, rows):
+    ``terms`` are (table, width, k) with k in 1..ORDER-1 and the table x's
+    2^(w-2) odd multiples [x, x^3, ..., x^(2^(w-1) - 1)], so terms of
+    different widths share the chain. A negative digit takes the ``neg`` of
+    its entry. ``double`` and ``add`` act on the accumulator, and ``add``
+    takes a table entry as its second argument and None as the identity in
+    its first."""
+    rows = [(table, _wnaf(k, width)) for table, width, k in terms]
+    adds = [[] for _ in range(max((row[-1][0] + 1 for _, row in rows), default=0))]
+    for table, row in rows:
         for i, d in row:
-            adds[i].append(table[d >> 1])
+            adds[i].append(table[d >> 1] if d > 0 else neg(table[-d >> 1]))
     acc = None
     for entries in reversed(adds):
         if acc is not None:
@@ -463,30 +471,70 @@ def _interleaved_wnaf(pairs, odd_multiples, double, add, neg):
     return acc
 
 
+TABLE_WIDTH = 7  # the width of a cached table: 32 odd multiples
+
+
+class Table(tuple):
+    """The affine odd multiples [x, x^3, ..., x^63] of one G1 or G2 point x:
+    its cached width-7 table, which :func:`g1_multi_exp` and
+    :func:`g2_multi_exp` take in place of x."""
+
+    __slots__ = ()
+
+
+def _odd_multiples(bases, width, double, madd, to_affine):
+    """Per affine base x (none the identity), its 2^(w-2) affine odd
+    multiples [x, x^3, ..., x^(2^(w-1) - 1)]. In Jacobian form jx doubles
+    to 2jx, and 2jx + x is the next odd multiple; one inversion converts
+    all of them, for every base, together."""
+    n = (1 << (width - 2)) - 1  # multiples per base beyond x itself
+    jac = []
+    for x in bases:
+        mults = [None, madd(None, x)]  # mults[j] = jx
+        for j in range(1, n + 1):
+            twice = double(mults[j])
+            mults += (twice, madd(twice, x))
+        jac += mults[3::2]
+    aff = to_affine(jac) if jac else []
+    return [[x, *aff[n * i:n * (i + 1)]] for i, x in enumerate(bases)]
+
+
 def _jacobian_multi_exp(pairs, double, madd, neg, to_affine):
     """:func:`_interleaved_wnaf` in G1 or G2, given the group's Jacobian
     doubling, mixed addition, affine negation and batch conversion to affine
-    form. The tables of odd multiples are affine: 3x = 2x + x, 5x = 4x + x
-    and 7x = 6x + x are built in Jacobian form and converted together, with
-    one inversion for all terms. The accumulator stays Jacobian, so every
-    addition is a mixed one (Cohen, Miyaji and Ono, ASIACRYPT 1998), and one
-    more inversion converts the result."""
-    def odd_multiples(bases):
-        jac = []
-        for x in bases:
-            x2 = double(madd(None, x))
-            x3 = madd(x2, x)
-            jac += (x3, madd(double(x2), x), madd(double(x3), x))
-        aff = to_affine(jac)
-        return [[x, *aff[3 * i:3 * i + 3]] for i, x in enumerate(bases)]
-
-    acc = _interleaved_wnaf(pairs, odd_multiples, double, madd, neg)
+    form. A term's base is an affine point or a cached :class:`Table`. A
+    point gets a width-4 table here, [x, x^3, x^5, x^7], built with those of
+    the other points and one inversion; a cached table is used at width 7.
+    The accumulator stays Jacobian, so every addition is a mixed one (Cohen,
+    Miyaji and Ono, ASIACRYPT 1998), and one more inversion converts the
+    result."""
+    terms, points, ks = [], [], []
+    for x, k in pairs:
+        k %= ORDER
+        if x is None or not k:
+            continue
+        if type(x) is Table:
+            terms.append((x, TABLE_WIDTH, k))
+        else:
+            points.append(x)
+            ks.append(k)
+    tables = _odd_multiples(points, 4, double, madd, to_affine)
+    terms += [(table, 4, k) for table, k in zip(tables, ks)]
+    acc = _interleaved_wnaf(terms, double, madd, neg)
     return None if acc is None else to_affine([acc])[0]
 
 
 def g2_multi_exp(pairs):
-    """prod pt_i^{k_i} with one shared doubling chain (interleaved 4-NAF)."""
+    """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
+    point (4-NAF) or its cached :func:`g2_table` (7-NAF)."""
     return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine)
+
+
+def g2_table(pt):
+    """The cached width-7 :class:`Table` of a G2 point, None for the identity."""
+    if pt is None:
+        return None
+    return Table(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd, _jac2_to_affine)[0])
 
 
 def g2_mul(pt, k):
@@ -694,23 +742,18 @@ def gt_pow(x, e):
     return _cyc_pow(x, e)
 
 
-def _gt_odd_multiples(xs):
-    """[x, x^3, x^5, x^7] for each x, from one cyclotomic squaring."""
-    tables = []
-    for x in xs:
-        twice = fq12_cyc_sqr(x)
-        table = [x]
-        for _ in range(3):
-            table.append(fq12_mul(table[-1], twice))
-        tables.append(table)
-    return tables
-
-
 def _cyc_pow(x, e):
     """x^(e mod ORDER) for cyclotomic x: the interleaved 4-NAF with
-    cyclotomic squarings and the free conjugation inverse. The final
+    cyclotomic squarings and the free conjugation inverse; the table
+    [x, x^3, x^5, x^7] takes one cyclotomic squaring. The final
     exponentiation calls it directly with T_PARAM < ORDER, so traced
     ``gt_pow`` calls count G_T work only."""
-    acc = _interleaved_wnaf([(x, e)], _gt_odd_multiples, fq12_cyc_sqr,
-                            lambda acc, y: y if acc is None else fq12_mul(acc, y), fq12_conj)
-    return FQ12_ONE if acc is None else acc
+    e %= ORDER
+    if not e:
+        return FQ12_ONE
+    twice = fq12_cyc_sqr(x)
+    table = [x]
+    for _ in range(3):
+        table.append(fq12_mul(table[-1], twice))
+    return _interleaved_wnaf([(table, 4, e)], fq12_cyc_sqr,
+                             lambda acc, y: y if acc is None else fq12_mul(acc, y), fq12_conj)

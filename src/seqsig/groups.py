@@ -1,7 +1,8 @@
 """Asymmetric bilinear group abstraction with two interchangeable backends.
 
 A :class:`GroupSuite` bundles the three groups (G, Ghat, GT), their
-generators, and a pairing-invocation counter. Two backends implement the
+generators, e(g, ghat), and counters of pairings and of the cached
+multi-exponentiation tables. Two backends implement the
 same handle-level interface:
 
 * ``real`` — BN254, a Type-3 pairing curve (see :mod:`seqsig.bn254`).
@@ -17,6 +18,7 @@ exponent stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import threading
@@ -80,6 +82,9 @@ class MockDlogBackend:
 
     def multi_exp(self, kind, pairs):
         return sum(h * k for h, k in pairs) % self.order
+
+    def table(self, kind, h):
+        return h  # an exponent needs no table
 
     def pair_product_raw(self, num, den):
         acc = 0
@@ -147,6 +152,10 @@ class Bn254Backend:
         if kind == "g1":
             return bn254.g1_multi_exp(pairs)
         return bn254.g2_multi_exp(pairs)
+
+    def table(self, kind, h):
+        """A handle's cached table, which ``multi_exp`` takes in place of it."""
+        return bn254.g1_table(h) if kind == "g1" else bn254.g2_table(h)
 
     def pair_product_raw(self, num, den):
         pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
@@ -257,15 +266,25 @@ class Bn254Backend:
         return res if bn254.fq2_sqr(res) == a else None
 
 
-class _Elem:
-    """Immutable group element bound to its suite; multiplicative notation."""
+_UNUSED, _USED_ONCE = object(), object()  # the states of _Elem._table before a table
 
-    __slots__ = ("suite", "h")
+
+class _Elem:
+    """Immutable group element bound to its suite; multiplicative notation.
+
+    ``_table`` holds the backend's table of ``h`` for :func:`multi_exp`,
+    built on the element's second use there, so an element that a key or
+    parameter set holds pays for it once and a fresh one never does. Two
+    threads racing on one element can both build it; either table is
+    correct."""
+
+    __slots__ = ("suite", "h", "_table")
     kind = None
 
     def __init__(self, suite, h):
         self.suite = suite
         self.h = h
+        self._table = _UNUSED
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -319,7 +338,9 @@ _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
 
 @dataclass
 class GroupSuite:
-    """Type-3 pairing context; immutable apart from the pairing counter."""
+    """Type-3 pairing context; immutable apart from its counters: pairings,
+    the :func:`multi_exp` tables built (``tables_built``) and the terms
+    served from one (``table_terms``)."""
 
     backend: object
     order: int
@@ -330,6 +351,8 @@ class GroupSuite:
         self.g = G1Elem(self, self.backend.generator("g1"))
         self.g_hat = G2Elem(self, self.backend.generator("g2"))
         self._counter = 0
+        self.tables_built = 0
+        self.table_terms = 0
         self._lock = threading.Lock()
 
     @property
@@ -339,6 +362,12 @@ class GroupSuite:
     def _count(self, n: int):
         with self._lock:
             self._counter += n
+
+    @functools.cached_property
+    def gt_gen(self) -> "GTElem":
+        """e(g, ghat): the Lambda of sas2 and ms parameters and the base of
+        pks keys' Omega, paired (and counted as one pairing) on first use."""
+        return pair(self.g, self.g_hat)
 
     def identity(self, kind: str):
         return _KIND_CLS[kind](self, self.backend.identity(kind))
@@ -405,7 +434,9 @@ def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: 
 
 
 def multi_exp(items) -> "_Elem":
-    """prod elem_i^{k_i} over same-kind G1 or G2 elements, via one shared chain."""
+    """prod elem_i^{k_i} over same-kind G1 or G2 elements, via one shared
+    chain. From an element's second call on, its cached table stands in
+    for it (see :class:`_Elem`)."""
     items = list(items)
     if not items:
         raise ValueError("multi_exp requires at least one (element, scalar) item")
@@ -413,13 +444,27 @@ def multi_exp(items) -> "_Elem":
     suite, kind = first.suite, first.kind
     if kind == "gt":
         raise TypeError("multi_exp takes G1 or G2 elements, not GT")
-    for elem, _ in items:
+    pairs, built, served = [], 0, 0
+    for elem, k in items:
         if elem.suite is not suite:
             raise CrossSuiteError("multi_exp arguments belong to different suites")
         if elem.kind != kind:
             raise TypeError("multi_exp arguments must share one group")
-    raw = suite.backend.multi_exp(kind, [(e.h, k % suite.order) for e, k in items])
-    return _KIND_CLS[kind](suite, raw)
+        table = elem._table
+        if table is _UNUSED:
+            elem._table = _USED_ONCE
+            pairs.append((elem.h, k % suite.order))
+            continue
+        if table is _USED_ONCE:
+            table = elem._table = suite.backend.table(kind, elem.h)
+            built += 1
+        served += 1
+        pairs.append((table, k % suite.order))
+    if served:
+        with suite._lock:
+            suite.tables_built += built
+            suite.table_terms += served
+    return _KIND_CLS[kind](suite, suite.backend.multi_exp(kind, pairs))
 
 
 def random_scalar(suite: GroupSuite, rng) -> Scalar:

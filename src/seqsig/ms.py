@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
-from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, pair, random_scalar
+from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
 
@@ -42,7 +42,7 @@ def ms_setup(suite: GroupSuite, rng) -> pks.Params:
     return pks.Params(suite=suite, variant="ms", g_row=pks.blind(g, w_row, c_g),
                       u_row=pks.blind(g ** x, w_row, c_u), h_row=pks.blind(g ** y, w_row, c_h),
                       w_row=w_row, g_hat_row=g_hat_row, u_hat_row=pks.row_pow(g_hat_row, x),
-                      h_hat_row=pks.row_pow(g_hat_row, y), lam=pair(g, suite.g_hat))
+                      h_hat_row=pks.row_pow(g_hat_row, y), lam=suite.gt_gen)
 
 
 def ms_keygen(params: pks.Params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:

@@ -269,7 +269,7 @@ def keygen_from_exponents(suite: GroupSuite, variant: str, e):
         raise ValueError(f"unknown variant {variant!r}")
     pk = PublicKey(suite=suite, variant=variant, w_row=w_row, g_hat_row=g_hat_row,
                    u_hat_row=row_pow(g_hat_row, e.x), h_hat_row=row_pow(g_hat_row, e.y),
-                   omega=pair(g, suite.g_hat) ** e.alpha, **rows)
+                   omega=suite.gt_gen ** e.alpha, **rows)
     return pk, PrivateKey(variant, e.alpha, e.x, e.y, pk_id=key_id(pk))
 
 

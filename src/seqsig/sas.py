@@ -31,7 +31,7 @@ from .errors import (
     MalformedEncodingError,
     MissingWitnessError,
 )
-from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, multi_exp, pair, random_scalar
+from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, multi_exp, random_scalar
 
 VARIANTS = ("sas1", "sas2")
 _CHAIN_TAG = b"seqsig/sas/chain"
@@ -61,7 +61,7 @@ def setup(suite: GroupSuite, variant: str, rng):
     if variant == "sas2":
         w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
         return pks.Params(suite=suite, variant=variant, g_row=pks.blind(suite.g, w_row, r()),
-                          w_row=w_row, g_hat_row=g_hat_row, lam=pair(suite.g, suite.g_hat))
+                          w_row=w_row, g_hat_row=g_hat_row, lam=suite.gt_gen)
     raise ValueError(f"unknown variant {variant!r}")
 
 

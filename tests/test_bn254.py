@@ -546,6 +546,51 @@ class TestGroups:
         want = b.g2_add(naive_g2_ladder(t, k1), naive_g2_mul(b.G2_GEN, k2))
         assert b.g2_multi_exp([(t, k1), (b.G2_GEN, k2)]) == want
 
+    @pytest.mark.parametrize("width", [4, b.TABLE_WIDTH])
+    def test_wnaf_digits(self, width):
+        """Odd digits below 2^(w-1) in absolute value, at least w - 1 zero
+        positions after each nonzero one, and they sum back to k."""
+        for k in [1, b.ORDER - 1] + [rng.randrange(1, b.ORDER) for _ in range(20)]:
+            digits = b._wnaf(k, width)
+            assert sum(d << i for i, d in digits) == k
+            for i, d in digits:
+                assert d % 2 == 1 and abs(d) < 1 << (width - 1)
+            positions = [i for i, _ in digits]
+            assert all(j - i >= width for i, j in zip(positions, positions[1:]))
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_multi_exp_mixes_cached_tables_and_points(self, group):
+        """Terms given as cached width-7 tables and as points (width 4) in
+        one chain, against the naive ladders: zero and ORDER - 1 scalars, an
+        identity base, a repeated base, a base with its negation, and in G2
+        a twist point of order 10069."""
+        gen, neg, multi_exp, table, add, naive = {
+            "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, b.g1_table, b.g1_add, naive_g1_mul),
+            "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, b.g2_table, b.g2_add, naive_g2_mul),
+        }[group]
+        pts = [naive(gen, rng.randrange(1, b.ORDER)) for _ in range(3)]
+        ks = [rng.randrange(b.ORDER) for _ in range(3)]
+        cases = [
+            list(zip(pts, ks)),
+            [(pts[0], 0), (pts[1], b.ORDER - 1), (None, ks[2]), (pts[2], ks[2])],
+            [(pts[0], ks[0]), (pts[0], ks[1]), (pts[0], b.ORDER - 1)],
+            [(pts[1], ks[1]), (neg(pts[1]), ks[1]), (gen, 7)],
+        ]
+        if group == "g2":
+            t = twist_point_of_order_10069()
+            cases.append([(t, ks[0]), (gen, ks[1]), (t, 10069), (pts[0], b.ORDER - 1)])
+        for terms in cases:
+            want = None
+            for pt, k in terms:
+                if pt is not None:
+                    want = add(want, naive(pt, k))
+            for tabled in range(1 << len(terms)):
+                mixed = [(table(pt) if tabled >> i & 1 else pt, k)
+                         for i, (pt, k) in enumerate(terms)]
+                assert multi_exp(mixed) == want
+        assert table(None) is None
+        assert multi_exp([(table(pts[0]), b.ORDER)]) is None
+
     def test_g1_add_mul_consistency(self):
         p5 = b.g1_mul(b.G1_GEN, 5)
         p7 = b.g1_mul(b.G1_GEN, 7)
@@ -716,3 +761,23 @@ class TestArithmeticCost:
         ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
         got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(pts, ks)))
         assert tuple(got.values()) == want
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_multi_exp_with_cached_tables(self, group):
+        """The 20-term MSM of ``test_multi_exp_group_law`` with every base a
+        cached width-7 table: no table is built, so the 60 doublings, 80
+        mixed additions and one batch inversion of the width-4 tables go,
+        and the 7-NAF digits take 643 mixed additions where the 4-NAF took
+        1017. Against the untabled (314, 1097, 2): 254 doublings, 643 mixed
+        additions and 1 batch inversion. Building one table, outside the
+        count, takes 31 doublings, 32 mixed additions and 1 batch inversion."""
+        gen, multi_exp, mul, table = {
+            "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul, b.g1_table),
+            "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul, b.g2_table)}[group]
+        tables = [table(mul(gen, i + 1)) for i in range(20)]
+        draw = random.Random(20).randrange
+        ks = [draw(b.ORDER) for _ in range(20)]
+        ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
+        got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(tables, ks)))
+        assert tuple(got.values()) == (254, 643, 1)
+        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == (31, 32, 1)

@@ -107,3 +107,16 @@ def test_verify_cost(scheme, length):
     assert verify()
     cost = dict(suite.backend.counts, pairings=suite.pairing_count - before)
     assert cost == VERIFY_COST[scheme, length]
+
+
+def test_suite_pairs_g_and_g_hat_once():
+    """e(g, ghat) is paired once per suite: a second pks keygen, and an ms
+    setup or sas2 setup after it, make no pairing."""
+    suite = _counting_suite()
+    rng = random.Random(7)
+    pks.keygen(suite, "pks2", rng)
+    assert suite.pairing_count == 1
+    pks.keygen(suite, "pks1", rng)
+    ms.ms_setup(suite, rng)
+    sas.setup(suite, "sas2", rng)
+    assert suite.pairing_count == 1
