@@ -15,7 +15,8 @@ BENCHMARK.json: every run's value, both medians and interquartile ranges,
 in how many seeds the change read lower than the parent, the relative change
 of the medians, the metric's bound and the parent's spread (max - min over
 median). A metric whose parent spread exceeds its bound is listed in
-``notes`` as unresolved.
+``notes`` as unresolved. ``env.src_lines`` holds each side's total of
+``wc -l src/seqsig/*.py``, so a change that removes code shows by how much.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: 
                          f"(exit {done.returncode}):\n{done.stderr[-2000:]}") from None
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
     return result, env
+
+
+def src_lines(checkout: Path) -> int:
+    """The total that ``wc -l src/seqsig/*.py`` prints in a checkout."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "seqsig").glob("*.py"))
 
 
 def _iqr(xs):
@@ -125,6 +131,7 @@ def main(argv=None):
         "env": {
             **{k: parent_env.get(k) for k in ("python", "nproc", "cpu", "arithmetic")},
             "commit": {side: env.get(side, {}).get("commit") for side in SIDES},
+            "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         },
         "workloads": workloads,
         "notes": notes,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import ms, pks, sas
+from . import pks, sas
 from .errors import MalformedEncodingError
 from .groups import GroupSuite, decode_element, encode_element
 
@@ -239,7 +239,7 @@ def decode_private_key(suite: GroupSuite, data: bytes):
 # Signer public keys travel separately (key files / registry) and are
 # re-attached at decode time via their key-ids.
 
-def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
+def encode_aggregate(agg: pks.Signature) -> bytes:
     parts = [
         _header(MAGIC_AGGREGATE, agg.row1[0].suite),
         bytes([SCHEME_BYTE[agg.variant]]),
@@ -253,7 +253,7 @@ def encode_aggregate(agg: sas.AggregateSignature) -> bytes:
 
 
 def decode_aggregate(suite: GroupSuite, data: bytes,
-                     known_keys: Sequence[pks.PublicKey]) -> sas.AggregateSignature:
+                     known_keys: Sequence[pks.PublicKey]) -> pks.Signature:
     r = _Reader(data, MAGIC_AGGREGATE, suite)
     variant = SCHEME_NAME.get(r.byte())
     length = r.u32()
@@ -270,13 +270,13 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
         signers.append(signer)
     row1, row2 = r.rows(variant)
     r.end()
-    return sas.AggregateSignature(variant, row1, row2, tuple(messages), tuple(signers))
+    return pks.Signature(variant, row1, row2, tuple(messages), tuple(signers))
 
 
 # ---------------------------------------------------------------------------
 # multi-signatures (AMSG)
 
-def encode_multisignature(msig: ms.MsSignature, message_hash: int,
+def encode_multisignature(msig: pks.Signature, message_hash: int,
                           pk_list: Sequence[pks.PublicKey]) -> bytes:
     suite = msig.row1[0].suite
     parts = [
@@ -300,9 +300,9 @@ def decode_multisignature(suite: GroupSuite, data: bytes,
     by_id = {pks.key_id(k): k for k in known_keys}
     pk_list = [r.signer(i, by_id) for i in range(count)]
     message_hash = r.scalar()
-    row1, row2 = r.rows(ms.MsSignature.variant)
+    row1, row2 = r.rows("ms")
     r.end()
-    return ms.MsSignature(row1, row2), message_hash, pk_list
+    return pks.Signature("ms", row1, row2), message_hash, pk_list
 
 
 # ---------------------------------------------------------------------------

@@ -266,17 +266,17 @@ class Bn254Backend:
         return res if bn254.fq2_sqr(res) == a else None
 
 
-_UNUSED, _USED_ONCE = object(), object()  # the states of _Elem._table before a table
+_UNUSED, _USED_ONCE, _USED_TWICE = object(), object(), object()  # _Elem._table before a table
 
 
 class _Elem:
     """Immutable group element bound to its suite; multiplicative notation.
 
     ``_table`` holds the backend's table of ``h`` for :func:`multi_exp`,
-    built on the element's second use there, so an element that a key or
-    parameter set holds pays for it once and a fresh one never does. Two
-    threads racing on one element can both build it; either table is
-    correct."""
+    built on the element's third use there: an element that a key or
+    parameter set holds pays for it once, while a fresh one, the identity
+    and the bases of one signature (two uses each) never do. Two threads
+    racing on one element can both build it; either table is correct."""
 
     __slots__ = ("suite", "h", "_table")
     kind = None
@@ -435,8 +435,8 @@ def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: 
 
 def multi_exp(items) -> "_Elem":
     """prod elem_i^{k_i} over same-kind G1 or G2 elements, via one shared
-    chain. From an element's second call on, its cached table stands in
-    for it (see :class:`_Elem`)."""
+    chain. From an element's third call on, its cached table stands in for
+    it, and an identity base is skipped (see :class:`_Elem`)."""
     items = list(items)
     if not items:
         raise ValueError("multi_exp requires at least one (element, scalar) item")
@@ -444,18 +444,21 @@ def multi_exp(items) -> "_Elem":
     suite, kind = first.suite, first.kind
     if kind == "gt":
         raise TypeError("multi_exp takes G1 or G2 elements, not GT")
+    one = suite.backend.identity(kind)
     pairs, built, served = [], 0, 0
     for elem, k in items:
         if elem.suite is not suite:
             raise CrossSuiteError("multi_exp arguments belong to different suites")
         if elem.kind != kind:
             raise TypeError("multi_exp arguments must share one group")
+        if elem.h == one:
+            continue
         table = elem._table
-        if table is _UNUSED:
-            elem._table = _USED_ONCE
+        if table is _UNUSED or table is _USED_ONCE:
+            elem._table = _USED_ONCE if table is _UNUSED else _USED_TWICE
             pairs.append((elem.h, k % suite.order))
             continue
-        if table is _USED_ONCE:
+        if table is _USED_TWICE:
             table = elem._table = suite.backend.table(kind, elem.h)
             built += 1
         served += 1

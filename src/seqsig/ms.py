@@ -4,7 +4,8 @@ The message-hashing bases u, h live in the shared parameters rather than
 per-signer keys, so a public key is a single GT element and individual
 signatures on the same message combine by componentwise multiplication.
 Verification of a combined signature costs the same six pairings as an
-individual one.
+individual one. Both are a :class:`pks.Signature` of variant ``ms``
+with no messages or signers, built by ``MsSignature(row1, row2)``.
 
 Duplicate public keys in the verification list are accepted: nothing in
 the combining algebra forbids them. Rogue keys are the certification
@@ -14,23 +15,18 @@ registry's job: the verifiers and ``ms_combine`` take its predicate as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
-from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, random_scalar
+from .groups import GroupSuite, Scalar, hash_to_scalar, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
 
 
-@dataclass(frozen=True)
-class MsSignature(pks.SignatureRows):
-    """One form for individual and combined signatures."""
-
-    variant = "ms"
-    row1: tuple[G1Elem, ...]
-    row2: tuple[G1Elem, ...]
+def MsSignature(row1, row2) -> pks.Signature:
+    """The ms record, one form for individual and combined signatures."""
+    return pks.Signature("ms", row1, row2)
 
 
 def ms_setup(suite: GroupSuite, rng) -> pks.Params:
@@ -59,24 +55,24 @@ def message_scalar(params: pks.Params, message: bytes) -> Scalar:
     return hash_to_scalar(params.suite, _MSG_TAG, message, width=pks.MESSAGE_WIDTH["ms"])
 
 
-def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> MsSignature:
+def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> pks.Signature:
     return ms_sign_scalar(params, message_scalar(params, message), sk, rng)
 
 
-def ms_sign_scalar(params, m, sk, rng) -> MsSignature:
+def ms_sign_scalar(params, m, sk, rng) -> pks.Signature:
     bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
     return MsSignature(*pks.sign_rows(params.g_row, sk.alpha, bases, params.w_row,
                                       *pks.signing_coins(params.suite, rng)))
 
 
-def ms_verify(sig: MsSignature, message: bytes, pk: pks.PublicKey, params: pks.Params, rng, *,
+def ms_verify(sig: pks.Signature, message: bytes, pk: pks.PublicKey, params: pks.Params, rng, *,
               certified: Callable | None = None) -> bool:
     return ms_mult_verify(sig, message, [pk], params, rng, certified=certified)
 
 
-def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[pks.PublicKey],
+def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks.PublicKey],
                params: pks.Params, rng, *, skip_individual_checks: bool = False,
-               certified: Callable | None = None) -> MsSignature:
+               certified: Callable | None = None) -> pks.Signature:
     """Componentwise product of same-message signatures.
 
     Each input is verified first unless the caller vouches for a
@@ -100,7 +96,7 @@ def ms_combine(sigs: Sequence[MsSignature], message: bytes, keys: Sequence[pks.P
                        tuple(pks.product(col) for col in zip(*(sig.row2 for sig in sigs))))
 
 
-def ms_mult_verify(msig: MsSignature, message: bytes, keys: Sequence[pks.PublicKey],
+def ms_mult_verify(msig: pks.Signature, message: bytes, keys: Sequence[pks.PublicKey],
                    params: pks.Params, rng, *, certified: Callable | None = None) -> bool:
     return ms_mult_verify_scalar(msig, message_scalar(params, message), keys, params, rng,
                                  certified=certified)

@@ -10,7 +10,7 @@ product against Omega with fresh verifier coins):
 
 The row core at the end of this module (``sign_rows``, ``verifier_rows``,
 ``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
-:mod:`seqsig.ms` too.
+:mod:`seqsig.ms` too, on their shared :class:`Signature` record.
 
 Where the coin t lives: the paper raises the verifier's G2 rows to t,
 V = (V')^t, and checks e(row1, V1) * e(row2, V2)^-1 == Omega^t. The left
@@ -177,17 +177,29 @@ class PrivateKey:
     pk_id: bytes = b""
 
 
-class SignatureRows:
-    """Mixin for pks signatures, sas aggregates and ms multi-signatures: two
-    G1 rows ``row1`` and ``row2``, each ``ROW_WIDTH[variant]`` wide."""
+@dataclass(frozen=True)
+class Signature:
+    """A pks signature, sas aggregate or ms multi-signature: two G1 rows, each
+    ``ROW_WIDTH[variant]`` wide. Only an aggregate fills ``messages`` and
+    ``signers``, one per signer in signing order; :func:`check_rows` checks it."""
+
+    variant: str
+    row1: tuple[G1Elem, ...]
+    row2: tuple[G1Elem, ...]
+    messages: tuple[Scalar, ...] = ()
+    signers: tuple[PublicKey, ...] = ()
+
+    @property
+    def length(self) -> int:
+        return len(self.messages)
 
     def elements(self) -> list:
         return list(self.row1) + list(self.row2)
 
 
-def check_rows(sig, variant: str):
-    """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant``
-    signature whose rows have that variant's width."""
+def check_rows(sig: Signature, variant: str):
+    """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant`` record
+    of that variant's width with as many messages as signers."""
     if sig.variant != variant:
         raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
     width = ROW_WIDTH[variant]
@@ -195,13 +207,8 @@ def check_rows(sig, variant: str):
         raise MalformedEncodingError(
             f"signature width {len(sig.row1)}/{len(sig.row2)} does not match variant {variant}"
         )
-
-
-@dataclass(frozen=True)
-class Signature(SignatureRows):
-    variant: str
-    row1: tuple[G1Elem, ...]
-    row2: tuple[G1Elem, ...]
+    if len(sig.messages) != len(sig.signers):
+        raise MalformedEncodingError("message and signer lists differ in length")
 
 
 def key_id(pk) -> bytes:

@@ -15,11 +15,14 @@ regardless of how many signers contributed. Verification runs the row core
 of :mod:`seqsig.pks`, whose pairing equation leaves the verifier's coin t
 out: neither the aggregate nor the G2 rows built from the signers' keys are
 raised to it.
+
+An aggregate (``AggregateSignature``) is a :class:`pks.Signature` that lists
+each signer's message and key; :func:`pks.check_rows` checks it before any
+coin, pairing or division.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
@@ -28,27 +31,16 @@ from .errors import (
     DuplicateSignerError,
     InvalidAggregateError,
     KeyMismatchError,
-    MalformedEncodingError,
     MissingWitnessError,
 )
-from .groups import G1Elem, GroupSuite, Scalar, hash_to_scalar, multi_exp, random_scalar
+from .groups import GroupSuite, Scalar, hash_to_scalar, multi_exp, random_scalar
 
 VARIANTS = ("sas1", "sas2")
 _CHAIN_TAG = b"seqsig/sas/chain"
 _PKS_VARIANT = {"sas1": "pks1", "sas2": "pks2"}  # the base scheme of each
 
 
-@dataclass(frozen=True)
-class AggregateSignature(pks.SignatureRows):
-    variant: str
-    row1: tuple[G1Elem, ...]
-    row2: tuple[G1Elem, ...]
-    messages: tuple[Scalar, ...]
-    signers: tuple[pks.PublicKey, ...]
-
-    @property
-    def length(self):
-        return len(self.messages)
+AggregateSignature = pks.Signature
 
 
 def setup(suite: GroupSuite, variant: str, rng):
@@ -100,7 +92,7 @@ def empty_aggregate(params) -> AggregateSignature:
     """The unique l = 0 aggregate: every component is the identity."""
     width = pks.ROW_WIDTH[params.variant]
     one = params.suite.identity("g1")
-    return AggregateSignature(params.variant, (one,) * width, (one,) * width, (), ())
+    return AggregateSignature(params.variant, (one,) * width, (one,) * width)
 
 
 def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[bytes]) -> Scalar:
@@ -162,11 +154,8 @@ def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
 
 
 def _distinct_signers(params, agg) -> bool:
-    """Whether no signer occurs twice; an aggregate that does not fit the
-    parameters (variant, width, message count) raises ``MalformedEncodingError``."""
+    """Whether no signer occurs twice, once :func:`pks.check_rows` passes."""
     pks.check_rows(agg, params.variant)
-    if len(agg.messages) != len(agg.signers):
-        raise MalformedEncodingError("message and signer lists differ in length")
     ids = [pks.key_id(s) for s in agg.signers]
     return len(set(ids)) == len(ids)
 
@@ -190,17 +179,19 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
     (optionally including) the target. The result verifies under
     :func:`pks_view` of the target's key.
     """
+    pks.check_rows(agg, params.variant)
     if not 0 <= target_index < agg.length:
         raise IndexError("target index outside the aggregate")
-    row1 = agg.row1
+    others = []
     for i, (mi, si) in enumerate(zip(agg.messages, agg.signers)):
         if i == target_index:
             continue
         kid = pks.key_id(si)
         if kid not in witnesses:
             raise MissingWitnessError(f"no private witness for signer {i}")
-        row1 = _divide_signer(params, row1, agg.row2, witnesses[kid], mi)
-    return pks.Signature(_PKS_VARIANT[params.variant], row1, tuple(agg.row2))
+        others.append((witnesses[kid], mi))
+    row1 = _divide_signers(params, agg, others) if others else agg.row1
+    return pks.Signature(_PKS_VARIANT[params.variant], row1, agg.row2)
 
 
 def pks_view(params, pub: pks.PublicKey) -> pks.PublicKey:
@@ -220,23 +211,25 @@ def remove_signer(params, agg: AggregateSignature, pub: pks.PublicKey,
     randomness, so the result is again a well-formed aggregate over the
     remaining signers (provided ``m_old`` is the scalar actually signed).
     """
+    pks.check_rows(agg, params.variant)
     kid = priv.pk_id
     idx = next((i for i, s in enumerate(agg.signers) if pks.key_id(s) == kid), None)
     if idx is None:
         raise MissingWitnessError("signer is not present in the aggregate")
-    row1 = _divide_signer(params, agg.row1, agg.row2, priv, m_old)
-    messages = agg.messages[:idx] + agg.messages[idx + 1:]
-    signers = agg.signers[:idx] + agg.signers[idx + 1:]
-    return AggregateSignature(agg.variant, row1, agg.row2, messages, signers)
+    return AggregateSignature(agg.variant, _divide_signers(params, agg, [(priv, m_old)]),
+                              agg.row2, agg.messages[:idx] + agg.messages[idx + 1:],
+                              agg.signers[:idx] + agg.signers[idx + 1:])
 
 
-def _divide_signer(params, row1, row2, priv, m):
-    """row1 with g_row[k]^alpha * row2[k]^d of one signer divided out of each slot."""
-    d = (priv.x * m + priv.y) % params.suite.order
-    return tuple(
-        s / (row2[k] ** d if a is None else a ** priv.alpha * row2[k] ** d)
-        for k, (s, a) in enumerate(zip_longest(row1, params.g_row))
-    )
+def _divide_signers(params, agg, signers):
+    """agg.row1 with the (priv, m) ``signers`` divided out: slot k is divided
+    once by g_row[k]^(sum alpha_i) * row2[k]^(sum d_i), d_i = x_i * m_i + y_i,
+    both sums mod the order (sas1's slots past the first have no g_row entry)."""
+    order = params.suite.order
+    alpha = sum(priv.alpha for priv, _ in signers) % order
+    d = sum(priv.x * m + priv.y for priv, m in signers) % order
+    return tuple(s / (r2 ** d if a is None else a ** alpha * r2 ** d)
+                 for s, r2, a in zip_longest(agg.row1, agg.row2, params.g_row))
 
 
 def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],

@@ -120,3 +120,27 @@ def test_suite_pairs_g_and_g_hat_once():
     ms.ms_setup(suite, rng)
     sas.setup(suite, "sas2", rng)
     assert suite.pairing_count == 1
+
+
+# Stripping an aggregate to one signer divides all the others out at once:
+# slot k is divided by g_row[k]^(sum alpha_i) * row2[k]^(sum d_i), so sas1
+# takes 2 + 3 single G1 exponentiations (its g_row has one entry) and sas2
+# 3 + 3, however many signers are divided out.
+STRIP_COST = {"sas1": {"g1": 5}, "sas2": {"g1": 6}}
+
+
+@pytest.mark.parametrize("scheme", sorted(STRIP_COST))
+def test_strip_cost(scheme):
+    suite = _counting_suite()
+    rng = random.Random(7)
+    params = sas.setup(suite, scheme, rng)
+    agg, witnesses = sas.empty_aggregate(params), {}
+    for i in range(3):
+        pub, priv = sas.keygen(params, rng)
+        agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
+        witnesses[priv.pk_id] = priv
+    suite.backend.counts.clear()
+    sig = sas.strip_to_single(params, agg, 1, witnesses)
+    assert dict(suite.backend.counts) == STRIP_COST[scheme]
+    view = sas.pks_view(params, agg.signers[1])
+    assert pks.verify_scalar(view.variant, sig, agg.messages[1], view, rng)

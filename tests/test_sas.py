@@ -212,7 +212,8 @@ class TestAggregation:
 
 
 class TestCoinLevelChecks:
-    """``agg_verify_with_coins`` refuses what ``agg_verify`` refuses before any pairing."""
+    """``agg_verify_with_coins`` refuses what ``agg_verify`` refuses before any
+    pairing, and ``agg_sign`` without the verify refuses it before any coin."""
 
     MALFORMED = {
         "relabelled": lambda agg: dataclasses.replace(agg, variant="sas1"),
@@ -231,10 +232,15 @@ class TestCoinLevelChecks:
     def test_malformed_raises(self, chain, rng, case):
         params, agg = chain
         bad = self.MALFORMED[case](agg)
+        pub, priv = sas.keygen(params, rng)
+        state = rng.getstate()
         with pytest.raises(MalformedEncodingError):
             sas.agg_verify(params, bad, rng)
         with pytest.raises(MalformedEncodingError):
             sas.agg_verify_with_coins(params, bad, 5)
+        with pytest.raises(MalformedEncodingError):
+            sas.agg_sign(params, bad, b"m", pub, priv, rng, verify_prev=False)
+        assert rng.getstate() == state
 
     def test_duplicate_signer_rejected(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)
