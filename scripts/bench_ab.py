@@ -15,8 +15,10 @@ BENCHMARK.json: every run's value, both medians and interquartile ranges,
 in how many seeds the change read lower than the parent, the relative change
 of the medians, the metric's bound and the parent's spread (max - min over
 median). A metric whose parent spread exceeds its bound is listed in
-``notes`` as unresolved. ``env.src_lines`` holds each side's total of
-``wc -l src/seqsig/*.py``, so a change that removes code shows by how much.
+``notes`` as unresolved. ``env.src_lines`` and ``env.test_lines`` hold each
+side's total of ``wc -l src/seqsig/*.py`` and of ``wc -l tests/*.py``, so a
+change that removes code shows by how much, and whether it left the library
+or only moved into the tests.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: 
     return result, env
 
 
-def src_lines(checkout: Path) -> int:
-    """The total that ``wc -l src/seqsig/*.py`` prints in a checkout."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "seqsig").glob("*.py"))
+def line_total(checkout: Path, pattern: str) -> int:
+    """The total that ``wc -l PATTERN`` prints in a checkout, e.g. for ``tests/*.py``."""
+    return sum(p.read_bytes().count(b"\n") for p in checkout.glob(pattern))
 
 
 def _iqr(xs):
@@ -131,7 +133,8 @@ def main(argv=None):
         "env": {
             **{k: parent_env.get(k) for k in ("python", "nproc", "cpu", "arithmetic")},
             "commit": {side: env.get(side, {}).get("commit") for side in SIDES},
-            "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
+            "src_lines": {side: line_total(checkouts[side], "src/seqsig/*.py") for side in SIDES},
+            "test_lines": {side: line_total(checkouts[side], "tests/*.py") for side in SIDES},
         },
         "workloads": workloads,
         "notes": notes,

@@ -1,9 +1,9 @@
 """Asymmetric bilinear group abstraction with two interchangeable backends.
 
 A :class:`GroupSuite` bundles the three groups (G, Ghat, GT), their
-generators, e(g, ghat), and counters of pairings and of the cached
-multi-exponentiation tables. Two backends implement the
-same handle-level interface:
+generators, e(g, ghat), and one count of the work done on them
+(``GroupSuite.counts``). Two backends implement the same handle-level
+interface:
 
 * ``real`` — BN254, a Type-3 pairing curve (see :mod:`seqsig.bn254`).
 * ``mock`` — a discrete-log toy group of small prime order where every
@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bn254
@@ -30,39 +32,17 @@ from .errors import CrossSuiteError, MalformedEncodingError, SubgroupMembershipE
 Scalar = int  # always reduced mod the suite order
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 class MockDlogBackend:
     """Transparent group: handles are exponents, pair(a, b) = a*b mod p."""
 
     name = "mock"
 
     def __init__(self, order: int):
-        if not _is_prime(order):
-            raise ValueError(f"mock group order must be prime, got {order}")
         if not 101 <= order < 1 << 32:
             raise ValueError("mock group order must lie in [101, 2^32): elements are 4 bytes")
+        # trial division, at most 65535 divisors below 2^32
+        if not all(order % d for d in range(2, math.isqrt(order) + 1)):
+            raise ValueError(f"mock group order must be prime, got {order}")
         self.order = order
 
     def generator(self, kind):
@@ -304,6 +284,7 @@ class _Elem:
         )
 
     def __pow__(self, k: int):
+        self.suite._count({self.kind: 1})
         return type(self)(self.suite, self.suite.backend.exp(self.kind, self.h, k % self.suite.order))
 
     def __eq__(self, other):
@@ -338,30 +319,32 @@ _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
 
 @dataclass
 class GroupSuite:
-    """Type-3 pairing context; immutable apart from its counters: pairings,
-    the :func:`multi_exp` tables built (``tables_built``) and the terms
-    served from one (``table_terms``)."""
+    """Type-3 pairing context, immutable apart from ``counts``: single
+    exponentiations (``g1``, ``g2``, ``gt``), :func:`multi_exp` terms past
+    the identity skip (``msm.g1``, ``msm.g2``), the tables built and terms
+    served from one (``tables_built``, ``table_terms``) and pairings
+    (``pairings``). A key is present once its count is positive."""
 
     backend: object
-    order: int
     g: G1Elem = field(init=False)
     g_hat: G2Elem = field(init=False)
 
     def __post_init__(self):
         self.g = G1Elem(self, self.backend.generator("g1"))
         self.g_hat = G2Elem(self, self.backend.generator("g2"))
-        self._counter = 0
-        self.tables_built = 0
-        self.table_terms = 0
+        self.order = self.backend.order
+        self.counts = Counter()
         self._lock = threading.Lock()
 
     @property
     def pairing_count(self) -> int:
-        return self._counter
+        return self.counts["pairings"]
 
-    def _count(self, n: int):
+    def _count(self, tally: dict):
         with self._lock:
-            self._counter += n
+            for key, n in tally.items():
+                if n:
+                    self.counts[key] += n
 
     @functools.cached_property
     def gt_gen(self) -> "GTElem":
@@ -386,7 +369,7 @@ def suite_generate(backend: str, order: int | None = None) -> GroupSuite:
         be = Bn254Backend()
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return GroupSuite(backend=be, order=be.order)
+    return GroupSuite(be)
 
 
 def pair(a: G1Elem, b: G2Elem) -> GTElem:
@@ -409,7 +392,7 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
             raise TypeError("pairing_product expects (G1Elem, G2Elem) pairs")
         if a.suite is not suite or b.suite is not suite:
             raise CrossSuiteError("pairing_product arguments belong to different suites")
-    suite._count(len(num) + len(den))
+    suite._count({"pairings": len(num) + len(den)})
     raw = suite.backend.pair_product_raw(
         [(a.h, b.h) for a, b in num], [(a.h, b.h) for a, b in den]
     )
@@ -444,7 +427,7 @@ def multi_exp(items) -> "_Elem":
     suite, kind = first.suite, first.kind
     if kind == "gt":
         raise TypeError("multi_exp takes G1 or G2 elements, not GT")
-    one = suite.backend.identity(kind)
+    one, order = suite.backend.identity(kind), suite.order
     pairs, built, served = [], 0, 0
     for elem, k in items:
         if elem.suite is not suite:
@@ -456,17 +439,14 @@ def multi_exp(items) -> "_Elem":
         table = elem._table
         if table is _UNUSED or table is _USED_ONCE:
             elem._table = _USED_ONCE if table is _UNUSED else _USED_TWICE
-            pairs.append((elem.h, k % suite.order))
+            pairs.append((elem.h, k % order))
             continue
         if table is _USED_TWICE:
             table = elem._table = suite.backend.table(kind, elem.h)
             built += 1
         served += 1
-        pairs.append((table, k % suite.order))
-    if served:
-        with suite._lock:
-            suite.tables_built += built
-            suite.table_terms += served
+        pairs.append((table, k % order))
+    suite._count({f"msm.{kind}": len(pairs), "tables_built": built, "table_terms": served})
     return _KIND_CLS[kind](suite, suite.backend.multi_exp(kind, pairs))
 
 

@@ -77,13 +77,15 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
 
     Each input is verified first unless the caller vouches for a
     pre-verified batch via ``skip_individual_checks``. A key that the
-    ``certified`` predicate refuses halts the combination either way.
+    ``certified`` predicate refuses, or a share of the wrong width, halts
+    the combination either way, before any coin.
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
     if not sigs:
         raise ValueError("nothing to combine")
-    for pk in keys:
+    for sig, pk in zip(sigs, keys):
+        pks.check_rows(sig, params.variant)
         if pk.suite is not params.suite:
             raise CrossSuiteError("public key belongs to a different suite")
     if certified is not None and not all(certified(pk) for pk in keys):
@@ -106,14 +108,19 @@ def ms_mult_verify_scalar(msig, m, keys, params, rng, *, certified=None) -> bool
     """False, before any coin or pairing, when ``certified`` refuses a key."""
     if certified is not None and not all(certified(pk) for pk in keys):
         return False
+    _check_inputs(msig, keys, params)  # before the coin
     t, _, _ = pks.verifier_coins(params.suite, params.variant, rng)
     return ms_mult_verify_with_coins(msig, m, keys, params, t)
 
 
 def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
-    if not keys:
-        raise ValueError("verification requires at least one public key")
-    pks.check_rows(msig, params.variant)
+    _check_inputs(msig, keys, params)
     terms = [(params.u_hat_row, params.h_hat_row, m)]
     omega = pks.product([pk.omega for pk in keys])
     return pks.verify_rows(msig, params.g_hat_row, None, terms, omega, t)
+
+
+def _check_inputs(msig, keys, params):
+    if not keys:
+        raise ValueError("verification requires at least one public key")
+    pks.check_rows(msig, params.variant)

@@ -470,8 +470,9 @@ def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:
 
 
 def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
-    _check_variant(variant)
-    return verify_with_coins(variant, sig, m, pk, *verifier_coins(pk.suite, variant, rng))
+    rows = _key_rows(variant, pk, m)
+    check_rows(sig, variant)  # before the coins
+    return verify_rows(sig, *rows, pk.omega, *verifier_coins(pk.suite, variant, rng))
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:

@@ -22,6 +22,9 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
     lines = record["env"]["src_lines"]  # both sides are this checkout
     assert lines["parent"] == lines["change"]
     assert type(lines["change"]) is int and lines["change"] > 0
+    lines = record["env"]["test_lines"]
+    assert lines["parent"] == lines["change"]
+    assert type(lines["change"]) is int and lines["change"] > 0
     run = record["workloads"]["verify-short"]
     assert run["seeds"] == [1, 2] and run["first"] == ["parent", "change"]
     assert run["correct"] is True and run["failed"] == {"parent": 0, "change": 0}

@@ -1,6 +1,8 @@
 """Group abstraction: suites, element algebra, hashing, serialization."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,31 @@ class TestElementAlgebra:
         before = mock_suite.pairing_count
         pairing_product([(g, gh), (g ** 2, gh)], [(g ** 3, gh)])
         assert mock_suite.pairing_count == before + 3
+
+    def test_counts_lose_no_update_across_threads(self, mock_suite):
+        """Four threads share one suite; every exponentiation, multi_exp
+        term and pairing lands in ``counts``."""
+        g, g_hat, n = mock_suite.g, mock_suite.g_hat, 400
+
+        def work():
+            for k in range(n):
+                g ** k
+                multi_exp([(g, k), (g, 1)])
+                pair(g, g_hat)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        counts = mock_suite.counts
+        assert (counts["g1"], counts["msm.g1"], counts["pairings"]) == (4 * n, 8 * n, 4 * n)
 
     def test_pairing_product_matches_separate(self, mock_suite):
         g, gh = mock_suite.g, mock_suite.g_hat

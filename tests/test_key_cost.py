@@ -1,45 +1,31 @@
-"""Cost pins on mock:10007: exponentiations per group and pairings of every
-keygen and setup, and the paper's cost model of one verify.
+"""Cost pins: exponentiations per group, multi-exponentiation terms and
+pairings of every keygen and setup, of one signature and of one verify,
+read from ``GroupSuite.counts``.
 
 The golden transcript pins the bytes of keys, parameters and signatures but
 not what they cost to build or check; these counts do. ``g1``, ``g2`` and
 ``gt`` count single exponentiations; ``msm.g1`` and ``msm.g2`` count the
-terms of multi-exponentiations, which keygen and setup do not use.
+terms of multi-exponentiations, which keygen and setup do not use. The
+counts live in ``groups``, so the key-material and pks and ms signing pins
+run on both backends; the sas chains run on mock.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
 from seqsig import ms, pks, sas
-from seqsig.groups import GroupSuite, MockDlogBackend
+from seqsig.groups import suite_generate
 
 
-class CountingMockBackend(MockDlogBackend):
-    def __init__(self, order):
-        super().__init__(order)
-        self.counts = Counter()
-
-    def exp(self, kind, h, k):
-        self.counts[kind] += 1
-        return super().exp(kind, h, k)
-
-    def multi_exp(self, kind, pairs):
-        pairs = list(pairs)
-        self.counts[f"msm.{kind}"] += len(pairs)
-        return super().multi_exp(kind, pairs)
+def _counting_suite(backend="mock"):
+    return suite_generate("mock", 10007) if backend == "mock" else suite_generate("real")
 
 
-def _counting_suite():
-    backend = CountingMockBackend(10007)
-    return GroupSuite(backend=backend, order=backend.order)
-
-
-def _cost(build):
-    suite = _counting_suite()
+def _cost(build, backend="mock"):
+    suite = _counting_suite(backend)
     build(suite, random.Random(7))
-    return dict(suite.backend.counts, pairings=suite.pairing_count)
+    return dict(suite.counts)
 
 
 EXPECTED = {
@@ -62,6 +48,11 @@ BUILDS = {
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_key_material_cost(name):
     assert _cost(BUILDS[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_key_material_cost_on_real(name):
+    assert _cost(BUILDS[name], "real") == EXPECTED[name]
 
 
 # One verify: pairings flat in l (8 for sas1, 6 for sas2 and ms); the G2
@@ -102,11 +93,102 @@ def _signed(suite, scheme, length, rng):
 def test_verify_cost(scheme, length):
     suite = _counting_suite()
     verify = _signed(suite, scheme, length, random.Random(7))
-    suite.backend.counts.clear()
-    before = suite.pairing_count
+    suite.counts.clear()
     assert verify()
-    cost = dict(suite.backend.counts, pairings=suite.pairing_count - before)
-    assert cost == VERIFY_COST[scheme, length]
+    assert dict(suite.counts) == VERIFY_COST[scheme, length]
+
+
+def _verify_formula(scheme, length):
+    """VERIFY_COST's comment as a formula in the number of signers."""
+    if scheme == "sas1":
+        return {"g2": 3, "msm.g2": 4 * length + 3, "pairings": 8}
+    return {"msm.g2": 3 if scheme == "ms" else 3 * length, "pairings": 6}
+
+
+# One signature, with W the row width (4 for pks1 and sas1, 3 otherwise).
+# - pks.sign makes its message base g^(x*m + y) with one G1 exponentiation
+#   and takes 2W + 3 multi-exponentiation terms: 3 + 2 in slot 0, which
+#   carries g and the base, and 1 + 1 in each other slot.
+# - ms.ms_sign makes a base u_k^m * h_k per slot, W G1 exponentiations, and
+#   every slot carries g_k and its base: 5W terms.
+# - The l-th sas.agg_sign takes the terms of pks1 (sas1) or of ms (sas2),
+#   one more per slot for the aggregate so far, and one per signer and slot
+#   of the u rows for its message bases (1 slot in sas1, W in sas2), and no
+#   single exponentiation: l + 15 terms for sas1 and 3l + 18 for sas2. At
+#   l = 1 the empty aggregate's W identity terms are skipped. verify_prev=True
+#   adds the VERIFY_COST of the l - 1 signers so far, which at l = 1 is
+#   nothing: an empty aggregate draws no coin and makes no pairing.
+SIGN_COST = {
+    ("pks1", 1, False): {"g1": 1, "msm.g1": 11},
+    ("pks2", 1, False): {"g1": 1, "msm.g1": 9},
+    ("lw", 1, False): {"g1": 1, "msm.g1": 9},
+    ("ms", 1, False): {"g1": 3, "msm.g1": 15},
+    ("sas1", 1, False): {"msm.g1": 12},
+    ("sas1", 1, True): {"msm.g1": 12},
+    ("sas1", 5, False): {"msm.g1": 20},
+    ("sas1", 5, True): {"msm.g1": 20, "g2": 3, "msm.g2": 19, "pairings": 8},
+    ("sas1", 20, False): {"msm.g1": 35},
+    ("sas1", 20, True): {"msm.g1": 35, "g2": 3, "msm.g2": 79, "pairings": 8},
+    ("sas2", 1, False): {"msm.g1": 18},
+    ("sas2", 1, True): {"msm.g1": 18},
+    ("sas2", 5, False): {"msm.g1": 33},
+    ("sas2", 5, True): {"msm.g1": 33, "msm.g2": 12, "pairings": 6},
+    ("sas2", 20, False): {"msm.g1": 78},
+    ("sas2", 20, True): {"msm.g1": 78, "msm.g2": 57, "pairings": 6},
+}
+
+
+def _sign_formula(scheme, length, verify_prev):
+    w = pks.ROW_WIDTH[scheme]
+    if scheme in pks.VARIANTS:
+        return {"g1": 1, "msm.g1": 2 * w + 3}
+    if scheme == "ms":
+        return {"g1": w, "msm.g1": 5 * w}
+    rows = _sign_formula("pks1" if scheme == "sas1" else "ms", 1, False)["msm.g1"]
+    slots = 1 if scheme == "sas1" else w
+    cost = {"msm.g1": rows + w + slots * length - (w if length == 1 else 0)}
+    if verify_prev and length > 1:
+        cost.update(_verify_formula(scheme, length - 1))
+    return cost
+
+
+def test_cost_tables_follow_their_formulas():
+    assert all(_verify_formula(*key) == cost for key, cost in VERIFY_COST.items())
+    assert all(_sign_formula(*key) == cost for key, cost in SIGN_COST.items())
+
+
+def _signing(suite, scheme, length, verify_prev, rng):
+    """A signing call, with its key and the aggregate so far already built."""
+    if scheme in pks.VARIANTS:
+        pk, sk = pks.keygen(suite, scheme, rng)
+        return lambda: pks.sign(scheme, b"m", sk, pk, rng)
+    if scheme == "ms":
+        params = ms.ms_setup(suite, rng)
+        sk = ms.ms_keygen(params, rng)[1]
+        return lambda: ms.ms_sign(params, b"m", sk, rng)
+    params = sas.setup(suite, scheme, rng)
+    agg = sas.empty_aggregate(params)
+    for i in range(length - 1):
+        pub, priv = sas.keygen(params, rng)
+        agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
+    pub, priv = sas.keygen(params, rng)
+    return lambda: sas.agg_sign(params, agg, b"m", pub, priv, rng, verify_prev=verify_prev)
+
+
+SIGN_CASES = [("mock", *key) for key in sorted(SIGN_COST)] + [
+    ("real", *key) for key in sorted(SIGN_COST) if key[0] not in sas.VARIANTS]
+
+
+@pytest.mark.parametrize("backend, scheme, length, verify_prev", SIGN_CASES)
+def test_sign_cost(backend, scheme, length, verify_prev):
+    suite = _counting_suite(backend)
+    sign = _signing(suite, scheme, length, verify_prev, random.Random(7))
+    suite.counts.clear()
+    sign()
+    # a chain kept in memory serves some of these terms from tables, which
+    # tests/test_msm_tables.py pins; the terms are counted either way
+    cost = {key: n for key, n in suite.counts.items() if not key.startswith("table")}
+    assert cost == SIGN_COST[scheme, length, verify_prev]
 
 
 def test_suite_pairs_g_and_g_hat_once():
@@ -139,8 +221,8 @@ def test_strip_cost(scheme):
         pub, priv = sas.keygen(params, rng)
         agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
         witnesses[priv.pk_id] = priv
-    suite.backend.counts.clear()
+    suite.counts.clear()
     sig = sas.strip_to_single(params, agg, 1, witnesses)
-    assert dict(suite.backend.counts) == STRIP_COST[scheme]
+    assert dict(suite.counts) == STRIP_COST[scheme]
     view = sas.pks_view(params, agg.signers[1])
     assert pks.verify_scalar(view.variant, sig, agg.messages[1], view, rng)

@@ -120,6 +120,27 @@ class TestCombining:
         with pytest.raises(MalformedEncodingError):
             ms.ms_verify(bad, MSG, keys[0][0], params, rng)
 
+    def test_malformed_input_is_refused_before_the_coin(self, setup3, rng, mock_suite):
+        """A 2-wide record or an empty key list is refused before the
+        verifier's coin; a 2-wide share before any coin or pairing of the
+        combine, even with skip_individual_checks."""
+        params, keys = setup3
+        pks_ = [pk for pk, _ in keys[:2]]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys[:2]]
+        narrow = ms.MsSignature(sigs[1].row1[:2], sigs[1].row2[:2])
+        calls = [
+            (MalformedEncodingError, lambda: ms.ms_verify(narrow, MSG, pks_[1], params, rng)),
+            (ValueError, lambda: ms.ms_mult_verify(sigs[0], MSG, [], params, rng)),
+            *((MalformedEncodingError, lambda skip=skip: ms.ms_combine(
+                [sigs[0], narrow], MSG, pks_, params, rng, skip_individual_checks=skip))
+              for skip in (True, False)),
+        ]
+        for error, call in calls:
+            state, pairings = rng.getstate(), mock_suite.pairing_count
+            with pytest.raises(error):
+                call()
+            assert rng.getstate() == state and mock_suite.pairing_count == pairings
+
     def test_empty_inputs_rejected(self, setup3, rng):
         params, keys = setup3
         with pytest.raises(ValueError):

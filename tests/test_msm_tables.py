@@ -19,7 +19,7 @@ MSG = b"tabled"
 
 
 def _counts(suite):
-    return suite.tables_built, suite.table_terms
+    return suite.counts["tables_built"], suite.counts["table_terms"]
 
 
 def _decoded_pks2(backend, order=None):

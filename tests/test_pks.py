@@ -59,8 +59,14 @@ class TestInterfaceGuards:
         pk1, sk1 = pks.keygen(mock_suite, "pks1", rng)
         pk2, sk2 = pks.keygen(mock_suite, "pks2", rng)
         sig2 = pks.sign("pks2", MSG, sk2, pk2, rng)
+        state = rng.getstate()
         with pytest.raises(MalformedEncodingError):
             pks.verify("pks1", sig2, MSG, pk1, rng)
+        with pytest.raises(MalformedEncodingError):  # a 2-wide pks2 record
+            pks.verify("pks2", pks.Signature("pks2", sig2.row1[:2], sig2.row2[:2]), MSG, pk2, rng)
+        with pytest.raises(MalformedEncodingError):  # a pks1 key for a pks2 signature
+            pks.verify("pks2", sig2, MSG, pk1, rng)
+        assert rng.getstate() == state  # refused before the verifier's coins
 
     def test_variant_other_than_the_keys_is_refused(self, mock_suite, rng):
         # lw hashes into the reduced message space; a pks2 key must not sign or accept that
@@ -69,8 +75,10 @@ class TestInterfaceGuards:
             pks.sign("lw", MSG, sk, pk, rng)
         sig = pks.sign("pks2", MSG, sk, pk, rng)
         lw_sig = pks.Signature("lw", sig.row1, sig.row2)
+        state = rng.getstate()
         with pytest.raises(MalformedEncodingError):
             pks.verify("lw", lw_sig, MSG, pk, rng)
+        assert rng.getstate() == state
         with pytest.raises(MalformedEncodingError):
             pks.verify_with_coins("lw", lw_sig, 5, pk, t=2)
 
