@@ -19,6 +19,10 @@ median). A metric whose parent spread exceeds its bound is listed in
 side's total of ``wc -l src/seqsig/*.py`` and of ``wc -l tests/*.py``, so a
 change that removes code shows by how much, and whether it left the library
 or only moved into the tests.
+
+The exit status is 1, after the file is written, when any run reports
+``correct: false`` or a failed op; the message names each such run's
+workload, seed and side.
 """
 
 from __future__ import annotations
@@ -142,6 +146,13 @@ def main(argv=None):
     path = args.out / f"BENCH_{args.topic}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"bench_ab: wrote {path}")
+    broken = [f"{workload} seed {seed} {side}" for workload, sides in runs.items()
+              for side in SIDES for seed, r in zip(args.seeds, sides[side])
+              if not r["correct"] or r["failed"] > 0]
+    if broken:
+        print("bench_ab: runs with correct: false or failed ops: " + "; ".join(broken),
+              file=sys.stderr)
+        return 1
     return 0
 
 

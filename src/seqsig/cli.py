@@ -113,7 +113,7 @@ def _certified(suite, args):
     path = _registry_path(args)
     if path is None:
         return None
-    return keyreg.CertRegistry.load(suite, path).predicate()
+    return keyreg.CertRegistry.load_bytes(suite, _read(path)).predicate()
 
 
 def _certification(suite, args, keys) -> str:
@@ -255,11 +255,11 @@ def cmd_register(args, suite, rng):
     if path is None:
         raise MalformedEncodingError("no registry path (use --registry or the environment)")
     if os.path.exists(path):
-        registry = keyreg.CertRegistry.load(suite, path)
+        registry = keyreg.CertRegistry.load_bytes(suite, _read(path))
     else:
         registry = keyreg.CertRegistry(suite)
     record = registry.register(params, pub, priv)
-    registry.save(path)
+    _write(path, registry.save_bytes(), args.format)
     _emit(result="ok", command="register", scheme=params.variant,
           key_id=record.key_id.hex()[:16], registry=path)
     return EXIT_OK

@@ -42,10 +42,6 @@ class CertRecord(NamedTuple):
 
 
 def _reconstruct(params, witness: pks.PrivateKey):
-    if witness.variant not in envelopes.REGISTERED:
-        raise RegistrationError(f"scheme {witness.variant!r} does not register keys")
-    if params.variant != witness.variant:
-        raise RegistrationError("witness scheme does not match the parameters")
     if witness.variant == "ms":
         return ms.ms_key_from_secret(params, witness.alpha)[0]
     return sas.signer_from_secrets(params, witness.alpha, witness.x, witness.y,
@@ -75,8 +71,10 @@ class CertRegistry:
         """Certify ``pk`` after reconstructing it from the witness; a key
         already certified keeps its record, and a record of its id that does
         not certify it is replaced."""
-        if pk.variant != witness.variant:
-            raise RegistrationError("witness scheme does not match the public key")
+        schemes = {pk.variant, witness.variant, params.variant}
+        if len(schemes) != 1 or params.variant not in envelopes.REGISTERED:
+            raise RegistrationError("the key, the witness and the parameters must name"
+                                    " one registering scheme")
         kid = pks.key_id(pk)
         if pks.key_id(_reconstruct(params, witness)) != kid:
             raise RegistrationError("witness does not reproduce the submitted key")
@@ -102,18 +100,9 @@ class CertRegistry:
     def save_bytes(self) -> bytes:
         return envelopes.encode_registry(self.suite, self.records())
 
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.save_bytes())
-
     @classmethod
     def load_bytes(cls, suite: GroupSuite, data: bytes) -> "CertRegistry":
         registry = cls(suite)
         for record in envelopes.decode_registry(suite, data):
             registry._records[record[0]] = CertRecord(*record)
         return registry
-
-    @classmethod
-    def load(cls, suite: GroupSuite, path) -> "CertRegistry":
-        with open(path, "rb") as fh:
-            return cls.load_bytes(suite, fh.read())

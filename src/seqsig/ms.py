@@ -47,7 +47,7 @@ def ms_keygen(params: pks.Params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
 
 
 def ms_key_from_secret(params: pks.Params, alpha: Scalar):
-    pk = pks.PublicKey(suite=params.suite, variant="ms", omega=params.lam ** alpha)
+    pk = pks.PublicKey(suite=params.suite, variant="ms", omega=params.omega_base ** alpha)
     return pk, pks.PrivateKey("ms", alpha, pk_id=pks.key_id(pk))
 
 
@@ -77,15 +77,15 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
 
     Each input is verified first unless the caller vouches for a
     pre-verified batch via ``skip_individual_checks``. A key that the
-    ``certified`` predicate refuses, or a share of the wrong width, halts
-    the combination either way, before any coin.
+    ``certified`` predicate refuses, a key of another scheme or a share of
+    the wrong width halts the combination either way, before any coin.
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
     if not sigs:
         raise ValueError("nothing to combine")
     for sig, pk in zip(sigs, keys):
-        pks.check_rows(sig, params.variant)
+        pks.check_rows(sig, params.variant, [pk])
         if pk.suite is not params.suite:
             raise CrossSuiteError("public key belongs to a different suite")
     if certified is not None and not all(certified(pk) for pk in keys):
@@ -123,4 +123,4 @@ def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
 def _check_inputs(msig, keys, params):
     if not keys:
         raise ValueError("verification requires at least one public key")
-    pks.check_rows(msig, params.variant)
+    pks.check_rows(msig, params.variant, keys)

@@ -154,9 +154,10 @@ class Params(_Rows):
 
     @functools.cached_property
     def omega_base(self) -> GTElem:
-        """The base of every signer's Omega = base^alpha: ``lam``, or for sas1
-        e(g, ghat) on these parameters' clear g, paired once per object."""
-        return self.lam if self.lam is not None else pair(self.g_row[0], self.suite.g_hat)
+        """The one base of every sas and ms signer's Omega = base^alpha:
+        ``lam``, or for sas1 e(g_row[0], g_hat_row[0]) on these parameters'
+        own rows, paired once per object."""
+        return self.lam if self.lam is not None else pair(self.g_row[0], self.g_hat_row[0])
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,10 @@ class Signature:
         return list(self.row1) + list(self.row2)
 
 
-def check_rows(sig: Signature, variant: str):
+def check_rows(sig: Signature, variant: str, keys=()):
     """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant`` record
-    of that variant's width with as many messages as signers."""
+    of that variant's width with as many messages as signers, and every
+    signer it lists and every key in ``keys`` is a ``variant`` key."""
     if sig.variant != variant:
         raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
     width = ROW_WIDTH[variant]
@@ -209,6 +211,8 @@ def check_rows(sig: Signature, variant: str):
         )
     if len(sig.messages) != len(sig.signers):
         raise MalformedEncodingError("message and signer lists differ in length")
+    if any(pk.variant != variant for pk in (*sig.signers, *keys)):
+        raise MalformedEncodingError(f"a key of another scheme than {variant}")
 
 
 def key_id(pk) -> bytes:

@@ -105,7 +105,7 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
              pub: pks.PublicKey, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
     m = chained_message_scalar(params.suite, params.variant, [message])
-    pks.check_rows(prev, params.variant)
+    pks.check_rows(prev, params.variant, [pub])
     kid = pks.key_id(pub)
     if priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
@@ -176,7 +176,8 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
     """Unwind an aggregate to the target signer's single-signer signature.
 
     ``witnesses`` maps key-ids to private keys for every signer except
-    (optionally including) the target. The result verifies under
+    (optionally including) the target; a witness of another key raises
+    ``KeyMismatchError`` before any division. The result verifies under
     :func:`pks_view` of the target's key.
     """
     pks.check_rows(agg, params.variant)
@@ -189,6 +190,8 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
         kid = pks.key_id(si)
         if kid not in witnesses:
             raise MissingWitnessError(f"no private witness for signer {i}")
+        if witnesses[kid].pk_id != kid:
+            raise KeyMismatchError(f"the witness for signer {i} belongs to another key")
         others.append((witnesses[kid], mi))
     row1 = _divide_signers(params, agg, others) if others else agg.row1
     return pks.Signature(_PKS_VARIANT[params.variant], row1, agg.row2)

@@ -1,10 +1,14 @@
 """scripts/bench_ab.py runs the benchmark on two checkouts and writes the
-parent-versus-change file; here both sides are this checkout, on mock."""
+parent-versus-change file; here both sides are this checkout, on mock, or
+``run_once`` is replaced to report a broken run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -37,3 +41,37 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
         for key in ("parent_median", "change_median", "parent_iqr", "change_iqr",
                     "relative_change", "parent_spread"):
             assert isinstance(m[key], float)
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_ab", REPO / "scripts" / "bench_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("broken", [{"failed": 1}, {"correct": False}])
+def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsys, broken):
+    bench_ab = _load_script()
+    bounds = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    def run_once(checkout, workload, seed, seconds, backend):
+        result = {"metrics": {name: {"value": 1.0} for name in bounds},
+                  "failed": 0, "correct": True}
+        if (workload, seed, checkout.name) == ("cold-files", 2, "change"):
+            result.update(broken)
+        return result, {}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    code = bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--topic", "broken",
+                          "--workloads", "verify-short", "cold-files", "--seeds", "1", "2",
+                          "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.strip().endswith("cold-files seed 2 change")
+    record = json.loads((tmp_path / "BENCH_broken.json").read_text())
+    assert record["workloads"]["verify-short"]["correct"] is True
+    assert record["workloads"]["cold-files"]["failed"]["change"] == broken.get("failed", 0)
+    assert record["workloads"]["cold-files"]["correct"] is broken.get("correct", True)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from seqsig import envelopes
+from seqsig import envelopes, keyreg
 from seqsig.cli import main
 from seqsig.groups import suite_generate
 
@@ -570,3 +570,32 @@ def test_damaged_input_files(fuzz_files, tmp_path, capsys, case):
         for _ in range(3):
             for damaged in _damaged(blob, rng):
                 run_with({**originals, name: damaged})
+
+
+@pytest.mark.parametrize("fmt, magic", [("hex", b"AREG".hex().encode()), ("bin", b"AREG")],
+                         ids=["hex", "bin"])
+def test_registry_file_follows_format(fuzz_files, tmp_path, capsys, fmt, magic):
+    """register writes the registry in --format; a second register,
+    agg-verify, ms-verify and agg-sign read it in either format."""
+    d, registry = fuzz_files, tmp_path / "reg"
+    for scheme in ("sas2", "ms"):
+        code, _ = run(capsys, *det(*f"register --params {d}/{scheme}.prm --pub {d}/{scheme}.pub"
+                                    f" --priv {d}/{scheme}.key --registry {registry}"
+                                    f" --format {fmt}".split()))
+        assert code == 0
+    blob = registry.read_bytes()
+    assert blob.startswith(magic)
+    records = keyreg.CertRegistry.load_bytes(suite_generate("mock", 10007),
+                                             envelopes.from_wire(blob)).records()
+    assert [r.variant for r in records] == ["sas2", "ms"]
+    tail = ["--registry", str(registry)]
+    code, fields = run(capsys, *det(*f"agg-verify --scheme sas2 --params {d}/sas2.prm"
+                                     f" --agg {d}/sas2.agg --keys {d}/sas2.pub".split(), *tail))
+    assert code == 0 and fields["certified"] == ["yes"]
+    code, fields = run(capsys, *det(*f"ms-verify --params {d}/ms.prm --msig {d}/ms.sig"
+                                     f" --pubs {d}/ms.pub --message hi".split(), *tail))
+    assert code == 0 and fields["certified"] == ["yes"]
+    code, _ = run(capsys, *det(*f"agg-sign --scheme sas2 --params {d}/sas2.prm --prev {d}/sas2.agg"
+                                f" --keys {d}/sas2.pub --pub {d}/sas2b.pub --priv {d}/sas2b.key"
+                                f" --out {tmp_path}/a.bin --message hi".split(), *tail))
+    assert code == 0 and (tmp_path / "a.bin").exists()

@@ -1,5 +1,7 @@
 """Certified-key registry: witness reconstruction and persistence."""
 
+import dataclasses
+
 import pytest
 
 from seqsig import envelopes, keyreg, ms, pks, sas
@@ -58,6 +60,21 @@ class TestRegistration:
         with pytest.raises(RegistrationError):
             reg.register(params1, pub, wrong)
 
+    @pytest.mark.parametrize("params_scheme, key_scheme", [
+        ("sas1", "sas2"), ("sas2", "sas1"), ("ms", "sas2"), ("sas2", "ms")])
+    def test_key_and_witness_of_another_scheme_than_the_params_rejected(
+            self, mock_suite, rng, params_scheme, key_scheme):
+        """A key and its own witness under parameters of another registering
+        scheme are refused before any reconstruction."""
+        params, own = (ms.ms_setup(mock_suite, rng) if s == "ms" else sas.setup(mock_suite, s, rng)
+                       for s in (params_scheme, key_scheme))
+        pub, priv = (ms.ms_keygen if key_scheme == "ms" else sas.keygen)(own, rng)
+        reg = keyreg.CertRegistry(mock_suite)
+        before = dict(mock_suite.counts)
+        with pytest.raises(RegistrationError, match="one registering scheme"):
+            reg.register(params, pub, priv)
+        assert dict(mock_suite.counts) == before and len(reg) == 0
+
     def test_idempotent_reregistration(self, sas2_setup, mock_suite):
         params, pub, priv = sas2_setup
         reg = keyreg.CertRegistry(mock_suite)
@@ -109,6 +126,24 @@ def test_register_on_decoded_params_pairs_at_most_once(rng, variant, pairings):
     assert fresh.pairing_count == pairings
 
 
+@pytest.mark.parametrize("backend", ["mock", "real"])
+def test_sas1_params_with_a_raised_g_hat_row(backend, rng):
+    """sas1 parameters whose ghat row is raised to k != 1 (still orthogonal
+    to w_row), read back from their envelope: Omega's base pairs the
+    parameters' own g_hat_row[0], so a key built and registered on them
+    signs aggregates that verify."""
+    suite = suite_generate("mock", 10007) if backend == "mock" else suite_generate("real")
+    params = sas.setup(suite, "sas1", rng)
+    raised = dataclasses.replace(params, g_hat_row=pks.row_pow(params.g_hat_row, 5))
+    decoded = envelopes.decode_params(suite, envelopes.encode_params(raised))
+    assert decoded.g_hat_row[0] != suite.g_hat
+    pub, priv = sas.keygen(decoded, rng)
+    registry = keyreg.CertRegistry(suite)
+    assert registry.register(decoded, pub, priv).witness_verified
+    agg = sas.agg_sign(decoded, sas.empty_aggregate(decoded), b"m", pub, priv, rng)
+    assert sas.agg_verify(decoded, agg, rng, certified=registry.predicate())
+
+
 class TestPersistence:
     def _populated(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)
@@ -120,11 +155,9 @@ class TestPersistence:
             pubs.append(pub)
         return reg, pubs
 
-    def test_round_trip(self, mock_suite, rng, tmp_path):
+    def test_round_trip(self, mock_suite, rng):
         reg, pubs = self._populated(mock_suite, rng)
-        path = tmp_path / "registry.bin"
-        reg.save(path)
-        loaded = keyreg.CertRegistry.load(mock_suite, path)
+        loaded = keyreg.CertRegistry.load_bytes(mock_suite, reg.save_bytes())
         assert len(loaded) == 3
         assert all(loaded.is_certified(pub) for pub in pubs)
         assert loaded.save_bytes() == reg.save_bytes()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqsig import keyreg, ms, pks
+from seqsig import keyreg, ms, pks, sas
 from seqsig.errors import (CrossSuiteError, InvalidAggregateError, MalformedEncodingError,
                            RegistrationError)
 
@@ -121,18 +121,34 @@ class TestCombining:
             ms.ms_verify(bad, MSG, keys[0][0], params, rng)
 
     def test_malformed_input_is_refused_before_the_coin(self, setup3, rng, mock_suite):
-        """A 2-wide record or an empty key list is refused before the
-        verifier's coin; a 2-wide share before any coin or pairing of the
-        combine, even with skip_individual_checks."""
+        """A 2-wide record, an empty key list or a key of another scheme is
+        refused before the verifier's coin; a 2-wide share or a share under a
+        key of another scheme before any coin or pairing of the combine, even
+        with skip_individual_checks. The other scheme's key is a sas2 key
+        with the first signer's alpha, so its Omega is the ms key's, and the
+        registry certifies it as a sas2 key."""
         params, keys = setup3
         pks_ = [pk for pk, _ in keys[:2]]
         sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys[:2]]
         narrow = ms.MsSignature(sigs[1].row1[:2], sigs[1].row2[:2])
+        sas2_params = sas.setup(mock_suite, "sas2", rng)
+        sas2_pk, sas2_sk = sas.signer_from_secrets(sas2_params, keys[0][1].alpha, 1, 2, 3, 4)
+        assert sas2_pk.omega == pks_[0].omega
+        registry = keyreg.CertRegistry(mock_suite)
+        registry.register(sas2_params, sas2_pk, sas2_sk)
+        certified = registry.predicate()
         calls = [
             (MalformedEncodingError, lambda: ms.ms_verify(narrow, MSG, pks_[1], params, rng)),
             (ValueError, lambda: ms.ms_mult_verify(sigs[0], MSG, [], params, rng)),
             *((MalformedEncodingError, lambda skip=skip: ms.ms_combine(
                 [sigs[0], narrow], MSG, pks_, params, rng, skip_individual_checks=skip))
+              for skip in (True, False)),
+            *((MalformedEncodingError, lambda pred=pred: ms.ms_verify(
+                sigs[0], MSG, sas2_pk, params, rng, certified=pred)) for pred in (None, certified)),
+            (MalformedEncodingError, lambda: ms.ms_mult_verify(
+                sigs[0], MSG, [sas2_pk, pks_[1]], params, rng)),
+            *((MalformedEncodingError, lambda skip=skip: ms.ms_combine(
+                sigs, MSG, [sas2_pk, pks_[1]], params, rng, skip_individual_checks=skip))
               for skip in (True, False)),
         ]
         for error, call in calls:

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from seqsig import pks, sas
+from seqsig import ms, pks, sas
 from seqsig.errors import (
     DuplicateSignerError,
     InvalidAggregateError,
@@ -156,6 +156,17 @@ class TestAggregation:
         with pytest.raises(MissingWitnessError):
             sas.strip_to_single(params, agg, 0, witnesses)
 
+    def test_strip_refuses_a_witness_of_another_key(self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:3])
+        (_, a), (_, b) = keys[1:]
+        _, ms_sk = ms.ms_keygen(ms.ms_setup(mock_suite, rng), rng)
+        for witnesses in ({a.pk_id: b, b.pk_id: a}, {a.pk_id: a, b.pk_id: ms_sk}):
+            before = dict(mock_suite.counts)
+            with pytest.raises(KeyMismatchError):
+                sas.strip_to_single(params, agg, 0, witnesses)
+            assert dict(mock_suite.counts) == before
+
     def test_resign_extends_own_chain(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         agg, keys = build_chain(params, rng, MSGS[:3])
@@ -219,6 +230,9 @@ class TestCoinLevelChecks:
         "relabelled": lambda agg: dataclasses.replace(agg, variant="sas1"),
         "cut-short": lambda agg: dataclasses.replace(agg, row1=agg.row1[:2], row2=agg.row2[:2]),
         "message-dropped": lambda agg: dataclasses.replace(agg, messages=agg.messages[:-1]),
+        "ms-signer": lambda agg: dataclasses.replace(agg, signers=agg.signers[:-1] + (
+            pks.PublicKey(suite=agg.signers[-1].suite, variant="ms",
+                          omega=agg.signers[-1].omega),)),
     }
 
     @pytest.fixture
@@ -233,14 +247,27 @@ class TestCoinLevelChecks:
         params, agg = chain
         bad = self.MALFORMED[case](agg)
         pub, priv = sas.keygen(params, rng)
-        state = rng.getstate()
+        state, pairings = rng.getstate(), params.suite.pairing_count
         with pytest.raises(MalformedEncodingError):
             sas.agg_verify(params, bad, rng)
         with pytest.raises(MalformedEncodingError):
             sas.agg_verify_with_coins(params, bad, 5)
         with pytest.raises(MalformedEncodingError):
             sas.agg_sign(params, bad, b"m", pub, priv, rng, verify_prev=False)
-        assert rng.getstate() == state
+        assert rng.getstate() == state and params.suite.pairing_count == pairings
+
+    @pytest.mark.parametrize("scheme", ["sas1", "ms"])
+    @pytest.mark.parametrize("verify_prev", [True, False])
+    def test_appending_key_of_another_scheme_raises(self, chain, rng, scheme, verify_prev):
+        params, agg = chain
+        if scheme == "ms":
+            pub, priv = ms.ms_keygen(ms.ms_setup(params.suite, rng), rng)
+        else:
+            pub, priv = sas.keygen(sas.setup(params.suite, scheme, rng), rng)
+        state, pairings = rng.getstate(), params.suite.pairing_count
+        with pytest.raises(MalformedEncodingError):
+            sas.agg_sign(params, agg, b"m", pub, priv, rng, verify_prev=verify_prev)
+        assert rng.getstate() == state and params.suite.pairing_count == pairings
 
     def test_duplicate_signer_rejected(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)
