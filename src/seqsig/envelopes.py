@@ -262,15 +262,13 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
     by_id = {pks.key_id(k): k for k in known_keys}
     messages, signers = [], []
     for i in range(length):
-        signer = r.signer(i, by_id)
-        m = r.scalar()
-        if signer.variant != variant:
-            raise MalformedEncodingError(f"signer {i} key belongs to a different scheme")
-        messages.append(m)
-        signers.append(signer)
+        signers.append(r.signer(i, by_id))
+        messages.append(r.scalar())
     row1, row2 = r.rows(variant)
     r.end()
-    return pks.Signature(variant, row1, row2, tuple(messages), tuple(signers))
+    agg = pks.Signature(variant, row1, row2, tuple(messages), tuple(signers))
+    pks.check_rows(agg, variant)
+    return agg
 
 
 # ---------------------------------------------------------------------------

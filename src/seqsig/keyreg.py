@@ -20,7 +20,7 @@ import threading
 import time
 from typing import NamedTuple
 
-from . import envelopes, ms, pks, sas
+from . import envelopes, pks
 from .errors import RegistrationError
 from .groups import GroupSuite
 
@@ -39,13 +39,6 @@ class CertRecord(NamedTuple):
     variant: str
     witness_verified: bool
     timestamp: int
-
-
-def _reconstruct(params, witness: pks.PrivateKey):
-    if witness.variant == "ms":
-        return ms.ms_key_from_secret(params, witness.alpha)[0]
-    return sas.signer_from_secrets(params, witness.alpha, witness.x, witness.y,
-                                   c_u=witness.c_u, c_h=witness.c_h)[0]
 
 
 def _certifies(record: CertRecord | None, pk) -> bool:
@@ -76,7 +69,8 @@ class CertRegistry:
             raise RegistrationError("the key, the witness and the parameters must name"
                                     " one registering scheme")
         kid = pks.key_id(pk)
-        if pks.key_id(_reconstruct(params, witness)) != kid:
+        rebuilt, _ = params.signer(witness.alpha, witness.x, witness.y, witness.c_u, witness.c_h)
+        if pks.key_id(rebuilt) != kid:
             raise RegistrationError("witness does not reproduce the submitted key")
         record = CertRecord(kid, pk.variant, True, int(time.time()))
         with self._lock:

@@ -42,13 +42,10 @@ def ms_setup(suite: GroupSuite, rng) -> pks.Params:
 
 
 def ms_keygen(params: pks.Params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
-    alpha = random_scalar(params.suite, rng)
-    return ms_key_from_secret(params, alpha)
-
-
-def ms_key_from_secret(params: pks.Params, alpha: Scalar):
-    pk = pks.PublicKey(suite=params.suite, variant="ms", omega=params.omega_base ** alpha)
-    return pk, pks.PrivateKey("ms", alpha, pk_id=pks.key_id(pk))
+    """:meth:`pks.Params.signer` on a drawn alpha; ``ValueError`` before it on non-ms params."""
+    if params.variant != "ms":
+        raise ValueError(f"{params.variant} parameters do not make ms keys")
+    return params.signer(random_scalar(params.suite, rng))
 
 
 def message_scalar(params: pks.Params, message: bytes) -> Scalar:
@@ -60,6 +57,8 @@ def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> pks.
 
 
 def ms_sign_scalar(params, m, sk, rng) -> pks.Signature:
+    if sk.variant != "ms":
+        raise ValueError(f"private key is for {sk.variant!r}, not 'ms'")
     bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
     return MsSignature(*pks.sign_rows(params.g_row, sk.alpha, bases, params.w_row,
                                       *pks.signing_coins(params.suite, rng)))

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 
-from .errors import KeyMismatchError, MalformedEncodingError
+from .errors import KeyMismatchError, MalformedEncodingError, MissingWitnessError
 from .groups import (
     G1Elem,
     G2Elem,
@@ -158,6 +158,25 @@ class Params(_Rows):
         ``lam``, or for sas1 e(g_row[0], g_hat_row[0]) on these parameters'
         own rows, paired once per object."""
         return self.lam if self.lam is not None else pair(self.g_row[0], self.g_hat_row[0])
+
+    def signer(self, alpha, x=None, y=None, c_u=None, c_h=None):
+        """(PublicKey, PrivateKey) of the sas or ms signer with these secrets:
+        the one builder of their keys, and the registry's rebuild. sas1 takes
+        its u and h rows from the clear g, sas2 blinds them by c_u and c_h,
+        and an ms key has only Omega = ``omega_base``^alpha."""
+        rows = {}
+        if self.variant == "sas1":
+            rows = dict(u_row=(self.g_row[0] ** x,), h_row=(self.g_row[0] ** y,))
+        elif self.variant == "sas2":
+            if c_u is None or c_h is None:
+                raise MissingWitnessError("sas2 keys require the c_u and c_h blinding witnesses")
+            row = lambda s, c: tuple(a ** s * w ** c for a, w in zip(self.g_row, self.w_row))
+            rows = dict(u_row=row(x, c_u), h_row=row(y, c_h))
+        if rows:
+            rows.update(u_hat_row=row_pow(self.g_hat_row, x), h_hat_row=row_pow(self.g_hat_row, y))
+        pub = PublicKey(suite=self.suite, variant=self.variant, omega=self.omega_base ** alpha,
+                        **rows)
+        return pub, PrivateKey(self.variant, alpha, x, y, c_u, c_h, key_id(pub))
 
 
 @dataclass(frozen=True)

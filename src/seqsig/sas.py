@@ -58,34 +58,12 @@ def setup(suite: GroupSuite, variant: str, rng):
 
 
 def keygen(params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
-    suite = params.suite
-    alpha = random_scalar(suite, rng)
-    x = random_scalar(suite, rng)
-    y = random_scalar(suite, rng)
-    if params.variant == "sas2":
-        return signer_from_secrets(params, alpha, x, y,
-                                   c_u=random_scalar(suite, rng),
-                                   c_h=random_scalar(suite, rng))
-    return signer_from_secrets(params, alpha, x, y)
-
-
-def signer_from_secrets(params, alpha, x, y, c_u=None, c_h=None):
-    """Deterministic key build; also the registry's reconstruction path."""
-    if params.variant == "sas1":
-        g = params.g_row[0]
-        u_row, h_row = (g ** x,), (g ** y,)
-        c_u = c_h = None
-    else:
-        if c_u is None or c_h is None:
-            raise MissingWitnessError("sas2 keys require the c_u and c_h blinding witnesses")
-        g_row, w_row = params.g_row, params.w_row
-        u_row, h_row = (tuple(a ** s * w ** c for a, w in zip(g_row, w_row))
-                        for s, c in ((x, c_u), (y, c_h)))
-    pub = pks.PublicKey(suite=params.suite, variant=params.variant, u_row=u_row, h_row=h_row,
-                        u_hat_row=pks.row_pow(params.g_hat_row, x),
-                        h_hat_row=pks.row_pow(params.g_hat_row, y),
-                        omega=params.omega_base ** alpha)
-    return pub, pks.PrivateKey(params.variant, alpha, x, y, c_u, c_h, pks.key_id(pub))
+    """:meth:`pks.Params.signer` on drawn alpha, x, y (sas2: and c_u, c_h);
+    ``ValueError`` before any draw on parameters of another scheme."""
+    if params.variant not in VARIANTS:
+        raise ValueError(f"{params.variant} parameters do not make sas keys")
+    draws = 5 if params.variant == "sas2" else 3
+    return params.signer(*(random_scalar(params.suite, rng) for _ in range(draws)))
 
 
 def empty_aggregate(params) -> AggregateSignature:
@@ -215,7 +193,9 @@ def remove_signer(params, agg: AggregateSignature, pub: pks.PublicKey,
     remaining signers (provided ``m_old`` is the scalar actually signed).
     """
     pks.check_rows(agg, params.variant)
-    kid = priv.pk_id
+    kid = pks.key_id(pub)
+    if priv.pk_id != kid:
+        raise KeyMismatchError("private key does not belong to this public key")
     idx = next((i for i, s in enumerate(agg.signers) if pks.key_id(s) == kid), None)
     if idx is None:
         raise MissingWitnessError("signer is not present in the aggregate")
@@ -245,8 +225,6 @@ def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
     ``old_chain`` is not detectable here and simply yields an aggregate that
     fails verification.
     """
-    if priv.pk_id != pks.key_id(pub):
-        raise KeyMismatchError("private key does not belong to this public key")
     suite = params.suite
     m_old = chained_message_scalar(suite, params.variant, old_chain)
     stripped = remove_signer(params, agg, pub, priv, m_old)

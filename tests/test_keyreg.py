@@ -6,7 +6,7 @@ import pytest
 
 from seqsig import envelopes, keyreg, ms, pks, sas
 from seqsig.errors import MalformedEncodingError, RegistrationError
-from seqsig.groups import suite_generate
+from seqsig.groups import random_scalar, suite_generate
 
 
 @pytest.fixture
@@ -142,6 +142,24 @@ def test_sas1_params_with_a_raised_g_hat_row(backend, rng):
     assert registry.register(decoded, pub, priv).witness_verified
     agg = sas.agg_sign(decoded, sas.empty_aggregate(decoded), b"m", pub, priv, rng)
     assert sas.agg_verify(decoded, agg, rng, certified=registry.predicate())
+
+
+@pytest.mark.parametrize("backend", ["mock", "real"])
+@pytest.mark.parametrize("scheme, draws", [("sas1", 3), ("sas2", 5), ("ms", 1)])
+def test_params_signer_builds_the_keygen_key(backend, scheme, draws, rng):
+    """Params.signer on the scalars keygen draws, in its order, gives the
+    same key bytes and the same private key."""
+    suite = suite_generate("mock", 10007) if backend == "mock" else suite_generate("real")
+    if scheme == "ms":
+        params, keygen = ms.ms_setup(suite, rng), ms.ms_keygen
+    else:
+        params, keygen = sas.setup(suite, scheme, rng), sas.keygen
+    state = rng.getstate()
+    pub, priv = keygen(params, rng)
+    rng.setstate(state)
+    again, again_priv = params.signer(*(random_scalar(suite, rng) for _ in range(draws)))
+    assert envelopes.encode_public_key(again) == envelopes.encode_public_key(pub)
+    assert again_priv == priv
 
 
 class TestPersistence:

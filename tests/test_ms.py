@@ -124,19 +124,21 @@ class TestCombining:
         """A 2-wide record, an empty key list or a key of another scheme is
         refused before the verifier's coin; a 2-wide share or a share under a
         key of another scheme before any coin or pairing of the combine, even
-        with skip_individual_checks. The other scheme's key is a sas2 key
-        with the first signer's alpha, so its Omega is the ms key's, and the
-        registry certifies it as a sas2 key."""
+        with skip_individual_checks; a sas2 or pks2 private key before the
+        signer's coin. The other scheme's key is a sas2 key with the first
+        signer's alpha, so its Omega is the ms key's, and the registry
+        certifies it as a sas2 key."""
         params, keys = setup3
         pks_ = [pk for pk, _ in keys[:2]]
         sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys[:2]]
         narrow = ms.MsSignature(sigs[1].row1[:2], sigs[1].row2[:2])
         sas2_params = sas.setup(mock_suite, "sas2", rng)
-        sas2_pk, sas2_sk = sas.signer_from_secrets(sas2_params, keys[0][1].alpha, 1, 2, 3, 4)
+        sas2_pk, sas2_sk = sas2_params.signer(keys[0][1].alpha, 1, 2, 3, 4)
         assert sas2_pk.omega == pks_[0].omega
         registry = keyreg.CertRegistry(mock_suite)
         registry.register(sas2_params, sas2_pk, sas2_sk)
         certified = registry.predicate()
+        _, pks2_sk = pks.keygen(mock_suite, "pks2", rng)
         calls = [
             (MalformedEncodingError, lambda: ms.ms_verify(narrow, MSG, pks_[1], params, rng)),
             (ValueError, lambda: ms.ms_mult_verify(sigs[0], MSG, [], params, rng)),
@@ -150,6 +152,8 @@ class TestCombining:
             *((MalformedEncodingError, lambda skip=skip: ms.ms_combine(
                 sigs, MSG, [sas2_pk, pks_[1]], params, rng, skip_individual_checks=skip))
               for skip in (True, False)),
+            *((ValueError, lambda sk=sk: ms.ms_sign(params, MSG, sk, rng))
+              for sk in (sas2_sk, pks2_sk)),
         ]
         for error, call in calls:
             state, pairings = rng.getstate(), mock_suite.pairing_count
@@ -164,6 +168,20 @@ class TestCombining:
         sig = ms.ms_sign(params, MSG, keys[0][1], rng)
         with pytest.raises(ValueError):
             ms.ms_mult_verify(sig, MSG, [], params, rng)
+
+
+@pytest.mark.parametrize("scheme", ["sas1", "sas2", "ms"])
+def test_keygen_refuses_params_of_another_scheme(mock_suite, rng, scheme):
+    """sas.keygen on ms parameters and ms.ms_keygen on sas parameters raise
+    ValueError before any draw."""
+    if scheme == "ms":
+        params, keygen = ms.ms_setup(mock_suite, rng), sas.keygen
+    else:
+        params, keygen = sas.setup(mock_suite, scheme, rng), ms.ms_keygen
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        keygen(params, rng)
+    assert rng.getstate() == state
 
 
 class TestCertification:

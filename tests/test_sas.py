@@ -213,6 +213,13 @@ class TestAggregation:
         with pytest.raises(KeyMismatchError):
             sas.agg_resign(params, agg, [MSGS[0]], b"amendment", outsider, keys[0][1], rng)
 
+    def test_remove_under_another_signers_key_is_refused(self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:2])
+        m_old = sas.chained_message_scalar(mock_suite, variant, [MSGS[0]])
+        with pytest.raises(KeyMismatchError):
+            sas.remove_signer(params, agg, keys[1][0], keys[0][1], m_old)
+
     def test_variant_mismatch_is_malformed(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         other = "sas2" if variant == "sas1" else "sas1"
@@ -305,4 +312,4 @@ class TestSizes:
     def test_sas2_key_requires_witnesses(self, mock_suite, rng):
         params = sas.setup(mock_suite, "sas2", rng)
         with pytest.raises(MissingWitnessError):
-            sas.signer_from_secrets(params, 1, 2, 3)
+            params.signer(1, 2, 3)
