@@ -10,15 +10,16 @@ the other, under this script's interpreter with PYTHONDONTWRITEBYTECODE=1.
 The parent goes first on the first, third, ... seed and the change on the
 others. Each run's last output line is its JSON result.
 
-The file holds, per workload and per end-to-end metric of the parent's
-BENCHMARK.json: every run's value, both medians and interquartile ranges,
-in how many seeds the change read lower than the parent, the relative change
-of the medians, the metric's bound and the parent's spread (max - min over
-median). A metric whose parent spread exceeds its bound is listed in
-``notes`` as unresolved. ``env.src_lines`` and ``env.test_lines`` hold each
-side's total of ``wc -l src/seqsig/*.py`` and of ``wc -l tests/*.py``, so a
-change that removes code shows by how much, and whether it left the library
-or only moved into the tests.
+The file holds, per workload, every run's ``attempted`` op count per side,
+which shows how many ops each median rests on. Per end-to-end metric of the
+parent's BENCHMARK.json it holds every run's value, both medians and
+interquartile ranges, in how many seeds the change read lower than the
+parent, the relative change of the medians, the metric's bound and the
+parent's spread (max - min over median). A metric whose parent spread
+exceeds its bound is listed in ``notes`` as unresolved. ``env.src_lines``
+and ``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py``
+and of ``wc -l tests/*.py``, so a change that removes code shows by how
+much, and whether it left the library or only moved into the tests.
 
 The exit status is 1, after the file is written, when any run reports
 ``correct: false`` or a failed op; the message names each such run's
@@ -125,6 +126,7 @@ def main(argv=None):
                              f"{spread:.2f} exceeds its bound {bound}")
         workloads[workload] = {
             "seeds": args.seeds, "first": firsts[workload],
+            "attempted": {side: [r["attempted"] for r in sides[side]] for side in SIDES},
             "failed": {side: sum(r["failed"] for r in sides[side]) for side in SIDES},
             "correct": all(r["correct"] for side in SIDES for r in sides[side]),
             "metrics": metrics,

@@ -700,15 +700,6 @@ def pairing(p, q):
     return final_exponentiation(miller_loop_product([(p, q)]))
 
 
-def gt_mul(x, y):
-    return fq12_mul(x, y)
-
-
-def gt_inv(x):
-    # valid for elements of the order-r subgroup (cyclotomic)
-    return fq12_conj(x)
-
-
 def fq12_cyc_sqr(x):
     """Granger-Scott squaring, valid only in the cyclotomic subgroup
     (which contains every pairing output and hence all of G_T). Over

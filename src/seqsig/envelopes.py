@@ -13,7 +13,7 @@ it exists for fixture readability only.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import pks, sas
 from .errors import MalformedEncodingError
@@ -307,11 +307,16 @@ def decode_multisignature(suite: GroupSuite, data: bytes,
 # certified-key registries (AREG, version 2): a record count, then one 42-byte
 # record per key: key id (32 bytes), scheme byte, witness flag and 8-byte
 # timestamp. A verifier asks only whether a key's id is listed, and the id is
-# a SHA-256 hash of the key's elements, so the registry stores no key. A record
-# is a (key_id, variant, witness_verified, timestamp) tuple, the field order
-# of keyreg.CertRecord.
+# a SHA-256 hash of the key's elements, so the registry stores no key.
 
-def encode_registry(suite: GroupSuite, records: Sequence[tuple]) -> bytes:
+class CertRecord(NamedTuple):
+    key_id: bytes
+    variant: str
+    witness_verified: bool
+    timestamp: int
+
+
+def encode_registry(suite: GroupSuite, records: Sequence[CertRecord]) -> bytes:
     parts = [_header(MAGIC_REGISTRY, suite), len(records).to_bytes(4, "big")]
     for kid, variant, witness_verified, timestamp in records:
         parts += [kid, bytes([SCHEME_BYTE[variant], 1 if witness_verified else 0]),
@@ -319,7 +324,7 @@ def encode_registry(suite: GroupSuite, records: Sequence[tuple]) -> bytes:
     return b"".join(parts)
 
 
-def decode_registry(suite: GroupSuite, data: bytes) -> list[tuple]:
+def decode_registry(suite: GroupSuite, data: bytes) -> list[CertRecord]:
     r = _Reader(data, MAGIC_REGISTRY, suite)
     records, seen = [], set()
     for _ in range(r.u32()):
@@ -335,7 +340,7 @@ def decode_registry(suite: GroupSuite, data: bytes) -> list[tuple]:
         if kid in seen:
             raise MalformedEncodingError("registry lists one key-id twice")
         seen.add(kid)
-        records.append((kid, variant, flag == 1, timestamp))
+        records.append(CertRecord(kid, variant, flag == 1, timestamp))
     r.end()
     return records
 

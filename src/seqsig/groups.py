@@ -112,7 +112,7 @@ class Bn254Backend:
             return bn254.g1_add(h1, h2)
         if kind == "g2":
             return bn254.g2_add(h1, h2)
-        return bn254.gt_mul(h1, h2)
+        return bn254.fq12_mul(h1, h2)
 
     def exp(self, kind, h, k):
         if kind == "g1":
@@ -126,7 +126,7 @@ class Bn254Backend:
             return bn254.g1_neg(h)
         if kind == "g2":
             return bn254.g2_neg(h)
-        return bn254.gt_inv(h)
+        return bn254.fq12_conj(h)  # inverts only cyclotomic elements, as GT's are
 
     def multi_exp(self, kind, pairs):
         if kind == "g1":

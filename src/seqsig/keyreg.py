@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import NamedTuple
 
 from . import envelopes, pks
+from .envelopes import CertRecord
 from .errors import RegistrationError
 from .groups import GroupSuite
 
@@ -32,13 +32,6 @@ def witness_from_private(variant: str, sk: pks.PrivateKey) -> pks.PrivateKey:
     if sk.variant != variant:
         raise ValueError(f"private key is for {sk.variant!r}, not {variant!r}")
     return sk
-
-
-class CertRecord(NamedTuple):
-    key_id: bytes
-    variant: str
-    witness_verified: bool
-    timestamp: int
 
 
 def _certifies(record: CertRecord | None, pk) -> bool:
@@ -97,6 +90,5 @@ class CertRegistry:
     @classmethod
     def load_bytes(cls, suite: GroupSuite, data: bytes) -> "CertRegistry":
         registry = cls(suite)
-        for record in envelopes.decode_registry(suite, data):
-            registry._records[record[0]] = CertRecord(*record)
+        registry._records = {r.key_id: r for r in envelopes.decode_registry(suite, data)}
         return registry

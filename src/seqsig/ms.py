@@ -30,15 +30,11 @@ def MsSignature(row1, row2) -> pks.Signature:
 
 
 def ms_setup(suite: GroupSuite, rng) -> pks.Params:
-    """Public parameters: the rows of a pks2 public key with lam = e(g, ghat) in place of Omega."""
-    r = lambda: random_scalar(suite, rng)
-    w_row, g_hat_row = pks.param_rows3(suite, r(), r(), r(), r())
-    x, y, c_g, c_u, c_h = r(), r(), r(), r(), r()
-    g = suite.g
-    return pks.Params(suite=suite, variant="ms", g_row=pks.blind(g, w_row, c_g),
-                      u_row=pks.blind(g ** x, w_row, c_u), h_row=pks.blind(g ** y, w_row, c_h),
-                      w_row=w_row, g_hat_row=g_hat_row, u_hat_row=pks.row_pow(g_hat_row, x),
-                      h_hat_row=pks.row_pow(g_hat_row, y), lam=suite.gt_gen)
+    """Public parameters: a pks2 key's rows, drawn without alpha, and lam = e(g, ghat)."""
+    y_w, nu, phi1, phi2, *x_y_c = (random_scalar(suite, rng) for _ in range(9))
+    e = pks.Pks2Exponents(y_w, nu, phi1, phi2, None, *x_y_c)
+    return pks.Params(suite=suite, variant="ms", lam=suite.gt_gen,
+                      **pks.rows_from_exponents(suite, "pks2", e))
 
 
 def ms_keygen(params: pks.Params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
@@ -57,8 +53,8 @@ def ms_sign(params: pks.Params, message: bytes, sk: pks.PrivateKey, rng) -> pks.
 
 
 def ms_sign_scalar(params, m, sk, rng) -> pks.Signature:
-    if sk.variant != "ms":
-        raise ValueError(f"private key is for {sk.variant!r}, not 'ms'")
+    if sk.variant != "ms" or params.variant != "ms":
+        raise ValueError(f"a {sk.variant} key on {params.variant} parameters signs no ms share")
     bases = tuple(u ** m * h for u, h in zip(params.u_row, params.h_row))
     return MsSignature(*pks.sign_rows(params.g_row, sk.alpha, bases, params.w_row,
                                       *pks.signing_coins(params.suite, rng)))

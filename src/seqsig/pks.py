@@ -285,6 +285,13 @@ def _draw_exponents(suite, variant, rng):
 
 
 def keygen_from_exponents(suite: GroupSuite, variant: str, e):
+    pk = PublicKey(suite=suite, variant=variant, **rows_from_exponents(suite, variant, e),
+                   omega=suite.gt_gen ** e.alpha)
+    return pk, PrivateKey(variant, e.alpha, e.x, e.y, pk_id=key_id(pk))
+
+
+def rows_from_exponents(suite: GroupSuite, variant: str, e) -> dict:
+    """A pks1, pks2 or lw key's rows on the exponents ``e``: all but Omega, so no alpha."""
     g = suite.g
     if variant == "pks1":
         w_row, g_hat_row, v_hat_row = param_rows4(
@@ -297,10 +304,8 @@ def keygen_from_exponents(suite: GroupSuite, variant: str, e):
             h_row=blind(g ** e.y, w_row, e.c_h))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    pk = PublicKey(suite=suite, variant=variant, w_row=w_row, g_hat_row=g_hat_row,
-                   u_hat_row=row_pow(g_hat_row, e.x), h_hat_row=row_pow(g_hat_row, e.y),
-                   omega=suite.gt_gen ** e.alpha, **rows)
-    return pk, PrivateKey(variant, e.alpha, e.x, e.y, pk_id=key_id(pk))
+    return dict(rows, w_row=w_row, g_hat_row=g_hat_row,
+                u_hat_row=row_pow(g_hat_row, e.x), h_hat_row=row_pow(g_hat_row, e.y))
 
 
 def _check_variant(variant: str):
@@ -444,6 +449,13 @@ def sign_rows(alpha_row, alpha, msg_row, w_row, r, c1, c2, prev=None, d=0):
     return tuple(row1), tuple(row2)
 
 
+def coin_inverse(t: Scalar, order: int) -> Scalar:
+    """1/t mod ``order``; a verifier coin t = 0 would accept any signature: ``ValueError``."""
+    if t % order == 0:
+        raise ValueError("verifier coin t must be nonzero mod the group order")
+    return pow(t, -1, order)
+
+
 def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Scalar = 0):
     """The verifier's G2 rows (V1', V2') for coins (t, s1, s2), t left out.
 
@@ -457,13 +469,9 @@ def verifier_rows(g_hat_row, v_hat_row, terms, t: Scalar, s1: Scalar = 0, s2: Sc
     multi-exponentiation term per signer and slot, plus plain products.
     ``v_hat_row`` is the randomization row of the 4-wide variants (empty or
     None for 3-wide ones); its entry k - 1 joins slot k >= 1 of V1' with exponent
-    s1/t and of V2' with exponent s2/t. A coin t = 0 mod the order would
-    accept any signature and is rejected with ``ValueError``.
+    s1/t and of V2' with exponent s2/t; t must be nonzero (:func:`coin_inverse`).
     """
-    order = g_hat_row[0].suite.order
-    if t % order == 0:
-        raise ValueError("verifier coin t must be nonzero mod the group order")
-    t_inv = pow(t, -1, order)
+    t_inv = coin_inverse(t, g_hat_row[0].suite.order)
     v1, v2 = [], []
     for k, g_hat in enumerate(g_hat_row):
         items = [(u[k], m) for u, _, m in terms]

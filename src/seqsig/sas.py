@@ -57,20 +57,23 @@ def setup(suite: GroupSuite, variant: str, rng):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def keygen(params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
-    """:meth:`pks.Params.signer` on drawn alpha, x, y (sas2: and c_u, c_h);
-    ``ValueError`` before any draw on parameters of another scheme."""
+def _variant(params) -> str:
+    """The scheme of ``params``, read first wherever sas takes them: ``ValueError`` unless sas."""
     if params.variant not in VARIANTS:
-        raise ValueError(f"{params.variant} parameters do not make sas keys")
-    draws = 5 if params.variant == "sas2" else 3
+        raise ValueError(f"{params.variant} parameters are not sas parameters")
+    return params.variant
+
+
+def keygen(params, rng) -> tuple[pks.PublicKey, pks.PrivateKey]:
+    """:meth:`pks.Params.signer` on drawn alpha, x, y (sas2: and c_u, c_h)."""
+    draws = 5 if _variant(params) == "sas2" else 3
     return params.signer(*(random_scalar(params.suite, rng) for _ in range(draws)))
 
 
 def empty_aggregate(params) -> AggregateSignature:
     """The unique l = 0 aggregate: every component is the identity."""
-    width = pks.ROW_WIDTH[params.variant]
-    one = params.suite.identity("g1")
-    return AggregateSignature(params.variant, (one,) * width, (one,) * width)
+    row = (params.suite.identity("g1"),) * pks.ROW_WIDTH[_variant(params)]
+    return AggregateSignature(params.variant, row, row)
 
 
 def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[bytes]) -> Scalar:
@@ -82,8 +85,8 @@ def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[byte
 def agg_sign(params, prev: AggregateSignature, message: bytes,
              pub: pks.PublicKey, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
+    pks.check_rows(prev, _variant(params), [pub])
     m = chained_message_scalar(params.suite, params.variant, [message])
-    pks.check_rows(prev, params.variant, [pub])
     kid = pks.key_id(pub)
     if priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
@@ -98,6 +101,7 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
 
 
 def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> AggregateSignature:
+    pks.check_rows(prev, _variant(params), [pub])
     d = (priv.x * m + priv.y) % params.suite.order
     messages = prev.messages + (m,)
     signers = prev.signers + (pub,)
@@ -133,16 +137,17 @@ def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
 
 def _distinct_signers(params, agg) -> bool:
     """Whether no signer occurs twice, once :func:`pks.check_rows` passes."""
-    pks.check_rows(agg, params.variant)
+    pks.check_rows(agg, _variant(params))
     ids = [pks.key_id(s) for s in agg.signers]
     return len(set(ids)) == len(ids)
 
 
 def _pairing_check(params, agg, t, s1=0, s2=0) -> bool:
     """The pairing equation for given coins. The empty aggregate (l = 0) has
-    none and uses no coin: it is valid exactly when every component is the
-    identity."""
+    none: it is valid exactly when every component is the identity, and its
+    coin t is only checked, as the row core checks it."""
     if not agg.signers:
+        pks.coin_inverse(t, params.suite.order)
         return all(e.is_identity() for e in agg.row1 + agg.row2)
     terms = [(si.u_hat_row, si.h_hat_row, mi) for mi, si in zip(agg.messages, agg.signers)]
     omega = pks.product([si.omega for si in agg.signers])
@@ -158,7 +163,7 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
     ``KeyMismatchError`` before any division. The result verifies under
     :func:`pks_view` of the target's key.
     """
-    pks.check_rows(agg, params.variant)
+    pks.check_rows(agg, _variant(params))
     if not 0 <= target_index < agg.length:
         raise IndexError("target index outside the aggregate")
     others = []
@@ -177,6 +182,7 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
 
 def pks_view(params, pub: pks.PublicKey) -> pks.PublicKey:
     """Assemble the single-signer public key implied by (params, signer)."""
+    pks.check_rows(empty_aggregate(params), params.variant, [pub])
     return pks.PublicKey(
         suite=params.suite, variant=_PKS_VARIANT[params.variant], g_row=params.g_row,
         u_row=pub.u_row, h_row=pub.h_row, w_row=params.w_row, g_hat_row=params.g_hat_row,
@@ -192,7 +198,7 @@ def remove_signer(params, agg: AggregateSignature, pub: pks.PublicKey,
     randomness, so the result is again a well-formed aggregate over the
     remaining signers (provided ``m_old`` is the scalar actually signed).
     """
-    pks.check_rows(agg, params.variant)
+    pks.check_rows(agg, _variant(params))
     kid = pks.key_id(pub)
     if priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
@@ -225,9 +231,8 @@ def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
     ``old_chain`` is not detectable here and simply yields an aggregate that
     fails verification.
     """
-    suite = params.suite
-    m_old = chained_message_scalar(suite, params.variant, old_chain)
+    m_old = chained_message_scalar(params.suite, _variant(params), old_chain)
     stripped = remove_signer(params, agg, pub, priv, m_old)
-    m_new = chained_message_scalar(suite, params.variant, list(old_chain) + [new_message])
+    m_new = chained_message_scalar(params.suite, params.variant, list(old_chain) + [new_message])
     return agg_sign_with_randomness(params, stripped, m_new, pub, priv,
-                                    *pks.signing_coins(suite, rng))
+                                    *pks.signing_coins(params.suite, rng))

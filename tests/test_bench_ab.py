@@ -32,6 +32,9 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
     run = record["workloads"]["verify-short"]
     assert run["seeds"] == [1, 2] and run["first"] == ["parent", "change"]
     assert run["correct"] is True and run["failed"] == {"parent": 0, "change": 0}
+    assert set(run["attempted"]) == {"parent", "change"}  # each run's op count, per side
+    for counts in run["attempted"].values():
+        assert len(counts) == 2 and all(type(n) is int and n > 0 for n in counts)
     bounds = {m["name"]: m["bound"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
     assert set(run["metrics"]) == set(bounds)
     for name, m in run["metrics"].items():
@@ -58,6 +61,7 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     def run_once(checkout, workload, seed, seconds, backend):
         result = {"metrics": {name: {"value": 1.0} for name in bounds},
                   "failed": 0, "correct": True}
+        result["attempted"] = 10 * seed
         if (workload, seed, checkout.name) == ("cold-files", 2, "change"):
             result.update(broken)
         return result, {}
@@ -75,3 +79,5 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     assert record["workloads"]["verify-short"]["correct"] is True
     assert record["workloads"]["cold-files"]["failed"]["change"] == broken.get("failed", 0)
     assert record["workloads"]["cold-files"]["correct"] is broken.get("correct", True)
+    assert record["workloads"]["cold-files"]["attempted"] == {"parent": [10, 20],
+                                                              "change": [10, 20]}

@@ -180,6 +180,14 @@ class TestPersistence:
         assert all(loaded.is_certified(pub) for pub in pubs)
         assert loaded.save_bytes() == reg.save_bytes()
 
+    def test_decode_returns_the_registry_records(self, mock_suite, rng):
+        """decode_registry returns CertRecords, the one record type, equal to
+        the registry's own records."""
+        reg, _ = self._populated(mock_suite, rng)
+        decoded = envelopes.decode_registry(mock_suite, reg.save_bytes())
+        assert decoded == reg.records()
+        assert all(type(r) is keyreg.CertRecord for r in decoded)
+
     def test_truncated_file_rejected(self, mock_suite, rng):
         reg, _ = self._populated(mock_suite, rng)
         data = reg.save_bytes()

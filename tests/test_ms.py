@@ -184,6 +184,18 @@ def test_keygen_refuses_params_of_another_scheme(mock_suite, rng, scheme):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("scheme", ["sas1", "sas2"])
+def test_sign_refuses_params_of_another_scheme(mock_suite, rng, scheme):
+    """ms.ms_sign with an ms private key on sas parameters raises ValueError
+    before any coin or pairing."""
+    _, sk = ms.ms_keygen(ms.ms_setup(mock_suite, rng), rng)
+    params = sas.setup(mock_suite, scheme, rng)
+    state, pairings = rng.getstate(), mock_suite.pairing_count
+    with pytest.raises(ValueError):
+        ms.ms_sign(params, MSG, sk, rng)
+    assert rng.getstate() == state and mock_suite.pairing_count == pairings
+
+
 class TestCertification:
     @pytest.fixture
     def rogue(self, setup3, rng):

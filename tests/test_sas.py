@@ -287,6 +287,68 @@ class TestCoinLevelChecks:
         assert not sas.agg_verify_with_coins(params, dup, 5)
 
 
+class TestParamsOfAnotherScheme:
+    """Every public sas function that takes parameters refuses ms parameters
+    with ``ValueError`` before any coin or pairing, also on an ms-shaped
+    aggregate and an ms key, and ``pks_view`` refuses a key of another
+    scheme than its parameters'."""
+
+    CALLS = {
+        "empty_aggregate": lambda p, empty, agg, pk, sk, rng: sas.empty_aggregate(p),
+        "agg_sign": lambda p, empty, agg, pk, sk, rng: sas.agg_sign(
+            p, empty, b"m", pk, sk, rng),
+        "agg_sign-no-verify": lambda p, empty, agg, pk, sk, rng: sas.agg_sign(
+            p, empty, b"m", pk, sk, rng, verify_prev=False),
+        "agg_sign_with_randomness": lambda p, empty, agg, pk, sk, rng:
+            sas.agg_sign_with_randomness(p, empty, 3, pk, sk, 5, 6, 7),
+        "agg_verify": lambda p, empty, agg, pk, sk, rng: sas.agg_verify(p, agg, rng),
+        "agg_verify_with_coins": lambda p, empty, agg, pk, sk, rng:
+            sas.agg_verify_with_coins(p, agg, 5),
+        "strip_to_single": lambda p, empty, agg, pk, sk, rng: sas.strip_to_single(p, agg, 0, {}),
+        "remove_signer": lambda p, empty, agg, pk, sk, rng: sas.remove_signer(p, agg, pk, sk, 3),
+        "agg_resign": lambda p, empty, agg, pk, sk, rng: sas.agg_resign(
+            p, agg, [b"m"], b"n", pk, sk, rng),
+        "pks_view": lambda p, empty, agg, pk, sk, rng: sas.pks_view(p, pk),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CALLS))
+    def test_ms_params_raise_before_any_coin(self, mock_suite, rng, case):
+        params = ms.ms_setup(mock_suite, rng)
+        pk, sk = ms.ms_keygen(params, rng)
+        share = ms.ms_sign(params, b"m", sk, rng)
+        one = mock_suite.identity("g1")
+        empty = pks.Signature("ms", (one,) * 3, (one,) * 3)
+        agg = pks.Signature("ms", share.row1, share.row2, (3,), (pk,))
+        state, pairings = rng.getstate(), mock_suite.pairing_count
+        with pytest.raises(ValueError):
+            self.CALLS[case](params, empty, agg, pk, sk, rng)
+        assert rng.getstate() == state and mock_suite.pairing_count == pairings
+
+    @pytest.mark.parametrize("scheme", ["sas1", "ms"])
+    def test_pks_view_refuses_a_key_of_another_scheme(self, mock_suite, rng, scheme):
+        params = sas.setup(mock_suite, "sas2", rng)
+        if scheme == "ms":
+            pub, _ = ms.ms_keygen(ms.ms_setup(mock_suite, rng), rng)
+        else:
+            pub, _ = sas.keygen(sas.setup(mock_suite, scheme, rng), rng)
+        with pytest.raises(MalformedEncodingError):
+            sas.pks_view(params, pub)
+
+
+@pytest.mark.parametrize("variant", sas.VARIANTS)
+def test_coin_t_is_checked_on_the_empty_aggregate(mock_suite, rng, variant):
+    """agg_verify_with_coins raises for t = 0 mod the order at l = 0 as at
+    l >= 1, and agg_verify on the empty aggregate still draws no coin."""
+    params = sas.setup(mock_suite, variant, rng)
+    empty = sas.empty_aggregate(params)
+    for t in (0, mock_suite.order):
+        with pytest.raises(ValueError):
+            sas.agg_verify_with_coins(params, empty, t)
+    state = rng.getstate()
+    assert sas.agg_verify(params, empty, rng)
+    assert rng.getstate() == state
+
+
 class TestSizes:
     def test_signer_public_key_element_counts(self, mock_suite, rng):
         p1 = sas.setup(mock_suite, "sas1", rng)
