@@ -568,6 +568,8 @@ def g2_frobenius_sq(pt):
 # (x', y') -> (x' w^2, y' w^3) a line at R' evaluated at P in G1 becomes
 #   yP - lam*xP*w + (lam*xR' - yR')*w^3
 # i.e. a sparse Fp12 element with coefficients at w^0 (Fp), w^1, w^3 (Fp2).
+# A line is kept as the four ints (l0, l1, c0, c1) of lam = l0 + l1*u and
+# c = lam*xR' - yR', which do not depend on P.
 
 
 def _mul_line(f, a, b, c):
@@ -599,16 +601,18 @@ def _mul_line(f, a, b, c):
             (e2r + a * g4) % P, (e2i + a * g5) % P)
 
 
-def _miller_step(f, rs, addends, ps):
-    """f times the line through each R_i and its addend at P_i; R_i becomes
-    R_i + addend. ``addends`` may be ``rs`` itself: that is the doubling step.
+def _step_lines(rs, addends):
+    """The line through each R_i and its addend, as (l0, l1, c0, c1), or
+    None where it is vertical; R_i becomes R_i + addend. ``addends`` may be
+    ``rs`` itself: that is the doubling step.
 
     The G2 side works on the integer components. Every slope n/d is taken
     as n*conj(d)/N(d), with all the norms N(d) = d0^2 + d1^2 inverted in one
-    :func:`fq_batch_inv`. Where R_i = -addend the line is the vertical
-    xP - xR'*w^2, which lies in Fp6; the easy part of the final
-    exponentiation (the power p^6 - 1) sends every nonzero Fp6 element to 1,
-    so that line is left out, and R_i becomes None, the identity."""
+    :func:`fq_batch_inv`, and none when there is no slope. Where
+    R_i = -addend the line is the vertical xP - xR'*w^2, which lies in Fp6;
+    the easy part of the final exponentiation (the power p^6 - 1) sends
+    every nonzero Fp6 element to 1, so that line is left out, and R_i
+    becomes None, the identity."""
     slopes = []  # (n0, n1, d0, d1) of the slope n/d, or None for a vertical line
     for r, q in zip(rs, addends):
         (xr0, xr1), (yr0, yr1) = r
@@ -620,10 +624,13 @@ def _miller_step(f, rs, addends, ps):
                            2 * yr0, 2 * yr1))
         else:
             slopes.append(None)
-    invs = iter(fq_batch_inv([(s[2] * s[2] + s[3] * s[3]) % P for s in slopes if s is not None]))
-    for i, (r, q, p, s) in enumerate(zip(rs, addends, ps, slopes)):
+    norms = [(s[2] * s[2] + s[3] * s[3]) % P for s in slopes if s is not None]
+    invs = iter(fq_batch_inv(norms) if norms else ())
+    lines = []
+    for i, (r, q, s) in enumerate(zip(rs, addends, slopes)):
         if s is None:
             rs[i] = None
+            lines.append(None)
             continue
         n0, n1, d0, d1 = s
         k = next(invs)
@@ -634,17 +641,68 @@ def _miller_step(f, rs, addends, ps):
         x1 = (2 * l0 * l1 - xr1 - q[0][1]) % P
         t0, t1 = xr0 - x0, xr1 - x1
         rs[i] = ((x0, x1), ((l0 * t0 - l1 * t1 - yr0) % P, (l0 * t1 + l1 * t0 - yr1) % P))
-        xp, yp = p
-        f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P),
-                      ((l0 * xr0 - l1 * xr1 - yr0) % P, (l0 * xr1 + l1 * xr0 - yr1) % P))
+        lines.append((l0, l1, (l0 * xr0 - l1 * xr1 - yr0) % P, (l0 * xr1 + l1 * xr0 - yr1) % P))
+    return lines
+
+
+def _miller_step(f, rs, addends, ps, fixed=()):
+    """f times the line through each R_i and its addend (:func:`_step_lines`)
+    at P_i, and times each line of ``fixed``, (P, line) pairs of
+    precomputed lines, at its P: one :func:`_mul_line` per line."""
+    for (xp, yp), line in [*zip(ps, _step_lines(rs, addends)), *fixed]:
+        if line is not None:
+            l0, l1, c0, c1 = line
+            f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P), (c0, c1))
     return f
 
 
-_ATE_BITS = bin(ATE_LOOP)[2:]
+def _naf(k):
+    """The digits of k's non-adjacent form, most significant first."""
+    digits = dict(_wnaf(k, 2))
+    return tuple(digits.get(i, 0) for i in range(max(digits), -1, -1))
+
+
+ATE_NAF = _naf(ATE_LOOP)  # 66 digits, 22 of them nonzero
+
+
+def _steps(qs, rs):
+    """The Miller loop's steps for the points qs, whose running points are
+    rs: per step, whether f is squared first, and each R_i's addend. Each
+    NAF digit after the leading one doubles R, then adds Q on a 1 and -Q on
+    a -1 (Vercauteren, "Optimal pairings", IEEE Trans. IT 2010); two more
+    steps add pi(Q) and -pi^2(Q). That is 65 + 21 + 2 = 88 steps, where the
+    binary digits of ATE_LOOP take 64 + 36 + 2 = 102."""
+    negs = [g2_neg(q) for q in qs]
+    for digit in ATE_NAF[1:]:
+        yield True, rs
+        if digit:
+            yield False, qs if digit > 0 else negs
+    yield False, [g2_frobenius(q) for q in qs]
+    yield False, [g2_neg(g2_frobenius_sq(q)) for q in qs]
+
+
+class Lines(tuple):
+    """The line of each of the Miller loop's 88 steps for one G2 point Q,
+    (l0, l1, c0, c1) or None where vertical: its cached lines, which
+    :func:`miller_loop_product` takes in place of Q. A pair on them costs one
+    :func:`_mul_line` and two Fp products per step, with no slope, point
+    update or share of the batch inversion (Costello and Stebila, "Fixed
+    argument pairings", LATINCRYPT 2010)."""
+
+    __slots__ = ()
+
+
+def g2_lines(pt):
+    """The :class:`Lines` of a G2 point, None for the identity."""
+    if pt is None:
+        return None
+    rs = [pt]
+    return Lines(_step_lines(rs, addends)[0] for _, addends in _steps([pt], rs))
 
 
 def miller_loop_product(pairs):
-    """Product of Miller loops over [(g1_affine, g2_affine), ...].
+    """Product of Miller loops over [(g1_affine, g2), ...], where g2 is an
+    affine point or its :class:`Lines`, in one loop over :func:`_steps`.
 
     Pairs with an identity on either side contribute the unit and are skipped.
     The caller applies final_exponentiation.
@@ -652,16 +710,15 @@ def miller_loop_product(pairs):
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not live:
         return FQ12_ONE
-    ps = [p for p, _ in live]
-    qs = [q for _, q in live]
+    fixed = [(p, q) for p, q in live if type(q) is Lines]
+    ps = [p for p, q in live if type(q) is not Lines]
+    qs = [q for _, q in live if type(q) is not Lines]
     rs = list(qs)
     f = FQ12_ONE
-    for bit in _ATE_BITS[1:]:
-        f = _miller_step(fq12_sqr(f), rs, rs, ps)
-        if bit == "1":
-            f = _miller_step(f, rs, qs, ps)
-    f = _miller_step(f, rs, [g2_frobenius(q) for q in qs], ps)
-    return _miller_step(f, rs, [g2_neg(g2_frobenius_sq(q)) for q in qs], ps)
+    for i, (square, addends) in enumerate(_steps(qs, rs)):
+        f = _miller_step(fq12_sqr(f) if square else f, rs, addends, ps,
+                         [(p, lines[i]) for p, lines in fixed])
+    return f
 
 
 def _hard_part_chain(m):

@@ -66,6 +66,9 @@ class MockDlogBackend:
     def table(self, kind, h):
         return h  # an exponent needs no table
 
+    def lines(self, h):
+        return h  # nor lines
+
     def pair_product_raw(self, num, den):
         acc = 0
         for h1, h2 in num:
@@ -136,6 +139,10 @@ class Bn254Backend:
     def table(self, kind, h):
         """A handle's cached table, which ``multi_exp`` takes in place of it."""
         return bn254.g1_table(h) if kind == "g1" else bn254.g2_table(h)
+
+    def lines(self, h):
+        """A G2 handle's cached lines, which ``pair_product_raw`` takes in place of it."""
+        return bn254.g2_lines(h)
 
     def pair_product_raw(self, num, den):
         pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
@@ -246,25 +253,41 @@ class Bn254Backend:
         return res if bn254.fq2_sqr(res) == a else None
 
 
-_UNUSED, _USED_ONCE, _USED_TWICE = object(), object(), object()  # _Elem._table before a table
+_UNUSED, _USED_ONCE, _USED_TWICE = _PENDING = object(), object(), object()  # before a cache
+
+
+def _third_use(elem, slot, build, counter):
+    """The cache in ``elem``'s ``slot``, None before the element's third use
+    of it; on that use ``build(elem.h)`` makes it, counted under ``counter``."""
+    state = getattr(elem, slot)
+    if state is _UNUSED or state is _USED_ONCE:
+        setattr(elem, slot, _USED_ONCE if state is _UNUSED else _USED_TWICE)
+        return None
+    if state is _USED_TWICE:
+        state = build(elem.h)
+        setattr(elem, slot, state)
+        elem.suite._count({counter: 1})
+    return state
 
 
 class _Elem:
     """Immutable group element bound to its suite; multiplicative notation.
 
-    ``_table`` holds the backend's table of ``h`` for :func:`multi_exp`,
-    built on the element's third use there: an element that a key or
-    parameter set holds pays for it once, while a fresh one, the identity
-    and the bases of one signature (two uses each) never do. Two threads
-    racing on one element can both build it; either table is correct."""
+    ``_table`` holds the backend's table of ``h`` for :func:`multi_exp`, and
+    a G2 element's ``_lines`` its Miller-loop lines for
+    :func:`pairing_product`, each built on the element's third use there:
+    an element that a key or parameter set holds pays for it once, while a
+    fresh one, the identity and the bases of one signature (two uses each)
+    never do. ``**`` uses a table that exists and builds none. Two threads
+    racing on one element can both build a cache; either one is correct."""
 
-    __slots__ = ("suite", "h", "_table")
+    __slots__ = ("suite", "h", "_table", "_lines")
     kind = None
 
     def __init__(self, suite, h):
         self.suite = suite
         self.h = h
-        self._table = _UNUSED
+        self._table = self._lines = _UNUSED
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -285,7 +308,8 @@ class _Elem:
 
     def __pow__(self, k: int):
         self.suite._count({self.kind: 1})
-        return type(self)(self.suite, self.suite.backend.exp(self.kind, self.h, k % self.suite.order))
+        h = self.h if self._table in _PENDING else self._table
+        return type(self)(self.suite, self.suite.backend.exp(self.kind, h, k % self.suite.order))
 
     def __eq__(self, other):
         if type(other) is not type(self) or other.suite is not self.suite:
@@ -322,8 +346,10 @@ class GroupSuite:
     """Type-3 pairing context, immutable apart from ``counts``: single
     exponentiations (``g1``, ``g2``, ``gt``), :func:`multi_exp` terms past
     the identity skip (``msm.g1``, ``msm.g2``), the tables built and terms
-    served from one (``tables_built``, ``table_terms``) and pairings
-    (``pairings``). A key is present once its count is positive."""
+    served from one (``tables_built``, ``table_terms``), pairings
+    (``pairings``) and the lines built and pairs served from them
+    (``lines_built``, ``line_pairs``). A key is present once its count is
+    positive."""
 
     backend: object
     g: G1Elem = field(init=False)
@@ -381,22 +407,28 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
     """Evaluate prod e(a_i, b_i) * prod e(c_j, d_j)^-1 as one fused product.
 
     Counts one pairing per pair on both sides, matching the logical cost.
+    From a G2 element's third call on, its cached lines stand in for it,
+    and an identity is never lined (see :class:`_Elem`).
     """
-    num = list(numerator_pairs)
-    den = list(denominator_pairs)
-    if not num and not den:
+    sides = [list(numerator_pairs), list(denominator_pairs)]
+    pairs = sides[0] + sides[1]
+    if not pairs:
         raise ValueError("pairing_product requires at least one pair")
-    suite = (num or den)[0][0].suite
-    for a, b in num + den:
+    suite = pairs[0][0].suite
+    for a, b in pairs:
         if not isinstance(a, G1Elem) or not isinstance(b, G2Elem):
             raise TypeError("pairing_product expects (G1Elem, G2Elem) pairs")
         if a.suite is not suite or b.suite is not suite:
             raise CrossSuiteError("pairing_product arguments belong to different suites")
-    suite._count({"pairings": len(num) + len(den)})
-    raw = suite.backend.pair_product_raw(
-        [(a.h, b.h) for a, b in num], [(a.h, b.h) for a, b in den]
-    )
-    return GTElem(suite, raw)
+    one, served = suite.backend.identity("g2"), 0
+    for side in sides:
+        for i, (a, b) in enumerate(side):
+            lines = None if b.h == one else _third_use(b, "_lines", suite.backend.lines,
+                                                       "lines_built")
+            served += lines is not None
+            side[i] = (a.h, b.h if lines is None else lines)
+    suite._count({"pairings": len(pairs), "line_pairs": served})
+    return GTElem(suite, suite.backend.pair_product_raw(*sides))
 
 
 def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: str = "full") -> Scalar:
@@ -428,7 +460,8 @@ def multi_exp(items) -> "_Elem":
     if kind == "gt":
         raise TypeError("multi_exp takes G1 or G2 elements, not GT")
     one, order = suite.backend.identity(kind), suite.order
-    pairs, built, served = [], 0, 0
+    build = functools.partial(suite.backend.table, kind)
+    pairs, served = [], 0
     for elem, k in items:
         if elem.suite is not suite:
             raise CrossSuiteError("multi_exp arguments belong to different suites")
@@ -436,17 +469,10 @@ def multi_exp(items) -> "_Elem":
             raise TypeError("multi_exp arguments must share one group")
         if elem.h == one:
             continue
-        table = elem._table
-        if table is _UNUSED or table is _USED_ONCE:
-            elem._table = _USED_ONCE if table is _UNUSED else _USED_TWICE
-            pairs.append((elem.h, k % order))
-            continue
-        if table is _USED_TWICE:
-            table = elem._table = suite.backend.table(kind, elem.h)
-            built += 1
-        served += 1
-        pairs.append((table, k % order))
-    suite._count({f"msm.{kind}": len(pairs), "tables_built": built, "table_terms": served})
+        table = _third_use(elem, "_table", build, "tables_built")
+        served += table is not None
+        pairs.append((elem.h if table is None else table, k % order))
+    suite._count({f"msm.{kind}": len(pairs), "table_terms": served})
     return _KIND_CLS[kind](suite, suite.backend.multi_exp(kind, pairs))
 
 

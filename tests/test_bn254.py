@@ -660,6 +660,59 @@ class TestPairing:
         assert b._miller_step(f, rs, [b.g2_neg(q)], [p]) == f
         assert rs == [None]
 
+    def test_ate_naf_rebuilds_the_loop(self):
+        """ATE_NAF, most significant digit first, sums back to 6u + 2 and is
+        a non-adjacent form: digits in {-1, 0, 1}, no two adjacent ones
+        nonzero; 66 digits, 22 of them nonzero."""
+        digits = b.ATE_NAF
+        assert sum(d << i for i, d in enumerate(reversed(digits))) == b.ATE_LOOP
+        assert set(digits) <= {-1, 0, 1} and digits[0] == 1
+        assert not any(x and y for x, y in zip(digits, digits[1:]))
+        assert (len(digits), sum(d != 0 for d in digits)) == (66, 22)
+
+    def test_g2_lines_hold_one_line_per_step(self):
+        steps = (len(b.ATE_NAF) - 1) + (sum(d != 0 for d in b.ATE_NAF) - 1) + 2
+        lines = b.g2_lines(b.g2_mul(b.G2_GEN, 99))
+        assert type(lines) is b.Lines and len(lines) == steps == 88
+        assert all(len(line) == 4 for line in lines)
+        assert b.g2_lines(None) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 8])
+    def test_lines_match_the_generic_loop_and_naive(self, n):
+        """Through the final exponentiation, every mix of precomputed lines
+        and points gives the generic loop's and the naive loop's product: for
+        n <= 2 every subset of pairs on lines, for n = 6 and 8 one subset of
+        each size, its members drawn at random."""
+        draw = random.Random(n)
+        pairs = [(b.g1_mul(b.G1_GEN, draw.randrange(1, b.ORDER)),
+                  b.g2_mul(b.G2_GEN, draw.randrange(1, b.ORDER))) for _ in range(n)]
+        lines = [b.g2_lines(q) for _, q in pairs]
+        want = b.final_exponentiation(b.miller_loop_product(pairs))
+        assert want == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
+        if n <= 2:
+            mixes = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
+        else:
+            mixes = [set(draw.sample(range(n), size)) for size in range(n + 1)]
+        for fixed in mixes:
+            mixed = [(p, lines[i] if i in fixed else q) for i, (p, q) in enumerate(pairs)]
+            assert b.final_exponentiation(b.miller_loop_product(mixed)) == want, fixed
+
+    def test_lines_on_the_denominator_and_beside_their_point(self):
+        """A pair on lines with a negated G1 side, as the denominator of a
+        pairing product is passed; a G1 identity against lines; and one point
+        both on its lines and fresh in one product."""
+        p, q = b.g1_mul(b.G1_GEN, 31337), b.g2_mul(b.G2_GEN, 4242)
+        p2 = b.g1_mul(b.G1_GEN, 77)
+        lines = b.g2_lines(q)
+        fe = b.final_exponentiation
+        assert fe(b.miller_loop_product([(p, q), (b.g1_neg(p), lines)])) == b.FQ12_ONE
+        assert fe(b.miller_loop_product([(b.g1_neg(p), lines)])) == b.fq12_conj(b.pairing(p, q))
+        assert b.miller_loop_product([(None, lines)]) == b.FQ12_ONE
+        assert fe(b.miller_loop_product([(None, lines), (p, q)])) == b.pairing(p, q)
+        both = fe(b.miller_loop_product([(p, lines), (p2, q)]))
+        assert both == b.pairing(b.g1_add(p, p2), q)
+        assert both == fe(flat(naive_miller_loop_product([(p, q), (p2, q)])))
+
     def test_hard_part_chain_matches_digit_oracle(self):
         f = b.miller_loop_product([(b.g1_mul(b.G1_GEN, 123), b.G2_GEN)])
         t = b.fq12_mul(b.fq12_conj(f), b.fq12_inv(f))
@@ -721,16 +774,27 @@ class TestArithmeticCost:
     updates them to show by how much."""
 
     def test_two_pair_pairing(self):
-        """The ate loop 6u + 2 has 65 bits, 37 of them ones: 64 doubling
-        steps, each after one fq12_sqr, 36 addition steps and 2 Frobenius
-        steps, 102 steps in all. Each step makes one fq_batch_inv and one
-        _mul_line per pair, so _mul_line = pairs x 102 lines. The final
+        """The NAF of the ate loop 6u + 2 has 66 digits, 22 of them nonzero:
+        65 doubling steps, each after one fq12_sqr, 21 addition steps and 2
+        Frobenius steps, 88 steps in all, where the 65 binary digits (37
+        ones) took 64 + 36 + 2 = 102. Each step makes one fq_batch_inv and
+        one _mul_line per pair, so _mul_line = pairs x 88 lines. The final
         exponentiation makes the fq12_mul and fq12_cyc_sqr calls, and its
         one fq12_inv the fq2_inv."""
         pairs = [(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))]
         got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
-        assert got == {"fq12_mul": 63, "fq12_sqr": 64, "fq12_cyc_sqr": 193, "_mul_line": 204,
-                       "fq_batch_inv": 102, "fq2_inv": 1}
+        assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
+                       "fq_batch_inv": 88, "fq2_inv": 1}
+
+    def test_two_fixed_pairs(self):
+        """The same two pairs on their precomputed lines, built outside the
+        count: the 88 _mul_line calls per pair stay, and no slope is
+        inverted."""
+        pairs = [(b.g1_mul(b.G1_GEN, E1), b.g2_lines(b.G2_GEN)),
+                 (b.G1_GEN, b.g2_lines(b.g2_mul(b.G2_GEN, E2)))]
+        got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
+        assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
+                       "fq_batch_inv": 0, "fq2_inv": 1}
 
     def test_gt_pow(self):
         """E1's 4-NAF has 49 nonzero digits, the top one at position 252.
