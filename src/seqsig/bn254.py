@@ -21,6 +21,9 @@ squaring and the Miller step's G2 side keep products unreduced and reduce
 each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
 Gebotys and Lopez, EUROCRYPT 2011). An Fp12 value, and so every G_T
 element, is one flat tuple of twelve ints in the order of its encoding.
+The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps, and
+takes a G2 point that the caller pairs again and again as its cached
+:class:`Lines` (:func:`g2_lines`).
 """
 
 from __future__ import annotations
@@ -602,17 +605,16 @@ def _mul_line(f, a, b, c):
 
 
 def _step_lines(rs, addends):
-    """The line through each R_i and its addend, as (l0, l1, c0, c1), or
-    None where it is vertical; R_i becomes R_i + addend. ``addends`` may be
-    ``rs`` itself: that is the doubling step.
+    """The line through each R_i and its addend, None where vertical; R_i
+    becomes R_i + addend. ``addends`` may be ``rs`` itself: that is the
+    doubling step.
 
     The G2 side works on the integer components. Every slope n/d is taken
     as n*conj(d)/N(d), with all the norms N(d) = d0^2 + d1^2 inverted in one
-    :func:`fq_batch_inv`, and none when there is no slope. Where
-    R_i = -addend the line is the vertical xP - xR'*w^2, which lies in Fp6;
-    the easy part of the final exponentiation (the power p^6 - 1) sends
-    every nonzero Fp6 element to 1, so that line is left out, and R_i
-    becomes None, the identity."""
+    :func:`fq_batch_inv`. Where R_i = -addend the line is the vertical
+    xP - xR'*w^2, which lies in Fp6; the easy part of the final
+    exponentiation (the power p^6 - 1) sends every nonzero Fp6 element to 1,
+    so that line is left out, and R_i becomes None, the identity."""
     slopes = []  # (n0, n1, d0, d1) of the slope n/d, or None for a vertical line
     for r, q in zip(rs, addends):
         (xr0, xr1), (yr0, yr1) = r
@@ -626,11 +628,10 @@ def _step_lines(rs, addends):
             slopes.append(None)
     norms = [(s[2] * s[2] + s[3] * s[3]) % P for s in slopes if s is not None]
     invs = iter(fq_batch_inv(norms) if norms else ())
-    lines = []
+    lines = [None] * len(slopes)
     for i, (r, q, s) in enumerate(zip(rs, addends, slopes)):
         if s is None:
             rs[i] = None
-            lines.append(None)
             continue
         n0, n1, d0, d1 = s
         k = next(invs)
@@ -641,14 +642,13 @@ def _step_lines(rs, addends):
         x1 = (2 * l0 * l1 - xr1 - q[0][1]) % P
         t0, t1 = xr0 - x0, xr1 - x1
         rs[i] = ((x0, x1), ((l0 * t0 - l1 * t1 - yr0) % P, (l0 * t1 + l1 * t0 - yr1) % P))
-        lines.append((l0, l1, (l0 * xr0 - l1 * xr1 - yr0) % P, (l0 * xr1 + l1 * xr0 - yr1) % P))
+        lines[i] = (l0, l1, (l0 * xr0 - l1 * xr1 - yr0) % P, (l0 * xr1 + l1 * xr0 - yr1) % P)
     return lines
 
 
 def _miller_step(f, rs, addends, ps, fixed=()):
     """f times the line through each R_i and its addend (:func:`_step_lines`)
-    at P_i, and times each line of ``fixed``, (P, line) pairs of
-    precomputed lines, at its P: one :func:`_mul_line` per line."""
+    at P_i, and each precomputed line of ``fixed``, (P, line) pairs, at P."""
     for (xp, yp), line in [*zip(ps, _step_lines(rs, addends)), *fixed]:
         if line is not None:
             l0, l1, c0, c1 = line
@@ -656,22 +656,16 @@ def _miller_step(f, rs, addends, ps, fixed=()):
     return f
 
 
-def _naf(k):
-    """The digits of k's non-adjacent form, most significant first."""
-    digits = dict(_wnaf(k, 2))
-    return tuple(digits.get(i, 0) for i in range(max(digits), -1, -1))
-
-
-ATE_NAF = _naf(ATE_LOOP)  # 66 digits, 22 of them nonzero
+# ATE_LOOP's non-adjacent form, most significant digit first: 66 digits, 22 nonzero.
+ATE_NAF = tuple(dict(_wnaf(ATE_LOOP, 2)).get(i, 0) for i in range(ATE_LOOP.bit_length(), -1, -1))
 
 
 def _steps(qs, rs):
-    """The Miller loop's steps for the points qs, whose running points are
-    rs: per step, whether f is squared first, and each R_i's addend. Each
-    NAF digit after the leading one doubles R, then adds Q on a 1 and -Q on
-    a -1 (Vercauteren, "Optimal pairings", IEEE Trans. IT 2010); two more
-    steps add pi(Q) and -pi^2(Q). That is 65 + 21 + 2 = 88 steps, where the
-    binary digits of ATE_LOOP take 64 + 36 + 2 = 102."""
+    """Per Miller-loop step for the points qs with running points rs: whether
+    f is squared first, and each R_i's addend. Each NAF digit after the first
+    doubles R, then adds Q on a 1 and -Q on a -1, and R ends adding pi(Q) and
+    -pi^2(Q): 65 + 21 + 2 = 88 steps, against 64 + 36 + 2 = 102 on the bits
+    (Vercauteren, "Optimal pairings", IEEE Trans. IT 2010)."""
     negs = [g2_neg(q) for q in qs]
     for digit in ATE_NAF[1:]:
         yield True, rs
@@ -682,31 +676,25 @@ def _steps(qs, rs):
 
 
 class Lines(tuple):
-    """The line of each of the Miller loop's 88 steps for one G2 point Q,
-    (l0, l1, c0, c1) or None where vertical: its cached lines, which
-    :func:`miller_loop_product` takes in place of Q. A pair on them costs one
-    :func:`_mul_line` and two Fp products per step, with no slope, point
-    update or share of the batch inversion (Costello and Stebila, "Fixed
-    argument pairings", LATINCRYPT 2010)."""
+    """The lines of the Miller loop's 88 steps for one G2 point Q, which
+    :func:`miller_loop_product` takes in place of Q: a step then costs one
+    :func:`_mul_line` and no slope (Costello and Stebila, "Fixed argument
+    pairings", LATINCRYPT 2010)."""
 
     __slots__ = ()
 
 
 def g2_lines(pt):
     """The :class:`Lines` of a G2 point, None for the identity."""
-    if pt is None:
-        return None
     rs = [pt]
-    return Lines(_step_lines(rs, addends)[0] for _, addends in _steps([pt], rs))
+    return None if pt is None else Lines(_step_lines(rs, a)[0] for _, a in _steps([pt], rs))
 
 
 def miller_loop_product(pairs):
     """Product of Miller loops over [(g1_affine, g2), ...], where g2 is an
     affine point or its :class:`Lines`, in one loop over :func:`_steps`.
-
-    Pairs with an identity on either side contribute the unit and are skipped.
-    The caller applies final_exponentiation.
-    """
+    Pairs with an identity on either side contribute the unit and are
+    skipped. The caller applies final_exponentiation."""
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not live:
         return FQ12_ONE

@@ -260,26 +260,24 @@ def _third_use(elem, slot, build, counter):
     """The cache in ``elem``'s ``slot``, None before the element's third use
     of it; on that use ``build(elem.h)`` makes it, counted under ``counter``."""
     state = getattr(elem, slot)
-    if state is _UNUSED or state is _USED_ONCE:
-        setattr(elem, slot, _USED_ONCE if state is _UNUSED else _USED_TWICE)
-        return None
     if state is _USED_TWICE:
         state = build(elem.h)
-        setattr(elem, slot, state)
         elem.suite._count({counter: 1})
-    return state
+    elif state is _UNUSED or state is _USED_ONCE:
+        state = _USED_ONCE if state is _UNUSED else _USED_TWICE
+    setattr(elem, slot, state)
+    return None if state in _PENDING else state
 
 
 class _Elem:
     """Immutable group element bound to its suite; multiplicative notation.
 
-    ``_table`` holds the backend's table of ``h`` for :func:`multi_exp`, and
-    a G2 element's ``_lines`` its Miller-loop lines for
-    :func:`pairing_product`, each built on the element's third use there:
-    an element that a key or parameter set holds pays for it once, while a
-    fresh one, the identity and the bases of one signature (two uses each)
-    never do. ``**`` uses a table that exists and builds none. Two threads
-    racing on one element can both build a cache; either one is correct."""
+    ``_table`` holds the backend's table of ``h`` for :func:`multi_exp` and
+    ``**``, and ``_lines`` a G2 element's lines for :func:`pairing_product`,
+    each built on the third use in that function: an element that a key or
+    parameter set holds pays for it once, while a fresh one, the identity
+    and the bases of one signature (two uses each) never do. Two threads
+    racing on one element can both build it; either one is correct."""
 
     __slots__ = ("suite", "h", "_table", "_lines")
     kind = None
@@ -348,8 +346,7 @@ class GroupSuite:
     the identity skip (``msm.g1``, ``msm.g2``), the tables built and terms
     served from one (``tables_built``, ``table_terms``), pairings
     (``pairings``) and the lines built and pairs served from them
-    (``lines_built``, ``line_pairs``). A key is present once its count is
-    positive."""
+    (``lines_built``, ``line_pairs``). A key is present once positive."""
 
     backend: object
     g: G1Elem = field(init=False)

@@ -91,7 +91,7 @@ def test_lined_results_equal_unlined_ones_on_real():
 
 @BACKENDS
 @pytest.mark.parametrize("kind", ["g1", "g2"])
-def test_power_of_a_tabled_element_uses_its_table(kind, backend, order):
+def test_power_of_a_tabled_element_uses_its_table(kind, backend, order, monkeypatch):
     """``**`` takes a table that ``multi_exp`` built, builds none itself and
     is counted as one single exponentiation, with no table term."""
     suite = suite_generate(backend, order)
@@ -100,10 +100,13 @@ def test_power_of_a_tabled_element_uses_its_table(kind, backend, order):
         groups.multi_exp([(base, 2)])
     assert base._table not in groups._PENDING  # tabled on the third use
     untabled = type(base)(suite, base.h)
+    handles, exp = [], suite.backend.exp
+    monkeypatch.setattr(suite.backend, "exp", lambda *a: handles.append(a[1]) or exp(*a))
     suite.counts.clear()
     for k in (1, 2, 77, suite.order - 1, random.Random(3).randrange(suite.order)):
         assert base ** k == untabled ** k
     assert dict(suite.counts) == {kind: 10}
+    assert all(h is base._table for h in handles[::2])  # base's own powers
     fresh = type(base)(suite, base.h)
     fresh ** 5
     assert fresh._table is groups._UNUSED
