@@ -21,6 +21,11 @@ and ``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py``
 and of ``wc -l tests/*.py``, so a change that removes code shows by how
 much, and whether it left the library or only moved into the tests.
 
+Per workload, ``kinds`` holds the same comparison for each ``verify.*`` and
+``op.*`` kind of sample, on each run's median ``relative`` time (reference
+units). It is read from ``perfbench/out/result-W-seedS-trace0.json``, which
+each run leaves in its checkout, and shows which kind of verify moved.
+
 The exit status is 1, after the file is written, when any run reports
 ``correct: false`` or a failed op; the message names each such run's
 workload, seed and side.
@@ -53,6 +58,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: 
                          f"(exit {done.returncode}):\n{done.stderr[-2000:]}") from None
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
     return result, env
+
+
+def kind_medians(checkout: Path, workload: str, seed: int) -> dict:
+    """The median ``relative`` time of each ``verify.*`` and ``op.*`` kind in
+    the result file of a run in ``checkout``; empty when there is none."""
+    path = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    try:
+        relative = json.loads(path.read_text())["relative"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    return {kind: round(statistics.median(xs), 4) for kind, xs in relative.items()
+            if kind.startswith(("verify.", "op.")) and xs}
+
+
+def compare_kinds(sides) -> dict:
+    """The :func:`compare` record, without a bound, of each kind that every
+    run of both sides reports; ``sides`` holds each side's
+    :func:`kind_medians` per run."""
+    kinds = set.intersection(*(set(run) for side in SIDES for run in sides[side]))
+    return {kind: compare(*([run[kind] for run in sides[side]] for side in SIDES), None)
+            for kind in sorted(kinds)}
 
 
 def line_total(checkout: Path, pattern: str) -> int:
@@ -99,6 +125,7 @@ def main(argv=None):
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {side: [] for side in SIDES} for w in args.workloads}
+    kind_runs = {w: {side: [] for side in SIDES} for w in args.workloads}
     firsts = {w: [] for w in args.workloads}
     env = {}
     for n, seed in enumerate(args.seeds):
@@ -109,6 +136,7 @@ def main(argv=None):
                 result, env[side] = run_once(checkouts[side], workload, seed, args.seconds,
                                              args.backend)
                 runs[workload][side].append(result)
+                kind_runs[workload][side].append(kind_medians(checkouts[side], workload, seed))
                 print(f"bench_ab: {workload} seed {seed} {side}: "
                       + ", ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
                                   if k in bounds), flush=True)
@@ -130,6 +158,7 @@ def main(argv=None):
             "failed": {side: sum(r["failed"] for r in sides[side]) for side in SIDES},
             "correct": all(r["correct"] for side in SIDES for r in sides[side]),
             "metrics": metrics,
+            "kinds": compare_kinds(kind_runs[workload]),
         }
     parent_env = env.get("parent", {})
     record = {

@@ -15,6 +15,18 @@ that the caller built once for a base it reuses (:func:`g1_table`,
 :func:`g2_table`). The G2 group law works on flat Fp2 integer components,
 not through ``fq2_mul``.
 
+Each G1 and G2 term k*x is split into k0*x + k1*E(x) with halves of about
+127 bits, so the shared doubling chain is half as long. E is an
+endomorphism that acts as a scalar lambda. In G1 it is phi(x, y) = (beta*x,
+y) (GLV; Gallant, Lambert and Vanstone, CRYPTO 2001), and E(Fp) has prime
+order, so every G1 term is split. In G2 it is psi, the twist Frobenius
+(GLS; Galbraith, Lin and Scott, EUROCRYPT 2009), and lambda = 6u^2 = p - r.
+psi acts as [6u^2] only on points that satisfy psi(Q) = [6u^2]Q, and
+:func:`g2_in_subgroup` does not check that, so a G2 term is split only when
+its base is a cached table whose point passed that test when the table was
+built. Per-call G2 points stay unsplit, and every result equals the exact
+one, on twist points outside G2 too.
+
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
 squaring and the Miller step's G2 side keep products unreduced and reduce
@@ -28,12 +40,20 @@ takes a G2 point that the caller pairs again and again as its cached
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 # Curve parameters (the Ethereum alt_bn128 instantiation).
 P = 21888242871839275222246405745257275088696311157297823662689037894645226208583
 ORDER = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 B = 3
 T_PARAM = 4965661367192848881
 ATE_LOOP = 6 * T_PARAM + 2
+# psi = g2_frobenius acts as [GLS_LAMBDA] on G2, since p = 6u^2 (mod r).
+GLS_LAMBDA = 6 * T_PARAM ** 2  # = P - ORDER, 127 bits
+# phi(x, y) = (GLV_BETA * x, y) acts as [GLV_LAMBDA] on G1; both are cube
+# roots of unity, GLV_BETA mod P and GLV_LAMBDA mod ORDER.
+GLV_LAMBDA = 36 * T_PARAM ** 3 + 18 * T_PARAM ** 2 + 6 * T_PARAM + 1
+GLV_BETA = 18 * T_PARAM ** 3 + 18 * T_PARAM ** 2 + 9 * T_PARAM + 1
 
 G1_GEN = (1, 2)
 
@@ -314,17 +334,56 @@ def _jac1_to_affine(pts):
     return out
 
 
+def _glv_basis():
+    """Two short vectors (a, b) with a + b*GLV_LAMBDA = 0 (mod ORDER) and
+    determinant +ORDER: the extended Euclidean algorithm on (ORDER,
+    GLV_LAMBDA), stopped at the first remainder below sqrt(ORDER) (Gallant,
+    Lambert and Vanstone, CRYPTO 2001). Its row r_i = s_i*ORDER + t_i*lambda
+    gives the vector (r_i, -t_i)."""
+    r0, r1, t0, t1 = ORDER, GLV_LAMBDA, 0, 1
+    while r1 * r1 >= ORDER:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    v1 = (r1, -t1)
+    v2 = min((r0, -t0), (r0 - q * r1, q * t1 - t0), key=lambda v: v[0] ** 2 + v[1] ** 2)
+    return (v1, v2) if v1[0] * v2[1] - v1[1] * v2[0] > 0 else (v2, v1)
+
+
+GLV_BASIS = _glv_basis()
+
+
+def _glv_split(k):
+    """(k0, k1) with k = k0 + k1*GLV_LAMBDA (mod ORDER), each of at most 127
+    bits in absolute value, either possibly negative: (k, 0) less the
+    nearest lattice point of GLV_BASIS, found by rounding (Babai)."""
+    (a1, b1), (a2, b2) = GLV_BASIS
+    c1 = (b2 * k + (ORDER >> 1)) // ORDER
+    c2 = (-b1 * k + (ORDER >> 1)) // ORDER
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
+def _glv_endo(pt):
+    """phi(x, y) = (GLV_BETA * x, y), which is [GLV_LAMBDA] on G1."""
+    return (GLV_BETA * pt[0] % P, pt[1])
+
+
 def g1_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
-    point (4-NAF) or its cached :func:`g1_table` (7-NAF)."""
-    return _jacobian_multi_exp(pairs, _jac1_double, _jac1_madd, g1_neg, _jac1_to_affine)
+    point (4-NAF) or its cached :func:`g1_table` (7-NAF). Every term is
+    split by phi."""
+    return _jacobian_multi_exp(pairs, _jac1_double, _jac1_madd, g1_neg, _jac1_to_affine,
+                               _glv_split, _glv_endo)
 
 
 def g1_table(pt):
-    """The cached width-7 :class:`Table` of a G1 point, None for the identity."""
+    """The cached width-7 :class:`Table` of a G1 point, with phi of each
+    multiple as its images; None for the identity."""
     if pt is None:
         return None
-    return Table(_odd_multiples([pt], TABLE_WIDTH, _jac1_double, _jac1_madd, _jac1_to_affine)[0])
+    multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac1_double, _jac1_madd,
+                                     _jac1_to_affine)[0])
+    return Table(multiples, tuple(map(_glv_endo, multiples)))
 
 
 def g1_mul(pt, k):
@@ -454,13 +513,14 @@ def _interleaved_wnaf(terms, double, add, neg):
     doubling chain (Moeller, "Algorithms for multi-exponentiation", SAC
     2001). Returns the accumulator, None for the identity.
 
-    ``terms`` are (table, width, k) with k in 1..ORDER-1 and the table x's
+    ``terms`` are (table, width, k) with k an integer and the table x's
     2^(w-2) odd multiples [x, x^3, ..., x^(2^(w-1) - 1)], so terms of
-    different widths share the chain. A negative digit takes the ``neg`` of
+    different widths share the chain. A zero k adds nothing, and a negative
+    one has the negated digits of -k. A negative digit takes the ``neg`` of
     its entry. ``double`` and ``add`` act on the accumulator, and ``add``
     takes a table entry as its second argument and None as the identity in
     its first."""
-    rows = [(table, _wnaf(k, width)) for table, width, k in terms]
+    rows = [(table, _wnaf(k, width)) for table, width, k in terms if k]
     adds = [[] for _ in range(max((row[-1][0] + 1 for _, row in rows), default=0))]
     for table, row in rows:
         for i, d in row:
@@ -477,12 +537,16 @@ def _interleaved_wnaf(terms, double, add, neg):
 TABLE_WIDTH = 7  # the width of a cached table: 32 odd multiples
 
 
-class Table(tuple):
-    """The affine odd multiples [x, x^3, ..., x^63] of one G1 or G2 point x:
-    its cached width-7 table, which :func:`g1_multi_exp` and
-    :func:`g2_multi_exp` take in place of x."""
+class Table(NamedTuple):
+    """The cached width-7 table of one G1 or G2 point x, which
+    :func:`g1_multi_exp` and :func:`g2_multi_exp` take in place of x: its
+    affine odd multiples [x, x^3, ..., x^63], and their images under the
+    group's endomorphism (phi or psi), on which a term's second half runs.
+    The images are None for a G2 point on which psi is not [GLS_LAMBDA]:
+    its terms stay unsplit."""
 
-    __slots__ = ()
+    multiples: tuple
+    images: tuple | None
 
 
 def _odd_multiples(bases, width, double, madd, to_affine):
@@ -502,7 +566,7 @@ def _odd_multiples(bases, width, double, madd, to_affine):
     return [[x, *aff[n * i:n * (i + 1)]] for i, x in enumerate(bases)]
 
 
-def _jacobian_multi_exp(pairs, double, madd, neg, to_affine):
+def _jacobian_multi_exp(pairs, double, madd, neg, to_affine, split, endo=None):
     """:func:`_interleaved_wnaf` in G1 or G2, given the group's Jacobian
     doubling, mixed addition, affine negation and batch conversion to affine
     form. A term's base is an affine point or a cached :class:`Table`. A
@@ -510,34 +574,70 @@ def _jacobian_multi_exp(pairs, double, madd, neg, to_affine):
     the other points and one inversion; a cached table is used at width 7.
     The accumulator stays Jacobian, so every addition is a mixed one (Cohen,
     Miyaji and Ono, ASIACRYPT 1998), and one more inversion converts the
-    result."""
+    result.
+
+    A term whose table has images E(x) = [lambda]x runs as k0*x + k1*E(x),
+    with (k0, k1) = ``split(k)`` and k = k0 + k1*lambda. A cached table
+    brings its images; a per-call point gets them from ``endo``, and stays
+    unsplit where ``endo`` is None."""
     terms, points, ks = [], [], []
+
+    def add_term(table, images, width, k):
+        if images is None:
+            terms.append((table, width, k))
+        else:
+            k0, k1 = split(k)
+            terms.extend(((table, width, k0), (images, width, k1)))
+
     for x, k in pairs:
         k %= ORDER
         if x is None or not k:
             continue
         if type(x) is Table:
-            terms.append((x, TABLE_WIDTH, k))
+            add_term(x.multiples, x.images, TABLE_WIDTH, k)
         else:
             points.append(x)
             ks.append(k)
-    tables = _odd_multiples(points, 4, double, madd, to_affine)
-    terms += [(table, 4, k) for table, k in zip(tables, ks)]
+    for table, k in zip(_odd_multiples(points, 4, double, madd, to_affine), ks):
+        add_term(table, None if endo is None else list(map(endo, table)), 4, k)
     acc = _interleaved_wnaf(terms, double, madd, neg)
     return None if acc is None else to_affine([acc])[0]
 
 
+def _gls_split(k):
+    """(k0, k1) with k = k0 + k1*GLS_LAMBDA as integers, 0 <= k0 < GLS_LAMBDA:
+    both halves have at most 127 bits for k below ORDER."""
+    k1, k0 = divmod(k, GLS_LAMBDA)
+    return k0, k1
+
+
 def g2_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
-    point (4-NAF) or its cached :func:`g2_table` (7-NAF)."""
-    return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine)
+    point (4-NAF, unsplit) or its cached :func:`g2_table` (7-NAF, split by
+    psi where the table has images)."""
+    return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine,
+                               _gls_split)
 
 
 def g2_table(pt):
-    """The cached width-7 :class:`Table` of a G2 point, None for the identity."""
+    """The cached width-7 :class:`Table` of a G2 point, None for the identity.
+
+    It gets psi of each multiple as its images only if psi(pt) ==
+    [GLS_LAMBDA]pt, computed here on the unsplit multiples. Then every split
+    k0*pt + k1*psi(pt) is (k0 + k1*GLS_LAMBDA)*pt exactly, so a tabled
+    result equals the exact one on any twist point. A point that fails,
+    which lies outside G2, keeps unsplit terms. A split multiplication
+    cannot make this test: through it, [GLS_LAMBDA]pt is psi(pt) by
+    construction."""
     if pt is None:
         return None
-    return Table(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd, _jac2_to_affine)[0])
+    multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd,
+                                     _jac2_to_affine)[0])
+    acc = _interleaved_wnaf([(multiples, TABLE_WIDTH, GLS_LAMBDA)], _jac2_double, _jac2_madd,
+                            g2_neg)
+    if acc is None or _jac2_to_affine([acc])[0] != g2_frobenius(pt):
+        return Table(multiples, None)
+    return Table(multiples, tuple(map(g2_frobenius, multiples)))
 
 
 def g2_mul(pt, k):

@@ -44,6 +44,12 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
         for key in ("parent_median", "change_median", "parent_iqr", "change_iqr",
                     "relative_change", "parent_spread"):
             assert isinstance(m[key], float)
+    # each verify and op kind of verify-short, read from the runs' result files
+    assert set(run["kinds"]) == {"verify.pks1", "verify.pks2", "verify.sas1", "verify.ms",
+                                 "op.round"}
+    for m in run["kinds"].values():
+        assert len(m["parent"]) == len(m["change"]) == 2 and m["bound"] is None
+        assert all(isinstance(x, float) and x > 0 for x in m["parent"] + m["change"])
 
 
 def _load_script():
@@ -62,6 +68,11 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
         result = {"metrics": {name: {"value": 1.0} for name in bounds},
                   "failed": 0, "correct": True}
         result["attempted"] = 10 * seed
+        out = checkout / "perfbench" / "out"
+        out.mkdir(parents=True, exist_ok=True)
+        relative = {"verify.x": [seed, 3.0, 9.0], "op.y": [2.0 * seed], "sign": [1.0]}
+        (out / f"result-{workload}-seed{seed}-trace0.json").write_text(
+            json.dumps({"relative": relative}))
         if (workload, seed, checkout.name) == ("cold-files", 2, "change"):
             result.update(broken)
         return result, {}
@@ -81,3 +92,7 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     assert record["workloads"]["cold-files"]["correct"] is broken.get("correct", True)
     assert record["workloads"]["cold-files"]["attempted"] == {"parent": [10, 20],
                                                               "change": [10, 20]}
+    kinds = record["workloads"]["cold-files"]["kinds"]  # per run, the median of each kind
+    assert set(kinds) == {"verify.x", "op.y"}
+    assert kinds["verify.x"]["parent"] == kinds["verify.x"]["change"] == [3.0, 3.0]
+    assert kinds["op.y"]["change"] == [2.0, 4.0] and kinds["op.y"]["bound"] is None

@@ -597,6 +597,92 @@ class TestGroups:
         assert b.g1_add(p5, p7) == b.g1_mul(b.G1_GEN, 12)
 
 
+def split_edge_scalars():
+    """Scalars at the edges of both splits: 0, 1 and ORDER - 1; lambda,
+    2 lambda, lambda +- 1 and ORDER - lambda for the GLV and the GLS lambda;
+    and the scalars on either side of each step of _glv_split's rounded
+    coefficients round(b2 k / r) and round(-b1 k / r), where a half is
+    largest."""
+    ks = [0, 1, b.ORDER - 1]
+    for lam in (b.GLV_LAMBDA, b.GLS_LAMBDA):
+        ks += [lam, 2 * lam, lam - 1, lam + 1, b.ORDER - lam]
+    (_, b1), (_, b2) = b.GLV_BASIS
+    for m in (abs(b2), abs(b1)):
+        for c in (1, 2, m // 2, m - 1):
+            k = -(((b.ORDER >> 1) - c * b.ORDER) // m)  # the least k with m k + r // 2 >= c r
+            ks += [k - 1, k, k + 1]
+    return [k % b.ORDER for k in ks]
+
+
+class TestEndomorphismSplit:
+    """Every G1 term, and every G2 term whose base is a checked cached
+    table, runs as two halves k0*x + k1*E(x) on one shorter chain (the
+    module docstring of bn254). Its results must equal the exact ladders."""
+
+    def test_glv_constants_satisfy_their_equations(self):
+        lam, beta = b.GLV_LAMBDA, b.GLV_BETA
+        assert (lam * lam + lam + 1) % b.ORDER == 0
+        assert pow(beta, 3, b.P) == 1 != beta
+        assert b._glv_endo(b.G1_GEN) == (beta, 2) == naive_g1_mul(b.G1_GEN, lam)
+        (a1, b1), (a2, b2) = b.GLV_BASIS
+        assert (a1 + b1 * lam) % b.ORDER == (a2 + b2 * lam) % b.ORDER == 0
+        assert abs(a1 * b2 - a2 * b1) == b.ORDER
+        assert max(abs(c) for v in b.GLV_BASIS for c in v).bit_length() == 127
+
+    def test_gls_lambda_is_psi_on_g2(self):
+        assert b.GLS_LAMBDA == b.P - b.ORDER and b.GLS_LAMBDA.bit_length() == 127
+        assert b.g2_frobenius(b.G2_GEN) == naive_g2_ladder(b.G2_GEN, b.GLS_LAMBDA)
+
+    def test_halves_recombine_and_stay_within_128_bits(self):
+        for k in split_edge_scalars() + [rng.randrange(b.ORDER) for _ in range(2000)]:
+            k0, k1 = b._glv_split(k)
+            assert (k0 + k1 * b.GLV_LAMBDA - k) % b.ORDER == 0
+            assert abs(k0).bit_length() <= 128 and abs(k1).bit_length() <= 128
+            k0, k1 = b._gls_split(k)
+            assert k0 + k1 * b.GLS_LAMBDA == k  # as integers, not only mod ORDER
+            assert 0 <= k0 < b.GLS_LAMBDA and 0 <= k1 < 1 << 128
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 21])
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_split_multi_exp_matches_the_exact_ladder(self, group, n):
+        """n-term MSMs whose scalars run through every edge scalar, with
+        every base a cached table, every base a point, and the two mixed,
+        against the affine double-and-add ladder."""
+        gen, multi_exp, table, add, ladder = {
+            "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_table, b.g1_add, naive_g1_mul),
+            "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_table, b.g2_add, naive_g2_mul),
+        }[group]
+        draw = random.Random(n)
+        pts = [ladder(gen, draw.randrange(1, b.ORDER)) for _ in range(n)]
+        tables = [table(pt) for pt in pts]
+        assert all(t.images is not None for t in tables)
+        scalars = split_edge_scalars()
+        for start in range(0, len(scalars), n):
+            ks = [scalars[(start + i) % len(scalars)] for i in range(n)]
+            want = None
+            for pt, k in zip(pts, ks):
+                want = add(want, ladder(pt, k))
+            assert multi_exp(list(zip(tables, ks))) == want
+            assert multi_exp(list(zip(pts, ks))) == want
+            mixed = [(t if i % 2 else pt, k) for i, (pt, t, k) in enumerate(zip(pts, tables, ks))]
+            assert multi_exp(mixed) == want
+
+    def test_a_g2_table_off_g2_is_not_split(self):
+        """Q + T, with T of order 10069 and Q in G2, is a twist point on
+        which psi is not [6u^2]: its table gets no images, so its terms stay
+        unsplit and match the exact ladder, alone and beside a split one."""
+        q = naive_g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
+        qt = b.g2_add(q, twist_point_of_order_10069())
+        assert b.g2_frobenius(qt) != naive_g2_ladder(qt, b.GLS_LAMBDA)
+        tab = b.g2_table(qt)
+        assert tab.images is None
+        for k in [1, b.GLS_LAMBDA, b.GLS_LAMBDA + 1, 10069, b.ORDER - 1, rng.randrange(b.ORDER)]:
+            assert b.g2_multi_exp([(tab, k)]) == naive_g2_ladder(qt, k)
+        k1, k2 = rng.randrange(b.ORDER), rng.randrange(b.ORDER)
+        want = b.g2_add(naive_g2_ladder(qt, k1), naive_g2_ladder(q, k2))
+        assert b.g2_multi_exp([(tab, k1), (b.g2_table(q), k2)]) == want
+
+
 class TestPairing:
     def test_non_degenerate(self):
         assert b.pairing(b.G1_GEN, b.G2_GEN) != b.FQ12_ONE
@@ -807,8 +893,9 @@ class TestArithmeticCost:
             "fq_batch_inv": 0, "fq2_inv": 0}
 
     @pytest.mark.parametrize("group, n, want", [
-        pytest.param(g, n, want, id=f"{g}-{n}")
-        for g in ("g1", "g2") for n, want in ((3, (261, 166, 2)), (20, (314, 1097, 2)))
+        pytest.param(g, n, want, id=f"{g}-{n}") for g, n, want in (
+            ("g1", 3, (134, 168, 2)), ("g1", 20, (186, 1109, 2)),
+            ("g2", 3, (261, 166, 2)), ("g2", 20, (314, 1097, 2)))
     ])
     def test_multi_exp_group_law(self, group, n, want):
         """Doublings, mixed additions and batch inversions of an n-term MSM
@@ -816,7 +903,18 @@ class TestArithmeticCost:
         4 mixed additions (x lifted, then 3x, 5x and 7x); the chain takes a
         doubling per 4-NAF position below the top one and a mixed addition
         per nonzero digit; one batch inversion normalises every table and
-        one the result. G1 and G2 share the routine, so their counts agree."""
+        one the result.
+
+        G2 points stay unsplit. E1, E2 and E3 have 154 nonzero digits, the
+        top at 252: 9 + 252 doublings and 12 + 154 mixed additions. The 20
+        drawn scalars have 1017, the top at 254: 60 + 254 and 80 + 1017.
+        In G1 every scalar runs as two GLV halves of at most 127 bits, on
+        the table and its phi images, which take no group operation. The 6
+        halves of E1, E2 and E3 have 156 digits, the top at 125: 9 + 125
+        and 12 + 156. The 40 halves of the drawn scalars have 1029, the top
+        at 126: 60 + 126 and 80 + 1029. Unsplit, as in G2, they took
+        (261, 166, 2) and (314, 1097, 2): the split saves 127 and 128
+        doublings for 2 and 12 more mixed additions."""
         gen, multi_exp, mul = {"g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul),
                                "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul)}[group]
         pts = [mul(gen, i + 1) for i in range(n)]
@@ -829,12 +927,19 @@ class TestArithmeticCost:
     @pytest.mark.parametrize("group", ["g1", "g2"])
     def test_multi_exp_with_cached_tables(self, group):
         """The 20-term MSM of ``test_multi_exp_group_law`` with every base a
-        cached width-7 table: no table is built, so the 60 doublings, 80
-        mixed additions and one batch inversion of the width-4 tables go,
-        and the 7-NAF digits take 643 mixed additions where the 4-NAF took
-        1017. Against the untabled (314, 1097, 2): 254 doublings, 643 mixed
-        additions and 1 batch inversion. Building one table, outside the
-        count, takes 31 doublings, 32 mixed additions and 1 batch inversion."""
+        cached width-7 table: no table is built, so the doublings, mixed
+        additions and batch inversion of the width-4 tables go, and one
+        batch inversion stays. Every term runs as two halves on the table
+        and its images, a chain of 7-NAF digits. G1's 40 GLV halves have 646
+        nonzero digits, the top at 125: 125 doublings and 646 mixed
+        additions. G2's 40 GLS halves, k mod 6u^2 and k div 6u^2, have 656,
+        the top at 127: 127 and 656. Unsplit, the 20 scalars' 7-NAF took
+        254 doublings and 643 mixed additions in both groups.
+
+        Building one table, outside the count, takes 31 doublings, 32 mixed
+        additions and 1 batch inversion. In G2 the check psi(x) == [6u^2]x
+        adds the unsplit 7-NAF of 6u^2, 17 digits with the top at 127, and
+        one batch inversion to compare in affine form: 158, 49 and 2."""
         gen, multi_exp, mul, table = {
             "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul, b.g1_table),
             "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul, b.g2_table)}[group]
@@ -843,5 +948,6 @@ class TestArithmeticCost:
         ks = [draw(b.ORDER) for _ in range(20)]
         ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
         got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(tables, ks)))
-        assert tuple(got.values()) == (254, 643, 1)
-        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == (31, 32, 1)
+        assert tuple(got.values()) == {"g1": (125, 646, 1), "g2": (127, 656, 1)}[group]
+        build = {"g1": (31, 32, 1), "g2": (158, 49, 2)}[group]
+        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == build
