@@ -355,8 +355,8 @@ GLV_BASIS = _glv_basis()
 
 def _glv_split(k):
     """(k0, k1) with k = k0 + k1*GLV_LAMBDA (mod ORDER), each of at most 127
-    bits in absolute value, either possibly negative: (k, 0) less the
-    nearest lattice point of GLV_BASIS, found by rounding (Babai)."""
+    bits in absolute value, either possibly negative: (k, 0) less a close
+    point of the lattice of GLV_BASIS, found by Babai's rounding."""
     (a1, b1), (a2, b2) = GLV_BASIS
     c1 = (b2 * k + (ORDER >> 1)) // ORDER
     c2 = (-b1 * k + (ORDER >> 1)) // ORDER
