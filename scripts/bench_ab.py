@@ -20,6 +20,8 @@ exceeds its bound is listed in ``notes`` as unresolved. ``env.src_lines``
 and ``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py``
 and of ``wc -l tests/*.py``, so a change that removes code shows by how
 much, and whether it left the library or only moved into the tests.
+``env.src_module_lines`` holds each side's ``wc -l`` of every
+``src/seqsig/*.py`` by file name, which shows which module changed size.
 
 Per workload, ``kinds`` holds the same comparison for each ``verify.*`` and
 ``op.*`` kind of sample, on each run's median ``relative`` time (reference
@@ -81,9 +83,10 @@ def compare_kinds(sides) -> dict:
             for kind in sorted(kinds)}
 
 
-def line_total(checkout: Path, pattern: str) -> int:
-    """The total that ``wc -l PATTERN`` prints in a checkout, e.g. for ``tests/*.py``."""
-    return sum(p.read_bytes().count(b"\n") for p in checkout.glob(pattern))
+def line_counts(checkout: Path, pattern: str) -> dict:
+    """What ``wc -l PATTERN`` prints per file in a checkout, e.g. for
+    ``tests/*.py``, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted(checkout.glob(pattern))}
 
 
 def _iqr(xs):
@@ -161,6 +164,7 @@ def main(argv=None):
             "kinds": compare_kinds(kind_runs[workload]),
         }
     parent_env = env.get("parent", {})
+    src = {side: line_counts(checkouts[side], "src/seqsig/*.py") for side in SIDES}
     record = {
         "what": args.what,
         "command": "PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S "
@@ -168,8 +172,10 @@ def main(argv=None):
         "env": {
             **{k: parent_env.get(k) for k in ("python", "nproc", "cpu", "arithmetic")},
             "commit": {side: env.get(side, {}).get("commit") for side in SIDES},
-            "src_lines": {side: line_total(checkouts[side], "src/seqsig/*.py") for side in SIDES},
-            "test_lines": {side: line_total(checkouts[side], "tests/*.py") for side in SIDES},
+            "src_lines": {side: sum(src[side].values()) for side in SIDES},
+            "src_module_lines": src,
+            "test_lines": {side: sum(line_counts(checkouts[side], "tests/*.py").values())
+                           for side in SIDES},
         },
         "workloads": workloads,
         "notes": notes,

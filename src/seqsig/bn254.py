@@ -29,13 +29,13 @@ one, on twist points outside G2 too.
 
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
-squaring and the Miller step's G2 side keep products unreduced and reduce
+squaring and the line builder's G2 side keep products unreduced and reduce
 each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
 Gebotys and Lopez, EUROCRYPT 2011). An Fp12 value, and so every G_T
 element, is one flat tuple of twelve ints in the order of its encoding.
-The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps, and
-takes a G2 point that the caller pairs again and again as its cached
-:class:`Lines` (:func:`g2_lines`).
+The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps on the
+lines of its G2 points, built first, all together; a point that the caller
+pairs again and again comes as its cached :class:`Lines` (:func:`g2_lines`).
 """
 
 from __future__ import annotations
@@ -334,23 +334,10 @@ def _jac1_to_affine(pts):
     return out
 
 
-def _glv_basis():
-    """Two short vectors (a, b) with a + b*GLV_LAMBDA = 0 (mod ORDER) and
-    determinant +ORDER: the extended Euclidean algorithm on (ORDER,
-    GLV_LAMBDA), stopped at the first remainder below sqrt(ORDER) (Gallant,
-    Lambert and Vanstone, CRYPTO 2001). Its row r_i = s_i*ORDER + t_i*lambda
-    gives the vector (r_i, -t_i)."""
-    r0, r1, t0, t1 = ORDER, GLV_LAMBDA, 0, 1
-    while r1 * r1 >= ORDER:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    q = r0 // r1
-    v1 = (r1, -t1)
-    v2 = min((r0, -t0), (r0 - q * r1, q * t1 - t0), key=lambda v: v[0] ** 2 + v[1] ** 2)
-    return (v1, v2) if v1[0] * v2[1] - v1[1] * v2[0] > 0 else (v2, v1)
-
-
-GLV_BASIS = _glv_basis()
+# Short vectors (a, b), 64 and 127 bits, with a + b*GLV_LAMBDA = 0 (mod ORDER) and determinant
+# +ORDER, in the closed form of every BN curve (Gallant, Lambert and Vanstone, CRYPTO 2001).
+GLV_BASIS = ((2 * T_PARAM + 1, -(6 * T_PARAM ** 2 + 2 * T_PARAM)),
+             (6 * T_PARAM ** 2 + 4 * T_PARAM + 1, 2 * T_PARAM + 1))
 
 
 def _glv_split(k):
@@ -746,16 +733,6 @@ def _step_lines(rs, addends):
     return lines
 
 
-def _miller_step(f, rs, addends, ps, fixed=()):
-    """f times the line through each R_i and its addend (:func:`_step_lines`)
-    at P_i, and each precomputed line of ``fixed``, (P, line) pairs, at P."""
-    for (xp, yp), line in [*zip(ps, _step_lines(rs, addends)), *fixed]:
-        if line is not None:
-            l0, l1, c0, c1 = line
-            f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P), (c0, c1))
-    return f
-
-
 # ATE_LOOP's non-adjacent form, most significant digit first: 66 digits, 22 nonzero.
 ATE_NAF = tuple(dict(_wnaf(ATE_LOOP, 2)).get(i, 0) for i in range(ATE_LOOP.bit_length(), -1, -1))
 
@@ -775,6 +752,9 @@ def _steps(qs, rs):
     yield False, [g2_neg(g2_frobenius_sq(q)) for q in qs]
 
 
+_SQUARES = tuple(square for square, _ in _steps([], []))  # whether each step squares f first
+
+
 class Lines(tuple):
     """The lines of the Miller loop's 88 steps for one G2 point Q, which
     :func:`miller_loop_product` takes in place of Q: a step then costs one
@@ -784,28 +764,35 @@ class Lines(tuple):
     __slots__ = ()
 
 
+def _lines(qs):
+    """The 88 lines of each G2 point of qs, one fq_batch_inv per step for all."""
+    rs = list(qs)
+    return list(zip(*[_step_lines(rs, addends) for _, addends in _steps(qs, rs)]))
+
+
 def g2_lines(pt):
     """The :class:`Lines` of a G2 point, None for the identity."""
-    rs = [pt]
-    return None if pt is None else Lines(_step_lines(rs, a)[0] for _, a in _steps([pt], rs))
+    return None if pt is None else Lines(_lines([pt])[0])
 
 
 def miller_loop_product(pairs):
     """Product of Miller loops over [(g1_affine, g2), ...], where g2 is an
-    affine point or its :class:`Lines`, in one loop over :func:`_steps`.
-    Pairs with an identity on either side contribute the unit and are
-    skipped. The caller applies final_exponentiation."""
+    affine point or its :class:`Lines`. The points' lines are built first, all
+    together (:func:`_lines`); one walk of the steps then multiplies every
+    pair's line into f. Pairs with an identity on either side are skipped.
+    The caller applies final_exponentiation."""
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not live:
         return FQ12_ONE
-    fixed = [(p, q) for p, q in live if type(q) is Lines]
-    ps = [p for p, q in live if type(q) is not Lines]
-    qs = [q for _, q in live if type(q) is not Lines]
-    rs = list(qs)
+    built = iter(_lines([q for _, q in live if type(q) is not Lines]))
+    live = [(p, q if type(q) is Lines else next(built)) for p, q in live]
     f = FQ12_ONE
-    for i, (square, addends) in enumerate(_steps(qs, rs)):
-        f = _miller_step(fq12_sqr(f) if square else f, rs, addends, ps,
-                         [(p, lines[i]) for p, lines in fixed])
+    for i, square in enumerate(_SQUARES):
+        f = fq12_sqr(f) if square else f
+        for (xp, yp), lines in live:
+            if lines[i] is not None:
+                l0, l1, c0, c1 = lines[i]
+                f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P), (c0, c1))
     return f
 
 

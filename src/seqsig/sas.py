@@ -92,10 +92,10 @@ def agg_sign(params, prev: AggregateSignature, message: bytes,
         raise KeyMismatchError("private key does not belong to this public key")
     if certified is not None and not all(certified(s) for s in prev.signers):
         raise InvalidAggregateError("aggregate-so-far has an uncertified signer; halting")
+    if not _distinct_signers(params, prev, pub):
+        raise DuplicateSignerError("a signer would occur twice in the aggregate")
     if verify_prev and not agg_verify(params, prev, rng):
         raise InvalidAggregateError("aggregate-so-far failed verification; halting")
-    if any(pks.key_id(s) == kid for s in prev.signers):
-        raise DuplicateSignerError("signer already present in the aggregate")
     return agg_sign_with_randomness(params, prev, m, pub, priv,
                                     *pks.signing_coins(params.suite, rng))
 
@@ -135,10 +135,10 @@ def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
     return _distinct_signers(params, agg) and _pairing_check(params, agg, t, s1, s2)
 
 
-def _distinct_signers(params, agg) -> bool:
-    """Whether no signer occurs twice, once :func:`pks.check_rows` passes."""
-    pks.check_rows(agg, _variant(params))
-    ids = [pks.key_id(s) for s in agg.signers]
+def _distinct_signers(params, agg, *appenders) -> bool:
+    """Whether no signer occurs twice in agg and ``appenders``, once check_rows passes."""
+    pks.check_rows(agg, _variant(params), appenders)
+    ids = [pks.key_id(s) for s in agg.signers + appenders]
     return len(set(ids)) == len(ids)
 
 

@@ -26,6 +26,10 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
     lines = record["env"]["src_lines"]  # both sides are this checkout
     assert lines["parent"] == lines["change"]
     assert type(lines["change"]) is int and lines["change"] > 0
+    modules = record["env"]["src_module_lines"]  # wc -l of each src/seqsig/*.py, per side
+    assert modules["parent"] == modules["change"]
+    assert modules["change"]["bn254.py"] > 0 and "__init__.py" in modules["change"]
+    assert sum(modules["change"].values()) == lines["change"]
     lines = record["env"]["test_lines"]
     assert lines["parent"] == lines["change"]
     assert type(lines["change"]) is int and lines["change"] > 0

@@ -74,11 +74,21 @@ class TestAggregation:
         assert not sas.agg_verify(params, swapped, rng)
 
     def test_duplicate_signer_refused_at_signing(self, mock_suite, rng, variant):
+        """An appender the aggregate so far already holds, and a new appender
+        to an aggregate so far that repeats a signer, are refused before any
+        coin or pairing, with and without the check of the aggregate so far."""
         params = sas.setup(mock_suite, variant, rng)
         pub, priv = sas.keygen(params, rng)
+        other = sas.keygen(params, rng)
         agg = sas.agg_sign(params, sas.empty_aggregate(params), MSGS[0], pub, priv, rng)
-        with pytest.raises(DuplicateSignerError):
-            sas.agg_sign(params, agg, MSGS[1], pub, priv, rng)
+        # the randomness-level builder has no duplicate check
+        repeats = sas.agg_sign_with_randomness(params, agg, 4, pub, priv, 5, 6, 7)
+        for prev, signer in ((agg, (pub, priv)), (repeats, other)):
+            for verify_prev in (True, False):
+                state, pairings = rng.getstate(), mock_suite.pairing_count
+                with pytest.raises(DuplicateSignerError):
+                    sas.agg_sign(params, prev, MSGS[1], *signer, rng, verify_prev=verify_prev)
+                assert rng.getstate() == state and mock_suite.pairing_count == pairings
 
     def test_invalid_previous_aggregate_halts(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
