@@ -444,6 +444,21 @@ class TestGroups:
             raise RuntimeError("the random twist point lies in G2")
         assert not b.g2_in_subgroup((x, y))
 
+    def test_sqrt_fq2_of_a_real_element(self):
+        """A real a0 has a root in Fp2: (r, 0) when a0 is a square in Fp, else
+        (0, r), as -1 is a non-square for p = 3 (mod 4). Each squares back to
+        (a0, 0), and 0 gives (0, 0)."""
+        sqrt = Bn254Backend._sqrt_fq2
+        assert sqrt((0, 0)) == (0, 0)
+        draw = random.Random(235)
+        for a0 in [4, b.P - 1, b.P - 4] + [draw.randrange(1, b.P) for _ in range(8)]:
+            root = sqrt((a0, 0))
+            if pow(a0, (b.P - 1) // 2, b.P) == 1:
+                assert root[1] == 0 != root[0]
+            else:
+                assert root[0] == 0 != root[1]
+            assert b.fq2_sqr(root) == (a0, 0)
+
     def test_g2_mul_matches_naive(self):
         for _ in range(5):
             k = rng.randrange(b.ORDER)

@@ -211,6 +211,19 @@ class TestAggregatePipeline:
         assert code == 1 and fields["result"] == ["invalid"]
         assert not out.exists()
 
+    def test_signer_appending_twice_exits_one(self, setup, tmp_path, capsys):
+        params, signers = setup
+        agg, keys = self._build_chain(tmp_path, capsys, params, signers[:2])
+        pub0, priv0 = signers[0]
+        out = tmp_path / "agg-twice.bin"
+        code, fields = run(capsys, *det("agg-sign", "--scheme", "sas2",
+                                        "--params", str(params), "--prev", str(agg),
+                                        "--keys", *map(str, keys), "--pub", str(pub0),
+                                        "--priv", str(priv0), "--out", str(out),
+                                        "--message", "m2"))
+        assert code == 1 and fields["result"] == ["invalid"]
+        assert not out.exists()
+
     def test_keygen_without_params_exits_two(self, tmp_path, capsys):
         code, fields = run(capsys, *det("keygen", "--scheme", "sas2",
                                         "--pub-out", str(tmp_path / "pk.bin"),

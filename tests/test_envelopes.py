@@ -116,6 +116,19 @@ class TestKeyEnvelopes:
         with pytest.raises(ValueError):
             env.encode_private_key(mock_suite, "sas2", sk)
 
+    def test_unknown_scheme_refused(self, mock_suite, rng):
+        """encode refuses a scheme it has no layout for; decode refuses a
+        scheme byte it does not know."""
+        _, sk = pks.keygen(mock_suite, "pks2", rng)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            env.encode_private_key(mock_suite, "pks9", sk)
+        blob = bytearray(env.encode_private_key(mock_suite, "pks2", sk))
+        header = len(env._header(env.MAGIC_PRIVATE_KEY, mock_suite))
+        assert blob[header] == env.SCHEME_BYTE["pks2"]
+        blob[header] = 0xEE
+        with pytest.raises(MalformedEncodingError, match="unknown scheme byte"):
+            env.decode_private_key(mock_suite, bytes(blob))
+
     @pytest.mark.parametrize("pk_id", [b"", bytes(31), bytes(33)])
     def test_encode_refuses_a_key_id_that_is_not_32_bytes(self, mock_suite, pk_id):
         # such an envelope would be one its own decoder rejects as truncated

@@ -7,6 +7,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqsig import bn254
 from seqsig.errors import CrossSuiteError, MalformedEncodingError, SubgroupMembershipError
 from seqsig.groups import (
     decode_element,
@@ -25,6 +26,10 @@ class TestSuiteGeneration:
     def test_mock_requires_prime_order(self):
         with pytest.raises(ValueError):
             suite_generate("mock", 100)
+
+    def test_mock_order_in_range_must_be_prime(self):
+        with pytest.raises(ValueError, match="must be prime"):
+            suite_generate("mock", 10005)  # 3 * 5 * 23 * 29
 
     def test_mock_requires_minimum_order(self):
         with pytest.raises(ValueError):
@@ -107,6 +112,31 @@ class TestElementAlgebra:
         assert not any(t.is_alive() for t in threads)
         counts = mock_suite.counts
         assert (counts["g1"], counts["msm.g1"], counts["pairings"]) == (4 * n, 8 * n, 4 * n)
+
+    def test_operand_of_another_kind_or_suite_refused(self, mock_suite):
+        other = suite_generate("mock", 10007)
+        g = mock_suite.g
+        for bad, error in ((mock_suite.g_hat, TypeError), (other.g, CrossSuiteError)):
+            with pytest.raises(error):
+                g * bad
+            with pytest.raises(error):
+                g / bad
+            with pytest.raises(error):
+                multi_exp([(g, 2), (bad, 3)])
+
+    def test_pairing_product_refuses_a_swapped_or_foreign_pair(self, mock_suite):
+        other = suite_generate("mock", 10007)
+        g, gh = mock_suite.g, mock_suite.g_hat
+        with pytest.raises(TypeError):
+            pairing_product([(g, gh), (gh, g)])
+        with pytest.raises(CrossSuiteError):
+            pairing_product([(g, gh)], [(g, other.g_hat)])
+
+    def test_empty_products_refused(self):
+        with pytest.raises(ValueError):
+            multi_exp([])
+        with pytest.raises(ValueError):
+            pairing_product([], [])
 
     def test_pairing_product_matches_separate(self, mock_suite):
         g, gh = mock_suite.g, mock_suite.g_hat
@@ -203,6 +233,29 @@ class TestSerialization:
         with pytest.raises(MalformedEncodingError):
             decode_element(real_suite, "g2", b"\x00" * 10)
 
+    @pytest.mark.parametrize("kind, data", [
+        ("g1", bytes(31)), ("g1", bytes(33)), ("gt", bytes(383)), ("gt", bytes(385)),
+        ("g2", bn254.P.to_bytes(64, "big")),
+        ("g2", (bn254.P << 255).to_bytes(64, "big")),
+        ("gt", bn254.P.to_bytes(32, "big") + bytes(352)),
+        ("gt", bytes(352) + bn254.P.to_bytes(32, "big")),
+    ], ids=["g1-31", "g1-33", "gt-383", "gt-385", "g2-x0-p", "g2-x1-p", "gt-first-p", "gt-last-p"])
+    def test_real_malformed_encoding_rejected(self, real_suite, kind, data):
+        """G1 and GT encodings of the wrong length, a G2 coordinate and a GT
+        coefficient equal to p."""
+        with pytest.raises(MalformedEncodingError):
+            decode_element(real_suite, kind, data)
+
+    @pytest.mark.parametrize("kind", ["g1", "g2", "gt"])
+    def test_mock_wrong_length_rejected(self, mock_suite, kind):
+        for data in (bytes(3), bytes(5)):
+            with pytest.raises(MalformedEncodingError):
+                decode_element(mock_suite, kind, data)
+
+    def test_unknown_kind_rejected(self, mock_suite):
+        with pytest.raises(ValueError, match="unknown element kind"):
+            decode_element(mock_suite, "g3", bytes(4))
+
     def test_mock_rejects_out_of_range(self, mock_suite):
         bad = (mock_suite.order).to_bytes(4, "big")
         with pytest.raises(MalformedEncodingError):
@@ -221,6 +274,10 @@ class TestHashing:
     def test_empty_tag_rejected(self, mock_suite):
         with pytest.raises(ValueError):
             hash_to_scalar(mock_suite, b"", b"m")
+
+    def test_unknown_width_rejected(self, mock_suite):
+        with pytest.raises(ValueError, match="unknown width"):
+            hash_to_scalar(mock_suite, b"t", b"m", width="half")
 
     def test_reduced_width_bound(self, mock_suite):
         for i in range(50):

@@ -75,6 +75,14 @@ class TestRegistration:
             reg.register(params, pub, priv)
         assert dict(mock_suite.counts) == before and len(reg) == 0
 
+    def test_witness_from_a_private_key_of_another_scheme_refused(self, mock_suite, rng):
+        _, pks_sk = pks.keygen(mock_suite, "pks2", rng)
+        with pytest.raises(ValueError, match="does not register keys"):
+            keyreg.witness_from_private("pks2", pks_sk)
+        _, priv = sas.keygen(sas.setup(mock_suite, "sas1", rng), rng)
+        with pytest.raises(ValueError, match="is for 'sas1', not 'sas2'"):
+            keyreg.witness_from_private("sas2", priv)
+
     def test_idempotent_reregistration(self, sas2_setup, mock_suite):
         params, pub, priv = sas2_setup
         reg = keyreg.CertRegistry(mock_suite)

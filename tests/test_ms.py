@@ -90,6 +90,14 @@ class TestCombining:
         with pytest.raises(InvalidAggregateError):
             ms.ms_combine([good, bad], MSG, [keys[0][0], keys[1][0]], params, rng)
 
+    def test_unequal_lists_halt_combining(self, setup3, rng):
+        params, keys = setup3
+        sig = ms.ms_sign(params, MSG, keys[0][1], rng)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="must align"):
+            ms.ms_combine([sig], MSG, [keys[0][0], keys[1][0]], params, rng)
+        assert rng.getstate() == state
+
     def test_cross_suite_key_rejected(self, setup3, rng):
         from seqsig.groups import suite_generate
         params, keys = setup3

@@ -103,6 +103,11 @@ class TestInterfaceGuards:
         with pytest.raises(ValueError):
             pks.keygen(mock_suite, "pks9", rng)
 
+    def test_unknown_variant_on_given_exponents(self, mock_suite, rng):
+        e = pks._draw_exponents(mock_suite, "pks2", rng)
+        with pytest.raises(ValueError, match="unknown variant"):
+            pks.keygen_from_exponents(mock_suite, "pks9", e)
+
     def test_unknown_variant_in_sign_and_verify(self, mock_suite, rng):
         pk, sk = pks.keygen(mock_suite, "pks2", rng)
         sig = pks.sign("pks2", MSG, sk, pk, rng)

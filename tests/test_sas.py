@@ -90,6 +90,18 @@ class TestAggregation:
                     sas.agg_sign(params, prev, MSGS[1], *signer, rng, verify_prev=verify_prev)
                 assert rng.getstate() == state and mock_suite.pairing_count == pairings
 
+    def test_strip_index_and_removed_signer_must_be_in_the_aggregate(
+            self, mock_suite, rng, variant):
+        params = sas.setup(mock_suite, variant, rng)
+        agg, keys = build_chain(params, rng, MSGS[:2])
+        witnesses = {priv.pk_id: priv for _, priv in keys}
+        for index in (-1, agg.length):
+            with pytest.raises(IndexError):
+                sas.strip_to_single(params, agg, index, witnesses)
+        pub, priv = sas.keygen(params, rng)
+        with pytest.raises(MissingWitnessError, match="not present"):
+            sas.remove_signer(params, agg, pub, priv, 3)
+
     def test_invalid_previous_aggregate_halts(self, mock_suite, rng, variant):
         params = sas.setup(mock_suite, variant, rng)
         agg, _ = build_chain(params, rng, MSGS[:2])
@@ -357,6 +369,11 @@ def test_coin_t_is_checked_on_the_empty_aggregate(mock_suite, rng, variant):
     state = rng.getstate()
     assert sas.agg_verify(params, empty, rng)
     assert rng.getstate() == state
+
+
+def test_setup_refuses_an_unknown_variant(mock_suite, rng):
+    with pytest.raises(ValueError, match="unknown variant"):
+        sas.setup(mock_suite, "sas3", rng)
 
 
 class TestSizes:
