@@ -15,17 +15,20 @@ that the caller built once for a base it reuses (:func:`g1_table`,
 :func:`g2_table`). The G2 group law works on flat Fp2 integer components,
 not through ``fq2_mul``.
 
-Each G1 and G2 term k*x is split into k0*x + k1*E(x) with halves of about
-127 bits, so the shared doubling chain is half as long. E is an
-endomorphism that acts as a scalar lambda. In G1 it is phi(x, y) = (beta*x,
-y) (GLV; Gallant, Lambert and Vanstone, CRYPTO 2001), and E(Fp) has prime
-order, so every G1 term is split. In G2 it is psi, the twist Frobenius
-(GLS; Galbraith, Lin and Scott, EUROCRYPT 2009), and lambda = 6u^2 = p - r.
-psi acts as [6u^2] only on points that satisfy psi(Q) = [6u^2]Q, and
-:func:`g2_in_subgroup` does not check that, so a G2 term is split only when
-its base is a cached table whose point passed that test when the table was
-built. Per-call G2 points stay unsplit, and every result equals the exact
-one, on twist points outside G2 too.
+Terms are split by an endomorphism E that acts as a scalar lambda, so the
+shared doubling chain is shorter. In G1, E is phi(x, y) = (beta*x, y) (GLV;
+Gallant, Lambert and Vanstone, CRYPTO 2001), E(Fp) has prime order, and
+every term k*x runs as k0*x + k1*phi(x) with halves of at most 127 bits. In
+G2, E is psi, the twist Frobenius (GLS; Galbraith, Lin and Scott, EUROCRYPT
+2009), with lambda = 6u^2 = p - r, and a term runs as k0*x + k1*psi(x) +
+k2*psi^2(x) + k3*psi^3(x) with parts of at most 64 bits (Galbraith and
+Scott, Pairing 2008), on a chain of about 64 doublings. psi acts as [6u^2]
+only on points that satisfy psi(Q) = [6u^2]Q, and :func:`g2_in_subgroup`
+does not check that, so a G2 term is split only when its base is a cached
+table whose point passed that test when the table was built. Such a point
+has order r (:func:`g2_table`), so the split is exact. Per-call G2 points
+stay unsplit, and every result equals the exact one, on twist points
+outside G2 too.
 
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
@@ -355,12 +358,18 @@ def _glv_endo(pt):
     return (GLV_BETA * pt[0] % P, pt[1])
 
 
+def _glv_terms(table, images, k):
+    """The two GLV terms of k*x, on x's table and its phi images."""
+    k0, k1 = _glv_split(k)
+    return (table, k0), (images, k1)
+
+
 def g1_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
     point (4-NAF) or its cached :func:`g1_table` (7-NAF). Every term is
     split by phi."""
     return _jacobian_multi_exp(pairs, _jac1_double, _jac1_madd, g1_neg, _jac1_to_affine,
-                               _glv_split, _glv_endo)
+                               _glv_terms, _glv_endo)
 
 
 def g1_table(pt):
@@ -528,9 +537,11 @@ class Table(NamedTuple):
     """The cached width-7 table of one G1 or G2 point x, which
     :func:`g1_multi_exp` and :func:`g2_multi_exp` take in place of x: its
     affine odd multiples [x, x^3, ..., x^63], and their images under the
-    group's endomorphism (phi or psi), on which a term's second half runs.
-    The images are None for a G2 point on which psi is not [GLS_LAMBDA]:
-    its terms stay unsplit."""
+    group's endomorphism (phi or psi), on which a term's second part runs.
+    A G2 term's third and fourth parts read -psi^2 of the multiples and of
+    the images, mapped per used digit, so no other set is kept. The images
+    are None for a G2 point on which psi is not [GLS_LAMBDA]: its terms stay
+    unsplit."""
 
     multiples: tuple
     images: tuple | None
@@ -563,18 +574,18 @@ def _jacobian_multi_exp(pairs, double, madd, neg, to_affine, split, endo=None):
     Miyaji and Ono, ASIACRYPT 1998), and one more inversion converts the
     result.
 
-    A term whose table has images E(x) = [lambda]x runs as k0*x + k1*E(x),
-    with (k0, k1) = ``split(k)`` and k = k0 + k1*lambda. A cached table
-    brings its images; a per-call point gets them from ``endo``, and stays
-    unsplit where ``endo`` is None."""
+    A term whose table has images E(x) = [lambda]x runs as the parts
+    ``split(table, images, k)``, pairs (table view, k_i) on views of the
+    table and its images whose results sum to k*x. A cached table brings its
+    images; a per-call point gets them from ``endo``, and stays unsplit
+    where ``endo`` is None."""
     terms, points, ks = [], [], []
 
     def add_term(table, images, width, k):
         if images is None:
             terms.append((table, width, k))
         else:
-            k0, k1 = split(k)
-            terms.extend(((table, width, k0), (images, width, k1)))
+            terms.extend((view, width, part) for view, part in split(table, images, k))
 
     for x, k in pairs:
         k %= ORDER
@@ -591,31 +602,76 @@ def _jacobian_multi_exp(pairs, double, madd, neg, to_affine, split, endo=None):
     return None if acc is None else to_affine([acc])[0]
 
 
+# Short vectors b with sum_i b_i GLS_LAMBDA^i = 0 (mod ORDER), of 63 and 64
+# bits, and determinant -ORDER: LLL on (r,0,0,0), (-lambda,1,0,0),
+# (-lambda^2,0,1,0), (-lambda^3,0,0,1), in closed form in u (Galbraith and
+# Scott, "Exponentiation in pairing-friendly groups using homomorphisms",
+# Pairing 2008). _GLS_ROUND is the first row of the basis's adjugate,
+# negated, so (k, 0, 0, 0) = sum_j (k * _GLS_ROUND[j] / ORDER) GLS_BASIS[j].
+GLS_BASIS = ((2 * T_PARAM + 1, 0, 2 * T_PARAM, 1),
+             (2 * T_PARAM, T_PARAM + 1, -T_PARAM, T_PARAM),
+             (T_PARAM + 1, T_PARAM, T_PARAM, -2 * T_PARAM),
+             (2 * T_PARAM + 1, -T_PARAM, -T_PARAM - 1, -T_PARAM))
+_GLS_ROUND = (2 * T_PARAM * (3 * T_PARAM ** 2 + 3 * T_PARAM + 1),
+              T_PARAM * (6 * T_PARAM ** 2 - 1),
+              2 * T_PARAM + 1,
+              T_PARAM * (6 * T_PARAM ** 2 + 6 * T_PARAM + 1))
+
+
 def _gls_split(k):
-    """(k0, k1) with k = k0 + k1*GLS_LAMBDA as integers, 0 <= k0 < GLS_LAMBDA:
-    both halves have at most 127 bits for k below ORDER."""
-    k1, k0 = divmod(k, GLS_LAMBDA)
-    return k0, k1
+    """(k0, k1, k2, k3) with k = sum_i k_i GLS_LAMBDA^i (mod ORDER): (k, 0,
+    0, 0) less the lattice point of GLS_BASIS that Babai's rounding finds.
+    Each part is at most half the sum of its column of GLS_BASIS in absolute
+    value, below 2^64, and may be negative."""
+    c = [(k * a + (ORDER >> 1)) // ORDER for a in _GLS_ROUND]
+    return tuple((k if i == 0 else 0) - sum(cj * v[i] for cj, v in zip(c, GLS_BASIS))
+                 for i in range(4))
+
+
+class _NegFrobeniusSq:
+    """-psi^2 of a G2 table's entries, each mapped when a digit reads it:
+    psi^2 costs two Fp products, so mapping per used digit beats keeping
+    or building a third and fourth image set."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, i):
+        return _neg_frobenius_sq(self.table[i])
+
+
+def _gls_terms(table, images, k):
+    """The four GLS terms of k*x: k0 on x's table, k1 on its psi images, and
+    -k2 and -k3 on -psi^2 of both. psi^3 = psi^2 o psi so needs no image
+    set of its own, and as -psi^2(x, y) = (c*x, y), an entry costs two Fp
+    products and no negation beyond that of a negative digit."""
+    k0, k1, k2, k3 = _gls_split(k)
+    return ((table, k0), (images, k1),
+            (_NegFrobeniusSq(table), -k2), (_NegFrobeniusSq(images), -k3))
 
 
 def g2_multi_exp(pairs):
     """prod pt_i^{k_i} with one shared doubling chain; pt_i is an affine
-    point (4-NAF, unsplit) or its cached :func:`g2_table` (7-NAF, split by
-    psi where the table has images)."""
+    point (4-NAF, unsplit) or its cached :func:`g2_table` (7-NAF, split four
+    ways by psi where the table has images)."""
     return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine,
-                               _gls_split)
+                               _gls_terms)
 
 
 def g2_table(pt):
     """The cached width-7 :class:`Table` of a G2 point, None for the identity.
 
     It gets psi of each multiple as its images only if psi(pt) ==
-    [GLS_LAMBDA]pt, computed here on the unsplit multiples. Then every split
-    k0*pt + k1*psi(pt) is (k0 + k1*GLS_LAMBDA)*pt exactly, so a tabled
-    result equals the exact one on any twist point. A point that fails,
-    which lies outside G2, keeps unsplit terms. A split multiplication
-    cannot make this test: through it, [GLS_LAMBDA]pt is psi(pt) by
-    construction."""
+    [GLS_LAMBDA]pt, computed here on the unsplit multiples. Such a point
+    has order r: psi^2 - [t]psi + [p] = 0 on the whole twist, with the trace
+    t = GLS_LAMBDA + 1, so [lambda^2 - t*lambda + p]pt = [p - lambda]pt =
+    [r]pt = O. Then psi^i(pt) = [lambda^i]pt, and every split sum_i
+    k_i*psi^i(pt) with sum_i k_i*lambda^i = k (mod r) is k*pt exactly. A
+    point that fails, which lies outside G2, keeps unsplit terms. A split
+    multiplication cannot make this test: through it, [GLS_LAMBDA]pt is
+    psi(pt) by construction."""
     if pt is None:
         return None
     multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd,
@@ -639,8 +695,9 @@ def g2_in_subgroup(pt):
 # Frobenius on twist coordinates: untwist, apply x -> x^p, re-twist.
 _TWIST_FROB_X = fq2_pow(XI, (P - 1) // 3)
 _TWIST_FROB_Y = fq2_pow(XI, (P - 1) // 2)
-_TWIST_FROB2_X = fq2_pow(XI, (P * P - 1) // 3)
-_TWIST_FROB2_Y = fq2_pow(XI, (P * P - 1) // 2)
+# For p^2 both factors lie in Fp: XI^((p^2 - 1)/2) = -1, so psi^2 is
+# (x, y) -> (_FROB2_X * x, -y).
+_FROB2_X = fq2_pow(XI, (P * P - 1) // 3)[0]
 
 
 def g2_frobenius(pt):
@@ -648,9 +705,14 @@ def g2_frobenius(pt):
     return (fq2_mul(fq2_conj(x), _TWIST_FROB_X), fq2_mul(fq2_conj(y), _TWIST_FROB_Y))
 
 
+def _neg_frobenius_sq(pt):
+    """-psi^2(x, y) = (_FROB2_X * x, y)."""
+    (x0, x1), y = pt
+    return ((_FROB2_X * x0 % P, _FROB2_X * x1 % P), y)
+
+
 def g2_frobenius_sq(pt):
-    x, y = pt
-    return (fq2_mul(x, _TWIST_FROB2_X), fq2_mul(y, _TWIST_FROB2_Y))
+    return g2_neg(_neg_frobenius_sq(pt))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +811,7 @@ def _steps(qs, rs):
         if digit:
             yield False, qs if digit > 0 else negs
     yield False, [g2_frobenius(q) for q in qs]
-    yield False, [g2_neg(g2_frobenius_sq(q)) for q in qs]
+    yield False, [_neg_frobenius_sq(q) for q in qs]
 
 
 _SQUARES = tuple(square for square, _ in _steps([], []))  # whether each step squares f first

@@ -230,26 +230,26 @@ class Bn254Backend:
 
     @classmethod
     def _sqrt_fq2(cls, a):
+        """A root of a = a0 + a1*u in Fp2, None if a is not a square, in two
+        Fp exponentiations (Adj and Rodriguez-Henriquez, "Square root
+        computation over even extension fields", IEEE Trans. Computers
+        2014). With lam^2 = a0^2 + a1^2 and delta = (a0 + lam)/2, let s =
+        delta^((p+1)/4). If s^2 = delta the root is (s, a1/(2s)); otherwise
+        s^2 = -delta, because delta * (a0 - lam)/2 = -a1^2/4 is a non-square
+        for a1 != 0, and the root is (a1/(2s), s). A real a takes delta = a0
+        and one exponentiation the same way."""
         a0, a1 = a
-        if a1 == 0:
-            r = cls._sqrt_fp(a0)
-            if r is not None:
-                return (r, 0)
-            r = cls._sqrt_fp(-a0 % bn254.P)
-            return None if r is None else (0, r)
-        lam = cls._sqrt_fp((a0 * a0 + a1 * a1) % bn254.P)
-        if lam is None:
-            return None
-        inv2 = (bn254.P + 1) // 2
-        delta = (a0 + lam) * inv2 % bn254.P
-        x0 = cls._sqrt_fp(delta)
-        if x0 is None:
-            delta = (a0 - lam) * inv2 % bn254.P
-            x0 = cls._sqrt_fp(delta)
-            if x0 is None:
+        if a1:
+            norm = (a0 * a0 + a1 * a1) % bn254.P
+            lam = pow(norm, (bn254.P + 1) // 4, bn254.P)
+            if lam * lam % bn254.P != norm:
                 return None
-        x1 = a1 * pow(2 * x0, -1, bn254.P) % bn254.P
-        res = (x0, x1)
+            delta = (a0 + lam) * ((bn254.P + 1) // 2) % bn254.P
+        else:
+            delta = a0
+        s = pow(delta, (bn254.P + 1) // 4, bn254.P)
+        t = a1 * pow(2 * s, -1, bn254.P) % bn254.P if a1 else 0
+        res = (s, t) if s * s % bn254.P == delta else (t, s)
         return res if bn254.fq2_sqr(res) == a else None
 
 

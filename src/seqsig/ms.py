@@ -74,6 +74,12 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     pre-verified batch via ``skip_individual_checks``. A key that the
     ``certified`` predicate refuses, a key of another scheme or a share of
     the wrong width halts the combination either way, before any coin.
+
+    The checks are those of :func:`ms_verify` on each share in turn: each
+    draws its coin t, in order, and the first share that fails its own
+    pairing product against its key's Omega is named. The verifier rows are
+    built once, on the first t, because 3-wide rows do not depend on t
+    (:func:`pks.verifier_rows`).
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
@@ -86,8 +92,11 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     if certified is not None and not all(certified(pk) for pk in keys):
         raise InvalidAggregateError("an input signature's key is uncertified; halting")
     if not skip_individual_checks:
+        m, rows = message_scalar(params, message), None
         for i, (sig, pk) in enumerate(zip(sigs, keys)):
-            if not ms_verify(sig, message, pk, params, rng):
+            t, _, _ = pks.verifier_coins(params.suite, params.variant, rng)
+            rows = rows or _verifier_rows(params, m, t)
+            if not pks.pairing_check(sig, *rows, pk.omega):
                 raise InvalidAggregateError(f"input signature {i} is invalid; halting")
     return MsSignature(tuple(pks.product(col) for col in zip(*(sig.row1 for sig in sigs))),
                        tuple(pks.product(col) for col in zip(*(sig.row2 for sig in sigs))))
@@ -110,9 +119,14 @@ def ms_mult_verify_scalar(msig, m, keys, params, rng, *, certified=None) -> bool
 
 def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
     _check_inputs(msig, keys, params)
-    terms = [(params.u_hat_row, params.h_hat_row, m)]
     omega = pks.product([pk.omega for pk in keys])
-    return pks.verify_rows(msig, params.g_hat_row, None, terms, omega, t)
+    return pks.pairing_check(msig, *_verifier_rows(params, m, t), omega)
+
+
+def _verifier_rows(params, m, t):
+    """(V1', V2') for message scalar m: one (u_hat, h_hat, m) term on the
+    parameters' rows and no randomization row."""
+    return pks.verifier_rows(params.g_hat_row, None, [(params.u_hat_row, params.h_hat_row, m)], t)
 
 
 def _check_inputs(msig, keys, params):

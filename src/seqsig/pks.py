@@ -9,7 +9,7 @@ product against Omega with fresh verifier coins):
   g, u, h (single-user only; no aggregation support).
 
 The row core at the end of this module (``sign_rows``, ``verifier_rows``,
-``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
+``pairing_check``, ``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
 :mod:`seqsig.ms` too, on their shared :class:`Signature` record.
 
 Where the coin t lives: the paper raises the verifier's G2 rows to t,
@@ -492,7 +492,12 @@ def verify_rows(sig, g_hat_row, v_hat_row, terms, omega: GTElem, t: Scalar,
     its right side omega^t); t is nonzero and GT has prime order, so for
     the same coins both give the same verdict, with the same pairings.
     """
-    v1, v2 = verifier_rows(g_hat_row, v_hat_row, terms, t, s1, s2)
+    return pairing_check(sig, *verifier_rows(g_hat_row, v_hat_row, terms, t, s1, s2), omega)
+
+
+def pairing_check(sig, v1, v2, omega: GTElem) -> bool:
+    """e(row1, V1') * e(row2, V2')^-1 == omega, on the rows (V1', V2') of
+    :func:`verifier_rows`."""
     return pairing_product(zip(sig.row1, v1), zip(sig.row2, v2)) == omega
 
 

@@ -459,6 +459,23 @@ class TestGroups:
                 assert root[0] == 0 != root[1]
             assert b.fq2_sqr(root) == (a0, 0)
 
+    def test_sqrt_fq2_on_both_branches_and_non_squares(self):
+        """The root of x^2 is +-x, whether delta = (a0 + lam)/2 is a square
+        in Fp or not; both cases occur. a is a square in Fp2 exactly when
+        its norm is one in Fp, and otherwise gives None."""
+        sqrt, p = Bn254Backend._sqrt_fq2, b.P
+        draw = random.Random(236)
+        delta_is_square = set()
+        for _ in range(40):
+            x = (draw.randrange(p), draw.randrange(1, p))
+            a = b.fq2_sqr(x)
+            assert sqrt(a) in (x, b.fq2_neg(x))
+            lam = pow(a[0] * a[0] + a[1] * a[1], (p + 1) // 4, p)
+            delta_is_square.add(pow((a[0] + lam) * (p + 1) // 2, (p - 1) // 2, p) == 1)
+            a = (draw.randrange(p), draw.randrange(1, p))
+            assert (sqrt(a) is None) == (pow(a[0] ** 2 + a[1] ** 2, (p - 1) // 2, p) != 1)
+        assert delta_is_square == {True, False}
+
     def test_g2_mul_matches_naive(self):
         for _ in range(5):
             k = rng.randrange(b.ORDER)
@@ -612,17 +629,26 @@ class TestGroups:
         assert b.g1_add(p5, p7) == b.g1_mul(b.G1_GEN, 12)
 
 
+def determinant(rows):
+    """The determinant of a square integer matrix, by Laplace expansion
+    along its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)))
+
+
 def split_edge_scalars():
     """Scalars at the edges of both splits: 0, 1 and ORDER - 1; lambda,
     2 lambda, lambda +- 1 and ORDER - lambda for the GLV and the GLS lambda;
     and the scalars on either side of each step of _glv_split's rounded
-    coefficients round(b2 k / r) and round(-b1 k / r), where a half is
-    largest."""
+    coefficients round(b2 k / r) and round(-b1 k / r), and of _gls_split's
+    four round(m k / r) for m in _GLS_ROUND, where a part is largest."""
     ks = [0, 1, b.ORDER - 1]
     for lam in (b.GLV_LAMBDA, b.GLS_LAMBDA):
         ks += [lam, 2 * lam, lam - 1, lam + 1, b.ORDER - lam]
     (_, b1), (_, b2) = b.GLV_BASIS
-    for m in (abs(b2), abs(b1)):
+    for m in (abs(b2), abs(b1), *b._GLS_ROUND):
         for c in (1, 2, m // 2, m - 1):
             k = -(((b.ORDER >> 1) - c * b.ORDER) // m)  # the least k with m k + r // 2 >= c r
             ks += [k - 1, k, k + 1]
@@ -653,9 +679,46 @@ class TestEndomorphismSplit:
             k0, k1 = b._glv_split(k)
             assert (k0 + k1 * b.GLV_LAMBDA - k) % b.ORDER == 0
             assert abs(k0).bit_length() <= 128 and abs(k1).bit_length() <= 128
-            k0, k1 = b._gls_split(k)
-            assert k0 + k1 * b.GLS_LAMBDA == k  # as integers, not only mod ORDER
-            assert 0 <= k0 < b.GLS_LAMBDA and 0 <= k1 < 1 << 128
+
+    def test_gls_basis_satisfies_its_equations(self):
+        """Each vector of GLS_BASIS lies in the lattice of sum_i b_i lambda^i
+        = 0 (mod r), |det| = r, and _GLS_ROUND times the basis is (r, 0, 0,
+        0), the identity that Babai's rounding in _gls_split rests on. lambda
+        is a root of the 12th cyclotomic polynomial mod r, and with the
+        trace t = lambda + 1, lambda^2 - t lambda + p is r itself."""
+        lam, r = b.GLS_LAMBDA, b.ORDER
+        assert (lam ** 4 - lam ** 2 + 1) % r == 0
+        assert lam * lam - (lam + 1) * lam + b.P == r
+        for v in b.GLS_BASIS:
+            assert sum(c * lam ** i for i, c in enumerate(v)) % r == 0
+        assert abs(determinant(b.GLS_BASIS)) == r
+        assert [sum(a * v[i] for a, v in zip(b._GLS_ROUND, b.GLS_BASIS))
+                for i in range(4)] == [r, 0, 0, 0]
+        assert max(abs(c) for v in b.GLS_BASIS for c in v).bit_length() == 64
+
+    def test_gls_parts_recombine_and_stay_within_64_bits(self):
+        lam = b.GLS_LAMBDA
+        for k in split_edge_scalars() + [rng.randrange(b.ORDER) for _ in range(2000)]:
+            parts = b._gls_split(k)
+            assert len(parts) == 4
+            assert (sum(c * lam ** i for i, c in enumerate(parts)) - k) % b.ORDER == 0
+            assert all(abs(c).bit_length() <= 64 for c in parts)
+
+    def test_frobenius_sq_is_psi_twice(self):
+        """psi^2 = psi o psi on G2 points and on twist points outside G2,
+        where it is (c x, -y) with c in Fp, and psi^2 - [t]psi + [p] = 0 on
+        the whole twist, t = GLS_LAMBDA + 1: so a point with psi(Q) =
+        [lambda]Q has [lambda^2 - t lambda + p]Q = [r]Q = O."""
+        assert b.fq2_pow(b.XI, (b.P ** 2 - 1) // 2) == (b.P - 1, 0)
+        assert b.fq2_pow(b.XI, (b.P ** 2 - 1) // 3) == (b._FROB2_X, 0)
+        t = twist_point_of_order_10069()
+        q = naive_g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
+        for pt in (b.G2_GEN, q, t, b.g2_add(q, t)):
+            psi = b.g2_frobenius(pt)
+            assert b.g2_frobenius_sq(pt) == b.g2_frobenius(psi)
+            assert b.g2_frobenius_sq(psi) == b.g2_frobenius(b.g2_frobenius(psi))
+            kernel = b.g2_add(b.g2_frobenius_sq(pt), naive_g2_ladder(pt, b.P))
+            assert kernel == naive_g2_ladder(psi, b.GLS_LAMBDA + 1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 21])
     @pytest.mark.parametrize("group", ["g1", "g2"])
@@ -943,11 +1006,14 @@ class TestArithmeticCost:
         """The 20-term MSM of ``test_multi_exp_group_law`` with every base a
         cached width-7 table: no table is built, so the doublings, mixed
         additions and batch inversion of the width-4 tables go, and one
-        batch inversion stays. Every term runs as two halves on the table
-        and its images, a chain of 7-NAF digits. G1's 40 GLV halves have 646
-        nonzero digits, the top at 125: 125 doublings and 646 mixed
-        additions. G2's 40 GLS halves, k mod 6u^2 and k div 6u^2, have 656,
-        the top at 127: 127 and 656. Unsplit, the 20 scalars' 7-NAF took
+        batch inversion stays. Every term runs on a chain of 7-NAF digits.
+        In G1 it runs as two GLV halves on the table and its phi images:
+        the 40 halves have 646 nonzero digits, the top at 125, so 125
+        doublings and 646 mixed additions. In G2 it runs as four GLS parts
+        of at most 64 bits, on the table, its psi images and -psi^2 of
+        both, which take no group operation: the 80 parts have 659 digits,
+        the top at 62, so 62 and 659. The two GLS halves, k mod 6u^2 and k
+        div 6u^2, took 127 and 656, and the unsplit 7-NAF of the 20 scalars
         254 doublings and 643 mixed additions in both groups.
 
         Building one table, outside the count, takes 31 doublings, 32 mixed
@@ -962,6 +1028,19 @@ class TestArithmeticCost:
         ks = [draw(b.ORDER) for _ in range(20)]
         ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
         got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(tables, ks)))
-        assert tuple(got.values()) == {"g1": (125, 646, 1), "g2": (127, 656, 1)}[group]
+        assert tuple(got.values()) == {"g1": (125, 646, 1), "g2": (62, 659, 1)}[group]
         build = {"g1": (31, 32, 1), "g2": (158, 49, 2)}[group]
         assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == build
+
+    @pytest.mark.parametrize("n, want", [(1, (62, 33, 1)), (2, (62, 67, 1))])
+    def test_short_g2_multi_exp_with_cached_tables(self, n, want):
+        """The shapes a short verify runs: one and two G2 terms on cached
+        tables, E1 and then E2. Their four GLS parts each, within 64 bits,
+        have 33 and 67 nonzero 7-NAF digits, the top at 62: 62 doublings, a
+        mixed addition per digit, and the one batch inversion of the
+        result. The two GLS halves took 125 doublings for the same 33 and
+        67 mixed additions."""
+        tables = [b.g2_table(b.g2_mul(b.G2_GEN, i + 1)) for i in range(n)]
+        ops = ("_jac2_double", "_jac2_madd", "fq_batch_inv")
+        got = count_calls(ops, b.g2_multi_exp, list(zip(tables, [E1, E2][:n])))
+        assert tuple(got.values()) == want

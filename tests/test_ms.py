@@ -1,5 +1,7 @@
 """Multi-signatures: combining, commutativity, duplicates, flat cost."""
 
+import random
+
 import pytest
 
 from seqsig import keyreg, ms, pks, sas
@@ -89,6 +91,47 @@ class TestCombining:
         bad = ms.ms_sign(params, b"other", keys[1][1], rng)
         with pytest.raises(InvalidAggregateError):
             ms.ms_combine([good, bad], MSG, [keys[0][0], keys[1][0]], params, rng)
+
+    @pytest.mark.parametrize("suite", ["mock", "real"])
+    @pytest.mark.parametrize("bad", [None, 0, 1, 2, 3])
+    def test_share_checks_match_a_loop_of_ms_verify(self, request, rng, suite, bad):
+        """Four shares, all valid or one signed on another message: the
+        combine draws the coins, names the share and leaves the rng where a
+        loop of ms_verify over the shares does."""
+        params = ms.ms_setup(request.getfixturevalue(f"{suite}_suite"), rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(4)]
+        sigs = [ms.ms_sign(params, b"other" if i == bad else MSG, sk, rng)
+                for i, (_, sk) in enumerate(keys)]
+        pks_ = [pk for pk, _ in keys]
+        loop = random.Random()
+        loop.setstate(rng.getstate())
+        first_bad = next((i for i, (sig, pk) in enumerate(zip(sigs, pks_))
+                          if not ms.ms_verify(sig, MSG, pk, params, loop)), None)
+        assert first_bad == bad
+        if bad is None:
+            msig = ms.ms_combine(sigs, MSG, pks_, params, rng)
+            assert ms.ms_mult_verify(msig, MSG, pks_, params, random.Random(1))
+        else:
+            with pytest.raises(InvalidAggregateError, match=f"input signature {bad} is invalid"):
+                ms.ms_combine(sigs, MSG, pks_, params, rng)
+        assert rng.getstate() == loop.getstate()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_share_checks_build_the_rows_once(self, mock_suite, rng, n):
+        """The n share checks of a combine make 3 G2 MSM terms, one per slot
+        of V2', where a loop of ms_verify makes 3n; each share still costs
+        its own 6 pairings."""
+        params = ms.ms_setup(mock_suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(n)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        pks_ = [pk for pk, _ in keys]
+        for call, terms in ((lambda: ms.ms_combine(sigs, MSG, pks_, params, rng), 3),
+                            (lambda: [ms.ms_verify(sig, MSG, pk, params, rng)
+                                      for sig, pk in zip(sigs, pks_)], 3 * n)):
+            before = mock_suite.counts.copy()
+            call()
+            grown = mock_suite.counts - before
+            assert (grown["msm.g2"], grown["pairings"]) == (terms, 6 * n)
 
     def test_unequal_lists_halt_combining(self, setup3, rng):
         params, keys = setup3
