@@ -237,7 +237,8 @@ class Bn254Backend:
         delta^((p+1)/4). If s^2 = delta the root is (s, a1/(2s)); otherwise
         s^2 = -delta, because delta * (a0 - lam)/2 = -a1^2/4 is a non-square
         for a1 != 0, and the root is (a1/(2s), s). A real a takes delta = a0
-        and one exponentiation the same way."""
+        and one exponentiation the same way. An a whose norm is not a square
+        in Fp is not a square in Fp2, and ends after the first."""
         a0, a1 = a
         if a1:
             norm = (a0 * a0 + a1 * a1) % bn254.P

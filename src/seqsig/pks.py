@@ -9,8 +9,9 @@ product against Omega with fresh verifier coins):
   g, u, h (single-user only; no aggregation support).
 
 The row core at the end of this module (``sign_rows``, ``verifier_rows``,
-``pairing_check``, ``verify_rows``) signs and verifies for :mod:`seqsig.sas` and
-:mod:`seqsig.ms` too, on their shared :class:`Signature` record.
+``pairing_check``, ``verify_rows``) signs and verifies for
+:mod:`seqsig.sas` and :mod:`seqsig.ms` too, on their shared
+:class:`Signature` record.
 
 Where the coin t lives: the paper raises the verifier's G2 rows to t,
 V = (V')^t, and checks e(row1, V1) * e(row2, V2)^-1 == Omega^t. The left
