@@ -23,10 +23,11 @@ much, and whether it left the library or only moved into the tests.
 ``env.src_module_lines`` holds each side's ``wc -l`` of every
 ``src/seqsig/*.py`` by file name, which shows which module changed size.
 
-Per workload, ``kinds`` holds the same comparison for each ``verify.*`` and
-``op.*`` kind of sample, on each run's median ``relative`` time (reference
-units). It is read from ``perfbench/out/result-W-seedS-trace0.json``, which
-each run leaves in its checkout, and shows which kind of verify moved.
+Per workload, ``kinds`` holds the same comparison for each kind of sample
+(``verify.*``, ``op.*``, ``sign``, ``combine``, ``load``, ...), on each
+run's median ``relative`` time (reference units). It is read from
+``perfbench/out/result-W-seedS-trace0.json``, which each run leaves in its
+checkout, and shows which kind of call moved.
 
 The exit status is 1, after the file is written, when any run reports
 ``correct: false`` or a failed op; the message names each such run's
@@ -63,15 +64,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: 
 
 
 def kind_medians(checkout: Path, workload: str, seed: int) -> dict:
-    """The median ``relative`` time of each ``verify.*`` and ``op.*`` kind in
-    the result file of a run in ``checkout``; empty when there is none."""
+    """The median ``relative`` time of each kind of sample in the result
+    file of a run in ``checkout``; empty when there is none."""
     path = checkout / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     try:
         relative = json.loads(path.read_text())["relative"]
     except (OSError, ValueError, KeyError):
         return {}
-    return {kind: round(statistics.median(xs), 4) for kind, xs in relative.items()
-            if kind.startswith(("verify.", "op.")) and xs}
+    return {kind: round(statistics.median(xs), 4) for kind, xs in relative.items() if xs}
 
 
 def compare_kinds(sides) -> dict:

@@ -37,8 +37,13 @@ each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
 Gebotys and Lopez, EUROCRYPT 2011). An Fp12 value, and so every G_T
 element, is one flat tuple of twelve ints in the order of its encoding.
 The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps on the
-lines of its G2 points, built first, all together; a point that the caller
-pairs again and again comes as its cached :class:`Lines` (:func:`g2_lines`).
+lines of its G2 points. A point may come as its :class:`Lines`, which the
+caller built for all the points of a product together (:func:`g2_lines`)
+and keeps for the next product; the loop builds the lines of the others
+first, in one such walk. Each line is multiplied in divided by its pair's
+yP, so its constant term is 1 and :func:`_mul_line` takes no Fp factor;
+one inversion per product serves every yP, and the final exponentiation
+removes the factor.
 """
 
 from __future__ import annotations
@@ -721,14 +726,17 @@ def g2_frobenius_sq(pt):
 #   yP - lam*xP*w + (lam*xR' - yR')*w^3
 # i.e. a sparse Fp12 element with coefficients at w^0 (Fp), w^1, w^3 (Fp2).
 # A line is kept as the four ints (l0, l1, c0, c1) of lam = l0 + l1*u and
-# c = lam*xR' - yR', which do not depend on P.
+# c = lam*xR' - yR', which do not depend on P. The Miller loop multiplies it
+# in divided by yP, as 1 - (xP/yP)*lam*w + (c/yP)*w^3: yP is a nonzero Fp
+# factor (E(Fp) has odd order, so no point of it has y = 0), and the easy
+# part of the final exponentiation sends every nonzero Fp element to 1.
 
 
-def _mul_line(f, a, b, c):
-    """f * (a + b*w + c*w^3) with a in Fp: in the tower the line is
-    (a, 0, 0) + (b + c*v)*w, so for f = F + G*w the product is
-    (a*F + v*G*(b + c*v)) + (F*(b + c*v) + a*G)*w. Both sparse Fp6 products
-    are written out on the integer components, one reduction per output
+def _mul_line(f, b, c):
+    """f * (1 + b*w + c*w^3), a normalized line: in the tower the line is
+    1 + (b + c*v)*w, so for f = F + G*w the product is
+    (F + v*G*(b + c*v)) + (F*(b + c*v) + G)*w. Both sparse Fp6 products are
+    written out on the integer components, one reduction per output
     coefficient."""
     f0, f1, f2, f3, f4, f5, g0, g1, g2, g3, g4, g5 = f
     b0, b1 = b
@@ -747,10 +755,10 @@ def _mul_line(f, a, b, c):
     h1i = g0 * c1 + g1 * c0 + g2 * b1 + g3 * b0
     h2r = g2 * c0 - g3 * c1 + g4 * b0 - g5 * b1
     h2i = g2 * c1 + g3 * c0 + g4 * b1 + g5 * b0
-    return ((a * f0 + 9 * h2r - h2i) % P, (a * f1 + h2r + 9 * h2i) % P,
-            (a * f2 + h0r) % P, (a * f3 + h0i) % P, (a * f4 + h1r) % P, (a * f5 + h1i) % P,
-            (e0r + a * g0) % P, (e0i + a * g1) % P, (e1r + a * g2) % P, (e1i + a * g3) % P,
-            (e2r + a * g4) % P, (e2i + a * g5) % P)
+    return ((f0 + 9 * h2r - h2i) % P, (f1 + h2r + 9 * h2i) % P,
+            (f2 + h0r) % P, (f3 + h0i) % P, (f4 + h1r) % P, (f5 + h1i) % P,
+            (e0r + g0) % P, (e0i + g1) % P, (e1r + g2) % P, (e1i + g3) % P,
+            (e2r + g4) % P, (e2i + g5) % P)
 
 
 def _step_lines(rs, addends):
@@ -821,40 +829,48 @@ class Lines(tuple):
     """The lines of the Miller loop's 88 steps for one G2 point Q, which
     :func:`miller_loop_product` takes in place of Q: a step then costs one
     :func:`_mul_line` and no slope (Costello and Stebila, "Fixed argument
-    pairings", LATINCRYPT 2010)."""
+    pairings", LATINCRYPT 2010). ``groups`` builds them on a G2 element's
+    first pairing, for all the points of that product together
+    (:func:`g2_lines`), and keeps them on the element."""
 
     __slots__ = ()
 
 
 def _lines(qs):
-    """The 88 lines of each G2 point of qs, one fq_batch_inv per step for all."""
+    """The 88 lines of each G2 point of qs, one fq_batch_inv per step for all;
+    no walk at all for no points."""
     rs = list(qs)
-    return list(zip(*[_step_lines(rs, addends) for _, addends in _steps(qs, rs)]))
+    return list(zip(*[_step_lines(rs, addends) for _, addends in _steps(qs, rs)])) if qs else []
 
 
-def g2_lines(pt):
-    """The :class:`Lines` of a G2 point, None for the identity."""
-    return None if pt is None else Lines(_lines([pt])[0])
+def g2_lines(pts):
+    """The :class:`Lines` of each G2 point of pts, none the identity, all
+    built in one walk of the steps (:func:`_lines`)."""
+    return [Lines(lines) for lines in _lines(pts)]
 
 
 def miller_loop_product(pairs):
     """Product of Miller loops over [(g1_affine, g2), ...], where g2 is an
-    affine point or its :class:`Lines`. The points' lines are built first, all
-    together (:func:`_lines`); one walk of the steps then multiplies every
-    pair's line into f. Pairs with an identity on either side are skipped.
-    The caller applies final_exponentiation."""
+    affine point or its :class:`Lines`. The lines of the points among them
+    are built first, all together (:func:`_lines`), and not at all when
+    every pair comes lined. One fq_batch_inv then inverts every pair's yP,
+    and one walk of the steps multiplies each pair's line into f divided by
+    yP, as the normalized line of :func:`_mul_line`. Pairs with an identity
+    on either side are skipped. The caller applies final_exponentiation,
+    which the normalization needs."""
     live = [(p, q) for p, q in pairs if p is not None and q is not None]
     if not live:
         return FQ12_ONE
     built = iter(_lines([q for _, q in live if type(q) is not Lines]))
-    live = [(p, q if type(q) is Lines else next(built)) for p, q in live]
+    scaled = [(-xp * k % P, k, q if type(q) is Lines else next(built))
+              for ((xp, _), q), k in zip(live, fq_batch_inv([p[1] for p, _ in live]))]
     f = FQ12_ONE
     for i, square in enumerate(_SQUARES):
         f = fq12_sqr(f) if square else f
-        for (xp, yp), lines in live:
+        for x, k, lines in scaled:
             if lines[i] is not None:
                 l0, l1, c0, c1 = lines[i]
-                f = _mul_line(f, yp, (-xp * l0 % P, -xp * l1 % P), (c0, c1))
+                f = _mul_line(f, (x * l0 % P, x * l1 % P), (c0 * k % P, c1 * k % P))
     return f
 
 

@@ -66,8 +66,8 @@ class MockDlogBackend:
     def table(self, kind, h):
         return h  # an exponent needs no table
 
-    def lines(self, h):
-        return h  # nor lines
+    def lines(self, hs):
+        return list(hs)  # nor lines
 
     def pair_product_raw(self, num, den):
         acc = 0
@@ -140,9 +140,10 @@ class Bn254Backend:
         """A handle's cached table, which ``multi_exp`` takes in place of it."""
         return bn254.g1_table(h) if kind == "g1" else bn254.g2_table(h)
 
-    def lines(self, h):
-        """A G2 handle's cached lines, which ``pair_product_raw`` takes in place of it."""
-        return bn254.g2_lines(h)
+    def lines(self, hs):
+        """The lines of each G2 handle of hs, none the identity, built
+        together; ``pair_product_raw`` takes them in place of the handles."""
+        return bn254.g2_lines(hs)
 
     def pair_product_raw(self, num, den):
         pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
@@ -257,16 +258,16 @@ class Bn254Backend:
 _UNUSED, _USED_ONCE, _USED_TWICE = _PENDING = object(), object(), object()  # before a cache
 
 
-def _third_use(elem, slot, build, counter):
-    """The cache in ``elem``'s ``slot``, None before the element's third use
-    of it; on that use ``build(elem.h)`` makes it, counted under ``counter``."""
-    state = getattr(elem, slot)
+def _third_use(elem):
+    """``elem``'s table, None before the element's third use of it; on that
+    use the backend builds it, counted under ``tables_built``."""
+    state = elem._table
     if state is _USED_TWICE:
-        state = build(elem.h)
-        elem.suite._count({counter: 1})
+        state = elem.suite.backend.table(elem.kind, elem.h)
+        elem.suite._count({"tables_built": 1})
     elif state is _UNUSED or state is _USED_ONCE:
         state = _USED_ONCE if state is _UNUSED else _USED_TWICE
-    setattr(elem, slot, state)
+    elem._table = state
     return None if state in _PENDING else state
 
 
@@ -274,11 +275,14 @@ class _Elem:
     """Immutable group element bound to its suite; multiplicative notation.
 
     ``_table`` holds the backend's table of ``h`` for :func:`multi_exp` and
-    ``**``, and ``_lines`` a G2 element's lines for :func:`pairing_product`,
-    each built on the third use in that function: an element that a key or
-    parameter set holds pays for it once, while a fresh one, the identity
-    and the bases of one signature (two uses each) never do. Two threads
-    racing on one element can both build it; either one is correct."""
+    ``**``, built on the third use in that function: an element that a key
+    or parameter set holds pays for it once, while a fresh one, the identity
+    and the bases of one signature (two uses each) never do. ``_lines``
+    holds a G2 element's lines for :func:`pairing_product`, None until its
+    first product builds them; the Miller loop would build them there
+    anyway, so keeping them costs no work, and later products reuse them.
+    Two threads racing on one element can both build a cache; either one is
+    correct."""
 
     __slots__ = ("suite", "h", "_table", "_lines")
     kind = None
@@ -286,7 +290,8 @@ class _Elem:
     def __init__(self, suite, h):
         self.suite = suite
         self.h = h
-        self._table = self._lines = _UNUSED
+        self._table = _UNUSED
+        self._lines = None
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -345,9 +350,10 @@ class GroupSuite:
     """Type-3 pairing context, immutable apart from ``counts``: single
     exponentiations (``g1``, ``g2``, ``gt``), :func:`multi_exp` terms past
     the identity skip (``msm.g1``, ``msm.g2``), the tables built and terms
-    served from one (``tables_built``, ``table_terms``), pairings
-    (``pairings``) and the lines built and pairs served from them
-    (``lines_built``, ``line_pairs``). A key is present once positive."""
+    served from one (``tables_built``, ``table_terms``) and pairings
+    (``pairings``). Lines are not counted: every pair that the Miller loop
+    does not skip runs on lines, so ``pairings`` already shows them. A key
+    is present once positive."""
 
     backend: object
     g: G1Elem = field(init=False)
@@ -405,8 +411,11 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
     """Evaluate prod e(a_i, b_i) * prod e(c_j, d_j)^-1 as one fused product.
 
     Counts one pairing per pair on both sides, matching the logical cost.
-    From a G2 element's third call on, its cached lines stand in for it,
-    and an identity is never lined (see :class:`_Elem`).
+    Before the Miller loop, every G2 element without lines gets them, all
+    in one backend call, which shares each step's inversion across the
+    points, and keeps them for later products (see :class:`_Elem`). The
+    identity, and an element paired only with the G1 identity, is never
+    lined: the loop skips such pairs.
     """
     sides = [list(numerator_pairs), list(denominator_pairs)]
     pairs = sides[0] + sides[1]
@@ -418,15 +427,14 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
             raise TypeError("pairing_product expects (G1Elem, G2Elem) pairs")
         if a.suite is not suite or b.suite is not suite:
             raise CrossSuiteError("pairing_product arguments belong to different suites")
-    one, served = suite.backend.identity("g2"), 0
-    for side in sides:
-        for i, (a, b) in enumerate(side):
-            lines = None if b.h == one else _third_use(b, "_lines", suite.backend.lines,
-                                                       "lines_built")
-            served += lines is not None
-            side[i] = (a.h, b.h if lines is None else lines)
-    suite._count({"pairings": len(pairs), "line_pairs": served})
-    return GTElem(suite, suite.backend.pair_product_raw(*sides))
+    unlined = list({id(b): b for a, b in pairs
+                    if b._lines is None and not a.is_identity() and not b.is_identity()}.values())
+    if unlined:
+        for b, lines in zip(unlined, suite.backend.lines([b.h for b in unlined])):
+            b._lines = lines
+    suite._count({"pairings": len(pairs)})
+    return GTElem(suite, suite.backend.pair_product_raw(
+        *([(a.h, b.h if b._lines is None else b._lines) for a, b in side] for side in sides)))
 
 
 def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: str = "full") -> Scalar:
@@ -458,7 +466,6 @@ def multi_exp(items) -> "_Elem":
     if kind == "gt":
         raise TypeError("multi_exp takes G1 or G2 elements, not GT")
     one, order = suite.backend.identity(kind), suite.order
-    build = functools.partial(suite.backend.table, kind)
     pairs, served = [], 0
     for elem, k in items:
         if elem.suite is not suite:
@@ -467,7 +474,7 @@ def multi_exp(items) -> "_Elem":
             raise TypeError("multi_exp arguments must share one group")
         if elem.h == one:
             continue
-        table = _third_use(elem, "_table", build, "tables_built")
+        table = _third_use(elem)
         served += table is not None
         pairs.append((elem.h if table is None else table, k % order))
     suite._count({f"msm.{kind}": len(pairs), "table_terms": served})

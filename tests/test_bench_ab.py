@@ -48,9 +48,9 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
         for key in ("parent_median", "change_median", "parent_iqr", "change_iqr",
                     "relative_change", "parent_spread"):
             assert isinstance(m[key], float)
-    # each verify and op kind of verify-short, read from the runs' result files
+    # each kind of sample of verify-short, read from the runs' result files
     assert set(run["kinds"]) == {"verify.pks1", "verify.pks2", "verify.sas1", "verify.ms",
-                                 "op.round"}
+                                 "op.round", "combine", "sign"}
     for m in run["kinds"].values():
         assert len(m["parent"]) == len(m["change"]) == 2 and m["bound"] is None
         assert all(isinstance(x, float) and x > 0 for x in m["parent"] + m["change"])
@@ -97,6 +97,6 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     assert record["workloads"]["cold-files"]["attempted"] == {"parent": [10, 20],
                                                               "change": [10, 20]}
     kinds = record["workloads"]["cold-files"]["kinds"]  # per run, the median of each kind
-    assert set(kinds) == {"verify.x", "op.y"}
+    assert set(kinds) == {"verify.x", "op.y", "sign"}
     assert kinds["verify.x"]["parent"] == kinds["verify.x"]["change"] == [3.0, 3.0]
     assert kinds["op.y"]["change"] == [2.0, 4.0] and kinds["op.y"]["bound"] is None

@@ -366,8 +366,8 @@ class TestFieldTower:
             assert reduced_fq6_mul(fx[:6], fy[6:]) == flat6(oracle_fq6_mul(x[0], y[1]))
             assert b.fq12_mul(fx, fy) == flat(oracle_fq12_mul(x, y))
             assert b.fq12_sqr(fx) == flat(oracle_fq12_sqr(x))
-            a, c1, c3 = rng.randrange(b.P), y[0][0], y[0][1]
-            assert b._mul_line(fx, a, c1, c3) == flat(oracle_mul_line(x, a, c1, c3))
+            c1, c3 = y[0][0], y[0][1]
+            assert b._mul_line(fx, c1, c3) == flat(oracle_mul_line(x, 1, c1, c3))
             assert b.fq12_cyc_sqr(fx) == flat(oracle_fq12_cyc_sqr(x))
 
     @pytest.mark.parametrize("y", EXTREME_FQ12.values(), ids=EXTREME_FQ12.keys())
@@ -380,8 +380,8 @@ class TestFieldTower:
         assert b.fq12_mul(fx, fy) == flat(oracle_fq12_mul(x, y))
         assert b.fq12_sqr(fx) == flat(oracle_fq12_sqr(x))
         assert b.fq12_cyc_sqr(fx) == flat(oracle_fq12_cyc_sqr(x))
-        (a, _), c1, c3 = y[0]
-        assert b._mul_line(fx, a, c1, c3) == flat(oracle_mul_line(x, a, c1, c3))
+        _, c1, c3 = y[0]
+        assert b._mul_line(fx, c1, c3) == flat(oracle_mul_line(x, 1, c1, c3))
 
     def test_inverse_conjugate_and_frobenius_match_tuple_oracles(self):
         for _ in range(20):
@@ -834,10 +834,11 @@ class TestPairing:
 
     def test_g2_lines_hold_one_line_per_step(self):
         steps = (len(b.ATE_NAF) - 1) + (sum(d != 0 for d in b.ATE_NAF) - 1) + 2
-        lines = b.g2_lines(b.g2_mul(b.G2_GEN, 99))
+        lines, again = b.g2_lines([b.g2_mul(b.G2_GEN, 99), b.g2_mul(b.G2_GEN, 5)])
         assert type(lines) is b.Lines and len(lines) == steps == 88
         assert all(len(line) == 4 for line in lines)
-        assert b.g2_lines(None) is None
+        assert again == b.g2_lines([b.g2_mul(b.G2_GEN, 5)])[0]  # built together or alone
+        assert b.g2_lines([]) == []
 
     @pytest.mark.parametrize("n", [1, 2, 6, 8])
     def test_lines_match_the_generic_loop_and_naive(self, n):
@@ -848,7 +849,7 @@ class TestPairing:
         draw = random.Random(n)
         pairs = [(b.g1_mul(b.G1_GEN, draw.randrange(1, b.ORDER)),
                   b.g2_mul(b.G2_GEN, draw.randrange(1, b.ORDER))) for _ in range(n)]
-        lines = [b.g2_lines(q) for _, q in pairs]
+        lines = b.g2_lines([q for _, q in pairs])
         want = b.final_exponentiation(b.miller_loop_product(pairs))
         assert want == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
         if n <= 2:
@@ -865,7 +866,7 @@ class TestPairing:
         both on its lines and fresh in one product."""
         p, q = b.g1_mul(b.G1_GEN, 31337), b.g2_mul(b.G2_GEN, 4242)
         p2 = b.g1_mul(b.G1_GEN, 77)
-        lines = b.g2_lines(q)
+        lines, = b.g2_lines([q])
         fe = b.final_exponentiation
         assert fe(b.miller_loop_product([(p, q), (b.g1_neg(p), lines)])) == b.FQ12_ONE
         assert fe(b.miller_loop_product([(b.g1_neg(p), lines)])) == b.fq12_conj(b.pairing(p, q))
@@ -939,24 +940,38 @@ class TestArithmeticCost:
         """The NAF of the ate loop 6u + 2 has 66 digits, 22 of them nonzero:
         65 doubling steps, each after one fq12_sqr, 21 addition steps and 2
         Frobenius steps, 88 steps in all, where the 65 binary digits (37
-        ones) took 64 + 36 + 2 = 102. Each step makes one fq_batch_inv and
-        one _mul_line per pair, so _mul_line = pairs x 88 lines. The final
+        ones) took 64 + 36 + 2 = 102. Building the two points' lines makes
+        one fq_batch_inv per step for both, and the loop one more for the
+        pairs' yP, which normalizes every line: 88 + 1. Each step makes one
+        _mul_line per pair, so _mul_line = pairs x 88 lines. The final
         exponentiation makes the fq12_mul and fq12_cyc_sqr calls, and its
         one fq12_inv the fq2_inv."""
         pairs = [(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))]
         got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
         assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
-                       "fq_batch_inv": 88, "fq2_inv": 1}
+                       "fq_batch_inv": 89, "fq2_inv": 1}
 
     def test_two_fixed_pairs(self):
         """The same two pairs on their precomputed lines, built outside the
-        count: the 88 _mul_line calls per pair stay, and no slope is
-        inverted."""
-        pairs = [(b.g1_mul(b.G1_GEN, E1), b.g2_lines(b.G2_GEN)),
-                 (b.G1_GEN, b.g2_lines(b.g2_mul(b.G2_GEN, E2)))]
+        count: the 88 _mul_line calls per pair stay, no slope is inverted,
+        and the one fq_batch_inv left is the pairs' yP: 0 + 1."""
+        pairs = list(zip([b.g1_mul(b.G1_GEN, E1), b.G1_GEN],
+                         b.g2_lines([b.G2_GEN, b.g2_mul(b.G2_GEN, E2)])))
         got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
         assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
-                       "fq_batch_inv": 0, "fq2_inv": 1}
+                       "fq_batch_inv": 1, "fq2_inv": 1}
+
+    def test_six_lined_pairs(self):
+        """A verify's shape: six pairs, every one on lines that an earlier
+        product built. The loop builds none, so its one fq_batch_inv is the
+        six yP; 65 fq12_sqr as for any pair count, and 6 x 88 = 528
+        _mul_line."""
+        g1s = [b.g1_mul(b.G1_GEN, k) for k in (E1, E2, E3, 5, 7, 11)]
+        g2s = b.g2_lines([b.g2_mul(b.G2_GEN, k) for k in (E3, E2, E1, 13, 17, 19)])
+        got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(
+            b.miller_loop_product(list(zip(g1s, g2s)))))
+        assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 528,
+                       "fq_batch_inv": 1, "fq2_inv": 1}
 
     def test_gt_pow(self):
         """E1's 4-NAF has 49 nonzero digits, the top one at position 252.
