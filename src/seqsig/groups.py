@@ -280,7 +280,9 @@ class _Elem:
     and the bases of one signature (two uses each) never do. ``_lines``
     holds a G2 element's lines for :func:`pairing_product`, None until its
     first product builds them; the Miller loop would build them there
-    anyway, so keeping them costs no work, and later products reuse them.
+    anyway, so keeping them costs no extra arithmetic, only the memory of
+    the lines for as long as the element lives, and later products reuse
+    them.
     Two threads racing on one element can both build a cache; either one is
     correct."""
 
