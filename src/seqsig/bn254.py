@@ -44,6 +44,13 @@ first, in one such walk. Each line is multiplied in divided by its pair's
 yP, so its constant term is 1 and :func:`_mul_line` takes no Fp factor;
 one inversion per product serves every yP, and the final exponentiation
 removes the factor.
+
+Membership of the order-r subgroups is tested exactly by
+:func:`g2_has_order_r` and :func:`gt_has_order_r`, each on about one
+127-bit exponentiation or less. :func:`g2_in_subgroup`, which decoding
+calls, is not exact: it multiplies by ORDER through :func:`g2_mul`, which
+reduces the scalar to 0, so every twist point passes and only the twist
+equation is checked.
 """
 
 from __future__ import annotations
@@ -697,6 +704,28 @@ def g2_in_subgroup(pt):
     return g2_is_on_curve(pt) and g2_mul(pt, ORDER) is None
 
 
+def g2_has_order_r(pt):
+    """Whether pt lies in G2, the order-r subgroup of the twist (the
+    identity included), exactly: pt is on the twist and [u+1]pt +
+    psi([u]pt) + psi^2([u]pt) == psi^3([2u]pt) for u = T_PARAM (Dai, Lin,
+    Zhao and Zhou, "Fast subgroup membership testings for G1, G2 and GT on
+    pairing-friendly curves", ePrint 2022/348). On G2, psi is [p] and
+    (u+1) + u*p + u*p^2 - 2u*p^3 = 0 (mod r); the paper shows that no
+    other twist point passes. [u]pt is one 63-bit multiplication of a
+    per-call point, which :func:`g2_multi_exp` never splits, so psi does
+    not stand in for a multiple here."""
+    if pt is None:
+        return True
+    if not g2_is_on_curve(pt):
+        return False
+    upt = g2_mul(pt, T_PARAM)
+    if upt is None:  # then the left side is pt and the right side O
+        return False
+    lhs = g2_add(g2_add(g2_add(upt, pt), g2_frobenius(upt)), g2_frobenius_sq(upt))
+    twice = g2_add(upt, upt)  # never O: the twist's order r(2p - r) is odd
+    return lhs == g2_frobenius(g2_frobenius_sq(twice))
+
+
 # Frobenius on twist coordinates: untwist, apply x -> x^p, re-twist.
 _TWIST_FROB_X = fq2_pow(XI, (P - 1) // 3)
 _TWIST_FROB_Y = fq2_pow(XI, (P - 1) // 2)
@@ -938,23 +967,42 @@ def fq12_cyc_sqr(x):
             (3 * t3r + 2 * z5r) % P, (3 * t3i + 2 * z5i) % P)
 
 
+def gt_multi_exp(pairs):
+    """prod x_i^(k_i mod ORDER) for cyclotomic x_i, one shared chain: the
+    interleaved 4-NAF with cyclotomic squarings and the free conjugation
+    inverse; each table [x, x^3, x^5, x^7] takes one cyclotomic squaring.
+    The product of no terms, or of zero powers only, is one."""
+    terms = []
+    for x, k in pairs:
+        k %= ORDER
+        if k:
+            twice = fq12_cyc_sqr(x)
+            table = [x]
+            for _ in range(3):
+                table.append(fq12_mul(table[-1], twice))
+            terms.append((table, 4, k))
+    acc = _interleaved_wnaf(terms, fq12_cyc_sqr,
+                            lambda acc, y: y if acc is None else fq12_mul(acc, y), fq12_conj)
+    return FQ12_ONE if acc is None else acc
+
+
 def gt_pow(x, e):
-    """Exponentiation in G_T (order-r subgroup)."""
-    return _cyc_pow(x, e)
+    """Exponentiation in G_T (order-r subgroup): the one-term
+    :func:`gt_multi_exp`."""
+    return gt_multi_exp([(x, e)])
 
 
 def _cyc_pow(x, e):
-    """x^(e mod ORDER) for cyclotomic x: the interleaved 4-NAF with
-    cyclotomic squarings and the free conjugation inverse; the table
-    [x, x^3, x^5, x^7] takes one cyclotomic squaring. The final
+    """x^(e mod ORDER) for cyclotomic x, as :func:`gt_pow`. The final
     exponentiation calls it directly with T_PARAM < ORDER, so traced
     ``gt_pow`` calls count G_T work only."""
-    e %= ORDER
-    if not e:
-        return FQ12_ONE
-    twice = fq12_cyc_sqr(x)
-    table = [x]
-    for _ in range(3):
-        table.append(fq12_mul(table[-1], twice))
-    return _interleaved_wnaf([(table, 4, e)], fq12_cyc_sqr,
-                             lambda acc, y: y if acc is None else fq12_mul(acc, y), fq12_conj)
+    return gt_multi_exp([(x, e)])
+
+
+def gt_has_order_r(x):
+    """Whether x lies in G_T, the order-r subgroup of Fp12*, exactly: x is
+    cyclotomic and x^p == x^GLS_LAMBDA. As p - GLS_LAMBDA = r, the second
+    test is x^r == 1. x^p is one Frobenius map, and the 127-bit power is
+    below ORDER, so reducing it changes nothing; the cyclotomic test comes
+    first because the power's squarings are valid only there."""
+    return fq12_is_cyclotomic(x) and fq12_frobenius(x, 1) == _cyc_pow(x, GLS_LAMBDA)

@@ -66,6 +66,9 @@ class MockDlogBackend:
     def table(self, kind, h):
         return h  # an exponent needs no table
 
+    def has_order_r(self, kind, h):
+        return True  # the group has prime order
+
     def lines(self, hs):
         return list(hs)  # nor lines
 
@@ -132,13 +135,19 @@ class Bn254Backend:
         return bn254.fq12_conj(h)  # inverts only cyclotomic elements, as GT's are
 
     def multi_exp(self, kind, pairs):
-        if kind == "g1":
-            return bn254.g1_multi_exp(pairs)
-        return bn254.g2_multi_exp(pairs)
+        return {"g1": bn254.g1_multi_exp, "g2": bn254.g2_multi_exp,
+                "gt": bn254.gt_multi_exp}[kind](pairs)
 
     def table(self, kind, h):
-        """A handle's cached table, which ``multi_exp`` takes in place of it."""
-        return bn254.g1_table(h) if kind == "g1" else bn254.g2_table(h)
+        """A G1 or G2 handle's cached table, which ``multi_exp`` takes in place of it."""
+        return {"g1": bn254.g1_table, "g2": bn254.g2_table}[kind](h)
+
+    def has_order_r(self, kind, h):
+        """Exactly whether h lies in its group's order-r subgroup. E(Fp) has
+        prime order r, so every G1 handle, a point on the curve, does."""
+        if kind == "g1":
+            return True
+        return bn254.g2_has_order_r(h) if kind == "g2" else bn254.gt_has_order_r(h)
 
     def lines(self, hs):
         """The lines of each G2 handle of hs, none the identity, built
@@ -204,6 +213,8 @@ class Bn254Backend:
             if got != parity:
                 y = bn254.fq2_neg(y)
             point = (x, y)
+            # on the twist, not yet order r: g2_in_subgroup accepts every twist
+            # point, so a point outside G2 still decodes (has_order_r is exact)
             if not bn254.g2_in_subgroup(point):
                 raise SubgroupMembershipError("G2 point is outside the prime-order subgroup")
             return point
@@ -212,7 +223,8 @@ class Bn254Backend:
         h = tuple(int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12))
         if any(c >= bn254.P for c in h):
             raise MalformedEncodingError("GT coefficient out of field range")
-        # cyclotomic, not yet order r: a cyclotomic element outside G_T still decodes
+        # cyclotomic, not yet order r: a cyclotomic element outside G_T still
+        # decodes (has_order_r is exact)
         if not bn254.fq12_is_cyclotomic(h):
             raise SubgroupMembershipError("GT element is outside the cyclotomic subgroup")
         return h
@@ -283,10 +295,11 @@ class _Elem:
     anyway, so keeping them costs no extra arithmetic, only the memory of
     the lines for as long as the element lives, and later products reuse
     them.
+    ``_order_r`` memoizes :func:`has_order_r`, None until it is asked.
     Two threads racing on one element can both build a cache; either one is
     correct."""
 
-    __slots__ = ("suite", "h", "_table", "_lines")
+    __slots__ = ("suite", "h", "_table", "_lines", "_order_r")
     kind = None
 
     def __init__(self, suite, h):
@@ -294,6 +307,7 @@ class _Elem:
         self.h = h
         self._table = _UNUSED
         self._lines = None
+        self._order_r = None
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -351,7 +365,7 @@ _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
 class GroupSuite:
     """Type-3 pairing context, immutable apart from ``counts``: single
     exponentiations (``g1``, ``g2``, ``gt``), :func:`multi_exp` terms past
-    the identity skip (``msm.g1``, ``msm.g2``), the tables built and terms
+    the identity skip (``msm.g1``, ``msm.g2``, ``msm.gt``), the tables built and terms
     served from one (``tables_built``, ``table_terms``) and pairings
     (``pairings``). Lines are not counted: every pair that the Miller loop
     does not skip runs on lines, so ``pairings`` already shows them. A key
@@ -457,16 +471,15 @@ def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: 
 
 
 def multi_exp(items) -> "_Elem":
-    """prod elem_i^{k_i} over same-kind G1 or G2 elements, via one shared
-    chain. From an element's third call on, its cached table stands in for
-    it, and an identity base is skipped (see :class:`_Elem`)."""
+    """prod elem_i^{k_i} over elements of one group, via one shared chain.
+    An identity base is skipped. From a G1 or G2 element's third call on,
+    its cached table stands in for it (see :class:`_Elem`); a GT element
+    gets no table."""
     items = list(items)
     if not items:
         raise ValueError("multi_exp requires at least one (element, scalar) item")
     first = items[0][0]
     suite, kind = first.suite, first.kind
-    if kind == "gt":
-        raise TypeError("multi_exp takes G1 or G2 elements, not GT")
     one, order = suite.backend.identity(kind), suite.order
     pairs, served = [], 0
     for elem, k in items:
@@ -476,11 +489,21 @@ def multi_exp(items) -> "_Elem":
             raise TypeError("multi_exp arguments must share one group")
         if elem.h == one:
             continue
-        table = _third_use(elem)
+        table = None if kind == "gt" else _third_use(elem)
         served += table is not None
         pairs.append((elem.h if table is None else table, k % order))
     suite._count({f"msm.{kind}": len(pairs), "table_terms": served})
     return _KIND_CLS[kind](suite, suite.backend.multi_exp(kind, pairs))
+
+
+def has_order_r(elem: _Elem) -> bool:
+    """Whether elem lies in the order-r subgroup of its group, the identity
+    included, by the backend's exact test; asked once per element and kept
+    (see :class:`_Elem`). Decoding does not run it: a decoded G2 point is on
+    the twist and a decoded GT element cyclotomic, neither yet of order r."""
+    if elem._order_r is None:
+        elem._order_r = elem.suite.backend.has_order_r(elem.kind, elem.h)
+    return elem._order_r
 
 
 def random_scalar(suite: GroupSuite, rng) -> Scalar:

@@ -7,6 +7,29 @@ Verification of a combined signature costs the same six pairings as an
 individual one. Both are a :class:`pks.Signature` of variant ``ms``
 with no messages or signers, built by ``MsSignature(row1, row2)``.
 
+``ms_combine`` checks its N shares as one small-exponent batch (Bellare,
+Garay and Rabin, EUROCRYPT 1998). All shares sign one message, so they meet
+the same verifier rows (V1', V2'), and with c_i the low 128 bits of share
+i's coin t_i it checks
+
+    e(prod_i row1_i^c_i, V1') * e(prod_i row2_i^c_i, V2')^-1 == prod_i Omega_i^c_i,
+
+one 6-pair product and one GT multi-exponentiation for any N. The batch
+is sound once every input has order r. G1 has prime order r, and the
+parameters' g_hat, u_hat and h_hat rows are checked to lie in G2, so V1'
+and V2' do, and on them the pairing is linear in its G1 argument: the left
+side is prod_i L_i^c_i, with L_i the left side of share i's own check.
+Each key's Omega is checked to lie in G_T. Then the batch holds exactly
+when prod_i (L_i / Omega_i)^c_i = 1 in a group of prime order r, and if
+some share j fails its own check, that happens for at most one residue of
+c_j mod r given the other coins: at most about 2^-127 over c_j's 2^128
+values. Without the checks it is not sound. A twist point T outside G2
+breaks the linearity, and two keys whose Omegas carry tau and 1/tau, for a
+cyclotomic tau outside G_T, cancel whenever c_i = c_j mod the order of tau.
+So on such inputs, or when the batch fails, each share is checked on its
+own, with the same rows and coins, and the first bad one is named: the
+verdicts and errors are those of a loop of :func:`ms_verify`.
+
 Duplicate public keys in the verification list are accepted: nothing in
 the combining algebra forbids them. Rogue keys are the certification
 registry's job: the verifiers and ``ms_combine`` take its predicate as
@@ -19,9 +42,10 @@ from typing import Callable, Sequence
 
 from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
-from .groups import GroupSuite, Scalar, hash_to_scalar, random_scalar
+from .groups import GroupSuite, Scalar, has_order_r, hash_to_scalar, multi_exp, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
+_BATCH_MASK = (1 << 128) - 1  # a share's batching exponent: the low 128 bits of its coin
 
 
 def MsSignature(row1, row2) -> pks.Signature:
@@ -75,11 +99,17 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     ``certified`` predicate refuses, a key of another scheme or a share of
     the wrong width halts the combination either way, before any coin.
 
-    The checks are those of :func:`ms_verify` on each share in turn: each
-    draws its coin t, in order, and the first share that fails its own
-    pairing product against its key's Omega is named. The verifier rows are
-    built once, on the first t, because 3-wide rows do not depend on t
-    (:func:`pks.verifier_rows`).
+    The checks draw one coin t per share, in order, whatever the verdict:
+    the draws of a loop of :func:`ms_verify` over every share. The
+    verifier rows are built once, on the first t, because 3-wide rows do
+    not depend on t (:func:`pks.verifier_rows`). The shares are checked
+    together, by one 6-pair product against prod_i Omega_i^c_i with c_i the
+    low 128 bits of t_i (the module docstring gives the soundness argument:
+    an error of at most about 2^-127). The batch runs only once the
+    parameters' g_hat, u_hat and h_hat rows and every key's Omega are known
+    to have order r, which :func:`groups.has_order_r` checks once per
+    element. If it fails, or may not run, each share is checked against its
+    own key's Omega on the same rows, and the first that fails is named.
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
@@ -92,12 +122,12 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     if certified is not None and not all(certified(pk) for pk in keys):
         raise InvalidAggregateError("an input signature's key is uncertified; halting")
     if not skip_individual_checks:
-        m, rows = message_scalar(params, message), None
-        for i, (sig, pk) in enumerate(zip(sigs, keys)):
-            t, _, _ = pks.verifier_coins(params.suite, params.variant, rng)
-            rows = rows or _verifier_rows(params, m, t)
-            if not pks.pairing_check(sig, *rows, pk.omega):
-                raise InvalidAggregateError(f"input signature {i} is invalid; halting")
+        coins = [pks.verifier_coins(params.suite, params.variant, rng)[0] for _ in sigs]
+        rows = _verifier_rows(params, message_scalar(params, message), coins[0])
+        if not _batch_holds(sigs, keys, params, rows, [t & _BATCH_MASK for t in coins]):
+            for i, (sig, pk) in enumerate(zip(sigs, keys)):
+                if not pks.pairing_check(sig, *rows, pk.omega):
+                    raise InvalidAggregateError(f"input signature {i} is invalid; halting")
     return MsSignature(tuple(pks.product(col) for col in zip(*(sig.row1 for sig in sigs))),
                        tuple(pks.product(col) for col in zip(*(sig.row2 for sig in sigs))))
 
@@ -121,6 +151,18 @@ def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
     _check_inputs(msig, keys, params)
     omega = pks.product([pk.omega for pk in keys])
     return pks.pairing_check(msig, *_verifier_rows(params, m, t), omega)
+
+
+def _batch_holds(sigs, keys, params, rows, exps) -> bool:
+    """The batch check of :func:`ms_combine` on the rows (V1', V2') with
+    exponents ``exps``; False without a product unless every G2 row of the
+    parameters that the rows are built from and every key's Omega has order r."""
+    inputs = (*params.g_hat_row, *params.u_hat_row, *params.h_hat_row, *(pk.omega for pk in keys))
+    if not all(map(has_order_r, inputs)):
+        return False
+    fold = lambda side: tuple(multi_exp(zip(col, exps)) for col in zip(*side))
+    folded = MsSignature(fold(sig.row1 for sig in sigs), fold(sig.row2 for sig in sigs))
+    return pks.pairing_check(folded, *rows, multi_exp(zip((pk.omega for pk in keys), exps)))
 
 
 def _verifier_rows(params, m, t):

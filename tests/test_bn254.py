@@ -52,6 +52,28 @@ def twist_point_of_order_10069():
     raise AssertionError("no twist point of order 10069 found")
 
 
+def random_twist_point(seed):
+    """The first point ((x0, x1), y) on the twist for x drawn from Random(seed)."""
+    draw = random.Random(seed)
+    while True:
+        x = (draw.randrange(b.P), draw.randrange(b.P))
+        y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
+        if y is not None:
+            return (x, y)
+
+
+def cyclotomic_outside_gt(seed):
+    """tau = easy_part(f)^r for a random Fp12 element f drawn from
+    Random(seed): cyclotomic, and of an order that divides the G_T cofactor
+    (p^4 - p^2 + 1)/r, so not 1 and outside G_T. The power is a plain
+    ladder on the nested tower, with r as given."""
+    draw = random.Random(seed)
+    f = flat(fq12_from(draw.randrange(b.P) for _ in range(12)))
+    tau = flat(oracle_fq12_pow(fq12_from(easy_part(f)), b.ORDER))
+    assert b.fq12_is_cyclotomic(tau) and tau != b.FQ12_ONE
+    return tau
+
+
 # g2_in_subgroup computes g2_mul(pt, ORDER), whose exponent is reduced mod
 # ORDER to 0, so every twist point passes (ROADMAP item 1). The tests marked
 # with this pass, and so fail as strict xfails, once the check is real.
@@ -443,6 +465,21 @@ class TestGroups:
         if naive_g2_ladder((x, y), b.ORDER) is None:
             raise RuntimeError("the random twist point lies in G2")
         assert not b.g2_in_subgroup((x, y))
+
+    def test_g2_has_order_r_matches_the_unreduced_ladder(self):
+        """The u-sized test against [r]Q by an affine ladder with r as given:
+        G2 points, the identity, a point T of order 10069, Q + T, a random
+        twist point, and a point off the twist."""
+        q = b.g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
+        t = twist_point_of_order_10069()
+        points = {"generator": b.G2_GEN, "random G2": q, "identity": None, "T": t,
+                  "Q + T": b.g2_add(q, t), "random twist": random_twist_point(10069)}
+        got = {name: b.g2_has_order_r(pt) for name, pt in points.items()}
+        assert got == {name: pt is None or naive_g2_ladder(pt, b.ORDER) is None
+                       for name, pt in points.items()}
+        assert [name for name, ok in got.items() if ok] == ["generator", "random G2", "identity"]
+        (x0, x1), y = q
+        assert not b.g2_is_on_curve(((x0, x1 + 1), y)) and not b.g2_has_order_r(((x0, x1 + 1), y))
 
     def test_sqrt_fq2_of_a_real_element(self):
         """A real a0 has a root in Fp2: (r, 0) when a0 is a square in Fp, else
@@ -890,6 +927,36 @@ class TestPairing:
         for g in bases:
             for e in (0, 1, 2, rng.randrange(b.ORDER), b.ORDER - 1, -3):
                 assert b.gt_pow(g, e) == flat(oracle_fq12_pow(fq12_from(g), e % b.ORDER))
+
+    def test_gt_has_order_r_matches_the_unreduced_power(self):
+        """x^p == x^(6u^2) against x^r == 1 by a plain ladder on the nested
+        tower: pairing values and the unit are in G_T; an easy-part image,
+        tau = (easy-part image)^r, and tau times a pairing value are
+        cyclotomic and outside it; a random Fp12 element and zero are not
+        cyclotomic."""
+        pairing = b.pairing(b.g1_mul(b.G1_GEN, rng.randrange(1, b.ORDER)), b.G2_GEN)
+        tau = cyclotomic_outside_gt(7)
+        values = {"pairing": pairing, "generator": b.pairing(b.G1_GEN, b.G2_GEN),
+                  "one": b.FQ12_ONE, "easy part": easy_part(flat(random_fq12())), "tau": tau,
+                  "tau * pairing": b.fq12_mul(tau, pairing), "random": flat(random_fq12())}
+        got = {name: b.gt_has_order_r(x) for name, x in values.items()}
+        assert got == {name: flat(oracle_fq12_pow(fq12_from(x), b.ORDER)) == b.FQ12_ONE
+                       for name, x in values.items()}
+        assert [name for name, ok in got.items() if ok] == ["pairing", "generator", "one"]
+        assert not b.gt_has_order_r((0,) * 12)
+
+    def test_gt_multi_exp_matches_slow_ladders(self):
+        """Several terms on one chain, with a zero, a negative and a repeated
+        base, against the product of square-and-multiply powers; no terms
+        give one."""
+        g, e = b.pairing(b.G1_GEN, b.G2_GEN), easy_part(flat(random_fq12()))
+        pairs = [(g, rng.randrange(b.ORDER)), (e, rng.randrange(1 << 128)), (g, 0), (e, -5),
+                 (g, b.ORDER - 1)]
+        want = ORACLE_FQ12_ONE
+        for x, k in pairs:
+            want = oracle_fq12_mul(want, oracle_fq12_pow(fq12_from(x), k % b.ORDER))
+        assert b.gt_multi_exp(pairs) == flat(want)
+        assert b.gt_multi_exp([]) == b.gt_multi_exp([(g, 0)]) == b.FQ12_ONE
 
     @pytest.mark.parametrize("ks", [(1, 1), (b.ORDER - 1, 1), (1, b.ORDER - 1), "random"],
                              ids=["gens", "neg-g1", "neg-g2", "random"])

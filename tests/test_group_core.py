@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from seqsig import bn254
 from seqsig.errors import CrossSuiteError, MalformedEncodingError, SubgroupMembershipError
 from seqsig.groups import (
+    _UNUSED,
     decode_element,
     encode_element,
+    has_order_r,
     hash_to_scalar,
     multi_exp,
     pair,
@@ -150,11 +152,24 @@ class TestElementAlgebra:
         expected = (gh ** 3) ** 10 * (gh ** 7) ** 20 * (gh ** 11) ** 5
         assert multi_exp(items) == expected
 
-    def test_multi_exp_refuses_gt_on_both_backends(self, mock_suite, real_suite):
+    def test_gt_multi_exp_equals_the_product_of_single_powers_on_both_backends(
+            self, mock_suite, real_suite):
+        """With zero exponents and repeated bases; each nonzero term past the
+        identity counts under msm.gt, and no GT element gets a table, even on
+        its third use."""
         for suite in (mock_suite, real_suite):
-            gt = pair(suite.g, suite.g_hat)
-            with pytest.raises(TypeError):
-                multi_exp([(gt, 2), (gt, 3)])
+            gt, other = pair(suite.g, suite.g_hat), pair(suite.g ** 5, suite.g_hat)
+            items = [(gt, 2), (other, 0), (gt, suite.order - 3), (other, 1 << 127),
+                     (suite.identity("gt"), 9), (gt, 12345)]
+            for _ in range(3):
+                suite.counts.clear()
+                want = suite.identity("gt")
+                for elem, k in items:
+                    want = want * elem ** k
+                assert multi_exp(items) == want
+                assert suite.counts["msm.gt"] == 5 and "tables_built" not in suite.counts
+            assert gt._table is _UNUSED and other._table is _UNUSED
+            assert multi_exp([(gt, 0), (other, suite.order)]).is_identity()
 
     _law_suite = suite_generate("mock", 10007)
 
@@ -178,6 +193,31 @@ class TestRealBackendAlgebra:
         fused = pairing_product([(g ** 2, gh ** 3)], [(g ** 5, gh)])
         sep = pair(g ** 2, gh ** 3) / pair(g ** 5, gh)
         assert fused == sep
+
+
+@pytest.mark.parametrize("backend", ["mock", "real"])
+def test_has_order_r_is_exact_and_asked_once_per_element(backend, monkeypatch):
+    """Decoding takes a twist point outside G2 and a cyclotomic element
+    outside G_T; has_order_r refuses both, takes every other element, and
+    asks the backend once per element. On mock every element has order r."""
+    from test_bn254 import cyclotomic_outside_gt, twist_point_of_order_10069
+    suite = suite_generate(backend, 10007 if backend == "mock" else None)
+    elems = {"g1": suite.g ** 7, "g2": suite.g_hat ** 11, "gt": pair(suite.g ** 3, suite.g_hat)}
+    elems.update({f"{kind} identity": suite.identity(kind) for kind in ("g1", "g2", "gt")})
+    outside = {}
+    if backend == "real":
+        t = twist_point_of_order_10069()
+        raw = {"G2 point + T": ("g2", bn254.g2_add(elems["g2"].h, t)), "T": ("g2", t),
+               "GT element * tau": ("gt", bn254.fq12_mul(elems["gt"].h, cyclotomic_outside_gt(3)))}
+        outside = {name: decode_element(suite, kind, suite.backend.encode(kind, h))
+                   for name, (kind, h) in raw.items()}
+    asked, check = [], suite.backend.has_order_r
+    monkeypatch.setattr(suite.backend, "has_order_r", lambda *a: asked.append(a) or check(*a))
+    everything = {**elems, **outside}
+    for _ in range(2):
+        assert {name: has_order_r(e) for name, e in everything.items()} == {
+            name: name not in outside for name in everything}
+    assert len(asked) == len(everything)
 
 
 class TestSerialization:

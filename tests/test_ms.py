@@ -1,12 +1,15 @@
 """Multi-signatures: combining, commutativity, duplicates, flat cost."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
 
-from seqsig import keyreg, ms, pks, sas
+from seqsig import bn254, keyreg, ms, pks, sas
 from seqsig.errors import (CrossSuiteError, InvalidAggregateError, MalformedEncodingError,
                            RegistrationError)
+from seqsig.groups import G2Elem, GTElem
 
 MSG = b"joint statement"
 
@@ -96,8 +99,9 @@ class TestCombining:
     @pytest.mark.parametrize("bad", [None, 0, 1, 2, 3])
     def test_share_checks_match_a_loop_of_ms_verify(self, request, rng, suite, bad):
         """Four shares, all valid or one signed on another message: the
-        combine draws the coins, names the share and leaves the rng where a
-        loop of ms_verify over the shares does."""
+        combine names the share and leaves the rng where a loop of ms_verify
+        over every share does, since it draws one coin per share whatever
+        the verdict."""
         params = ms.ms_setup(request.getfixturevalue(f"{suite}_suite"), rng)
         keys = [ms.ms_keygen(params, rng) for _ in range(4)]
         sigs = [ms.ms_sign(params, b"other" if i == bad else MSG, sk, rng)
@@ -105,8 +109,8 @@ class TestCombining:
         pks_ = [pk for pk, _ in keys]
         loop = random.Random()
         loop.setstate(rng.getstate())
-        first_bad = next((i for i, (sig, pk) in enumerate(zip(sigs, pks_))
-                          if not ms.ms_verify(sig, MSG, pk, params, loop)), None)
+        verdicts = [ms.ms_verify(sig, MSG, pk, params, loop) for sig, pk in zip(sigs, pks_)]
+        first_bad = next((i for i, ok in enumerate(verdicts) if not ok), None)
         assert first_bad == bad
         if bad is None:
             msig = ms.ms_combine(sigs, MSG, pks_, params, rng)
@@ -119,19 +123,88 @@ class TestCombining:
     @pytest.mark.parametrize("n", [1, 4])
     def test_share_checks_build_the_rows_once(self, mock_suite, rng, n):
         """The n share checks of a combine make 3 G2 MSM terms, one per slot
-        of V2', where a loop of ms_verify makes 3n; each share still costs
-        its own 6 pairings."""
+        of V2', and 6 pairings, where a loop of ms_verify makes 3n and 6n."""
         params = ms.ms_setup(mock_suite, rng)
         keys = [ms.ms_keygen(params, rng) for _ in range(n)]
         sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
         pks_ = [pk for pk, _ in keys]
-        for call, terms in ((lambda: ms.ms_combine(sigs, MSG, pks_, params, rng), 3),
-                            (lambda: [ms.ms_verify(sig, MSG, pk, params, rng)
-                                      for sig, pk in zip(sigs, pks_)], 3 * n)):
+        for call, terms, pairings in (
+                (lambda: ms.ms_combine(sigs, MSG, pks_, params, rng), 3, 6),
+                (lambda: [ms.ms_verify(sig, MSG, pk, params, rng) for sig, pk in zip(sigs, pks_)],
+                 3 * n, 6 * n)):
             before = mock_suite.counts.copy()
             call()
             grown = mock_suite.counts - before
-            assert (grown["msm.g2"], grown["pairings"]) == (terms, 6 * n)
+            assert (grown["msm.g2"], grown["pairings"]) == (terms, pairings)
+
+    @pytest.mark.parametrize("suite", ["mock", "real"])
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_valid_shares_take_one_product(self, request, rng, suite, n, monkeypatch):
+        """n valid shares: one backend product of 6 pairings. On mock, the
+        folded rows are 6 G1 MSMs of n terms, the right side one GT MSM of n
+        terms, and V2' 3 G2 terms. With skip_individual_checks no coin is
+        drawn and nothing is paired."""
+        suite = request.getfixturevalue(f"{suite}_suite")
+        params = ms.ms_setup(suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(n)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        pks_ = [pk for pk, _ in keys]
+        products = _counted_products(suite, monkeypatch)
+        before = suite.counts.copy()
+        ms.ms_combine(sigs, MSG, pks_, params, rng)
+        grown = suite.counts - before
+        assert (len(products), grown["pairings"]) == (1, 6)
+        if suite.backend.name == "mock":
+            assert [grown[f"msm.{k}"] for k in ("g1", "gt", "g2")] == [6 * n, n, 3]
+        state, before = rng.getstate(), suite.counts.copy()
+        ms.ms_combine(sigs, MSG, pks_, params, rng, skip_individual_checks=True)
+        assert rng.getstate() == state and suite.counts == before and len(products) == 1
+
+    @pytest.mark.parametrize("suite", ["mock", "real"])
+    def test_errors_that_cancel_in_a_plain_product_are_named(self, request, rng, suite):
+        """Share 0 carries an extra g in row1[0] and share 1 its inverse, so
+        the product of the two rows is that of two valid shares; each share
+        fails its own check, and the first is named."""
+        params = ms.ms_setup(request.getfixturevalue(f"{suite}_suite"), rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(3)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        g = params.suite.g
+        for i, shift in ((0, g), (1, g.suite.identity("g1") / g)):
+            sigs[i] = ms.MsSignature((sigs[i].row1[0] * shift,) + sigs[i].row1[1:], sigs[i].row2)
+        pks_ = [pk for pk, _ in keys]
+        assert [ms.ms_verify(sig, MSG, pk, params, rng) for sig, pk in zip(sigs, pks_)] == [
+            False, False, True]
+        with pytest.raises(InvalidAggregateError, match="input signature 0 is invalid"):
+            ms.ms_combine(sigs, MSG, pks_, params, rng)
+
+    def test_keys_off_gt_are_checked_one_by_one(self, real_suite, rng, monkeypatch):
+        """Two keys whose Omegas carry tau and 1/tau, tau cyclotomic and
+        outside G_T, with honest shares: under equal coins the two factors
+        cancel in a batch, but neither key's Omega has order r, so no batch
+        runs, and the loop's verdict and error come out, after its one
+        product."""
+        from test_bn254 import cyclotomic_outside_gt
+        params = ms.ms_setup(real_suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(2)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        tau = GTElem(real_suite, cyclotomic_outside_gt(5))
+        pks_ = [pks.PublicKey(suite=real_suite, variant="ms", omega=pk.omega * factor)
+                for (pk, _), factor in zip(keys, (tau, real_suite.identity("gt") / tau))]
+        _check_against_the_loop(sigs, pks_, params, _SameCoins(), 0, monkeypatch)
+
+    def test_params_off_g2_are_checked_one_by_one(self, real_suite, rng, monkeypatch):
+        """Parameters whose h_hat_row[0] is moved off G2 by a point T of order
+        10069, with shares signed under the honest parameters: no batch runs,
+        and the loop's verdict and error come out, after its products."""
+        from test_bn254 import twist_point_of_order_10069
+        params = ms.ms_setup(real_suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(3)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        h0 = params.h_hat_row[0]
+        moved = G2Elem(real_suite, bn254.g2_add(h0.h, twist_point_of_order_10069()))
+        off = dataclasses.replace(params, h_hat_row=(moved,) + params.h_hat_row[1:])
+        pks_ = [pk for pk, _ in keys]
+        _check_against_the_loop(sigs, pks_, off, rng, 0, monkeypatch)
 
     def test_unequal_lists_halt_combining(self, setup3, rng):
         params, keys = setup3
@@ -219,6 +292,38 @@ class TestCombining:
         sig = ms.ms_sign(params, MSG, keys[0][1], rng)
         with pytest.raises(ValueError):
             ms.ms_mult_verify(sig, MSG, [], params, rng)
+
+
+class _SameCoins:
+    """An rng whose every draw is the same nonzero scalar."""
+
+    def randrange(self, start, stop=None):
+        return 123456789
+
+
+def _counted_products(suite, monkeypatch):
+    """A list that grows by one entry per backend pairing product from now on."""
+    calls, raw = [], suite.backend.pair_product_raw
+    monkeypatch.setattr(suite.backend, "pair_product_raw",
+                        lambda num, den: calls.append(1) or raw(num, den))
+    return calls
+
+
+def _check_against_the_loop(sigs, pks_, params, rng, bad, monkeypatch):
+    """ms_combine raises for share ``bad``, as the first failure of a loop
+    of ms_verify over every share on the same coins, with as many backend
+    products as that loop makes up to it, and leaves the rng where the loop
+    does."""
+    loop = copy.deepcopy(rng)
+    products = _counted_products(params.suite, monkeypatch)
+    verdicts = [ms.ms_verify(sig, MSG, pk, params, loop) for sig, pk in zip(sigs, pks_)]
+    assert verdicts.index(False) == bad
+    products.clear()
+    with pytest.raises(InvalidAggregateError, match=f"input signature {bad} is invalid"):
+        ms.ms_combine(sigs, MSG, pks_, params, rng)
+    assert len(products) == bad + 1
+    if isinstance(rng, random.Random):
+        assert rng.getstate() == loop.getstate()
 
 
 @pytest.mark.parametrize("scheme", ["sas1", "sas2", "ms"])
