@@ -365,9 +365,9 @@ _KIND_CLS = {"g1": G1Elem, "g2": G2Elem, "gt": GTElem}
 class GroupSuite:
     """Type-3 pairing context, immutable apart from ``counts``: single
     exponentiations (``g1``, ``g2``, ``gt``), :func:`multi_exp` terms past
-    the identity skip (``msm.g1``, ``msm.g2``, ``msm.gt``), the tables built and terms
-    served from one (``tables_built``, ``table_terms``) and pairings
-    (``pairings``). Lines are not counted: every pair that the Miller loop
+    the identity skip (``msm.g1``, ``msm.g2``, ``msm.gt``), the tables
+    built and terms served from one (``tables_built``, ``table_terms``) and
+    pairings (``pairings``). Lines are not counted: every pair that the Miller loop
     does not skip runs on lines, so ``pairings`` already shows them. A key
     is present once positive."""
 

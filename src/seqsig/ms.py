@@ -27,8 +27,9 @@ values. Without the checks it is not sound. A twist point T outside G2
 breaks the linearity, and two keys whose Omegas carry tau and 1/tau, for a
 cyclotomic tau outside G_T, cancel whenever c_i = c_j mod the order of tau.
 So on such inputs, or when the batch fails, each share is checked on its
-own, with the same rows and coins, and the first bad one is named: the
-verdicts and errors are those of a loop of :func:`ms_verify`.
+own, with the same rows and coins, and the first bad one is named: but
+for the batch's error, the verdicts and errors are those of a loop of
+:func:`ms_verify`.
 
 Duplicate public keys in the verification list are accepted: nothing in
 the combining algebra forbids them. Rogue keys are the certification
