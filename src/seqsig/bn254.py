@@ -23,12 +23,10 @@ G2, E is psi, the twist Frobenius (GLS; Galbraith, Lin and Scott, EUROCRYPT
 2009), with lambda = 6u^2 = p - r, and a term runs as k0*x + k1*psi(x) +
 k2*psi^2(x) + k3*psi^3(x) with parts of at most 64 bits (Galbraith and
 Scott, Pairing 2008), on a chain of about 64 doublings. psi acts as [6u^2]
-only on points that satisfy psi(Q) = [6u^2]Q, and :func:`g2_in_subgroup`
-does not check that, so a G2 term is split only when its base is a cached
-table whose point passed that test when the table was built. Such a point
-has order r (:func:`g2_table`), so the split is exact. Per-call G2 points
-stay unsplit, and every result equals the exact one, on twist points
-outside G2 too.
+only on G2, so a G2 term is split only when its base is a cached table,
+and :func:`g2_table` takes only points of G2: the caller checks that
+first, by :func:`g2_in_subgroup`. Per-call G2 points stay unsplit, so their
+results are exact on twist points outside G2 too.
 
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
@@ -46,11 +44,9 @@ one inversion per product serves every yP, and the final exponentiation
 removes the factor.
 
 Membership of the order-r subgroups is tested exactly by
-:func:`g2_has_order_r` and :func:`gt_has_order_r`, each on about one
-127-bit exponentiation or less. :func:`g2_in_subgroup`, which decoding
-calls, is not exact: it multiplies by ORDER through :func:`g2_mul`, which
-reduces the scalar to 0, so every twist point passes and only the twist
-equation is checked.
+:func:`g2_in_subgroup` and :func:`gt_has_order_r`, each on about one
+127-bit exponentiation or less. Nothing here runs them on its own inputs:
+the caller decides where membership is needed.
 """
 
 from __future__ import annotations
@@ -551,12 +547,10 @@ class Table(NamedTuple):
     affine odd multiples [x, x^3, ..., x^63], and their images under the
     group's endomorphism (phi or psi), on which a term's second part runs.
     A G2 term's third and fourth parts read -psi^2 of the multiples and of
-    the images, mapped per used digit, so no other set is kept. The images
-    are None for a G2 point on which psi is not [GLS_LAMBDA]: its terms stay
-    unsplit."""
+    the images, mapped per used digit, so no other set is kept."""
 
     multiples: tuple
-    images: tuple | None
+    images: tuple
 
 
 def _odd_multiples(bases, width, double, madd, to_affine):
@@ -673,25 +667,17 @@ def g2_multi_exp(pairs):
 
 
 def g2_table(pt):
-    """The cached width-7 :class:`Table` of a G2 point, None for the identity.
-
-    It gets psi of each multiple as its images only if psi(pt) ==
-    [GLS_LAMBDA]pt, computed here on the unsplit multiples. Such a point
-    has order r: psi^2 - [t]psi + [p] = 0 on the whole twist, with the trace
-    t = GLS_LAMBDA + 1, so [lambda^2 - t*lambda + p]pt = [p - lambda]pt =
-    [r]pt = O. Then psi^i(pt) = [lambda^i]pt, and every split sum_i
-    k_i*psi^i(pt) with sum_i k_i*lambda^i = k (mod r) is k*pt exactly. A
-    point that fails, which lies outside G2, keeps unsplit terms. A split
-    multiplication cannot make this test: through it, [GLS_LAMBDA]pt is
-    psi(pt) by construction."""
+    """The cached width-7 :class:`Table` of a point pt of G2, with psi of
+    each multiple as its images; None for the identity. pt must lie in G2
+    (:func:`g2_in_subgroup`), as :func:`gt_multi_exp`'s inputs must be
+    cyclotomic: there psi^i(pt) = [GLS_LAMBDA^i]pt, so every split
+    sum_i k_i*psi^i(pt) with sum_i k_i*GLS_LAMBDA^i = k (mod r) is k*pt
+    exactly. On a twist point outside G2, psi is not [GLS_LAMBDA] and a
+    split term is wrong."""
     if pt is None:
         return None
     multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd,
                                      _jac2_to_affine)[0])
-    acc = _interleaved_wnaf([(multiples, TABLE_WIDTH, GLS_LAMBDA)], _jac2_double, _jac2_madd,
-                            g2_neg)
-    if acc is None or _jac2_to_affine([acc])[0] != g2_frobenius(pt):
-        return Table(multiples, None)
     return Table(multiples, tuple(map(g2_frobenius, multiples)))
 
 
@@ -700,25 +686,23 @@ def g2_mul(pt, k):
 
 
 def g2_in_subgroup(pt):
-    # The twist has a nontrivial cofactor, so on-curve does not imply order r.
-    return g2_is_on_curve(pt) and g2_mul(pt, ORDER) is None
-
-
-def g2_has_order_r(pt):
     """Whether pt lies in G2, the order-r subgroup of the twist (the
     identity included), exactly: pt is on the twist and [u+1]pt +
     psi([u]pt) + psi^2([u]pt) == psi^3([2u]pt) for u = T_PARAM (Dai, Lin,
     Zhao and Zhou, "Fast subgroup membership testings for G1, G2 and GT on
     pairing-friendly curves", ePrint 2022/348). On G2, psi is [p] and
     (u+1) + u*p + u*p^2 - 2u*p^3 = 0 (mod r); the paper shows that no
-    other twist point passes. [u]pt is one 63-bit multiplication of a
-    per-call point, which :func:`g2_multi_exp` never splits, so psi does
-    not stand in for a multiple here."""
+    other twist point passes. The twist has the cofactor 2p - r, so being
+    on it is not enough. [u]pt is one unsplit 63-bit multiplication, as
+    psi may not stand in for a multiple here; it calls
+    :func:`_jacobian_multi_exp` directly, so traced :func:`g2_multi_exp`
+    calls count exponentiations only."""
     if pt is None:
         return True
     if not g2_is_on_curve(pt):
         return False
-    upt = g2_mul(pt, T_PARAM)
+    upt = _jacobian_multi_exp([(pt, T_PARAM)], _jac2_double, _jac2_madd, g2_neg,
+                              _jac2_to_affine, None)
     if upt is None:  # then the left side is pt and the right side O
         return False
     lhs = g2_add(g2_add(g2_add(upt, pt), g2_frobenius(upt)), g2_frobenius_sq(upt))

@@ -68,7 +68,10 @@ def _message_bytes(args) -> bytes:
         with open(args.message_file, "rb") as fh:
             return fh.read()
     if args.message is not None:
-        return args.message.encode("utf-8")
+        try:
+            return args.message.encode("utf-8")
+        except UnicodeEncodeError:  # non-UTF-8 argv bytes arrive as lone surrogates
+            raise MalformedEncodingError("--message is not UTF-8 (use --message-file)") from None
     raise MalformedEncodingError("a message (--message or --message-file) is required")
 
 

@@ -144,10 +144,12 @@ class Bn254Backend:
 
     def has_order_r(self, kind, h):
         """Exactly whether h lies in its group's order-r subgroup. E(Fp) has
-        prime order r, so every G1 handle, a point on the curve, does."""
+        prime order r, so every G1 handle, a point on the curve, does; a G2
+        handle takes :func:`bn254.g2_in_subgroup`, a GT one
+        :func:`bn254.gt_has_order_r`."""
         if kind == "g1":
             return True
-        return bn254.g2_has_order_r(h) if kind == "g2" else bn254.gt_has_order_r(h)
+        return bn254.g2_in_subgroup(h) if kind == "g2" else bn254.gt_has_order_r(h)
 
     def lines(self, hs):
         """The lines of each G2 handle of hs, none the identity, built
@@ -212,12 +214,9 @@ class Bn254Backend:
             got = (y[0] & 1) if y[0] != 0 else (y[1] & 1)
             if got != parity:
                 y = bn254.fq2_neg(y)
-            point = (x, y)
-            # on the twist, not yet order r: g2_in_subgroup accepts every twist
-            # point, so a point outside G2 still decodes (has_order_r is exact)
-            if not bn254.g2_in_subgroup(point):
-                raise SubgroupMembershipError("G2 point is outside the prime-order subgroup")
-            return point
+            # on the twist, not yet order r: a point outside G2 still decodes;
+            # has_order_r decides membership where a caller relies on it
+            return (x, y)
         if len(data) != 384:
             raise MalformedEncodingError("GT encoding must be 384 bytes")
         h = tuple(int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12))
@@ -267,45 +266,47 @@ class Bn254Backend:
         return res if bn254.fq2_sqr(res) == a else None
 
 
-_UNUSED, _USED_ONCE, _USED_TWICE = _PENDING = object(), object(), object()  # before a cache
-
-
 def _third_use(elem):
     """``elem``'s table, None before the element's third use of it; on that
-    use the backend builds it, counted under ``tables_built``."""
-    state = elem._table
-    if state is _USED_TWICE:
-        state = elem.suite.backend.table(elem.kind, elem.h)
-        elem.suite._count({"tables_built": 1})
-    elif state is _UNUSED or state is _USED_ONCE:
-        state = _USED_ONCE if state is _UNUSED else _USED_TWICE
-    elem._table = state
-    return None if state in _PENDING else state
+    use the backend builds it, counted under ``tables_built``, if
+    :func:`has_order_r` holds. A G2 table's terms are split by psi, which is
+    exact only on G2, so an element outside it is never tabled and every
+    use of it stays exact."""
+    if elem._table is None:
+        elem._uses += 1
+        if elem._uses == 3 and has_order_r(elem):
+            elem._table = elem.suite.backend.table(elem.kind, elem.h)
+            elem.suite._count({"tables_built": 1})
+    return elem._table
 
 
 class _Elem:
     """Immutable group element bound to its suite; multiplicative notation.
 
     ``_table`` holds the backend's table of ``h`` for :func:`multi_exp` and
-    ``**``, built on the third use in that function: an element that a key
-    or parameter set holds pays for it once, while a fresh one, the identity
-    and the bases of one signature (two uses each) never do. ``_lines``
+    ``**``, None until the third use in that function (``_uses`` counts
+    them) builds it: an element that a key or parameter set holds pays for
+    it once, while a fresh one, the identity and the bases of one signature
+    (two uses each) never do, and an element outside its group's order-r
+    subgroup never does (:func:`_third_use`). ``_lines``
     holds a G2 element's lines for :func:`pairing_product`, None until its
     first product builds them; the Miller loop would build them there
     anyway, so keeping them costs no extra arithmetic, only the memory of
     the lines for as long as the element lives, and later products reuse
     them.
-    ``_order_r`` memoizes :func:`has_order_r`, None until it is asked.
+    ``_order_r`` memoizes :func:`has_order_r`, None until it is asked; the
+    table's build and ``ms_combine``'s batch read the same verdict.
     Two threads racing on one element can both build a cache; either one is
     correct."""
 
-    __slots__ = ("suite", "h", "_table", "_lines", "_order_r")
+    __slots__ = ("suite", "h", "_uses", "_table", "_lines", "_order_r")
     kind = None
 
     def __init__(self, suite, h):
         self.suite = suite
         self.h = h
-        self._table = _UNUSED
+        self._uses = 0
+        self._table = None
         self._lines = None
         self._order_r = None
 
@@ -328,7 +329,7 @@ class _Elem:
 
     def __pow__(self, k: int):
         self.suite._count({self.kind: 1})
-        h = self.h if self._table in _PENDING else self._table
+        h = self.h if self._table is None else self._table
         return type(self)(self.suite, self.suite.backend.exp(self.kind, h, k % self.suite.order))
 
     def __eq__(self, other):
@@ -499,8 +500,10 @@ def multi_exp(items) -> "_Elem":
 def has_order_r(elem: _Elem) -> bool:
     """Whether elem lies in the order-r subgroup of its group, the identity
     included, by the backend's exact test; asked once per element and kept
-    (see :class:`_Elem`). Decoding does not run it: a decoded G2 point is on
-    the twist and a decoded GT element cyclotomic, neither yet of order r."""
+    (see :class:`_Elem`). It gates a G1 or G2 element's table
+    (:func:`_third_use`) and ``ms_combine``'s batch. Decoding does not run
+    it: a decoded G2 point is on the twist and a decoded GT element
+    cyclotomic, neither yet of order r."""
     if elem._order_r is None:
         elem._order_r = elem.suite.backend.has_order_r(elem.kind, elem.h)
     return elem._order_r

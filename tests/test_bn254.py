@@ -74,13 +74,6 @@ def cyclotomic_outside_gt(seed):
     return tau
 
 
-# g2_in_subgroup computes g2_mul(pt, ORDER), whose exponent is reduced mod
-# ORDER to 0, so every twist point passes (ROADMAP item 1). The tests marked
-# with this pass, and so fail as strict xfails, once the check is real.
-G2_SUBGROUP_GAP = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                    reason="g2_in_subgroup accepts every point on the twist")
-
-
 # The nested-tuple tower below is the independent reference for bn254's flat
 # one: an Fp6 element is a triple of Fp2 pairs, an Fp12 element a pair of
 # Fp6 triples (c0, c1) = c0 + c1*w. `flat` and `fq12_from` convert between
@@ -450,36 +443,21 @@ class TestGroups:
     def test_g2_subgroup_check(self):
         assert b.g2_in_subgroup(b.g2_mul(b.G2_GEN, 12345))
 
-    @G2_SUBGROUP_GAP
-    def test_g2_subgroup_check_refuses_a_point_of_order_10069(self):
-        assert not b.g2_in_subgroup(twist_point_of_order_10069())
-
-    @G2_SUBGROUP_GAP
-    def test_g2_subgroup_check_refuses_a_random_twist_point(self):
-        draw = random.Random(10069)
-        while True:
-            x = (draw.randrange(b.P), draw.randrange(b.P))
-            y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
-            if y is not None:
-                break
-        if naive_g2_ladder((x, y), b.ORDER) is None:
-            raise RuntimeError("the random twist point lies in G2")
-        assert not b.g2_in_subgroup((x, y))
-
-    def test_g2_has_order_r_matches_the_unreduced_ladder(self):
+    def test_g2_in_subgroup_matches_the_unreduced_ladder(self):
         """The u-sized test against [r]Q by an affine ladder with r as given:
         G2 points, the identity, a point T of order 10069, Q + T, a random
-        twist point, and a point off the twist."""
+        twist point, and a point off the twist. T and the random twist point
+        are on the twist, so an on-curve check alone takes them."""
         q = b.g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
         t = twist_point_of_order_10069()
         points = {"generator": b.G2_GEN, "random G2": q, "identity": None, "T": t,
                   "Q + T": b.g2_add(q, t), "random twist": random_twist_point(10069)}
-        got = {name: b.g2_has_order_r(pt) for name, pt in points.items()}
+        got = {name: b.g2_in_subgroup(pt) for name, pt in points.items()}
         assert got == {name: pt is None or naive_g2_ladder(pt, b.ORDER) is None
                        for name, pt in points.items()}
         assert [name for name, ok in got.items() if ok] == ["generator", "random G2", "identity"]
         (x0, x1), y = q
-        assert not b.g2_is_on_curve(((x0, x1 + 1), y)) and not b.g2_has_order_r(((x0, x1 + 1), y))
+        assert not b.g2_is_on_curve(((x0, x1 + 1), y)) and not b.g2_in_subgroup(((x0, x1 + 1), y))
 
     def test_sqrt_fq2_of_a_real_element(self):
         """A real a0 has a root in Fp2: (r, 0) when a0 is a square in Fp, else
@@ -632,7 +610,8 @@ class TestGroups:
         """Terms given as cached width-7 tables and as points (width 4) in
         one chain, against the naive ladders: zero and ORDER - 1 scalars, an
         identity base, a repeated base, a base with its negation, and in G2
-        a twist point of order 10069."""
+        a twist point T of order 10069. T is always a point: a table's split
+        is exact only on G2, so :func:`g2_table` takes no point outside it."""
         gen, neg, multi_exp, table, add, naive = {
             "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, b.g1_table, b.g1_add, naive_g1_mul),
             "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, b.g2_table, b.g2_add, naive_g2_mul),
@@ -645,8 +624,8 @@ class TestGroups:
             [(pts[0], ks[0]), (pts[0], ks[1]), (pts[0], b.ORDER - 1)],
             [(pts[1], ks[1]), (neg(pts[1]), ks[1]), (gen, 7)],
         ]
+        t = twist_point_of_order_10069()
         if group == "g2":
-            t = twist_point_of_order_10069()
             cases.append([(t, ks[0]), (gen, ks[1]), (t, 10069), (pts[0], b.ORDER - 1)])
         for terms in cases:
             want = None
@@ -654,7 +633,7 @@ class TestGroups:
                 if pt is not None:
                     want = add(want, naive(pt, k))
             for tabled in range(1 << len(terms)):
-                mixed = [(table(pt) if tabled >> i & 1 else pt, k)
+                mixed = [(table(pt) if tabled >> i & 1 and pt != t else pt, k)
                          for i, (pt, k) in enumerate(terms)]
                 assert multi_exp(mixed) == want
         assert table(None) is None
@@ -780,21 +759,6 @@ class TestEndomorphismSplit:
             assert multi_exp(list(zip(pts, ks))) == want
             mixed = [(t if i % 2 else pt, k) for i, (pt, t, k) in enumerate(zip(pts, tables, ks))]
             assert multi_exp(mixed) == want
-
-    def test_a_g2_table_off_g2_is_not_split(self):
-        """Q + T, with T of order 10069 and Q in G2, is a twist point on
-        which psi is not [6u^2]: its table gets no images, so its terms stay
-        unsplit and match the exact ladder, alone and beside a split one."""
-        q = naive_g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
-        qt = b.g2_add(q, twist_point_of_order_10069())
-        assert b.g2_frobenius(qt) != naive_g2_ladder(qt, b.GLS_LAMBDA)
-        tab = b.g2_table(qt)
-        assert tab.images is None
-        for k in [1, b.GLS_LAMBDA, b.GLS_LAMBDA + 1, 10069, b.ORDER - 1, rng.randrange(b.ORDER)]:
-            assert b.g2_multi_exp([(tab, k)]) == naive_g2_ladder(qt, k)
-        k1, k2 = rng.randrange(b.ORDER), rng.randrange(b.ORDER)
-        want = b.g2_add(naive_g2_ladder(qt, k1), naive_g2_ladder(q, k2))
-        assert b.g2_multi_exp([(tab, k1), (b.g2_table(q), k2)]) == want
 
 
 class TestPairing:
@@ -1097,10 +1061,14 @@ class TestArithmeticCost:
         div 6u^2, took 127 and 656, and the unsplit 7-NAF of the 20 scalars
         254 doublings and 643 mixed additions in both groups.
 
-        Building one table, outside the count, takes 31 doublings, 32 mixed
-        additions and 1 batch inversion. In G2 the check psi(x) == [6u^2]x
-        adds the unsplit 7-NAF of 6u^2, 17 digits with the top at 127, and
-        one batch inversion to compare in affine form: 158, 49 and 2."""
+        Building one table, outside the count, takes the same work in both
+        groups: x lifted to Jacobian form (1 mixed addition), then each odd
+        multiple (2j+1)x for j = 1, ..., 31 as [2](jx) + x (a doubling and a
+        mixed addition), and 1 batch inversion for all of them: 31, 32 and
+        1. The images, phi or psi of each multiple, take no group operation.
+        A G2 table's point is checked before the build (``g2_in_subgroup``),
+        not in it; the check psi(x) == [6u^2]x made there, the unsplit
+        7-NAF of 6u^2, cost 158, 49 and 2."""
         gen, multi_exp, mul, table = {
             "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul, b.g1_table),
             "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul, b.g2_table)}[group]
@@ -1110,8 +1078,7 @@ class TestArithmeticCost:
         ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
         got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(tables, ks)))
         assert tuple(got.values()) == {"g1": (125, 646, 1), "g2": (62, 659, 1)}[group]
-        build = {"g1": (31, 32, 1), "g2": (158, 49, 2)}[group]
-        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == build
+        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == (31, 32, 1)
 
     @pytest.mark.parametrize("n, want", [(1, (62, 33, 1)), (2, (62, 67, 1))])
     def test_short_g2_multi_exp_with_cached_tables(self, n, want):

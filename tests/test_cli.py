@@ -65,6 +65,20 @@ class TestSingleSigner:
                                         "--sig", str(sig), "--message", "goodbye"))
         assert code == 1 and fields["result"] == ["invalid"]
 
+    def test_message_that_is_not_utf8_exits_two(self, keypair, tmp_path, capsys):
+        """A shell passes the argument bytes h, 0xff, i; Python decodes argv
+        with surrogateescape, so --message holds a lone surrogate, which is
+        malformed input, not an invalid signature."""
+        pub, priv = keypair
+        sig = tmp_path / "sig.bin"
+        run(capsys, *det("sign", "--scheme", "pks2", "--pub", str(pub),
+                         "--priv", str(priv), "--out", str(sig), "--message", "hi"))
+        message = b"h\xffi".decode("utf-8", "surrogateescape")
+        for command in (("sign", "--priv", str(priv), "--out", str(tmp_path / "s2.bin")),
+                        ("verify", "--sig", str(sig))):
+            _one_malformed_line(capsys, (*command, "--scheme", "pks2", "--pub", str(pub),
+                                         "--message", message))
+
     def test_corrupt_file_exits_two(self, keypair, tmp_path, capsys):
         pub, _ = keypair
         bad = tmp_path / "bad.bin"

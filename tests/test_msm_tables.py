@@ -9,13 +9,16 @@ it reads the same on both backends.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from seqsig import envelopes as env, groups, ms, pks, sas
+from seqsig import bn254, envelopes as env, groups, ms, pks, sas
 from seqsig.groups import suite_generate
 
 MSG = b"tabled"
+BACKENDS = pytest.mark.parametrize("backend, order", [("mock", 10007), ("real", None)],
+                                   ids=["mock", "real"])
 
 
 def _counts(suite):
@@ -33,7 +36,7 @@ def _decoded_pks2(backend, order=None):
             env.decode_signature(fresh, env.encode_signature(sig)), rng)
 
 
-@pytest.mark.parametrize("backend, order", [("mock", 10007), ("real", None)], ids=["mock", "real"])
+@BACKENDS
 def test_a_key_builds_its_tables_on_its_third_verify(backend, order):
     suite, pk, sig, rng = _decoded_pks2(backend, order)
     width = len(pk.u_hat_row)
@@ -99,7 +102,7 @@ def test_tabled_results_equal_untabled_ones_on_real():
     assert _counts(suite) == (2, 4)
 
 
-@pytest.mark.parametrize("backend, order", [("mock", 10007), ("real", None)], ids=["mock", "real"])
+@BACKENDS
 def test_one_cold_signature_builds_no_table(backend, order):
     """One pks sign, one sas append onto the empty aggregate and one ms share,
     each with keys or parameters read from files, build no table: each uses
@@ -121,7 +124,7 @@ def test_one_cold_signature_builds_no_table(backend, order):
     empty = sas.empty_aggregate(params)
     agg = sas.agg_sign(params, empty, MSG, pub, priv, rng)
     assert _counts(fresh) == (0, 0)
-    assert all(e._table is groups._UNUSED for e in empty.elements())
+    assert all(e._table is None and e._uses == 0 for e in empty.elements())
     assert sas.agg_verify(params, agg, rng)
 
     params = ms.ms_setup(suite, rng)
@@ -144,3 +147,76 @@ def test_a_second_append_tables_the_parameters():
         agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
     width = len(params.w_row)
     assert _counts(suite) == (2 * width, 4 * width)  # w_row and g_row, served twice each
+
+
+def _asked(suite, monkeypatch, refused=()):
+    """The (kind, handle) of each membership check the backend is asked.
+    The handles in ``refused`` are answered False: the mock group has prime
+    order, so no element of it lies outside."""
+    asked, check = [], suite.backend.has_order_r
+    monkeypatch.setattr(suite.backend, "has_order_r", lambda kind, h: asked.append((kind, h))
+                        or (h not in refused and check(kind, h)))
+    return asked
+
+
+@BACKENDS
+def test_an_element_outside_g2_is_never_tabled(backend, order, monkeypatch):
+    """A decoded G2 element outside G2 (on real Q + T, with T of order
+    10069) in five multi_exp calls and two powers: its third use asks
+    has_order_r once, which refuses it, so no table is built, and every
+    result is exact. A G2 element with the same uses gets its table on the
+    third, on real with psi images, so its terms run split."""
+    from test_bn254 import naive_g2_ladder, twist_point_of_order_10069
+    suite = suite_generate(backend, order)
+    q = suite.g_hat ** 1234
+    if backend == "real":
+        off_h, refused = bn254.g2_add(q.h, twist_point_of_order_10069()), ()
+        exact = lambda h, k: naive_g2_ladder(h, k % suite.order)
+    else:
+        off_h = (suite.g_hat ** 4321).h
+        refused, exact = (off_h,), lambda h, k: h * k % suite.order
+    off = groups.decode_element(suite, "g2", suite.backend.encode("g2", off_h))
+    asked = _asked(suite, monkeypatch, refused)
+    draw = random.Random(29).randrange
+    for elem, in_g2 in ((off, False), (q, True)):
+        asked.clear()
+        suite.counts.clear()
+        k = draw(suite.order)
+        assert (elem ** k).h == exact(elem.h, k)
+        for _ in range(5):
+            k = draw(suite.order)
+            assert groups.multi_exp([(elem, k)]).h == exact(elem.h, k)
+        assert (elem ** k).h == exact(elem.h, k)
+        assert asked == [("g2", elem.h)] and elem._uses == (3 if in_g2 else 5)
+        assert _counts(suite) == ((1, 3) if in_g2 else (0, 0))
+        assert (elem._table is not None) == in_g2
+        if in_g2 and backend == "real":
+            assert elem._table.images is not None
+
+
+@BACKENDS
+def test_a_row_that_is_gated_and_tabled_is_checked_once(backend, order, monkeypatch):
+    """The parameters' u_hat row is a multi_exp base of every ms verify and
+    combine, and with the g_hat and h_hat rows it passes ms_combine's batch
+    gate. Two verifies, then a combine whose rows are the u_hat row's third
+    use: the table build and the gate read one verdict, and each of the 9
+    G2 rows is asked once over two combines."""
+    rng = random.Random(3)
+    suite = suite_generate(backend, order)
+    params = ms.ms_setup(suite, rng)
+    keys = [ms.ms_keygen(params, rng) for _ in range(2)]
+    sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+    pubs = [pk for pk, _ in keys]
+    msig = ms.ms_combine(sigs, MSG, pubs, params, rng, skip_individual_checks=True)
+    rows = (*params.g_hat_row, *params.u_hat_row, *params.h_hat_row)
+    assert len({row.h for row in rows}) == len(rows)
+    asked = _asked(suite, monkeypatch)
+    suite.counts.clear()
+    for _ in range(2):
+        assert ms.ms_mult_verify(msig, MSG, pubs, params, rng)
+    assert asked == [] and _counts(suite) == (0, 0)
+    for _ in range(2):
+        assert ms.ms_combine(sigs, MSG, pubs, params, rng) == msig
+    assert all(u._table is not None for u in params.u_hat_row)
+    per_row = Counter(h for kind, h in asked if kind == "g2")
+    assert [per_row[row.h] for row in rows] == [1] * len(rows)
