@@ -34,14 +34,12 @@ squaring and the line builder's G2 side keep products unreduced and reduce
 each output coefficient once (lazy reduction; Aranha, Karabina, Longa,
 Gebotys and Lopez, EUROCRYPT 2011). An Fp12 value, and so every G_T
 element, is one flat tuple of twelve ints in the order of its encoding.
-The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps on the
-lines of its G2 points. A point may come as its :class:`Lines`, which the
-caller built for all the points of a product together (:func:`g2_lines`)
-and keeps for the next product; the loop builds the lines of the others
-first, in one such walk. Each line is multiplied in divided by its pair's
-yP, so its constant term is 1 and :func:`_mul_line` takes no Fp factor;
-one inversion per product serves every yP, and the final exponentiation
-removes the factor.
+The Miller loop walks the non-adjacent form of 6u + 2 in 88 steps, and
+takes each G2 point as its lines only: :func:`g2_lines` builds them for
+several points in one walk, and the caller keeps them for the next product.
+Each line is multiplied in divided by its pair's yP, so its constant term
+is 1 and :func:`_mul_line` takes no Fp factor; one inversion per product
+serves every yP, and the final exponentiation removes the factor.
 
 Membership of the order-r subgroups is tested exactly by
 :func:`g2_in_subgroup` and :func:`gt_has_order_r`, each on about one
@@ -381,10 +379,8 @@ def g1_multi_exp(pairs):
 
 
 def g1_table(pt):
-    """The cached width-7 :class:`Table` of a G1 point, with phi of each
-    multiple as its images; None for the identity."""
-    if pt is None:
-        return None
+    """The cached width-7 :class:`Table` of a G1 point, not the identity,
+    with phi of each multiple as its images."""
     multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac1_double, _jac1_madd,
                                      _jac1_to_affine)[0])
     return Table(multiples, tuple(map(_glv_endo, multiples)))
@@ -667,15 +663,13 @@ def g2_multi_exp(pairs):
 
 
 def g2_table(pt):
-    """The cached width-7 :class:`Table` of a point pt of G2, with psi of
-    each multiple as its images; None for the identity. pt must lie in G2
+    """The cached width-7 :class:`Table` of a point pt of G2, not the
+    identity, with psi of each multiple as its images. pt must lie in G2
     (:func:`g2_in_subgroup`), as :func:`gt_multi_exp`'s inputs must be
     cyclotomic: there psi^i(pt) = [GLS_LAMBDA^i]pt, so every split
     sum_i k_i*psi^i(pt) with sum_i k_i*GLS_LAMBDA^i = k (mod r) is k*pt
     exactly. On a twist point outside G2, psi is not [GLS_LAMBDA] and a
     split term is wrong."""
-    if pt is None:
-        return None
     multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd,
                                      _jac2_to_affine)[0])
     return Table(multiples, tuple(map(g2_frobenius, multiples)))
@@ -838,45 +832,31 @@ def _steps(qs, rs):
 _SQUARES = tuple(square for square, _ in _steps([], []))  # whether each step squares f first
 
 
-class Lines(tuple):
-    """The lines of the Miller loop's 88 steps for one G2 point Q, which
-    :func:`miller_loop_product` takes in place of Q: a step then costs one
-    :func:`_mul_line` and no slope (Costello and Stebila, "Fixed argument
-    pairings", LATINCRYPT 2010). ``groups`` builds them on a G2 element's
-    first pairing, for all the points of that product together
-    (:func:`g2_lines`), and keeps them on the element."""
-
-    __slots__ = ()
-
-
-def _lines(qs):
-    """The 88 lines of each G2 point of qs, one fq_batch_inv per step for all;
-    no walk at all for no points."""
-    rs = list(qs)
-    return list(zip(*[_step_lines(rs, addends) for _, addends in _steps(qs, rs)])) if qs else []
-
-
 def g2_lines(pts):
-    """The :class:`Lines` of each G2 point of pts, none the identity, all
-    built in one walk of the steps (:func:`_lines`)."""
-    return [Lines(lines) for lines in _lines(pts)]
+    """The lines of the Miller loop's 88 steps for each G2 point of pts, none
+    the identity: one list of 88 per point, None at a vertical line. All the
+    points are walked together, one fq_batch_inv per step for all. A pair
+    on lines costs one :func:`_mul_line` per step and no slope (Costello and
+    Stebila, "Fixed argument pairings", LATINCRYPT 2010): ``groups`` builds
+    them on a G2 element's first pairing, for all the unlined points of that
+    product, and keeps them on the element."""
+    rs = list(pts)
+    steps = [_step_lines(rs, addends) for _, addends in _steps(pts, rs)]
+    return [list(lines) for lines in zip(*steps)]
 
 
 def miller_loop_product(pairs):
-    """Product of Miller loops over [(g1_affine, g2), ...], where g2 is an
-    affine point or its :class:`Lines`. The lines of the points among them
-    are built first, all together (:func:`_lines`), and not at all when
-    every pair comes lined. One fq_batch_inv then inverts every pair's yP,
-    and one walk of the steps multiplies each pair's line into f divided by
-    yP, as the normalized line of :func:`_mul_line`. Pairs with an identity
-    on either side are skipped. The caller applies final_exponentiation,
-    which the normalization needs."""
-    live = [(p, q) for p, q in pairs if p is not None and q is not None]
-    if not live:
+    """Product of Miller loops over [(g1_affine, lines), ...], where lines
+    are the :func:`g2_lines` of a G2 point and neither side is the
+    identity; no pairs give one, with no step walked. One fq_batch_inv
+    inverts every pair's yP, and one walk of the steps multiplies each
+    pair's line into f divided by yP, as the normalized line of
+    :func:`_mul_line`. The caller applies final_exponentiation, which the
+    normalization needs."""
+    if not pairs:
         return FQ12_ONE
-    built = iter(_lines([q for _, q in live if type(q) is not Lines]))
-    scaled = [(-xp * k % P, k, q if type(q) is Lines else next(built))
-              for ((xp, _), q), k in zip(live, fq_batch_inv([p[1] for p, _ in live]))]
+    scaled = [(-xp * k % P, k, lines)
+              for ((xp, _), lines), k in zip(pairs, fq_batch_inv([p[1] for p, _ in pairs]))]
     f = FQ12_ONE
     for i, square in enumerate(_SQUARES):
         f = fq12_sqr(f) if square else f
@@ -890,9 +870,9 @@ def miller_loop_product(pairs):
 def _hard_part_chain(m):
     """t^((p^4 - p^2 + 1)/r) via the standard BN addition chain in the
     curve parameter x (valid for x > 0, which holds here)."""
-    fx = _cyc_pow(m, T_PARAM)
-    fx2 = _cyc_pow(fx, T_PARAM)
-    fx3 = _cyc_pow(fx2, T_PARAM)
+    fx = gt_multi_exp([(m, T_PARAM)])
+    fx2 = gt_multi_exp([(fx, T_PARAM)])
+    fx3 = gt_multi_exp([(fx2, T_PARAM)])
     y0 = fq12_mul(fq12_mul(fq12_frobenius(m, 1), fq12_frobenius(m, 2)),
                   fq12_frobenius(m, 3))
     y1 = fq12_conj(m)
@@ -919,8 +899,12 @@ def final_exponentiation(f):
 
 
 def pairing(p, q):
-    """Full optimal ate pairing e(P, Q) for P in G1, Q in G2 (twist coords)."""
-    return final_exponentiation(miller_loop_product([(p, q)]))
+    """Full optimal ate pairing e(P, Q) for P in G1, Q in G2 (twist coords),
+    both affine; one if either is the identity. Q is lined here
+    (:func:`g2_lines`) and its lines are not kept."""
+    if p is None or q is None:
+        return FQ12_ONE
+    return final_exponentiation(miller_loop_product([(p, g2_lines([q])[0])]))
 
 
 def fq12_cyc_sqr(x):
@@ -972,13 +956,8 @@ def gt_multi_exp(pairs):
 
 def gt_pow(x, e):
     """Exponentiation in G_T (order-r subgroup): the one-term
-    :func:`gt_multi_exp`."""
-    return gt_multi_exp([(x, e)])
-
-
-def _cyc_pow(x, e):
-    """x^(e mod ORDER) for cyclotomic x, as :func:`gt_pow`. The final
-    exponentiation calls it directly with T_PARAM < ORDER, so traced
+    :func:`gt_multi_exp`. The final exponentiation and
+    :func:`gt_has_order_r` call :func:`gt_multi_exp` directly, so traced
     ``gt_pow`` calls count G_T work only."""
     return gt_multi_exp([(x, e)])
 
@@ -989,4 +968,4 @@ def gt_has_order_r(x):
     test is x^r == 1. x^p is one Frobenius map, and the 127-bit power is
     below ORDER, so reducing it changes nothing; the cyclotomic test comes
     first because the power's squarings are valid only there."""
-    return fq12_is_cyclotomic(x) and fq12_frobenius(x, 1) == _cyc_pow(x, GLS_LAMBDA)
+    return fq12_is_cyclotomic(x) and fq12_frobenius(x, 1) == gt_multi_exp([(x, GLS_LAMBDA)])

@@ -72,13 +72,8 @@ class MockDlogBackend:
     def lines(self, hs):
         return list(hs)  # nor lines
 
-    def pair_product_raw(self, num, den):
-        acc = 0
-        for h1, h2 in num:
-            acc += h1 * h2
-        for h1, h2 in den:
-            acc -= h1 * h2
-        return acc % self.order
+    def pair_product_raw(self, pairs):
+        return sum(h1 * h2 for h1, h2 in pairs) % self.order  # a G2 handle is its own lines
 
     def encode(self, kind, h):
         return struct.pack(">I", h)
@@ -152,12 +147,13 @@ class Bn254Backend:
         return bn254.g2_in_subgroup(h) if kind == "g2" else bn254.gt_has_order_r(h)
 
     def lines(self, hs):
-        """The lines of each G2 handle of hs, none the identity, built
-        together; ``pair_product_raw`` takes them in place of the handles."""
+        """The Miller-loop lines of each G2 handle of hs, none the identity,
+        built together (:func:`bn254.g2_lines`); ``pair_product_raw`` takes
+        them in place of the handles."""
         return bn254.g2_lines(hs)
 
-    def pair_product_raw(self, num, den):
-        pairs = list(num) + [(bn254.g1_neg(p), q) for p, q in den]
+    def pair_product_raw(self, pairs):
+        """prod e(P, Q) over (P, lines of Q) pairs, neither side the identity."""
         return bn254.final_exponentiation(bn254.miller_loop_product(pairs))
 
     def encode(self, kind, h):
@@ -290,10 +286,10 @@ class _Elem:
     (two uses each) never do, and an element outside its group's order-r
     subgroup never does (:func:`_third_use`). ``_lines``
     holds a G2 element's lines for :func:`pairing_product`, None until its
-    first product builds them; the Miller loop would build them there
-    anyway, so keeping them costs no extra arithmetic, only the memory of
-    the lines for as long as the element lives, and later products reuse
-    them.
+    first product builds them; the Miller loop runs on lines only, so that
+    product needs them anyway, and keeping them costs no extra arithmetic,
+    only the memory of the lines for as long as the element lives, and
+    later products reuse them.
     ``_order_r`` memoizes :func:`has_order_r`, None until it is asked; the
     table's build and ``ms_combine``'s batch read the same verdict.
     Two threads racing on one element can both build a cache; either one is
@@ -369,7 +365,7 @@ class GroupSuite:
     the identity skip (``msm.g1``, ``msm.g2``, ``msm.gt``), the tables
     built and terms served from one (``tables_built``, ``table_terms``) and
     pairings (``pairings``). Lines are not counted: every pair that the Miller loop
-    does not skip runs on lines, so ``pairings`` already shows them. A key
+    runs is on lines, so ``pairings`` already shows them. A key
     is present once positive."""
 
     backend: object
@@ -428,14 +424,17 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
     """Evaluate prod e(a_i, b_i) * prod e(c_j, d_j)^-1 as one fused product.
 
     Counts one pairing per pair on both sides, matching the logical cost.
-    Before the Miller loop, every G2 element without lines gets them, all
-    in one backend call, which shares each step's inversion across the
-    points, and keeps them for later products (see :class:`_Elem`). The
-    identity, and an element paired only with the G1 identity, is never
-    lined: the loop skips such pairs.
+    This is the one place that decides what the backend's product takes: a
+    pair with an identity side is left out, as its pairing is one; every
+    G2 element of the others without lines gets them, all in one backend
+    call, which shares each step's inversion across the points, and keeps
+    them for later products (see :class:`_Elem`); and a denominator pair's
+    G1 handle is inverted. The backend then gets one list of
+    (G1 handle, lines) pairs.
     """
-    sides = [list(numerator_pairs), list(denominator_pairs)]
-    pairs = sides[0] + sides[1]
+    pairs = list(numerator_pairs)
+    num = len(pairs)
+    pairs += denominator_pairs
     if not pairs:
         raise ValueError("pairing_product requires at least one pair")
     suite = pairs[0][0].suite
@@ -444,14 +443,16 @@ def pairing_product(numerator_pairs, denominator_pairs=()) -> GTElem:
             raise TypeError("pairing_product expects (G1Elem, G2Elem) pairs")
         if a.suite is not suite or b.suite is not suite:
             raise CrossSuiteError("pairing_product arguments belong to different suites")
-    unlined = list({id(b): b for a, b in pairs
-                    if b._lines is None and not a.is_identity() and not b.is_identity()}.values())
-    if unlined:
-        for b, lines in zip(unlined, suite.backend.lines([b.h for b in unlined])):
-            b._lines = lines
     suite._count({"pairings": len(pairs)})
-    return GTElem(suite, suite.backend.pair_product_raw(
-        *([(a.h, b.h if b._lines is None else b._lines) for a, b in side] for side in sides)))
+    backend = suite.backend
+    one1, one2 = backend.identity("g1"), backend.identity("g2")
+    live = [(a.h if i < num else backend.inv("g1", a.h), b)
+            for i, (a, b) in enumerate(pairs) if a.h != one1 and b.h != one2]
+    unlined = list({id(b): b for _, b in live if b._lines is None}.values())
+    if unlined:
+        for b, lines in zip(unlined, backend.lines([b.h for b in unlined])):
+            b._lines = lines
+    return GTElem(suite, backend.pair_product_raw([(h, b._lines) for h, b in live]))
 
 
 def hash_to_scalar(suite: GroupSuite, domain_tag: bytes, message: bytes, width: str = "full") -> Scalar:

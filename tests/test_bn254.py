@@ -319,6 +319,12 @@ def naive_miller_loop_product(pairs):
     return step(f, [b.g2_neg(b.g2_frobenius_sq(q)) for q in qs])
 
 
+def lined(pairs):
+    """The Miller loop's input for (P, Q) pairs of affine points: each Q
+    replaced by its lines, all built in one :func:`b.g2_lines` walk."""
+    return list(zip([p for p, _ in pairs], b.g2_lines([q for _, q in pairs])))
+
+
 _HARD_EXP = (b.P ** 4 - b.P ** 2 + 1) // b.ORDER
 _HARD_DIGITS = []
 _h = _HARD_EXP
@@ -611,7 +617,9 @@ class TestGroups:
         one chain, against the naive ladders: zero and ORDER - 1 scalars, an
         identity base, a repeated base, a base with its negation, and in G2
         a twist point T of order 10069. T is always a point: a table's split
-        is exact only on G2, so :func:`g2_table` takes no point outside it."""
+        is exact only on G2, so :func:`g2_table` takes no point outside it.
+        The identity is always a point too: ``groups`` skips it before any
+        table, so neither table function takes it."""
         gen, neg, multi_exp, table, add, naive = {
             "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, b.g1_table, b.g1_add, naive_g1_mul),
             "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, b.g2_table, b.g2_add, naive_g2_mul),
@@ -633,10 +641,9 @@ class TestGroups:
                 if pt is not None:
                     want = add(want, naive(pt, k))
             for tabled in range(1 << len(terms)):
-                mixed = [(table(pt) if tabled >> i & 1 and pt != t else pt, k)
+                mixed = [(table(pt) if tabled >> i & 1 and pt not in (None, t) else pt, k)
                          for i, (pt, k) in enumerate(terms)]
                 assert multi_exp(mixed) == want
-        assert table(None) is None
         assert multi_exp([(table(pts[0]), b.ORDER)]) is None
 
     def test_g1_add_mul_consistency(self):
@@ -777,8 +784,9 @@ class TestPairing:
         assert b.gt_pow(out, b.ORDER) == b.FQ12_ONE
 
     def test_identity_inputs(self):
-        assert b.miller_loop_product([(None, b.G2_GEN)]) == b.FQ12_ONE
-        assert b.miller_loop_product([(b.G1_GEN, None)]) == b.FQ12_ONE
+        assert b.pairing(None, b.G2_GEN) == b.FQ12_ONE
+        assert b.pairing(b.G1_GEN, None) == b.FQ12_ONE
+        assert b.miller_loop_product([]) == b.FQ12_ONE
 
     def test_product_form_matches_separate_pairings(self):
         pairs = [
@@ -786,7 +794,7 @@ class TestPairing:
              b.g2_mul(b.G2_GEN, rng.randrange(1, 1000)))
             for _ in range(3)
         ]
-        fused = b.final_exponentiation(b.miller_loop_product(pairs))
+        fused = b.final_exponentiation(b.miller_loop_product(lined(pairs)))
         sep = b.FQ12_ONE
         for p, q in pairs:
             sep = b.fq12_mul(sep, b.pairing(p, q))
@@ -796,21 +804,23 @@ class TestPairing:
     def test_miller_loop_matches_naive(self, n):
         pairs = [(b.g1_mul(b.G1_GEN, rng.randrange(1, b.ORDER)),
                   b.g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))) for _ in range(n)]
-        fast = b.final_exponentiation(b.miller_loop_product(pairs))
+        fast = b.final_exponentiation(b.miller_loop_product(lined(pairs)))
         assert fast == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
 
     def test_miller_loop_identity_pairs_match_naive(self):
+        """A pair with an identity side pairs to one, as the naive loop,
+        which skips it, says; the loop itself takes no such pair."""
         q = b.g2_mul(b.G2_GEN, 77)
         pairs = [(None, q), (b.G1_GEN, None), (b.G1_GEN, q), (None, None)]
-        fast = b.final_exponentiation(b.miller_loop_product(pairs))
-        assert fast == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
-        assert fast == b.pairing(b.G1_GEN, q)
+        want = b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
+        assert want == b.pairing(b.G1_GEN, q)
+        assert [b.pairing(p, q) for p, q in pairs] == [b.FQ12_ONE] * 2 + [want, b.FQ12_ONE]
 
     def test_miller_loop_inverse_pair_cancels(self):
         p = b.g1_mul(b.G1_GEN, 31337)
         q = b.g2_mul(b.G2_GEN, 4242)
         pairs = [(p, q), (p, b.g2_neg(q))]
-        assert b.final_exponentiation(b.miller_loop_product(pairs)) == b.FQ12_ONE
+        assert b.final_exponentiation(b.miller_loop_product(lined(pairs))) == b.FQ12_ONE
         assert b.final_exponentiation(flat(naive_miller_loop_product(pairs))) == b.FQ12_ONE
 
     def test_vertical_line_is_left_out(self):
@@ -836,49 +846,48 @@ class TestPairing:
     def test_g2_lines_hold_one_line_per_step(self):
         steps = (len(b.ATE_NAF) - 1) + (sum(d != 0 for d in b.ATE_NAF) - 1) + 2
         lines, again = b.g2_lines([b.g2_mul(b.G2_GEN, 99), b.g2_mul(b.G2_GEN, 5)])
-        assert type(lines) is b.Lines and len(lines) == steps == 88
+        assert type(lines) is list and len(lines) == steps == 88
         assert all(len(line) == 4 for line in lines)
         assert again == b.g2_lines([b.g2_mul(b.G2_GEN, 5)])[0]  # built together or alone
         assert b.g2_lines([]) == []
 
     @pytest.mark.parametrize("n", [1, 2, 6, 8])
     def test_lines_match_the_generic_loop_and_naive(self, n):
-        """Through the final exponentiation, every mix of precomputed lines
-        and points gives the generic loop's and the naive loop's product: for
-        n <= 2 every subset of pairs on lines, for n = 6 and 8 one subset of
-        each size, its members drawn at random."""
+        """Through the final exponentiation, every mix of lines built for all
+        the points together and lines built for one point alone gives the
+        naive loop's product: for n <= 2 every subset of pairs on the
+        together-built lines, for n = 6 and 8 one subset of each size, its
+        members drawn at random."""
         draw = random.Random(n)
         pairs = [(b.g1_mul(b.G1_GEN, draw.randrange(1, b.ORDER)),
                   b.g2_mul(b.G2_GEN, draw.randrange(1, b.ORDER))) for _ in range(n)]
-        lines = b.g2_lines([q for _, q in pairs])
-        want = b.final_exponentiation(b.miller_loop_product(pairs))
-        assert want == b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
+        together = b.g2_lines([q for _, q in pairs])
+        alone = [b.g2_lines([q])[0] for _, q in pairs]
+        want = b.final_exponentiation(flat(naive_miller_loop_product(pairs)))
         if n <= 2:
             mixes = [{i for i in range(n) if mask >> i & 1} for mask in range(1 << n)]
         else:
             mixes = [set(draw.sample(range(n), size)) for size in range(n + 1)]
         for fixed in mixes:
-            mixed = [(p, lines[i] if i in fixed else q) for i, (p, q) in enumerate(pairs)]
+            mixed = [(p, (together if i in fixed else alone)[i]) for i, (p, _) in enumerate(pairs)]
             assert b.final_exponentiation(b.miller_loop_product(mixed)) == want, fixed
 
     def test_lines_on_the_denominator_and_beside_their_point(self):
         """A pair on lines with a negated G1 side, as the denominator of a
-        pairing product is passed; a G1 identity against lines; and one point
-        both on its lines and fresh in one product."""
+        pairing product is passed, and one point in one product both on
+        its lines and on lines built for it again."""
         p, q = b.g1_mul(b.G1_GEN, 31337), b.g2_mul(b.G2_GEN, 4242)
         p2 = b.g1_mul(b.G1_GEN, 77)
         lines, = b.g2_lines([q])
         fe = b.final_exponentiation
-        assert fe(b.miller_loop_product([(p, q), (b.g1_neg(p), lines)])) == b.FQ12_ONE
+        assert fe(b.miller_loop_product([(p, lines), (b.g1_neg(p), lines)])) == b.FQ12_ONE
         assert fe(b.miller_loop_product([(b.g1_neg(p), lines)])) == b.fq12_conj(b.pairing(p, q))
-        assert b.miller_loop_product([(None, lines)]) == b.FQ12_ONE
-        assert fe(b.miller_loop_product([(None, lines), (p, q)])) == b.pairing(p, q)
-        both = fe(b.miller_loop_product([(p, lines), (p2, q)]))
+        both = fe(b.miller_loop_product([(p, lines), (p2, b.g2_lines([q])[0])]))
         assert both == b.pairing(b.g1_add(p, p2), q)
         assert both == fe(flat(naive_miller_loop_product([(p, q), (p2, q)])))
 
     def test_hard_part_chain_matches_digit_oracle(self):
-        f = b.miller_loop_product([(b.g1_mul(b.G1_GEN, 123), b.G2_GEN)])
+        f = b.miller_loop_product(lined([(b.g1_mul(b.G1_GEN, 123), b.G2_GEN)]))
         t = b.fq12_mul(b.fq12_conj(f), b.fq12_inv(f))
         t = b.fq12_mul(b.fq12_frobenius(t, 2), t)
         assert b._hard_part_chain(t) == hard_part_digits(t)
@@ -978,7 +987,8 @@ class TestArithmeticCost:
         exponentiation makes the fq12_mul and fq12_cyc_sqr calls, and its
         one fq12_inv the fq2_inv."""
         pairs = [(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))]
-        got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
+        got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(
+            b.miller_loop_product(lined(pairs))))
         assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
                        "fq_batch_inv": 89, "fq2_inv": 1}
 
@@ -986,8 +996,7 @@ class TestArithmeticCost:
         """The same two pairs on their precomputed lines, built outside the
         count: the 88 _mul_line calls per pair stay, no slope is inverted,
         and the one fq_batch_inv left is the pairs' yP: 0 + 1."""
-        pairs = list(zip([b.g1_mul(b.G1_GEN, E1), b.G1_GEN],
-                         b.g2_lines([b.G2_GEN, b.g2_mul(b.G2_GEN, E2)])))
+        pairs = lined([(b.g1_mul(b.G1_GEN, E1), b.G2_GEN), (b.G1_GEN, b.g2_mul(b.G2_GEN, E2))])
         got = count_calls(TOWER_OPS, lambda: b.final_exponentiation(b.miller_loop_product(pairs)))
         assert got == {"fq12_mul": 63, "fq12_sqr": 65, "fq12_cyc_sqr": 193, "_mul_line": 176,
                        "fq_batch_inv": 1, "fq2_inv": 1}

@@ -305,7 +305,7 @@ def _counted_products(suite, monkeypatch):
     """A list that grows by one entry per backend pairing product from now on."""
     calls, raw = [], suite.backend.pair_product_raw
     monkeypatch.setattr(suite.backend, "pair_product_raw",
-                        lambda num, den: calls.append(1) or raw(num, den))
+                        lambda pairs: calls.append(1) or raw(pairs))
     return calls
 
 

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from seqsig import envelopes as env, groups, ms, pks, sas
+from seqsig import bn254, envelopes as env, groups, ms, pks, sas
 from seqsig.groups import suite_generate
 
 MSG = b"lined"
@@ -121,15 +121,99 @@ def test_one_element_on_both_sides_is_built_once(backend, order, monkeypatch):
 def test_lined_results_equal_unlined_ones_on_real():
     """One element through its lining first use and two lined later uses, on
     both sides of the product, next to a fresh copy of itself, against the
-    backend's product on the bare handles, whose loop builds the lines
-    itself."""
+    product of ``bn254.pairing`` values, each of which lines its own point."""
     suite = suite_generate("real")
     a, c, q = suite.g ** 1234, suite.g ** 99, suite.g_hat ** 5678
     fresh = lambda: type(q)(suite, q.h)
-    want = suite.backend.pair_product_raw([(a.h, q.h), (c.h, q.h)], [(a.h, q.h)])
+    e_aq = bn254.pairing(a.h, q.h)
+    want = bn254.fq12_mul(bn254.fq12_mul(e_aq, bn254.pairing(c.h, q.h)), bn254.fq12_conj(e_aq))
     got = [groups.pairing_product([(a, q), (c, fresh())], [(a, q)]) for _ in range(3)]
     assert [x.h for x in got] == [want] * 3
     assert want == groups.pair(c, fresh()).h
+
+
+def _handed_products(suite, monkeypatch):
+    """One record per ``pairing_product`` call from now on: the numerator
+    and denominator pairs it was given, the pairs it handed
+    ``suite.backend.pair_product_raw`` and its result."""
+    records, product, raw = [], groups.pairing_product, suite.backend.pair_product_raw
+
+    def recorded(num, den=()):
+        rec = {"num": list(num), "den": list(den), "handed": []}
+        records.append(rec)
+        rec["out"] = product(rec["num"], rec["den"])
+        return rec["out"]
+
+    def handed(pairs):
+        records[-1]["handed"] += pairs
+        return raw(pairs)
+
+    monkeypatch.setattr(groups, "pairing_product", recorded)
+    monkeypatch.setattr(pks, "pairing_product", recorded)
+    monkeypatch.setattr(suite.backend, "pair_product_raw", handed)
+    return records
+
+
+def _paired(suite, a, b):
+    """e(a, b) by ``bn254.pairing`` on real, as a*b on mock's exponents."""
+    if suite.backend.name == "mock":
+        return a.h * b.h % suite.order
+    return bn254.pairing(a.h, b.h)
+
+
+@BACKENDS
+def test_the_backend_gets_only_live_lined_pairs(backend, order, monkeypatch):
+    """Verifies of pks1, pks2 and lw, sas1 and sas2 aggregates at l = 2, a
+    3-share ``ms_combine`` and its ``ms_mult_verify``, and a product with a
+    G1 identity beside a fresh G2 element and a G2 identity on the
+    denominator: every pair handed to the backend has a G1 side that is not
+    the identity and, as its G2 side, the very lines kept on its element;
+    the pairs with an identity side are left out but counted; and every
+    result is the product of the pairs' pairings."""
+    rng = random.Random(7)
+    suite = suite_generate(backend, order)
+    ops = []
+    for variant in pks.VARIANTS:
+        pk, sk = pks.keygen(suite, variant, rng)
+        sig = pks.sign(variant, MSG, sk, pk, rng)
+        ops.append(lambda v=variant, s=sig, k=pk: pks.verify(v, s, MSG, k, rng))
+    for variant in ("sas1", "sas2"):
+        params = sas.setup(suite, variant, rng)
+        agg = sas.empty_aggregate(params)
+        for _ in range(2):
+            agg = sas.agg_sign(params, agg, MSG, *sas.keygen(params, rng), rng)
+        ops.append(lambda p=params, g=agg: sas.agg_verify(p, g, rng))
+    params = ms.ms_setup(suite, rng)
+    keys = [ms.ms_keygen(params, rng) for _ in range(3)]
+    sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+    pubs = [pk for pk, _ in keys]
+    ops.append(lambda: ms.ms_mult_verify(ms.ms_combine(sigs, MSG, pubs, params, rng),
+                                         MSG, pubs, params, rng))
+    q, a, c = suite.g_hat ** 5, suite.g ** 7, suite.g ** 11
+    ops.append(lambda: groups.pairing_product(
+        [(suite.identity("g1"), q), (a, suite.g_hat)], [(c, suite.identity("g2"))])
+        == groups.pair(a, suite.g_hat))
+    records = _handed_products(suite, monkeypatch)
+    suite.counts.clear()
+    assert all(op() for op in ops)
+    assert q._lines is None
+    assert suite.counts["pairings"] == sum(len(r["num"]) + len(r["den"]) for r in records)
+    one = suite.identity("g1").h
+    for rec in records:
+        given = [(a, b, 1) for a, b in rec["num"]] + [(a, b, -1) for a, b in rec["den"]]
+        live = [(a, b) for a, b, _ in given if not a.is_identity() and not b.is_identity()]
+        assert len(rec["handed"]) == len(live)
+        for (h, lines), (_, b) in zip(rec["handed"], live):
+            assert h != one and lines is b._lines is not None
+        want = suite.backend.identity("gt")
+        for a, b, sign in given:
+            e = _paired(suite, a, b)
+            if backend == "mock":
+                want = (want + sign * e) % suite.order
+            else:
+                want = bn254.fq12_mul(want, e if sign == 1 else bn254.fq12_conj(e))
+        assert rec["out"].h == want
+    assert any(len(r["handed"]) < len(r["num"]) + len(r["den"]) for r in records)
 
 
 @BACKENDS
