@@ -29,6 +29,11 @@ run's median ``relative`` time (reference units). It is read from
 ``perfbench/out/result-W-seedS-trace0.json``, which each run leaves in its
 checkout, and shows which kind of call moved.
 
+Both checkouts must run the same benchmark: before any run, the script
+compares their BENCHMARK.json and every ``perfbench/*.py``, a file on one
+side only counting as a difference, and on a difference it exits 2 with a
+message that names the files, and writes nothing.
+
 The exit status is 1, after the file is written, when any run reports
 ``correct: false`` or a failed op; the message names each such run's
 workload, seed and side.
@@ -61,6 +66,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, backend: 
                          f"(exit {done.returncode}):\n{done.stderr[-2000:]}") from None
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
     return result, env
+
+
+def benchmark_files(checkout: Path) -> dict:
+    """The bytes of BENCHMARK.json and of every ``perfbench/*.py`` in a
+    checkout, by path within it."""
+    paths = [checkout / "BENCHMARK.json", *checkout.glob("perfbench/*.py")]
+    return {p.relative_to(checkout).as_posix(): p.read_bytes() for p in paths if p.is_file()}
+
+
+def benchmark_differences(parent: Path, change: Path) -> list:
+    """The benchmark files that differ between two checkouts, or that only
+    one of them has."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def kind_medians(checkout: Path, workload: str, seed: int) -> dict:
@@ -124,6 +143,11 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, default=Path("."), help="directory for the file")
     args = ap.parse_args(argv)
 
+    differ = benchmark_differences(args.parent, args.change)
+    if differ:
+        print("bench_ab: the checkouts run different benchmarks; these files differ: "
+              + ", ".join(differ), file=sys.stderr)
+        return 2
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}

@@ -13,7 +13,7 @@ accumulator is Jacobian, so every addition is a mixed one. A term's table
 is either built in the call, at width 4, or a cached width-7 :class:`Table`
 that the caller built once for a base it reuses (:func:`g1_table`,
 :func:`g2_table`). The G2 group law works on flat Fp2 integer components,
-not through ``fq2_mul``.
+not through ``fq2_mul``; :func:`g2_add` is one pair of :func:`_step_lines`.
 
 Terms are split by an endomorphism E that acts as a scalar lambda, so the
 shared doubling chain is shorter. In G1, E is phi(x, y) = (beta*x, y) (GLV;
@@ -42,9 +42,9 @@ is 1 and :func:`_mul_line` takes no Fp factor; one inversion per product
 serves every yP, and the final exponentiation removes the factor.
 
 Membership of the order-r subgroups is tested exactly by
-:func:`g2_in_subgroup` and :func:`gt_has_order_r`, each on about one
-127-bit exponentiation or less. Nothing here runs them on its own inputs:
-the caller decides where membership is needed.
+:func:`g2_in_subgroup` and :func:`gt_has_order_r`, each on one 63-bit power
+by u and Frobenius maps. Nothing here runs them on its own inputs: the
+caller decides where membership is needed.
 """
 
 from __future__ import annotations
@@ -300,7 +300,8 @@ def g1_add(p1, p2):
 
 
 # Jacobian coordinates (X, Y, Z) = (X/Z^2, Y/Z^3), None as infinity, for
-# inversion-free scalar multiplication.
+# inversion-free scalar multiplication. A doubling never gives infinity: that
+# needs Y = 0, a point of order two, and E(Fp) and the twist have odd order.
 
 def _jac1_double(pt):
     X, Y, Z = pt
@@ -309,8 +310,7 @@ def _jac1_double(pt):
     E = 3 * X * X % P
     nX = (E * E - 2 * D) % P
     nY = (E * (D - nX) - 8 * Bv * Bv) % P
-    nZ = 2 * Y * Z % P
-    return None if nZ == 0 else (nX, nY, nZ)
+    return (nX, nY, 2 * Y * Z % P)
 
 
 def _jac1_madd(pt, q):
@@ -410,20 +410,14 @@ def g2_neg(pt):
 
 
 def g2_add(p1, p2):
+    """p1 + p2 on the twist: one pair of :func:`_step_lines`, its line dropped."""
     if p1 is None:
         return p2
     if p2 is None:
         return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if fq2_add(y1, y2) == FQ2_ZERO:
-            return None
-        lam = fq2_mul(fq2_scale(fq2_sqr(x1), 3), fq2_inv(fq2_scale(y1, 2)))
-    else:
-        lam = fq2_mul(fq2_sub(y2, y1), fq2_inv(fq2_sub(x2, x1)))
-    x3 = fq2_sub(fq2_sub(fq2_sqr(lam), x1), x2)
-    return (x3, fq2_sub(fq2_mul(lam, fq2_sub(x1, x3)), y1))
+    rs = [p1]
+    _step_lines(rs, [p2])
+    return rs[0]
 
 
 # Jacobian coordinates over Fp2, flat: (X0, X1, Y0, Y1, Z0, Z1) stands for
@@ -446,7 +440,7 @@ def _jac2_double(pt):
     nY1 = (E0 * T1 + E1 * T0 - 8 * C1) % P
     nZ0 = 2 * (Y0 * Z0 - Y1 * Z1) % P
     nZ1 = 2 * (Y0 * Z1 + Y1 * Z0) % P
-    return None if nZ0 == nZ1 == 0 else (nX0, nX1, nY0, nY1, nZ0, nZ1)
+    return (nX0, nX1, nY0, nY1, nZ0, nZ1)
 
 
 def _jac2_madd(pt, q):
@@ -964,8 +958,12 @@ def gt_pow(x, e):
 
 def gt_has_order_r(x):
     """Whether x lies in G_T, the order-r subgroup of Fp12*, exactly: x is
-    cyclotomic and x^p == x^GLS_LAMBDA. As p - GLS_LAMBDA = r, the second
-    test is x^r == 1. x^p is one Frobenius map, and the 127-bit power is
-    below ORDER, so reducing it changes nothing; the cyclotomic test comes
-    first because the power's squarings are valid only there."""
-    return fq12_is_cyclotomic(x) and fq12_frobenius(x, 1) == gt_multi_exp([(x, GLS_LAMBDA)])
+    cyclotomic and x^(u+1) * (x^u)^p * (x^u)^(p^2) == (x^(2u))^(p^3), as in
+    :func:`g2_in_subgroup`. On the cyclotomic subgroup that is x^e == 1 for
+    e = (u+1) + u*p + u*p^2 - 2u*p^3, and gcd(e, p^4 - p^2 + 1) = r. x^u is
+    one 63-bit power, valid only there, so the cyclotomic test comes first."""
+    if not fq12_is_cyclotomic(x):
+        return False
+    xu = gt_multi_exp([(x, T_PARAM)])
+    lhs = fq12_mul(fq12_mul(fq12_mul(xu, x), fq12_frobenius(xu, 1)), fq12_frobenius(xu, 2))
+    return lhs == fq12_frobenius(fq12_cyc_sqr(xu), 3)

@@ -344,14 +344,17 @@ class _Elem:
 
 
 class G1Elem(_Elem):
+    __slots__ = ()
     kind = "g1"
 
 
 class G2Elem(_Elem):
+    __slots__ = ()
     kind = "g2"
 
 
 class GTElem(_Elem):
+    __slots__ = ()
     kind = "gt"
 
 

@@ -84,6 +84,7 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "parent" / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
+    (tmp_path / "change" / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     code = bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--topic", "broken",
                           "--workloads", "verify-short", "cold-files", "--seeds", "1", "2",
@@ -100,3 +101,26 @@ def test_a_broken_run_writes_the_file_and_exits_one(tmp_path, monkeypatch, capsy
     assert set(kinds) == {"verify.x", "op.y", "sign"}
     assert kinds["verify.x"]["parent"] == kinds["verify.x"]["change"] == [3.0, 3.0]
     assert kinds["op.y"]["change"] == [2.0, 4.0] and kinds["op.y"]["bound"] is None
+
+
+def test_checkouts_with_different_benchmarks_are_refused_before_any_run(tmp_path, monkeypatch,
+                                                                          capsys):
+    """A changed BENCHMARK.json and a perfbench file on one side only are
+    named, the exit is 2, and no run is made and no file written; a
+    perfbench file the same on both sides is not named."""
+    bench_ab = _load_script()
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("# the same on both sides\n")
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(spec))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 1}))
+    (tmp_path / "change" / "perfbench" / "extra.py").write_text("")
+    calls = []
+    monkeypatch.setattr(bench_ab, "run_once", lambda *a: calls.append(a))
+    code = bench_ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--topic", "refused",
+                          "--workloads", "verify-short", "--seeds", "1", "--out", str(tmp_path)])
+    assert code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.strip().endswith("BENCHMARK.json, perfbench/extra.py")
+    assert not (tmp_path / "BENCH_refused.json").exists()

@@ -1,5 +1,6 @@
 """Low-level curve layer: field towers, group laws, and the pairing."""
 
+import math
 import random
 
 import pytest
@@ -917,6 +918,15 @@ class TestPairing:
                        for name, x in values.items()}
         assert [name for name, ok in got.items() if ok] == ["pairing", "generator", "one"]
         assert not b.gt_has_order_r((0,) * 12)
+
+    def test_gt_has_order_r_relation_is_exact_on_the_cyclotomic_subgroup(self):
+        """On the cyclotomic subgroup, of order p^4 - p^2 + 1, the relation
+        x^(u+1) * (x^u)^p * (x^u)^(p^2) == (x^(2u))^(p^3) is x^e == 1 for e =
+        (u+1) + u*p + u*p^2 - 2u*p^3. It picks out order r exactly because
+        the gcd of e and that order is r."""
+        u, p = b.T_PARAM, b.P
+        e = (u + 1) + u * p + u * p ** 2 - 2 * u * p ** 3
+        assert math.gcd(e, p ** 4 - p ** 2 + 1) == b.ORDER
 
     def test_gt_multi_exp_matches_slow_ladders(self):
         """Several terms on one chain, with a zero, a negative and a repeated

@@ -220,6 +220,17 @@ def test_has_order_r_is_exact_and_asked_once_per_element(backend, monkeypatch):
     assert len(asked) == len(everything)
 
 
+@pytest.mark.parametrize("backend", ["mock", "real"])
+def test_elements_hold_only_their_slots(backend):
+    """A G1, G2 and GT element has no instance __dict__ and no weak
+    reference slot, and an undeclared attribute is refused, not stored."""
+    suite = suite_generate(backend, 10007 if backend == "mock" else None)
+    for elem in (suite.g, suite.g_hat, pair(suite.g, suite.g_hat)):
+        assert not hasattr(elem, "__dict__") and not hasattr(elem, "__weakref__")
+        with pytest.raises(AttributeError):
+            elem.tabel = None
+
+
 # Decoding checks the twist equation and cyclotomicity, not order r; the
 # tests marked with this pass, and so fail as strict xfails, once it does.
 DECODE_SUBGROUP_GAP = pytest.mark.xfail(
@@ -271,6 +282,11 @@ class TestSerialization:
         with pytest.raises((SubgroupMembershipError, MalformedEncodingError)):
             decode_element(real_suite, "g1", bad)
 
+    def test_real_g2_off_twist_rejected(self, real_suite):
+        # x = (3, 0) gives a non-square for x^3 + b' in Fp2
+        with pytest.raises(SubgroupMembershipError, match="not on the twist"):
+            decode_element(real_suite, "g2", (3).to_bytes(64, "big"))
+
     def test_real_gt_must_be_cyclotomic(self, real_suite):
         """A random Fp12 element and zero are refused as GT; a pairing
         output, the unit and an easy-part image (cyclotomic) are accepted."""
@@ -298,10 +314,14 @@ class TestSerialization:
         ("g2", (bn254.P << 255).to_bytes(64, "big")),
         ("gt", bn254.P.to_bytes(32, "big") + bytes(352)),
         ("gt", bytes(352) + bn254.P.to_bytes(32, "big")),
-    ], ids=["g1-31", "g1-33", "gt-383", "gt-385", "g2-x0-p", "g2-x1-p", "gt-first-p", "gt-last-p"])
+        ("g1", ((1 << 255) | 1).to_bytes(32, "big")),
+        ("g2", ((1 << 511) | 1).to_bytes(64, "big")),
+    ], ids=["g1-31", "g1-33", "gt-383", "gt-385", "g2-x0-p", "g2-x1-p", "gt-first-p", "gt-last-p",
+            "g1-identity-and-x", "g2-identity-and-x"])
     def test_real_malformed_encoding_rejected(self, real_suite, kind, data):
         """G1 and GT encodings of the wrong length, a G2 coordinate and a GT
-        coefficient equal to p."""
+        coefficient equal to p, and a G1 and a G2 identity flag set beside
+        another bit."""
         with pytest.raises(MalformedEncodingError):
             decode_element(real_suite, kind, data)
 
