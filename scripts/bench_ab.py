@@ -15,8 +15,10 @@ which shows how many ops each median rests on. Per end-to-end metric of the
 parent's BENCHMARK.json it holds every run's value, both medians and
 interquartile ranges, in how many seeds the change read lower than the
 parent, the relative change of the medians, the metric's bound and the
-parent's spread (max - min over median). A metric whose parent spread
-exceeds its bound is listed in ``notes`` as unresolved. ``env.src_lines``
+parent's spread (max - min over median), and two verdicts: whether a
+gain may be claimed on it and whether it stayed within its bound
+(:func:`compare`). A metric whose parent spread exceeds its bound is
+listed in ``notes`` as unresolved. ``env.src_lines``
 and ``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py``
 and of ``wc -l tests/*.py``, so a change that removes code shows by how
 much, and whether it left the library or only moved into the tests.
@@ -116,7 +118,14 @@ def _iqr(xs):
 
 
 def compare(parent, change, bound):
-    """The per-metric record of paired per-seed values (lower is better)."""
+    """The per-metric record of paired per-seed values (lower is better).
+
+    ``gain_holds`` is the rule for claiming a gain: the change reads lower
+    in at least nine tenths of the pairs, ties counting for neither, and
+    its median lies below the parent's by more than the parent's
+    interquartile range. ``within_bound`` says that the change's median is
+    worse than the parent's by at most ``bound`` (a fraction), and is None
+    without a bound."""
     pm, cm = statistics.median(parent), statistics.median(change)
     lower = sum(c < p for p, c in zip(parent, change))
     return {
@@ -127,6 +136,8 @@ def compare(parent, change, bound):
         "relative_change": round(cm / pm - 1, 4) if pm else None,
         "bound": bound,
         "parent_spread": round((max(parent) - min(parent)) / pm, 4) if pm else None,
+        "gain_holds": 10 * lower >= 9 * len(parent) and pm - cm > _iqr(parent),
+        "within_bound": None if bound is None else cm <= pm * (1 + bound),
     }
 
 

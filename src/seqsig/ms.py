@@ -7,10 +7,10 @@ Verification of a combined signature costs the same six pairings as an
 individual one. Both are a :class:`pks.Signature` of variant ``ms``
 with no messages or signers, built by ``MsSignature(row1, row2)``.
 
-``ms_combine`` checks its N shares as one small-exponent batch (Bellare,
-Garay and Rabin, EUROCRYPT 1998). All shares sign one message, so they meet
-the same verifier rows (V1', V2'), and with c_i the low 128 bits of share
-i's coin t_i it checks
+``ms_combine`` checks N >= 2 shares as one small-exponent batch (Bellare,
+Garay and Rabin, EUROCRYPT 1998), and one share by its own check. All
+shares sign one message, so they meet the same verifier rows (V1', V2'),
+and with c_i the low 128 bits of share i's coin t_i it checks
 
     e(prod_i row1_i^c_i, V1') * e(prod_i row2_i^c_i, V2')^-1 == prod_i Omega_i^c_i,
 
@@ -111,6 +111,8 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     to have order r, which :func:`groups.has_order_r` checks once per
     element. If it fails, or may not run, each share is checked against its
     own key's Omega on the same rows, and the first that fails is named.
+    One share is checked that way at once: its own check is one 6-pair
+    product, with no gate and no folds.
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
@@ -125,7 +127,8 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     if not skip_individual_checks:
         coins = [pks.verifier_coins(params.suite, params.variant, rng)[0] for _ in sigs]
         rows = _verifier_rows(params, message_scalar(params, message), coins[0])
-        if not _batch_holds(sigs, keys, params, rows, [t & _BATCH_MASK for t in coins]):
+        if len(sigs) == 1 or not _batch_holds(sigs, keys, params, rows,
+                                              [t & _BATCH_MASK for t in coins]):
             for i, (sig, pk) in enumerate(zip(sigs, keys)):
                 if not pks.pairing_check(sig, *rows, pk.omega):
                     raise InvalidAggregateError(f"input signature {i} is invalid; halting")

@@ -48,11 +48,13 @@ def test_bench_ab_writes_the_comparison_file(tmp_path):
         for key in ("parent_median", "change_median", "parent_iqr", "change_iqr",
                     "relative_change", "parent_spread"):
             assert isinstance(m[key], float)
+        assert type(m["gain_holds"]) is bool and type(m["within_bound"]) is bool
     # each kind of sample of verify-short, read from the runs' result files
     assert set(run["kinds"]) == {"verify.pks1", "verify.pks2", "verify.sas1", "verify.ms",
                                  "op.round", "combine", "sign"}
     for m in run["kinds"].values():
         assert len(m["parent"]) == len(m["change"]) == 2 and m["bound"] is None
+        assert m["within_bound"] is None
         assert all(isinstance(x, float) and x > 0 for x in m["parent"] + m["change"])
 
 
@@ -124,3 +126,30 @@ def test_checkouts_with_different_benchmarks_are_refused_before_any_run(tmp_path
     err = capsys.readouterr().err
     assert err.strip().endswith("BENCHMARK.json, perfbench/extra.py")
     assert not (tmp_path / "BENCH_refused.json").exists()
+
+
+# ten parent runs: median 10.0, quartiles 9.8 and 10.2 (statistics.quantiles), IQR 0.4
+PARENT = [9.6, 9.8, 9.8, 9.9, 10.0, 10.0, 10.1, 10.2, 10.2, 10.4]
+
+
+@pytest.mark.parametrize("change, gain", [
+    ([p - 1.0 for p in PARENT], True),  # lower in 10/10, by 1.0 > 0.4
+    ([p - 1.0 for p in PARENT[:9]] + [11.0], True),  # lower in 9/10
+    ([p - 1.0 for p in PARENT[:8]] + [10.2, 10.4], False),  # lower in 8/10, ties count for neither
+    ([p - 0.3 for p in PARENT], False),  # lower in 10/10, but by 0.3 < 0.4
+    (list(PARENT), False),  # all ties
+])
+def test_gain_holds_takes_nine_tenths_of_pairs_and_a_median_gap_beyond_the_parent_iqr(change,
+                                                                                      gain):
+    m = _load_script().compare(PARENT, change, 0.15)
+    assert m["parent_iqr"] == 0.4
+    assert m["gain_holds"] is gain and m["within_bound"] is True
+
+
+@pytest.mark.parametrize("shift, within", [(0.0, True), (1.5, True), (1.51, False), (3.0, False)])
+def test_within_bound_compares_the_medians_against_the_bound(shift, within):
+    """The parent's median is 10.0 and the bound 0.15: a change median up to
+    11.5 is within it."""
+    m = _load_script().compare(PARENT, [p + shift for p in PARENT], 0.15)
+    assert m["within_bound"] is within and m["gain_holds"] is False
+    assert _load_script().compare(PARENT, PARENT, None)["within_bound"] is None

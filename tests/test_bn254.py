@@ -551,17 +551,23 @@ class TestGroups:
 
     @pytest.mark.parametrize("group", ["g1", "g2"])
     def test_multi_exp_repeated_and_cancelling_points(self, group):
-        gen, neg, multi_exp, naive = {
-            "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, naive_g1_mul),
-            "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, naive_g2_mul),
+        gen, neg, multi_exp, add, naive = {
+            "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, b.g1_add, naive_g1_mul),
+            "g2": (b.G2_GEN, b.g2_neg, b.g2_multi_exp, b.g2_add, naive_g2_mul),
         }[group]
         pt = naive(gen, 999)
         k = rng.randrange(1, b.ORDER)
-        # equal terms meet in the Jacobian add, which must take its doubling branch
+        # equal terms put equal entries at every position, which each sum
+        # doubles, or which the Jacobian add must take on its doubling branch
         assert multi_exp([(pt, k), (pt, k)]) == naive(pt, 2 * k)
-        # P and -P under one scalar cancel to the identity
+        assert multi_exp([(pt, k), (pt, k), (pt, k), (gen, 7)]) == add(naive(pt, 3 * k),
+                                                                         naive(gen, 7))
+        # P and -P under one scalar, and k and -k on one base: every entry
+        # meets its negation, and the sum is the identity
         assert multi_exp([(pt, k), (neg(pt), k)]) is None
+        assert multi_exp([(pt, k), (pt, b.ORDER - k)]) is None
         assert multi_exp([(pt, k), (neg(pt), k), (gen, 7)]) == naive(gen, 7)
+        assert multi_exp([(gen, 7), (pt, b.ORDER - k), (pt, k)]) == naive(gen, 7)
 
     @pytest.mark.parametrize("group", ["g1", "g2"])
     def test_mixed_add_of_equal_and_opposite_points(self, group):
@@ -616,9 +622,12 @@ class TestGroups:
     def test_multi_exp_mixes_cached_tables_and_points(self, group):
         """Terms given as cached width-7 tables and as points (width 4) in
         one chain, against the naive ladders: zero and ORDER - 1 scalars, an
-        identity base, a repeated base, a base with its negation, and in G2
-        a twist point T of order 10069. T is always a point: a table's split
-        is exact only on G2, so :func:`g2_table` takes no point outside it.
+        identity base, a repeated base (with the same scalar too, so equal
+        entries meet at every position), a base with its negation, k and
+        -k on one base, a call whose sum is the identity, and in G2 a twist
+        point T of order 10069, also beside its own multiples 3T and 5T and
+        -3T. T and its multiples are always points: a table's split is
+        exact only on G2, so :func:`g2_table` takes no point outside it.
         The identity is always a point too: ``groups`` skips it before any
         table, so neither table function takes it."""
         gen, neg, multi_exp, table, add, naive = {
@@ -632,20 +641,60 @@ class TestGroups:
             [(pts[0], 0), (pts[1], b.ORDER - 1), (None, ks[2]), (pts[2], ks[2])],
             [(pts[0], ks[0]), (pts[0], ks[1]), (pts[0], b.ORDER - 1)],
             [(pts[1], ks[1]), (neg(pts[1]), ks[1]), (gen, 7)],
+            [(pts[2], ks[2]), (pts[2], ks[2]), (pts[0], ks[0])],
+            [(pts[0], ks[0]), (pts[1], ks[1]), (pts[0], b.ORDER - ks[0])],
+            [(pts[0], ks[0]), (pts[0], b.ORDER - ks[0]), (neg(pts[1]), ks[1]), (pts[1], ks[1])],
         ]
-        t = twist_point_of_order_10069()
+        points_only = [None]
         if group == "g2":
-            cases.append([(t, ks[0]), (gen, ks[1]), (t, 10069), (pts[0], b.ORDER - 1)])
+            t = twist_point_of_order_10069()
+            t3, t5 = naive_g2_ladder(t, 3), naive_g2_ladder(t, 5)
+            points_only += [t, t3, t5, neg(t3)]
+            cases += [[(t, ks[0]), (gen, ks[1]), (t, 10069), (pts[0], b.ORDER - 1)],
+                      [(t, ks[0]), (t3, ks[1]), (t, ks[0]), (t5, ks[2]), (neg(t3), ks[1])]]
         for terms in cases:
             want = None
             for pt, k in terms:
                 if pt is not None:
                     want = add(want, naive(pt, k))
             for tabled in range(1 << len(terms)):
-                mixed = [(table(pt) if tabled >> i & 1 and pt not in (None, t) else pt, k)
+                mixed = [(table(pt) if tabled >> i & 1 and pt not in points_only else pt, k)
                          for i, (pt, k) in enumerate(terms)]
                 assert multi_exp(mixed) == want
         assert multi_exp([(table(pts[0]), b.ORDER)]) is None
+
+    @pytest.mark.parametrize("group", ["g1", "g2"])
+    def test_batched_affine_law_matches_one_pair_at_a_time(self, group):
+        """The batched affine step, one inversion for all its pairs, against
+        an addition of one pair at a time: :func:`bn254.g1_add` in G1 and
+        the Jacobian mixed addition in G2. On random pairs, on P + P, which
+        doubles, and on P + (-P), which gives the identity, in one batch and
+        each alone."""
+        gen, neg, law, naive, madd, to_affine = {
+            "g1": (b.G1_GEN, b.g1_neg, b._g1_add_pairs, naive_g1_mul, b._jac1_madd,
+                   b._jac1_to_affine),
+            "g2": (b.G2_GEN, b.g2_neg, b._g2_add_pairs, naive_g2_mul, b._jac2_madd,
+                   b._jac2_to_affine),
+        }[group]
+
+        def one_pair(p, q):
+            if group == "g1":
+                return b.g1_add(p, q)
+            total = madd(madd(None, p), q)
+            return None if total is None else to_affine([total])[0]
+
+        pts = [naive(gen, rng.randrange(1, b.ORDER)) for _ in range(8)]
+        rs = pts[:4] + [pts[4], pts[5]]
+        addends = pts[6:] + pts[:2] + [pts[4], neg(pts[5])]
+        want = [one_pair(p, q) for p, q in zip(rs, addends)]
+        assert want[4] == naive(pts[4], 2) and want[5] is None
+        got = list(rs)
+        law(got, addends)
+        assert got == want
+        for p, q, sum_ in zip(rs, addends, want):
+            alone = [p]
+            law(alone, [q])
+            assert alone == [sum_]
 
     def test_g1_add_mul_consistency(self):
         p5 = b.g1_mul(b.G1_GEN, 5)
@@ -981,6 +1030,18 @@ def count_calls(names, fn, *args):
     return counts
 
 
+def count_msm(group, fn, *args):
+    """(doublings, mixed additions, pairs per round of the batched affine
+    law, fq_batch_inv calls) that fn(*args) makes in G1 or G2."""
+    double, madd, law = {"g1": ("_jac1_double", "_jac1_madd", "_g1_add_pairs"),
+                         "g2": ("_jac2_double", "_jac2_madd", "_g2_add_pairs")}[group]
+    rounds, op = [], getattr(b, law)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(b, law, lambda rs, qs: rounds.append(len(rs)) or op(rs, qs))
+        got = count_calls((double, madd, "fq_batch_inv"), fn, *args)
+    return got[double], got[madd], rounds, got["fq_batch_inv"]
+
+
 class TestArithmeticCost:
     """Exact operation counts of the pairing and exponentiation layers:
     they change only when the arithmetic does, and a change that saves work
@@ -1035,79 +1096,99 @@ class TestArithmeticCost:
 
     @pytest.mark.parametrize("group, n, want", [
         pytest.param(g, n, want, id=f"{g}-{n}") for g, n, want in (
-            ("g1", 3, (134, 168, 2)), ("g1", 20, (186, 1109, 2)),
-            ("g2", 3, (261, 166, 2)), ("g2", 20, (314, 1097, 2)))
+            ("g1", 3, (134, 119, [48], 3)), ("g1", 20, (186, 208, [484, 240, 121, 55], 6)),
+            ("g2", 3, (261, 133, [28, 4], 4)), ("g2", 20, (314, 331, [443, 224, 95], 5)))
     ])
     def test_multi_exp_group_law(self, group, n, want):
-        """Doublings, mixed additions and batch inversions of an n-term MSM
-        with fixed exponents. Each term's affine table takes 3 doublings and
-        4 mixed additions (x lifted, then 3x, 5x and 7x); the chain takes a
-        doubling per 4-NAF position below the top one and a mixed addition
-        per nonzero digit; one batch inversion normalises every table and
-        one the result.
+        """Doublings, mixed additions, the pairs of each round of position
+        sums and batch inversions of an n-term MSM with fixed exponents.
+        Each term's affine table takes 3 doublings and 4 mixed additions (x
+        lifted, then 3x, 5x and 7x), and one batch inversion normalises
+        every table. The chain takes a doubling per 4-NAF position below the
+        top one. The digits' entries are summed per position first: a round
+        adds the pairs (e0, e1), (e2, e3), ... of every position with one
+        batch inversion, and runs while it holds at least 16 pairs in G1
+        and 4 in G2. Then each entry left takes a mixed addition, and one
+        batch inversion converts the result. The bases G, 2G, ..., nG share
+        multiples (3G lies in the tables of G and 3G), so a few pairs meet
+        their own negation and sum to the identity, which leaves no entry.
 
         G2 points stay unsplit. E1, E2 and E3 have 154 nonzero digits, the
-        top at 252: 9 + 252 doublings and 12 + 154 mixed additions. The 20
-        drawn scalars have 1017, the top at 254: 60 + 254 and 80 + 1017.
+        top at 252: 9 + 252 doublings. Rounds of 28 pairs (one identity)
+        and 4 leave 154 - 32 - 1 = 121 entries, so 12 + 121 mixed additions
+        and 1 + 2 + 1 inversions. The 20 drawn scalars have 1017, the top
+        at 254: 60 + 254 doublings. Rounds of 443, 224 (4 identities) and
+        95 pairs leave 1017 - 762 - 4 = 251 entries, and a fourth round
+        would hold 3 pairs: 80 + 251 and 1 + 3 + 1.
+
         In G1 every scalar runs as two GLV halves of at most 127 bits, on
         the table and its phi images, which take no group operation. The 6
         halves of E1, E2 and E3 have 156 digits, the top at 125: 9 + 125
-        and 12 + 156. The 40 halves of the drawn scalars have 1029, the top
-        at 126: 60 + 126 and 80 + 1029. Unsplit, as in G2, they took
-        (261, 166, 2) and (314, 1097, 2): the split saves 127 and 128
-        doublings for 2 and 12 more mixed additions."""
+        doublings. A round of 48 pairs (one identity) leaves 107 entries,
+        and a second would hold 14 pairs: 12 + 107 and 1 + 1 + 1. The 40
+        halves of the drawn scalars have 1029, the top at 126: 60 + 126.
+        Rounds of 484 (one identity), 240, 121 and 55 pairs leave 128, and
+        a fifth would hold 1: 80 + 128 and 1 + 4 + 1. Added one by one into
+        the chain, the entries took (134, 168, 2), (186, 1109, 2), (261,
+        166, 2) and (314, 1097, 2)."""
         gen, multi_exp, mul = {"g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul),
                                "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul)}[group]
         pts = [mul(gen, i + 1) for i in range(n)]
         draw = random.Random(n).randrange
         ks = [E1, E2, E3] if n == 3 else [draw(b.ORDER) for _ in range(n)]
-        ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
-        got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(pts, ks)))
-        assert tuple(got.values()) == want
+        assert count_msm(group, multi_exp, list(zip(pts, ks))) == want
 
     @pytest.mark.parametrize("group", ["g1", "g2"])
     def test_multi_exp_with_cached_tables(self, group):
         """The 20-term MSM of ``test_multi_exp_group_law`` with every base a
         cached width-7 table: no table is built, so the doublings, mixed
-        additions and batch inversion of the width-4 tables go, and one
-        batch inversion stays. Every term runs on a chain of 7-NAF digits.
+        additions and batch inversion of the width-4 tables go. Every term
+        runs on a chain of 7-NAF digits, summed per position first.
+
         In G1 it runs as two GLV halves on the table and its phi images:
         the 40 halves have 646 nonzero digits, the top at 125, so 125
-        doublings and 646 mixed additions. In G2 it runs as four GLS parts
-        of at most 64 bits, on the table, its psi images and -psi^2 of
-        both, which take no group operation: the 80 parts have 659 digits,
-        the top at 62, so 62 and 659. The two GLS halves, k mod 6u^2 and k
-        div 6u^2, took 127 and 656, and the unsplit 7-NAF of the 20 scalars
-        254 doublings and 643 mixed additions in both groups.
+        doublings. Rounds of 288, 147 and 76 pairs leave 646 - 511 = 135
+        entries, and a fourth round would hold 11 pairs (below 16): 135
+        mixed additions and 3 + 1 inversions. In G2 it runs as four GLS
+        parts of at most 64 bits, on the table, its psi images and -psi^2
+        of both, which take no group operation: the 80 parts have 659
+        digits at all 63 positions, the top at 62, so 62 doublings. Rounds
+        of 315, 161, 73, 40 and 6 pairs leave 659 - 595 = 64 entries, one
+        position two, and a sixth round would hold 1 pair (below 4): 64
+        mixed additions and 5 + 1 inversions. Added one by one, the entries
+        took (125, 646, 1) and (62, 659, 1); the two GLS halves, k mod
+        6u^2 and k div 6u^2, took 127 doublings and 656 mixed additions,
+        and the unsplit 7-NAF of the 20 scalars 254 and 643 in both groups.
 
         Building one table, outside the count, takes the same work in both
         groups: x lifted to Jacobian form (1 mixed addition), then each odd
         multiple (2j+1)x for j = 1, ..., 31 as [2](jx) + x (a doubling and a
         mixed addition), and 1 batch inversion for all of them: 31, 32 and
-        1. The images, phi or psi of each multiple, take no group operation.
-        A G2 table's point is checked before the build (``g2_in_subgroup``),
-        not in it; the check psi(x) == [6u^2]x made there, the unsplit
-        7-NAF of 6u^2, cost 158, 49 and 2."""
+        1, and no position sums. The images, phi or psi of each multiple,
+        take no group operation. A G2 table's point is checked before the
+        build (``g2_in_subgroup``), not in it; the check psi(x) == [6u^2]x
+        made there, the unsplit 7-NAF of 6u^2, cost 158, 49 and 2."""
         gen, multi_exp, mul, table = {
             "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul, b.g1_table),
             "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul, b.g2_table)}[group]
         tables = [table(mul(gen, i + 1)) for i in range(20)]
         draw = random.Random(20).randrange
         ks = [draw(b.ORDER) for _ in range(20)]
-        ops = ("_jac1_double", "_jac1_madd") if group == "g1" else ("_jac2_double", "_jac2_madd")
-        got = count_calls(ops + ("fq_batch_inv",), multi_exp, list(zip(tables, ks)))
-        assert tuple(got.values()) == {"g1": (125, 646, 1), "g2": (62, 659, 1)}[group]
-        assert tuple(count_calls(ops + ("fq_batch_inv",), table, gen).values()) == (31, 32, 1)
+        assert count_msm(group, multi_exp, list(zip(tables, ks))) == {
+            "g1": (125, 135, [288, 147, 76], 4), "g2": (62, 64, [315, 161, 73, 40, 6], 6)}[group]
+        assert count_msm(group, table, gen) == (31, 32, [], 1)
 
-    @pytest.mark.parametrize("n, want", [(1, (62, 33, 1)), (2, (62, 67, 1))])
+    @pytest.mark.parametrize("n, want", [(1, (62, 27, [6], 2)), (2, (62, 38, [21, 8], 3))])
     def test_short_g2_multi_exp_with_cached_tables(self, n, want):
         """The shapes a short verify runs: one and two G2 terms on cached
         tables, E1 and then E2. Their four GLS parts each, within 64 bits,
-        have 33 and 67 nonzero 7-NAF digits, the top at 62: 62 doublings, a
-        mixed addition per digit, and the one batch inversion of the
-        result. The two GLS halves took 125 doublings for the same 33 and
-        67 mixed additions."""
+        have 33 and 67 nonzero 7-NAF digits, the top at 62: 62 doublings.
+        One term's parts put two digits at 6 positions, so a round of 6
+        pairs leaves 27 entries; two terms' parts put up to 4 at one
+        position, and rounds of 21 and 8 pairs leave 38. Each round holds
+        at least 4 pairs, so each pays for its inversion: 27 and 38 mixed
+        additions, and 1 + 1 and 2 + 1 inversions. Added one by one, the
+        entries took (62, 33, 1) and (62, 67, 1); the two GLS halves took
+        125 doublings for the same 33 and 67 mixed additions."""
         tables = [b.g2_table(b.g2_mul(b.G2_GEN, i + 1)) for i in range(n)]
-        ops = ("_jac2_double", "_jac2_madd", "fq_batch_inv")
-        got = count_calls(ops, b.g2_multi_exp, list(zip(tables, [E1, E2][:n])))
-        assert tuple(got.values()) == want
+        assert count_msm("g2", b.g2_multi_exp, list(zip(tables, [E1, E2][:n]))) == want

@@ -142,8 +142,9 @@ class TestCombining:
     def test_valid_shares_take_one_product(self, request, rng, suite, n, monkeypatch):
         """n valid shares: one backend product of 6 pairings. On mock, the
         folded rows are 6 G1 MSMs of n terms, the right side one GT MSM of n
-        terms, and V2' 3 G2 terms. With skip_individual_checks no coin is
-        drawn and nothing is paired."""
+        terms, and V2' 3 G2 terms. One share is checked on its own, with no
+        folds: V2' alone. With skip_individual_checks no coin is drawn and
+        nothing is paired."""
         suite = request.getfixturevalue(f"{suite}_suite")
         params = ms.ms_setup(suite, rng)
         keys = [ms.ms_keygen(params, rng) for _ in range(n)]
@@ -155,7 +156,8 @@ class TestCombining:
         grown = suite.counts - before
         assert (len(products), grown["pairings"]) == (1, 6)
         if suite.backend.name == "mock":
-            assert [grown[f"msm.{k}"] for k in ("g1", "gt", "g2")] == [6 * n, n, 3]
+            want = [6 * n, n, 3] if n > 1 else [0, 0, 3]
+            assert [grown[f"msm.{k}"] for k in ("g1", "gt", "g2")] == want
         state, before = rng.getstate(), suite.counts.copy()
         ms.ms_combine(sigs, MSG, pks_, params, rng, skip_individual_checks=True)
         assert rng.getstate() == state and suite.counts == before and len(products) == 1
