@@ -18,10 +18,10 @@ parent, the relative change of the medians, the metric's bound and the
 parent's spread (max - min over median), and two verdicts: whether a
 gain may be claimed on it and whether it stayed within its bound
 (:func:`compare`). A metric whose parent spread exceeds its bound is
-listed in ``notes`` as unresolved. ``env.src_lines``
-and ``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py``
-and of ``wc -l tests/*.py``, so a change that removes code shows by how
-much, and whether it left the library or only moved into the tests.
+listed in ``notes`` as unresolved. ``env.src_lines`` and
+``env.test_lines`` hold each side's total of ``wc -l src/seqsig/*.py`` and
+of ``wc -l tests/*.py``, so a change that removes code shows by how much,
+and whether it left the library or only moved into the tests.
 ``env.src_module_lines`` holds each side's ``wc -l`` of every
 ``src/seqsig/*.py`` by file name, which shows which module changed size.
 

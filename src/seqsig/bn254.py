@@ -776,7 +776,7 @@ def g2_multi_exp(pairs):
     point (4-NAF, unsplit) or its cached :func:`g2_table` (7-NAF, split four
     ways by psi where the table has images)."""
     return _jacobian_multi_exp(pairs, _jac2_double, _jac2_madd, g2_neg, _jac2_to_affine,
-                               _gls_terms, None, _g2_sums)
+                               _gls_terms, sums=_g2_sums)
 
 
 def g2_table(pt):
