@@ -15,10 +15,13 @@ pairs (:func:`_position_sums`); the accumulator is Jacobian, so each
 position's sum joins it by a mixed addition. A term's table is either
 built in the call, at width 4, or a cached width-7 :class:`Table` that the
 caller built once for a base it reuses (:func:`g1_table`,
-:func:`g2_table`). The G2 group law works on flat Fp2 integer components,
-not through ``fq2_mul``. Its one affine form is :func:`_g2_add_pairs`:
-:func:`g2_add` is one pair of it, the position sums call it, and the
-Miller loop's :func:`_step_lines` takes each line's slope from it.
+:func:`g2_table`). Each group has one affine law, :func:`_g1_add_pairs`
+and :func:`_g2_add_pairs` (G2's on flat Fp2 integer components, not
+through ``fq2_mul``): :func:`g1_add` and :func:`g2_add` are one pair of
+their group's law, the position sums call both, and the Miller loop's
+:func:`_step_lines` takes each line's slope from G2's. Every Fp inversion
+is a call of :func:`fq_batch_inv` (Montgomery's simultaneous inversion,
+Math. Comp. 1987), so its call count is the module's count of inversions.
 
 Terms are split by an endomorphism E that acts as a scalar lambda, so the
 shared doubling chain is shorter. In G1, E is phi(x, y) = (beta*x, y) (GLV;
@@ -120,15 +123,10 @@ def fq2_scale(x, k):
     return (x[0] * k % P, x[1] * k % P)
 
 
-def fq2_inv(x):
-    a, b = x
-    norm = pow(a * a + b * b, -1, P)
-    return (a * norm % P, -b * norm % P)
-
-
 def fq_batch_inv(xs):
     """[pow(x, -1, P) for x in xs] with one inversion: Montgomery's trick
-    (running products, one inverse, then back down)."""
+    (running products, one inverse, then back down). It is the module's
+    one Fp inversion: every other inverse is taken through it."""
     prefix = []
     acc = 1
     for x in xs:
@@ -143,11 +141,16 @@ def fq_batch_inv(xs):
 
 
 def fq2_batch_inv(xs):
-    """[fq2_inv(x) for x in xs] with one inversion in Fp: 1/x = conj(x) / N(x)
+    """The inverses of xs with one inversion in Fp: 1/x = conj(x) / N(x)
     with the norm N(a + bu) = a^2 + b^2, the norms inverted together by
     :func:`fq_batch_inv`."""
     invs = fq_batch_inv([(a * a + b * b) % P for a, b in xs])
     return [(a * n % P, -b * n % P) for (a, b), n in zip(xs, invs)]
+
+
+def fq2_inv(x):
+    """1/x: one element of :func:`fq2_batch_inv`."""
+    return fq2_batch_inv([x])[0]
 
 
 def fq2_pow(x, e):
@@ -288,27 +291,11 @@ def g1_neg(pt):
     return (pt[0], -pt[1] % P)
 
 
-def g1_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % P == 0:
-            return None
-        lam = 3 * x1 * x1 * pow(2 * y1, -1, P) % P
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, P) % P
-    x3 = (lam * lam - x1 - x2) % P
-    return (x3, (lam * (x1 - x3) - y1) % P)
-
-
 def _g1_add_pairs(rs, addends):
-    """R_i becomes R_i + addend_i for affine points, none the identity,
-    with one :func:`fq_batch_inv` for every slope: the law of
-    :func:`g1_add` on many pairs at once, None where R_i = -addend_i."""
+    """The curve's affine law on many pairs at once, one :func:`fq_batch_inv`
+    for every slope: R_i becomes R_i + addend_i, for affine points none the
+    identity, or None where R_i = -addend_i. Equal points take the tangent
+    3x^2/2y (y is never 0: E(Fp) has odd order)."""
     slopes = []  # (n, d) of the slope n/d, or None where the sum is O
     for (x1, y1), (x2, y2) in zip(rs, addends):
         if x1 != x2:
@@ -326,6 +313,17 @@ def _g1_add_pairs(rs, addends):
         lam = s[0] * next(invs) % P
         x3 = (lam * lam - x1 - q[0]) % P
         rs[i] = (x3, (lam * (x1 - x3) - y1) % P)
+
+
+def g1_add(p1, p2):
+    """p1 + p2 on E(Fp): one pair of :func:`_g1_add_pairs`."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    rs = [p1]
+    _g1_add_pairs(rs, [p2])
+    return rs[0]
 
 
 # Jacobian coordinates (X, Y, Z) = (X/Z^2, Y/Z^3), None as infinity, for

@@ -64,15 +64,15 @@ def _write(path: str, data: bytes, fmt: str):
 
 
 def _message_bytes(args) -> bytes:
+    if (args.message is None) == (args.message_file is None):
+        raise MalformedEncodingError("give one message: --message or --message-file")
     if args.message_file is not None:
         with open(args.message_file, "rb") as fh:
             return fh.read()
-    if args.message is not None:
-        try:
-            return args.message.encode("utf-8")
-        except UnicodeEncodeError:  # non-UTF-8 argv bytes arrive as lone surrogates
-            raise MalformedEncodingError("--message is not UTF-8 (use --message-file)") from None
-    raise MalformedEncodingError("a message (--message or --message-file) is required")
+    try:
+        return args.message.encode("utf-8")
+    except UnicodeEncodeError:  # non-UTF-8 argv bytes arrive as lone surrogates
+        raise MalformedEncodingError("--message is not UTF-8 (use --message-file)") from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Every envelope starts with a 4-byte magic, a version byte, and a backend
 descriptor (tag byte plus, for the mock backend, the 4-byte group order),
 so a file is self-describing about which suite it belongs to. Decoding
-always validates the backend against the caller's suite and every element
-against its group, so a loaded object is as trustworthy as a freshly
-built one.
+always validates the backend against the caller's suite, G1 points on the
+curve, G2 points on the twist, GT elements as cyclotomic and scalars as
+reduced; it does not test order r in G2 or G_T.
 
 Hex mode wraps the same bytes in lowercase hex with a trailing newline;
 it exists for fixture readability only.

@@ -15,7 +15,8 @@ class MalformedEncodingError(SeqsigError):
 
 
 class SubgroupMembershipError(SeqsigError):
-    """Decoded point is not a member of the prime-order subgroup."""
+    """Decoded element is off the curve (G1), off the twist (G2) or not
+    cyclotomic (GT); decoding does not test order r in G2 or G_T."""
 
 
 class CrossSuiteError(SeqsigError):

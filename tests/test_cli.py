@@ -79,6 +79,38 @@ class TestSingleSigner:
             _one_malformed_line(capsys, (*command, "--scheme", "pks2", "--pub", str(pub),
                                          "--message", message))
 
+    def test_both_message_options_exit_two(self, keypair, tmp_path, capsys):
+        """--message and --message-file together are malformed: neither is
+        signed or verified in place of the other."""
+        pub, priv = keypair
+        msg, sig = tmp_path / "msg", tmp_path / "sig.bin"
+        msg.write_bytes(b"from the file")
+        both = ("--message-file", str(msg), "--message", "other")
+        _one_malformed_line(capsys, ("sign", "--scheme", "pks2", "--pub", str(pub),
+                                     "--priv", str(priv), "--out", str(sig), *both))
+        assert not sig.exists()
+        code, _ = run(capsys, *det("sign", "--scheme", "pks2", "--pub", str(pub),
+                                   "--priv", str(priv), "--out", str(sig),
+                                   "--message-file", str(msg)))
+        assert code == 0
+        _one_malformed_line(capsys, ("verify", "--scheme", "pks2", "--pub", str(pub),
+                                     "--sig", str(sig), *both))
+
+    def test_message_file_round_trips_bytes_that_are_not_utf8(self, keypair, tmp_path,
+                                                               capsys):
+        pub, priv = keypair
+        msg, other, sig = tmp_path / "msg", tmp_path / "other", tmp_path / "sig.bin"
+        msg.write_bytes(b"h\xffi\x00")
+        other.write_bytes(b"h\xfei\x00")
+        code, _ = run(capsys, *det("sign", "--scheme", "pks2", "--pub", str(pub),
+                                   "--priv", str(priv), "--out", str(sig),
+                                   "--message-file", str(msg)))
+        assert code == 0
+        for path, want in ((msg, (0, ["valid"])), (other, (1, ["invalid"]))):
+            code, fields = run(capsys, *det("verify", "--scheme", "pks2", "--pub", str(pub),
+                                            "--sig", str(sig), "--message-file", str(path)))
+            assert (code, fields["result"]) == want
+
     def test_corrupt_file_exits_two(self, keypair, tmp_path, capsys):
         pub, _ = keypair
         bad = tmp_path / "bad.bin"

@@ -57,6 +57,11 @@ class TestSuiteGeneration:
         assert mock_suite.g_hat.h == 1
 
 
+def powers_of_each_kind(suite):
+    """An element of each kind other than the identity, by kind."""
+    return {"g1": suite.g ** 5, "g2": suite.g_hat ** 7, "gt": pair(suite.g, suite.g_hat) ** 3}
+
+
 class TestElementAlgebra:
     def test_mock_pair_is_exponent_product(self, mock_suite, rng):
         a = rng.randrange(mock_suite.order)
@@ -64,14 +69,21 @@ class TestElementAlgebra:
         lhs = pair(mock_suite.g ** a, mock_suite.g_hat ** b)
         assert lhs == pair(mock_suite.g, mock_suite.g_hat) ** (a * b)
 
-    def test_identity_behaviour(self, mock_suite):
-        one = mock_suite.identity("g1")
-        assert one.is_identity()
-        assert (one * mock_suite.g ** 5) == mock_suite.g ** 5
+    def test_identity_behaviour(self, mock_suite, real_suite):
+        for suite in (mock_suite, real_suite):
+            for kind, x in powers_of_each_kind(suite).items():
+                one = suite.identity(kind)
+                assert one.is_identity() and not x.is_identity()
+                assert one * x == x and x * one == x and one * one == one
 
-    def test_division_is_inverse_multiplication(self, mock_suite):
-        x = mock_suite.g ** 17
-        assert (x / x).is_identity()
+    def test_division_is_inverse_multiplication(self, mock_suite, real_suite):
+        """On real, G1's x / x adds opposite points and x * x doubles, both
+        through the one affine law of bn254."""
+        for suite in (mock_suite, real_suite):
+            for x in powers_of_each_kind(suite).values():
+                assert (x / x).is_identity()
+                assert x * x == x ** 2
+                assert (x * x) / x == x
 
     def test_cross_suite_rejected(self, mock_suite):
         other = suite_generate("mock", 10007)
