@@ -31,10 +31,10 @@ G2, E is psi, the twist Frobenius (GLS; Galbraith, Lin and Scott, EUROCRYPT
 2009), with lambda = 6u^2 = p - r, and a term runs as k0*x + k1*psi(x) +
 k2*psi^2(x) + k3*psi^3(x) with parts of at most 64 bits (Galbraith and
 Scott, Pairing 2008), on a chain of about 64 doublings. psi acts as [6u^2]
-only on G2, so a G2 term is split only when its base is a cached table,
-and :func:`g2_table` takes only points of G2: the caller checks that
-first, by :func:`g2_in_subgroup`. Per-call G2 points stay unsplit, so their
-results are exact on twist points outside G2 too.
+only on G2, so a G2 term is split only when its base is the cached table
+of a point of G2, which :func:`g2_table` checks. Per-call G2 points and the
+tables of other twist points stay unsplit, so their results are exact on
+twist points outside G2 too.
 
 The pairing's tower arithmetic works on integer components the same way:
 the Fp6 and Fp12 products, the sparse line multiply, the cyclotomic
@@ -51,14 +51,19 @@ serves every yP, and the final exponentiation removes the factor.
 
 Membership of the order-r subgroups is tested exactly by
 :func:`g2_in_subgroup` and :func:`gt_has_order_r`, each on one 63-bit power
-by u and Frobenius maps. Nothing here runs them on its own inputs: the
-caller decides where membership is needed.
+by u and Frobenius maps. :func:`g2_table` runs the G2 test on its point;
+elsewhere the caller decides where membership is needed. The wire format
+is here too: decoding (:func:`g1_decode`, :func:`g2_decode`,
+:func:`gt_decode`) checks G1 points on the curve, G2 points on the twist
+and G_T elements cyclotomic, not order r in G2 or G_T.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from typing import NamedTuple
+
+from .errors import MalformedEncodingError, SubgroupMembershipError
 
 # Curve parameters (the Ethereum alt_bn128 instantiation).
 P = 21888242871839275222246405745257275088696311157297823662689037894645226208583
@@ -423,11 +428,13 @@ def g1_mul(pt, k):
 B2 = fq2_mul((3, 0), fq2_inv(XI))
 
 
+def _twist_rhs(x):
+    """x^3 + B2, the right side of the twist's equation."""
+    return fq2_add(fq2_mul(fq2_sqr(x), x), B2)
+
+
 def g2_is_on_curve(pt):
-    if pt is None:
-        return True
-    x, y = pt
-    return fq2_sub(fq2_sqr(y), fq2_add(fq2_mul(fq2_sqr(x), x), B2)) == FQ2_ZERO
+    return pt is None or fq2_sqr(pt[1]) == _twist_rhs(pt[0])
 
 
 def g2_neg(pt):
@@ -654,9 +661,9 @@ class Table(NamedTuple):
     """The cached width-7 table of one G1 or G2 point x, which
     :func:`g1_multi_exp` and :func:`g2_multi_exp` take in place of x: its
     affine odd multiples [x, x^3, ..., x^63], and their images under the
-    group's endomorphism (phi or psi), on which a term's second part runs.
-    A G2 term's third and fourth parts read -psi^2 of the multiples and of
-    the images, mapped per used digit, so no other set is kept."""
+    group's endomorphism (phi or psi), on which a term's second part runs
+    (None off G2: unsplit). A G2 term's third and fourth parts read -psi^2
+    of the multiples and images, mapped per used digit."""
 
     multiples: tuple
     images: tuple
@@ -778,16 +785,15 @@ def g2_multi_exp(pairs):
 
 
 def g2_table(pt):
-    """The cached width-7 :class:`Table` of a point pt of G2, not the
-    identity, with psi of each multiple as its images. pt must lie in G2
-    (:func:`g2_in_subgroup`), as :func:`gt_multi_exp`'s inputs must be
-    cyclotomic: there psi^i(pt) = [GLS_LAMBDA^i]pt, so every split
-    sum_i k_i*psi^i(pt) with sum_i k_i*GLS_LAMBDA^i = k (mod r) is k*pt
-    exactly. On a twist point outside G2, psi is not [GLS_LAMBDA] and a
-    split term is wrong."""
+    """The cached width-7 :class:`Table` of a twist point pt, not the
+    identity. A point of G2 (:func:`g2_in_subgroup`, run here) gets psi of
+    each multiple as its images: there psi^i(pt) = [GLS_LAMBDA^i]pt, so
+    every split sum_i k_i*psi^i(pt) with sum_i k_i*GLS_LAMBDA^i = k (mod r)
+    is k*pt exactly. On any other twist point psi is not [GLS_LAMBDA], so
+    its table gets no images and its terms run unsplit, exact as well."""
     multiples = tuple(_odd_multiples([pt], TABLE_WIDTH, _jac2_double, _jac2_madd,
                                      _jac2_to_affine)[0])
-    return Table(multiples, tuple(map(g2_frobenius, multiples)))
+    return Table(multiples, tuple(map(g2_frobenius, multiples)) if g2_in_subgroup(pt) else None)
 
 
 def g2_mul(pt, k):
@@ -1063,3 +1069,108 @@ def gt_has_order_r(x):
     xu = gt_multi_exp([(x, T_PARAM)])
     lhs = fq12_mul(fq12_mul(fq12_mul(xu, x), fq12_frobenius(xu, 1)), fq12_frobenius(xu, 2))
     return lhs == fq12_frobenius(fq12_cyc_sqr(xu), 3)
+
+
+# ---------------------------------------------------------------------------
+# Wire format. G1: x and y's parity at bit 254, 32 bytes. G2: x0 + x1*2^255
+# and the parity of y's first nonzero coefficient at bit 510, 64 bytes. The
+# top bit alone is the identity. G_T: the twelve coefficients, 32 bytes each.
+
+
+def _sqrt_fp(a):
+    r = pow(a, (P + 1) // 4, P)  # P = 3 mod 4
+    return r if r * r % P == a else None
+
+
+def _sqrt_fq2(a):
+    """A root of a = a0 + a1*u in Fp2, None if a is not a square, in two
+    Fp exponentiations (Adj and Rodriguez-Henriquez, IEEE Trans. Computers
+    2014). With lam^2 = a0^2 + a1^2 and delta = (a0 + lam)/2, let s =
+    delta^((p+1)/4). If s^2 = delta the root is (s, a1/(2s)); otherwise
+    s^2 = -delta, as delta * (a0 - lam)/2 = -a1^2/4 is a non-square for
+    a1 != 0, and the root is (a1/(2s), s). A real a takes delta = a0. An a
+    whose norm is not a square in Fp is not one in Fp2 either."""
+    a0, a1 = a
+    if a1:
+        norm = (a0 * a0 + a1 * a1) % P
+        lam = _sqrt_fp(norm)
+        if lam is None:
+            return None
+        delta = (a0 + lam) * ((P + 1) // 2) % P
+    else:
+        delta = a0
+    s = pow(delta, (P + 1) // 4, P)
+    t = a1 * fq_batch_inv([2 * s])[0] % P if a1 else 0
+    res = (s, t) if s * s % P == delta else (t, s)
+    return res if fq2_sqr(res) == a else None
+
+
+def _g2_parity(y):
+    return y[0] & 1 if y[0] else y[1] & 1
+
+
+def _compressed(data, size, name):
+    """(x's bits, y's parity) of a ``size``-byte point encoding, or None for
+    the identity, whose only encoding is the top bit."""
+    if len(data) != size:
+        raise MalformedEncodingError(f"{name} encoding must be {size} bytes")
+    raw = int.from_bytes(data, "big")
+    top = 8 * size - 1
+    if raw >> top:
+        if raw != 1 << top:
+            raise MalformedEncodingError(f"non-canonical {name} identity encoding")
+        return None
+    return raw & ((1 << (top - 1)) - 1), raw >> (top - 1)
+
+
+def g1_encode(pt):
+    return (1 << 255 if pt is None else pt[0] | (pt[1] & 1) << 254).to_bytes(32, "big")
+
+
+def g1_decode(data):
+    """The point of a G1 encoding, checked to lie on the curve."""
+    if (bits := _compressed(data, 32, "G1")) is None:
+        return None
+    x, parity = bits
+    if x >= P:
+        raise MalformedEncodingError("G1 x-coordinate out of field range")
+    y = _sqrt_fp((x * x * x + B) % P)
+    if y is None:
+        raise SubgroupMembershipError("G1 x-coordinate is not on the curve")
+    return (x, y if y & 1 == parity else P - y)
+
+
+def g2_encode(pt):
+    if pt is None:
+        return (1 << 511).to_bytes(64, "big")
+    return (pt[0][0] | _g2_parity(pt[1]) << 510 | pt[0][1] << 255).to_bytes(64, "big")
+
+
+def g2_decode(data):
+    """The point of a G2 encoding, checked to lie on the twist, not in G2."""
+    if (bits := _compressed(data, 64, "G2")) is None:
+        return None
+    raw, parity = bits
+    x = (raw & ((1 << 255) - 1), raw >> 255)
+    if x[0] >= P or x[1] >= P:
+        raise MalformedEncodingError("G2 coordinate out of field range")
+    y = _sqrt_fq2(_twist_rhs(x))
+    if y is None:
+        raise SubgroupMembershipError("G2 x-coordinate is not on the twist")
+    return (x, y if _g2_parity(y) == parity else fq2_neg(y))
+
+
+def gt_encode(x):
+    return b"".join(c.to_bytes(32, "big") for c in x)
+
+
+def gt_decode(data):
+    """The element of a G_T encoding, checked to be cyclotomic, not of order r."""
+    if len(data) != 384:
+        raise MalformedEncodingError("GT encoding must be 384 bytes")
+    x = tuple(int.from_bytes(data[i:i + 32], "big") for i in range(0, 384, 32))
+    if any(c >= P for c in x):
+        raise MalformedEncodingError("GT coefficient out of field range")
+    if not fq12_is_cyclotomic(x):
+        raise SubgroupMembershipError("GT element is outside the cyclotomic subgroup")
+    return x

@@ -5,7 +5,9 @@ generators, e(g, ghat), and one count of the work done on them
 (``GroupSuite.counts``). Two backends implement the same handle-level
 interface:
 
-* ``real`` — BN254, a Type-3 pairing curve (see :mod:`seqsig.bn254`).
+* ``real`` — BN254, a Type-3 pairing curve. :mod:`seqsig.bn254` holds
+  every condition of it, the encodings and their checks and the exact
+  membership tests included; the backend dispatches by kind.
 * ``mock`` — a discrete-log toy group of small prime order where every
   element is stored as its exponent and the pairing is multiplication
   mod p. Zero security, exact transparency: any verification equation can
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bn254
-from .errors import CrossSuiteError, MalformedEncodingError, SubgroupMembershipError
+from .errors import CrossSuiteError, MalformedEncodingError
 
 Scalar = int  # always reduced mod the suite order
 
@@ -95,7 +97,8 @@ class MockDlogBackend:
 
 class Bn254Backend:
     """BN254 Type-3 curve; G1/G2 handles are affine points (None = identity),
-    GT handles are flat tuples of twelve Fp ints in encoding order."""
+    GT handles are flat tuples of twelve Fp ints in encoding order. Each
+    method calls the :mod:`seqsig.bn254` function of its kind."""
 
     name = "real"
     order = bn254.ORDER
@@ -104,30 +107,17 @@ class Bn254Backend:
         return bn254.G1_GEN if kind == "g1" else bn254.G2_GEN
 
     def identity(self, kind):
-        if kind == "gt":
-            return bn254.FQ12_ONE
-        return None
+        return bn254.FQ12_ONE if kind == "gt" else None
 
     def op(self, kind, h1, h2):
-        if kind == "g1":
-            return bn254.g1_add(h1, h2)
-        if kind == "g2":
-            return bn254.g2_add(h1, h2)
-        return bn254.fq12_mul(h1, h2)
+        return {"g1": bn254.g1_add, "g2": bn254.g2_add, "gt": bn254.fq12_mul}[kind](h1, h2)
 
     def exp(self, kind, h, k):
-        if kind == "g1":
-            return bn254.g1_mul(h, k)
-        if kind == "g2":
-            return bn254.g2_mul(h, k)
-        return bn254.gt_pow(h, k)
+        return {"g1": bn254.g1_mul, "g2": bn254.g2_mul, "gt": bn254.gt_pow}[kind](h, k)
 
     def inv(self, kind, h):
-        if kind == "g1":
-            return bn254.g1_neg(h)
-        if kind == "g2":
-            return bn254.g2_neg(h)
-        return bn254.fq12_conj(h)  # inverts only cyclotomic elements, as GT's are
+        # fq12_conj inverts only cyclotomic elements, as GT's are
+        return {"g1": bn254.g1_neg, "g2": bn254.g2_neg, "gt": bn254.fq12_conj}[kind](h)
 
     def multi_exp(self, kind, pairs):
         return {"g1": bn254.g1_multi_exp, "g2": bn254.g2_multi_exp,
@@ -138,13 +128,9 @@ class Bn254Backend:
         return {"g1": bn254.g1_table, "g2": bn254.g2_table}[kind](h)
 
     def has_order_r(self, kind, h):
-        """Exactly whether h lies in its group's order-r subgroup. E(Fp) has
-        prime order r, so every G1 handle, a point on the curve, does; a G2
-        handle takes :func:`bn254.g2_in_subgroup`, a GT one
-        :func:`bn254.gt_has_order_r`."""
-        if kind == "g1":
-            return True
-        return bn254.g2_in_subgroup(h) if kind == "g2" else bn254.gt_has_order_r(h)
+        """Exactly whether h lies in its group's order-r subgroup; every G1
+        handle, a point of E(Fp), which has prime order r, does."""
+        return kind == "g1" or {"g2": bn254.g2_in_subgroup, "gt": bn254.gt_has_order_r}[kind](h)
 
     def lines(self, hs):
         """The Miller-loop lines of each G2 handle of hs, none the identity,
@@ -157,72 +143,11 @@ class Bn254Backend:
         return bn254.final_exponentiation(bn254.miller_loop_product(pairs))
 
     def encode(self, kind, h):
-        if kind == "g1":
-            if h is None:
-                return (1 << 255).to_bytes(32, "big")
-            x, y = h
-            return (x | ((y & 1) << 254)).to_bytes(32, "big")
-        if kind == "g2":
-            if h is None:
-                return bytes([0x80]) + bytes(63)
-            (x0, x1), y = h
-            parity = (y[0] & 1) if y[0] != 0 else (y[1] & 1)
-            return (x0 | (parity << 510) | (x1 << 255)).to_bytes(64, "big")
-        return b"".join(c.to_bytes(32, "big") for c in h)
+        return {"g1": bn254.g1_encode, "g2": bn254.g2_encode, "gt": bn254.gt_encode}[kind](h)
 
     def decode(self, kind, data):
-        if kind == "g1":
-            if len(data) != 32:
-                raise MalformedEncodingError("G1 encoding must be 32 bytes")
-            raw = int.from_bytes(data, "big")
-            if raw >> 255:
-                if raw != 1 << 255:
-                    raise MalformedEncodingError("non-canonical G1 identity encoding")
-                return None
-            parity = (raw >> 254) & 1
-            x = raw & ((1 << 254) - 1)
-            if x >= bn254.P:
-                raise MalformedEncodingError("G1 x-coordinate out of field range")
-            y = self._sqrt_fp((x * x * x + bn254.B) % bn254.P)
-            if y is None:
-                raise SubgroupMembershipError("G1 x-coordinate is not on the curve")
-            if y & 1 != parity:
-                y = bn254.P - y
-            return (x, y)
-        if kind == "g2":
-            if len(data) != 64:
-                raise MalformedEncodingError("G2 encoding must be 64 bytes")
-            raw = int.from_bytes(data, "big")
-            if raw >> 511:
-                if raw != 1 << 511:
-                    raise MalformedEncodingError("non-canonical G2 identity encoding")
-                return None
-            parity = (raw >> 510) & 1
-            x1 = (raw >> 255) & ((1 << 255) - 1)
-            x0 = raw & ((1 << 255) - 1)
-            if x0 >= bn254.P or x1 >= bn254.P:
-                raise MalformedEncodingError("G2 coordinate out of field range")
-            x = (x0, x1)
-            rhs = bn254.fq2_add(bn254.fq2_mul(bn254.fq2_sqr(x), x), bn254.B2)
-            y = self._sqrt_fq2(rhs)
-            if y is None:
-                raise SubgroupMembershipError("G2 x-coordinate is not on the twist")
-            got = (y[0] & 1) if y[0] != 0 else (y[1] & 1)
-            if got != parity:
-                y = bn254.fq2_neg(y)
-            # on the twist, not yet order r: a point outside G2 still decodes;
-            # has_order_r decides membership where a caller relies on it
-            return (x, y)
-        if len(data) != 384:
-            raise MalformedEncodingError("GT encoding must be 384 bytes")
-        h = tuple(int.from_bytes(data[i * 32:(i + 1) * 32], "big") for i in range(12))
-        if any(c >= bn254.P for c in h):
-            raise MalformedEncodingError("GT coefficient out of field range")
-        # cyclotomic, not yet order r: a cyclotomic element outside G_T still
-        # decodes (has_order_r is exact)
-        if not bn254.fq12_is_cyclotomic(h):
-            raise SubgroupMembershipError("GT element is outside the cyclotomic subgroup")
-        return h
+        """A handle checked by ``bn254``'s decoders: not yet of order r in G2 or G_T."""
+        return {"g1": bn254.g1_decode, "g2": bn254.g2_decode, "gt": bn254.gt_decode}[kind](data)
 
     def encoded_size(self, kind):
         return {"g1": 32, "g2": 64, "gt": 384}[kind]
@@ -230,47 +155,14 @@ class Bn254Backend:
     def reduced_hash_bound(self):
         return 1 << (bn254.ORDER.bit_length() - 2)
 
-    @staticmethod
-    def _sqrt_fp(a):
-        # P = 3 mod 4
-        r = pow(a, (bn254.P + 1) // 4, bn254.P)
-        return r if r * r % bn254.P == a else None
-
-    @classmethod
-    def _sqrt_fq2(cls, a):
-        """A root of a = a0 + a1*u in Fp2, None if a is not a square, in two
-        Fp exponentiations (Adj and Rodriguez-Henriquez, "Square root
-        computation over even extension fields", IEEE Trans. Computers
-        2014). With lam^2 = a0^2 + a1^2 and delta = (a0 + lam)/2, let s =
-        delta^((p+1)/4). If s^2 = delta the root is (s, a1/(2s)); otherwise
-        s^2 = -delta, because delta * (a0 - lam)/2 = -a1^2/4 is a non-square
-        for a1 != 0, and the root is (a1/(2s), s). A real a takes delta = a0
-        and one exponentiation the same way. An a whose norm is not a square
-        in Fp is not a square in Fp2, and ends after the first."""
-        a0, a1 = a
-        if a1:
-            norm = (a0 * a0 + a1 * a1) % bn254.P
-            lam = pow(norm, (bn254.P + 1) // 4, bn254.P)
-            if lam * lam % bn254.P != norm:
-                return None
-            delta = (a0 + lam) * ((bn254.P + 1) // 2) % bn254.P
-        else:
-            delta = a0
-        s = pow(delta, (bn254.P + 1) // 4, bn254.P)
-        t = a1 * pow(2 * s, -1, bn254.P) % bn254.P if a1 else 0
-        res = (s, t) if s * s % bn254.P == delta else (t, s)
-        return res if bn254.fq2_sqr(res) == a else None
-
 
 def _third_use(elem):
     """``elem``'s table, None before the element's third use of it; on that
-    use the backend builds it, counted under ``tables_built``, if
-    :func:`has_order_r` holds. A G2 table's terms are split by psi, which is
-    exact only on G2, so an element outside it is never tabled and every
-    use of it stays exact."""
+    use the backend builds it, counted under ``tables_built``, and decides
+    what it holds (:func:`bn254.g2_table` splits only a point of G2)."""
     if elem._table is None:
         elem._uses += 1
-        if elem._uses == 3 and has_order_r(elem):
+        if elem._uses == 3:
             elem._table = elem.suite.backend.table(elem.kind, elem.h)
             elem.suite._count({"tables_built": 1})
     return elem._table
@@ -283,19 +175,16 @@ class _Elem:
     ``**``, None until the third use in that function (``_uses`` counts
     them) builds it: an element that a key or parameter set holds pays for
     it once, while a fresh one, the identity and the bases of one signature
-    (two uses each) never do, and an element outside its group's order-r
-    subgroup never does (:func:`_third_use`). ``_lines``
+    (two uses each) never do (:func:`_third_use`). ``_lines``
     holds a G2 element's lines for :func:`pairing_product`, None until its
     first product builds them; the Miller loop runs on lines only, so that
     product needs them anyway, and keeping them costs no extra arithmetic,
     only the memory of the lines for as long as the element lives, and
-    later products reuse them.
-    ``_order_r`` memoizes :func:`has_order_r`, None until it is asked; the
-    table's build and ``ms_combine``'s batch read the same verdict.
-    Two threads racing on one element can both build a cache; either one is
-    correct."""
+    later products reuse them. A key or parameter record, not an element,
+    keeps a membership verdict (``pks._Rows.in_subgroups``). Two threads
+    racing on one element can both build a cache; either one is correct."""
 
-    __slots__ = ("suite", "h", "_uses", "_table", "_lines", "_order_r")
+    __slots__ = ("suite", "h", "_uses", "_table", "_lines")
     kind = None
 
     def __init__(self, suite, h):
@@ -304,7 +193,6 @@ class _Elem:
         self._uses = 0
         self._table = None
         self._lines = None
-        self._order_r = None
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -502,15 +390,9 @@ def multi_exp(items) -> "_Elem":
 
 
 def has_order_r(elem: _Elem) -> bool:
-    """Whether elem lies in the order-r subgroup of its group, the identity
-    included, by the backend's exact test; asked once per element and kept
-    (see :class:`_Elem`). It gates a G1 or G2 element's table
-    (:func:`_third_use`) and ``ms_combine``'s batch. Decoding does not run
-    it: a decoded G2 point is on the twist and a decoded GT element
-    cyclotomic, neither yet of order r."""
-    if elem._order_r is None:
-        elem._order_r = elem.suite.backend.has_order_r(elem.kind, elem.h)
-    return elem._order_r
+    """Whether elem lies in its group's order-r subgroup, by the backend's
+    exact test on every call; decoding does not run it."""
+    return elem.suite.backend.has_order_r(elem.kind, elem.h)
 
 
 def random_scalar(suite: GroupSuite, rng) -> Scalar:

@@ -14,21 +14,19 @@ and with c_i the low 128 bits of share i's coin t_i it checks
 
     e(prod_i row1_i^c_i, V1') * e(prod_i row2_i^c_i, V2')^-1 == prod_i Omega_i^c_i,
 
-one 6-pair product and one GT multi-exponentiation for any N. The batch
-is sound once every input has order r. G1 has prime order r, and the
-parameters' g_hat, u_hat and h_hat rows are checked to lie in G2, so V1'
-and V2' do, and on them the pairing is linear in its G1 argument: the left
-side is prod_i L_i^c_i, with L_i the left side of share i's own check.
-Each key's Omega is checked to lie in G_T. Then the batch holds exactly
-when prod_i (L_i / Omega_i)^c_i = 1 in a group of prime order r, and if
-some share j fails its own check, that happens for at most one residue of
-c_j mod r given the other coins: at most about 2^-127 over c_j's 2^128
-values. Without the checks it is not sound. A twist point T outside G2
-breaks the linearity, and two keys whose Omegas carry tau and 1/tau, for a
-cyclotomic tau outside G_T, cancel whenever c_i = c_j mod the order of tau.
-So on such inputs, or when the batch fails, each share is checked on its
-own, with the same rows and coins, and the first bad one is named: but
-for the batch's error, the verdicts and errors are those of a loop of
+one 6-pair product and one GT multi-exponentiation for any N. It is sound
+once the parameters' G2 rows, and so V1' and V2', lie in G2, where the
+pairing is linear in its G1 argument, and every Omega lies in G_T. Then
+it holds exactly when prod_i (L_i / Omega_i)^c_i = 1, with L_i the left
+side of share i's own check, and a share j that fails its own check
+passes for at most one residue of c_j mod r: at most about 2^-127. On
+other inputs it is not sound: a twist point outside G2 breaks the
+linearity, and Omegas that carry tau and 1/tau, for a cyclotomic tau
+outside G_T, cancel whenever c_i = c_j mod the order of tau. So it runs
+only on parameters and keys whose ``in_subgroups`` holds, asked once per
+record. Otherwise, or when it fails, each share is checked on its own,
+with the same rows and coins, and the first bad one is named: but for the
+batch's error, the verdicts and errors are those of a loop of
 :func:`ms_verify`.
 
 Duplicate public keys in the verification list are accepted: nothing in
@@ -43,7 +41,7 @@ from typing import Callable, Sequence
 
 from . import pks
 from .errors import CrossSuiteError, InvalidAggregateError
-from .groups import GroupSuite, Scalar, has_order_r, hash_to_scalar, multi_exp, random_scalar
+from .groups import GroupSuite, Scalar, hash_to_scalar, multi_exp, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
 _BATCH_MASK = (1 << 128) - 1  # a share's batching exponent: the low 128 bits of its coin
@@ -97,8 +95,8 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
 
     Each input is verified first unless the caller vouches for a
     pre-verified batch via ``skip_individual_checks``. A key that the
-    ``certified`` predicate refuses, a key of another scheme or a share of
-    the wrong width halts the combination either way, before any coin.
+    ``certified`` predicate refuses, a key of another scheme or suite or a
+    share of the wrong width halts the combination either way, before any coin.
 
     The checks draw one coin t per share, in order, whatever the verdict:
     the draws of a loop of :func:`ms_verify` over every share. The
@@ -106,11 +104,10 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     not depend on t (:func:`pks.verifier_rows`). The shares are checked
     together, by one 6-pair product against prod_i Omega_i^c_i with c_i the
     low 128 bits of t_i (the module docstring gives the soundness argument:
-    an error of at most about 2^-127). The batch runs only once the
-    parameters' g_hat, u_hat and h_hat rows and every key's Omega are known
-    to have order r, which :func:`groups.has_order_r` checks once per
-    element. If it fails, or may not run, each share is checked against its
-    own key's Omega on the same rows, and the first that fails is named.
+    an error of at most about 2^-127). The batch runs only on parameters
+    and keys whose ``in_subgroups`` holds, which each record asks once. If
+    it fails, or may not run, each share is checked against its own key's
+    Omega on the same rows, and the first that fails is named.
     One share is checked that way at once: its own check is one 6-pair
     product, with no gate and no folds.
     """
@@ -159,10 +156,9 @@ def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
 
 def _batch_holds(sigs, keys, params, rows, exps) -> bool:
     """The batch check of :func:`ms_combine` on the rows (V1', V2') with
-    exponents ``exps``; False without a product unless every G2 row of the
-    parameters that the rows are built from and every key's Omega has order r."""
-    inputs = (*params.g_hat_row, *params.u_hat_row, *params.h_hat_row, *(pk.omega for pk in keys))
-    if not all(map(has_order_r, inputs)):
+    exponents ``exps``; False without a product unless the parameters and
+    every key lie in their order-r subgroups (``in_subgroups``)."""
+    if not (params.in_subgroups and all(pk.in_subgroups for pk in keys)):
         return False
     fold = lambda side: tuple(multi_exp(zip(col, exps)) for col in zip(*side))
     folded = MsSignature(fold(sig.row1 for sig in sigs), fold(sig.row2 for sig in sigs))

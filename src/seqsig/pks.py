@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 
-from .errors import KeyMismatchError, MalformedEncodingError, MissingWitnessError
+from .errors import CrossSuiteError, KeyMismatchError, MalformedEncodingError, MissingWitnessError
 from .groups import (
     G1Elem,
     G2Elem,
@@ -44,6 +44,7 @@ from .groups import (
     GTElem,
     Scalar,
     encode_element,
+    has_order_r,
     hash_to_scalar,
     multi_exp,
     pair,
@@ -108,6 +109,12 @@ class _Rows:
         if gt:
             rows[cls.GT_FIELD] = next(it)
         return cls(suite=suite, variant=variant, **rows)
+
+    @functools.cached_property
+    def in_subgroups(self) -> bool:
+        """Whether every element has order r, asked once per record (as
+        ``dataclasses.replace`` makes a new one): ``ms_combine``'s gate."""
+        return all(map(has_order_r, self.elements()))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -221,7 +228,8 @@ class Signature:
 def check_rows(sig: Signature, variant: str, keys=()):
     """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant`` record
     of that variant's width with as many messages as signers, and every
-    signer it lists and every key in ``keys`` is a ``variant`` key."""
+    signer it lists and every key in ``keys`` is a ``variant`` key; then
+    ``CrossSuiteError`` unless each of those keys is of ``sig``'s suite."""
     if sig.variant != variant:
         raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
     width = ROW_WIDTH[variant]
@@ -233,6 +241,8 @@ def check_rows(sig: Signature, variant: str, keys=()):
         raise MalformedEncodingError("message and signer lists differ in length")
     if any(pk.variant != variant for pk in (*sig.signers, *keys)):
         raise MalformedEncodingError(f"a key of another scheme than {variant}")
+    if any(pk.suite is not sig.row1[0].suite for pk in (*sig.signers, *keys)):
+        raise CrossSuiteError("a key of another suite than the signature's")
 
 
 def key_id(pk) -> bytes:
@@ -508,11 +518,11 @@ def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:
 
 def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
     rows = _key_rows(variant, pk, m)
-    check_rows(sig, variant)  # before the coins
+    check_rows(sig, variant, [pk])  # before the coins
     return verify_rows(sig, *rows, pk.omega, *verifier_coins(pk.suite, variant, rng))
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:
     rows = _key_rows(variant, pk, m)
-    check_rows(sig, variant)
+    check_rows(sig, variant, [pk])
     return verify_rows(sig, *rows, pk.omega, t, s1, s2)

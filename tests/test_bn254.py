@@ -6,7 +6,6 @@ import random
 import pytest
 
 from seqsig import bn254 as b
-from seqsig.groups import Bn254Backend
 
 rng = random.Random(20240817)
 
@@ -44,7 +43,7 @@ def twist_point_of_order_10069():
     assert cofactor % 10069 == 0
     for i in range(1, 100):
         x = (i, 1)
-        y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
+        y = b._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
         if y is not None:
             t = naive_g2_ladder((x, y), cofactor // 10069 * b.ORDER)
             if t is not None:
@@ -58,7 +57,7 @@ def random_twist_point(seed):
     draw = random.Random(seed)
     while True:
         x = (draw.randrange(b.P), draw.randrange(b.P))
-        y = Bn254Backend._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
+        y = b._sqrt_fq2(b.fq2_add(b.fq2_mul(b.fq2_sqr(x), x), b.B2))
         if y is not None:
             return (x, y)
 
@@ -471,7 +470,7 @@ class TestGroups:
         """A real a0 has a root in Fp2: (r, 0) when a0 is a square in Fp, else
         (0, r), as -1 is a non-square for p = 3 (mod 4). Each squares back to
         (a0, 0), and 0 gives (0, 0)."""
-        sqrt = Bn254Backend._sqrt_fq2
+        sqrt = b._sqrt_fq2
         assert sqrt((0, 0)) == (0, 0)
         draw = random.Random(235)
         for a0 in [4, b.P - 1, b.P - 4] + [draw.randrange(1, b.P) for _ in range(8)]:
@@ -486,7 +485,7 @@ class TestGroups:
         """The root of x^2 is +-x, whether delta = (a0 + lam)/2 is a square
         in Fp or not; both cases occur. a is a square in Fp2 exactly when
         its norm is one in Fp, and otherwise gives None."""
-        sqrt, p = Bn254Backend._sqrt_fq2, b.P
+        sqrt, p = b._sqrt_fq2, b.P
         draw = random.Random(236)
         delta_is_square = set()
         for _ in range(40):
@@ -607,6 +606,25 @@ class TestGroups:
         want = b.g2_add(naive_g2_ladder(t, k1), naive_g2_mul(b.G2_GEN, k2))
         assert b.g2_multi_exp([(t, k1), (b.G2_GEN, k2)]) == want
 
+    def test_g2_table_of_a_point_outside_g2_is_unsplit(self):
+        """Q + T, with Q in G2 and T of order 10069, is a twist point on
+        which psi is not [6u^2]. ``g2_table`` runs ``g2_in_subgroup`` on it
+        and gives its table no psi images, so its terms run unsplit and
+        match the exact ladder, alone and beside points and a split table.
+        Q's own table keeps its images."""
+        q = naive_g2_mul(b.G2_GEN, rng.randrange(1, b.ORDER))
+        qt = b.g2_add(q, twist_point_of_order_10069())
+        assert b.g2_frobenius(qt) != naive_g2_ladder(qt, b.GLS_LAMBDA)
+        tab, q_tab = b.g2_table(qt), b.g2_table(q)
+        assert tab.images is None and q_tab.images is not None
+        for k in (1, 10069, b.ORDER - 1, rng.randrange(b.ORDER)):
+            assert b.g2_multi_exp([(tab, k)]) == naive_g2_ladder(qt, k % b.ORDER)
+        k1, k2, k3 = (rng.randrange(b.ORDER) for _ in range(3))
+        want = b.g2_add(b.g2_add(naive_g2_ladder(qt, k1), naive_g2_mul(b.G2_GEN, k2)),
+                        naive_g2_mul(q, k3))
+        assert b.g2_multi_exp([(tab, k1), (b.G2_GEN, k2), (q, k3)]) == want
+        assert b.g2_multi_exp([(tab, k1), (b.G2_GEN, k2), (q_tab, k3)]) == want
+
     @pytest.mark.parametrize("width", [4, b.TABLE_WIDTH])
     def test_wnaf_digits(self, width):
         """Odd digits below 2^(w-1) in absolute value, at least w - 1 zero
@@ -627,9 +645,9 @@ class TestGroups:
         entries meet at every position), a base with its negation, k and
         -k on one base, a call whose sum is the identity, and in G2 a twist
         point T of order 10069, also beside its own multiples 3T and 5T and
-        -3T. T and its multiples are always points: a table's split is
-        exact only on G2, so :func:`g2_table` takes no point outside it.
-        The identity is always a point too: ``groups`` skips it before any
+        -3T. T and its multiples are always points here; the table of a
+        point outside G2 has a test of its own
+        (``test_g2_table_of_a_point_outside_g2_is_unsplit``). The identity is always a point too: ``groups`` skips it before any
         table, so neither table function takes it."""
         gen, neg, multi_exp, table, add, naive = {
             "g1": (b.G1_GEN, b.g1_neg, b.g1_multi_exp, b.g1_table, b.g1_add, naive_g1_mul),
@@ -1160,14 +1178,19 @@ class TestArithmeticCost:
         6u^2 and k div 6u^2, took 127 doublings and 656 mixed additions,
         and the unsplit 7-NAF of the 20 scalars 254 and 643 in both groups.
 
-        Building one table, outside the count, takes the same work in both
-        groups: x lifted to Jacobian form (1 mixed addition), then each odd
-        multiple (2j+1)x for j = 1, ..., 31 as [2](jx) + x (a doubling and a
-        mixed addition), and 1 batch inversion for all of them: 31, 32 and
-        1, and no position sums. The images, phi or psi of each multiple,
-        take no group operation. A G2 table's point is checked before the
-        build (``g2_in_subgroup``), not in it; the check psi(x) == [6u^2]x
-        made there, the unsplit 7-NAF of 6u^2, cost 158, 49 and 2."""
+        Building one table, outside the count, takes the same multiples in
+        both groups: x lifted to Jacobian form (1 mixed addition), then each
+        odd multiple (2j+1)x for j = 1, ..., 31 as [2](jx) + x (a doubling
+        and a mixed addition), and 1 batch inversion for all of them: 31, 32
+        and 1, and no position sums. The images, phi or psi of each
+        multiple, take no group operation. A G2 table also runs
+        ``g2_in_subgroup`` on its point, which decides whether it gets psi
+        images: [u]x as one unsplit per-call term, whose width-4 table takes
+        3 doublings, 4 mixed additions and 1 inversion, and whose 4-NAF of u
+        has 14 nonzero digits, the top at 62, so 62 doublings, 14 mixed
+        additions and 1 inversion; then 4 one-pair calls of the affine law
+        (three additions and one doubling), one inversion each. So a G2
+        table takes 31 + 65 = 96, 32 + 18 = 50, [1, 1, 1, 1] and 1 + 6 = 7."""
         gen, multi_exp, mul, table = {
             "g1": (b.G1_GEN, b.g1_multi_exp, b.g1_mul, b.g1_table),
             "g2": (b.G2_GEN, b.g2_multi_exp, b.g2_mul, b.g2_table)}[group]
@@ -1176,7 +1199,8 @@ class TestArithmeticCost:
         ks = [draw(b.ORDER) for _ in range(20)]
         assert count_msm(group, multi_exp, list(zip(tables, ks))) == {
             "g1": (125, 135, [288, 147, 76], 4), "g2": (62, 64, [315, 161, 73, 40, 6], 6)}[group]
-        assert count_msm(group, table, gen) == (31, 32, [], 1)
+        assert count_msm(group, table, gen) == {
+            "g1": (31, 32, [], 1), "g2": (96, 50, [1, 1, 1, 1], 7)}[group]
 
     @pytest.mark.parametrize("n, want", [(1, (62, 27, [6], 2)), (2, (62, 38, [21, 8], 3))])
     def test_short_g2_multi_exp_with_cached_tables(self, n, want):

@@ -211,7 +211,9 @@ class TestRealBackendAlgebra:
 def test_has_order_r_is_exact_and_asked_once_per_element(backend, monkeypatch):
     """Decoding takes a twist point outside G2 and a cyclotomic element
     outside G_T; has_order_r refuses both, takes every other element, and
-    asks the backend once per element. On mock every element has order r."""
+    asks the backend once per element on each call: an element keeps no
+    verdict, so a second call asks again (a key or parameter record keeps
+    one, ``in_subgroups``). On mock every element has order r."""
     from test_bn254 import cyclotomic_outside_gt, twist_point_of_order_10069
     suite = suite_generate(backend, 10007 if backend == "mock" else None)
     elems = {"g1": suite.g ** 7, "g2": suite.g_hat ** 11, "gt": pair(suite.g ** 3, suite.g_hat)}
@@ -229,7 +231,7 @@ def test_has_order_r_is_exact_and_asked_once_per_element(backend, monkeypatch):
     for _ in range(2):
         assert {name: has_order_r(e) for name, e in everything.items()} == {
             name: name not in outside for name in everything}
-    assert len(asked) == len(everything)
+    assert asked == [(e.kind, e.h) for e in everything.values()] * 2
 
 
 @pytest.mark.parametrize("backend", ["mock", "real"])

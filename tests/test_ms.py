@@ -208,6 +208,30 @@ class TestCombining:
         pks_ = [pk for pk, _ in keys]
         _check_against_the_loop(sigs, pks_, off, rng, 0, monkeypatch)
 
+    @pytest.mark.parametrize("backend", ["mock", "real"])
+    def test_a_record_is_asked_about_its_elements_once(self, backend, monkeypatch):
+        """Over two combines of two shares, the backend is asked about each
+        element of the parameters and each key's Omega once: the batch's
+        gate reads ``in_subgroups``, kept on each record. Parameters made
+        by ``dataclasses.replace`` are a new record, which asks again."""
+        from seqsig.groups import suite_generate
+        rng = random.Random(7)
+        suite = suite_generate(backend, 10007 if backend == "mock" else None)
+        params = ms.ms_setup(suite, rng)
+        keys = [ms.ms_keygen(params, rng) for _ in range(2)]
+        sigs = [ms.ms_sign(params, MSG, sk, rng) for _, sk in keys]
+        pks_ = [pk for pk, _ in keys]
+        asked, check = [], suite.backend.has_order_r
+        monkeypatch.setattr(suite.backend, "has_order_r",
+                            lambda kind, h: asked.append((kind, h)) or check(kind, h))
+        handles = lambda *records: [(e.kind, e.h) for rec in records for e in rec.elements()]
+        for _ in range(2):
+            ms.ms_combine(sigs, MSG, pks_, params, rng)
+        assert asked == handles(params, *pks_)
+        asked.clear()
+        ms.ms_combine(sigs, MSG, pks_, dataclasses.replace(params), rng)
+        assert asked == handles(params)
+
     def test_unequal_lists_halt_combining(self, setup3, rng):
         params, keys = setup3
         sig = ms.ms_sign(params, MSG, keys[0][1], rng)

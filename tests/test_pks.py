@@ -1,13 +1,14 @@
 """Single-signer schemes: round trips, widths, and a hand-derived fixture."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from seqsig import ms, pks, sas
-from seqsig.errors import KeyMismatchError, MalformedEncodingError
-from seqsig.groups import encode_element
+from seqsig.errors import CrossSuiteError, KeyMismatchError, MalformedEncodingError
+from seqsig.groups import encode_element, suite_generate
 
 MSG = b"order 66 executed"
 
@@ -67,6 +68,28 @@ class TestInterfaceGuards:
         with pytest.raises(MalformedEncodingError):  # a pks1 key for a pks2 signature
             pks.verify("pks2", sig2, MSG, pk1, rng)
         assert rng.getstate() == state  # refused before the verifier's coins
+
+    @pytest.mark.parametrize("path", ["pks.verify", "sas.agg_verify-l1", "sas.agg_verify-l2",
+                                      "ms.ms_verify", "ms.ms_combine"])
+    def test_a_key_of_another_suite_is_refused_before_any_coin(self, path):
+        """A signature of one mock:10007 suite with a key or signer of a
+        second is refused with ``CrossSuiteError`` by ``check_rows``, before
+        the verifier's coin, on every verifying path. The second suite's
+        objects are drawn from the same seed, so only the suite differs."""
+        (params, first), (_, second) = (_drawn_from_one_seed(path) for _ in range(2))
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(CrossSuiteError):
+            if path == "pks.verify":
+                pks.verify("pks2", first[1], MSG, second[0], rng)
+            elif path.startswith("sas"):
+                signers = first.signers[:-1] + second.signers[-1:]
+                sas.agg_verify(params, dataclasses.replace(first, signers=signers), rng)
+            elif path == "ms.ms_verify":
+                ms.ms_verify(first[1], MSG, second[0], params, rng)
+            else:
+                ms.ms_combine([first[1]], MSG, [second[0]], params, rng)
+        assert rng.getstate() == state
 
     def test_variant_other_than_the_keys_is_refused(self, mock_suite, rng):
         # lw hashes into the reduced message space; a pks2 key must not sign or accept that
@@ -148,6 +171,28 @@ class TestInterfaceGuards:
         for pk, kid in zip(keys, ids):
             payload = b"".join(encode_element(e) for e in pk.elements())
             assert kid == hashlib.sha256(payload).digest()
+
+
+def _drawn_from_one_seed(path):
+    """(params, record) on a fresh mock:10007 suite, drawn from one seed:
+    for ``pks.verify`` no params and a pks2 (key, signature), for sas an
+    aggregate of as many signers as ``path`` ends in, for ms a (key,
+    share)."""
+    rng = random.Random(41)
+    suite = suite_generate("mock", 10007)
+    if path == "pks.verify":
+        pk, sk = pks.keygen(suite, "pks2", rng)
+        return None, (pk, pks.sign("pks2", MSG, sk, pk, rng))
+    if path.startswith("sas"):
+        params = sas.setup(suite, "sas2", rng)
+        agg = sas.empty_aggregate(params)
+        for i in range(int(path[-1])):
+            pub, priv = sas.keygen(params, rng)
+            agg = sas.agg_sign(params, agg, b"m%d" % i, pub, priv, rng, verify_prev=False)
+        return params, agg
+    params = ms.ms_setup(suite, rng)
+    pk, sk = ms.ms_keygen(params, rng)
+    return params, (pk, ms.ms_sign(params, MSG, sk, rng))
 
 
 class TestHandFixture:

@@ -46,18 +46,21 @@ def test_field_op_counter_sees_every_op_in_a_pairing():
 
 def test_g2_membership_is_one_traced_check_that_decoding_does_not_make():
     """The benchmark's ``bn254.g2_in_subgroup`` span counts exact G2
-    membership checks: ``has_order_r`` on a fresh G2 element makes one,
-    however often it is asked, and no ``bn254.g2_multi_exp`` span, so traced
-    G2 exponentiations count exponentiations only; decoding a G2 element,
-    which checks the twist equation only, makes none."""
+    membership checks: each ``has_order_r`` call on a G2 element makes one,
+    and no ``bn254.g2_multi_exp`` span, so traced G2 exponentiations count
+    exponentiations only; building a G2 table makes one, as
+    ``bn254.g2_table`` checks its point; decoding a G2 element, which
+    checks the twist equation only, makes none."""
     suite = groups.suite_generate("real")
     data = groups.encode_element(suite.g_hat ** 5)
     tracer = spans.Tracer()
     with tracer.install(seqsig):
         elem = tracer.run_op(0, lambda: groups.decode_element(suite, "g2", data))
         assert tracer.run_op(1, lambda: [groups.has_order_r(elem) for _ in range(2)]) == [True] * 2
+        tracer.run_op(2, lambda: suite.backend.table("g2", elem.h))
     labels = [(rec[4], rec[0]) for rec in tracer.spans]
     assert (0, "groups.decode.g2") in labels
     assert (0, "bn254.g2_in_subgroup") not in labels
-    assert labels.count((1, "bn254.g2_in_subgroup")) == 1
+    assert labels.count((1, "bn254.g2_in_subgroup")) == 2
     assert (1, "bn254.g2_multi_exp") not in labels
+    assert labels.count((2, "bn254.g2_in_subgroup")) == 1
