@@ -661,9 +661,9 @@ class Table(NamedTuple):
     """The cached width-7 table of one G1 or G2 point x, which
     :func:`g1_multi_exp` and :func:`g2_multi_exp` take in place of x: its
     affine odd multiples [x, x^3, ..., x^63], and their images under the
-    group's endomorphism (phi or psi), on which a term's second part runs
-    (None off G2: unsplit). A G2 term's third and fourth parts read -psi^2
-    of the multiples and images, mapped per used digit."""
+    group's endomorphism (phi or psi), on which a term's second part runs,
+    or None off G2, where terms run unsplit. A G2 term's third and fourth
+    parts read -psi^2 of the multiples and images, mapped per used digit."""
 
     multiples: tuple
     images: tuple
