@@ -267,7 +267,7 @@ def decode_aggregate(suite: GroupSuite, data: bytes,
     row1, row2 = r.rows(variant)
     r.end()
     agg = pks.Signature(variant, row1, row2, tuple(messages), tuple(signers))
-    pks.check_rows(agg, variant)
+    pks.check_rows(variant, suite, [agg])
     return agg
 
 

@@ -32,7 +32,7 @@ batch's error, the verdicts and errors are those of a loop of
 Duplicate public keys in the verification list are accepted: nothing in
 the combining algebra forbids them. Rogue keys are the certification
 registry's job: the verifiers and ``ms_combine`` take its predicate as
-``certified=`` and refuse an uncertified key before any pairing.
+``certified=`` and, after :func:`pks.check_rows`, refuse an uncertified key before any coin.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import pks
-from .errors import CrossSuiteError, InvalidAggregateError
+from .errors import InvalidAggregateError
 from .groups import GroupSuite, Scalar, hash_to_scalar, multi_exp, random_scalar
 
 _MSG_TAG = b"seqsig/ms/message"
@@ -94,9 +94,9 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     """Componentwise product of same-message signatures.
 
     Each input is verified first unless the caller vouches for a
-    pre-verified batch via ``skip_individual_checks``. A key that the
-    ``certified`` predicate refuses, a key of another scheme or suite or a
-    share of the wrong width halts the combination either way, before any coin.
+    pre-verified batch via ``skip_individual_checks``. Either way, a share
+    or key of another scheme, width or suite (:func:`pks.check_rows`), then
+    a key that the ``certified`` predicate refuses, halts it before any coin.
 
     The checks draw one coin t per share, in order, whatever the verdict:
     the draws of a loop of :func:`ms_verify` over every share. The
@@ -113,13 +113,7 @@ def ms_combine(sigs: Sequence[pks.Signature], message: bytes, keys: Sequence[pks
     """
     if len(sigs) != len(keys):
         raise ValueError("signature and key lists must align")
-    if not sigs:
-        raise ValueError("nothing to combine")
-    for sig, pk in zip(sigs, keys):
-        pks.check_rows(sig, params.variant, [pk])
-        if pk.suite is not params.suite:
-            raise CrossSuiteError("public key belongs to a different suite")
-    if certified is not None and not all(certified(pk) for pk in keys):
+    if not _admitted(sigs, keys, params, certified):
         raise InvalidAggregateError("an input signature's key is uncertified; halting")
     if not skip_individual_checks:
         coins = [pks.verifier_coins(params.suite, params.variant, rng)[0] for _ in sigs]
@@ -140,16 +134,25 @@ def ms_mult_verify(msig: pks.Signature, message: bytes, keys: Sequence[pks.Publi
 
 
 def ms_mult_verify_scalar(msig, m, keys, params, rng, *, certified=None) -> bool:
-    """False, before any coin or pairing, when ``certified`` refuses a key."""
-    if certified is not None and not all(certified(pk) for pk in keys):
-        return False
-    _check_inputs(msig, keys, params)  # before the coin
-    t, _, _ = pks.verifier_coins(params.suite, params.variant, rng)
-    return ms_mult_verify_with_coins(msig, m, keys, params, t)
+    """After the record check, False before any coin when ``certified`` refuses a key."""
+    return _admitted([msig], keys, params, certified) and _pairing_check(
+        msig, m, keys, params, pks.verifier_coins(params.suite, params.variant, rng)[0])
 
 
 def ms_mult_verify_with_coins(msig, m, keys, params, t) -> bool:
-    _check_inputs(msig, keys, params)
+    return _admitted([msig], keys, params) and _pairing_check(msig, m, keys, params, t)
+
+
+def _admitted(sigs, keys, params, certified=None) -> bool:
+    """The refusals of every ms call, in order and before any coin: ``ValueError``
+    without keys, :func:`pks.check_rows`, then False unless ``certified`` accepts them."""
+    if not keys:
+        raise ValueError("an ms call needs at least one public key")
+    pks.check_rows(params.variant, params.suite, sigs, keys)
+    return certified is None or all(map(certified, keys))
+
+
+def _pairing_check(msig, m, keys, params, t) -> bool:
     omega = pks.product([pk.omega for pk in keys])
     return pks.pairing_check(msig, *_verifier_rows(params, m, t), omega)
 
@@ -169,9 +172,3 @@ def _verifier_rows(params, m, t):
     """(V1', V2') for message scalar m: one (u_hat, h_hat, m) term on the
     parameters' rows and no randomization row."""
     return pks.verifier_rows(params.g_hat_row, None, [(params.u_hat_row, params.h_hat_row, m)], t)
-
-
-def _check_inputs(msig, keys, params):
-    if not keys:
-        raise ValueError("verification requires at least one public key")
-    pks.check_rows(msig, params.variant, keys)

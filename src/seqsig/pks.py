@@ -209,7 +209,8 @@ class PrivateKey:
 class Signature:
     """A pks signature, sas aggregate or ms multi-signature: two G1 rows, each
     ``ROW_WIDTH[variant]`` wide. Only an aggregate fills ``messages`` and
-    ``signers``, one per signer in signing order; :func:`check_rows` checks it."""
+    ``signers``, one per signer in signing order; :func:`check_rows` checks
+    it against the scheme and suite of the key or parameters of a call."""
 
     variant: str
     row1: tuple[G1Elem, ...]
@@ -225,24 +226,25 @@ class Signature:
         return list(self.row1) + list(self.row2)
 
 
-def check_rows(sig: Signature, variant: str, keys=()):
-    """Raise ``MalformedEncodingError`` unless ``sig`` is a ``variant`` record
-    of that variant's width with as many messages as signers, and every
-    signer it lists and every key in ``keys`` is a ``variant`` key; then
-    ``CrossSuiteError`` unless each of those keys is of ``sig``'s suite."""
-    if sig.variant != variant:
-        raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
-    width = ROW_WIDTH[variant]
-    if len(sig.row1) != width or len(sig.row2) != width:
-        raise MalformedEncodingError(
-            f"signature width {len(sig.row1)}/{len(sig.row2)} does not match variant {variant}"
-        )
-    if len(sig.messages) != len(sig.signers):
-        raise MalformedEncodingError("message and signer lists differ in length")
-    if any(pk.variant != variant for pk in (*sig.signers, *keys)):
+def check_rows(variant: str, suite: GroupSuite, sigs=(), keys=()):
+    """The one record check, asked once per public call before any coin, on the
+    scheme and suite of the call's key or parameters: ``MalformedEncodingError``
+    unless each of ``sigs`` is a ``variant`` record of its width with as many
+    messages as signers, and each signer it lists and key in ``keys`` is a
+    ``variant`` key; then ``CrossSuiteError`` unless all are of ``suite``."""
+    keys = [*(pk for sig in sigs for pk in sig.signers), *keys]
+    for sig in sigs:
+        if sig.variant != variant:
+            raise MalformedEncodingError(f"{sig.variant} signature does not match variant {variant}")
+        if not len(sig.row1) == len(sig.row2) == ROW_WIDTH[variant]:
+            raise MalformedEncodingError(f"signature width {len(sig.row1)}/{len(sig.row2)}"
+                                         f" does not match variant {variant}")
+        if len(sig.messages) != len(sig.signers):
+            raise MalformedEncodingError("message and signer lists differ in length")
+    if any(pk.variant != variant for pk in keys):
         raise MalformedEncodingError(f"a key of another scheme than {variant}")
-    if any(pk.suite is not sig.row1[0].suite for pk in (*sig.signers, *keys)):
-        raise CrossSuiteError("a key of another suite than the signature's")
+    if any(x.suite is not suite for x in [*keys, *(e for sig in sigs for e in sig.elements())]):
+        raise CrossSuiteError("a signature or key of another suite than the call's")
 
 
 def key_id(pk) -> bytes:
@@ -350,11 +352,10 @@ def sign_with_randomness(variant: str, m: Scalar, sk: PrivateKey, pk, r, c1, c2)
     return Signature(variant, row1, row2)
 
 
-def _key_rows(variant: str, pk, m: Scalar):
-    """(g_hat_row, v_hat_row, terms) of a single-signer key, for the row core."""
+def _key_rows(variant: str, pk, m: Scalar, sigs=()):
+    """(g_hat_row, v_hat_row, terms) of a key for the row core, once :func:`check_rows` passes."""
     _check_variant(variant)
-    if pk.variant != variant:
-        raise MalformedEncodingError(f"a {pk.variant} key does not verify {variant} signatures")
+    check_rows(variant, pk.suite, sigs, [pk])
     return pk.g_hat_row, pk.v_hat_row, [(pk.u_hat_row, pk.h_hat_row, m)]
 
 
@@ -517,12 +518,9 @@ def verify(variant: str, sig: Signature, message: bytes, pk, rng) -> bool:
 
 
 def verify_scalar(variant: str, sig: Signature, m: Scalar, pk, rng) -> bool:
-    rows = _key_rows(variant, pk, m)
-    check_rows(sig, variant, [pk])  # before the coins
+    rows = _key_rows(variant, pk, m, [sig])  # before the coins
     return verify_rows(sig, *rows, pk.omega, *verifier_coins(pk.suite, variant, rng))
 
 
 def verify_with_coins(variant: str, sig: Signature, m: Scalar, pk, t, s1=0, s2=0) -> bool:
-    rows = _key_rows(variant, pk, m)
-    check_rows(sig, variant, [pk])
-    return verify_rows(sig, *rows, pk.omega, t, s1, s2)
+    return verify_rows(sig, *_key_rows(variant, pk, m, [sig]), pk.omega, t, s1, s2)

@@ -17,8 +17,9 @@ out: neither the aggregate nor the G2 rows built from the signers' keys are
 raised to it.
 
 An aggregate (``AggregateSignature``) is a :class:`pks.Signature` that lists
-each signer's message and key; :func:`pks.check_rows` checks it before any
-coin, pairing or division.
+each signer's message and key. Each public function checks what it takes by
+one :func:`pks.check_rows` on the parameters' scheme and suite, before any coin,
+pairing, division or certification; the cores behind them do not check again.
 """
 
 from __future__ import annotations
@@ -85,26 +86,28 @@ def chained_message_scalar(suite: GroupSuite, variant: str, chain: Sequence[byte
 def agg_sign(params, prev: AggregateSignature, message: bytes,
              pub: pks.PublicKey, priv: pks.PrivateKey, rng, *,
              certified: Callable | None = None, verify_prev: bool = True) -> AggregateSignature:
-    pks.check_rows(prev, _variant(params), [pub])
+    pks.check_rows(_variant(params), params.suite, [prev], [pub])
     m = chained_message_scalar(params.suite, params.variant, [message])
-    kid = pks.key_id(pub)
-    if priv.pk_id != kid:
+    if priv.pk_id != pks.key_id(pub):
         raise KeyMismatchError("private key does not belong to this public key")
     if certified is not None and not all(certified(s) for s in prev.signers):
         raise InvalidAggregateError("aggregate-so-far has an uncertified signer; halting")
-    if not _distinct_signers(params, prev, pub):
+    if not _distinct_signers(prev, pub):
         raise DuplicateSignerError("a signer would occur twice in the aggregate")
-    if verify_prev and not agg_verify(params, prev, rng):
+    if verify_prev and not _coin_check(params, prev, rng):
         raise InvalidAggregateError("aggregate-so-far failed verification; halting")
-    return agg_sign_with_randomness(params, prev, m, pub, priv,
-                                    *pks.signing_coins(params.suite, rng))
+    return _append(params, prev, m, pub, priv, *pks.signing_coins(params.suite, rng))
 
 
 def agg_sign_with_randomness(params, prev, m, pub, priv, r, c1, c2) -> AggregateSignature:
-    pks.check_rows(prev, _variant(params), [pub])
+    pks.check_rows(_variant(params), params.suite, [prev], [pub])
+    return _append(params, prev, m, pub, priv, r, c1, c2)
+
+
+def _append(params, prev, m, pub, priv, r, c1, c2) -> AggregateSignature:
+    """:func:`agg_sign_with_randomness` once the record check passed."""
     d = (priv.x * m + priv.y) % params.suite.order
-    messages = prev.messages + (m,)
-    signers = prev.signers + (pub,)
+    messages, signers = prev.messages + (m,), prev.signers + (pub,)
     row1, row2 = pks.sign_rows(params.g_row, priv.alpha, _message_bases(messages, signers),
                                params.w_row, r, c1, c2, prev=(prev.row1, prev.row2), d=d)
     return AggregateSignature(params.variant, row1, row2, messages, signers)
@@ -120,26 +123,28 @@ def _message_bases(messages, signers):
 
 
 def agg_verify(params, agg: AggregateSignature, rng, *, certified=None) -> bool:
-    if not _distinct_signers(params, agg):
-        return False
-    if certified is not None and not all(certified(s) for s in agg.signers):
-        return False
-    if agg.length == 0:
-        return _pairing_check(params, agg, 1)  # l = 0 draws no coins
-    return _pairing_check(params, agg, *pks.verifier_coins(params.suite, params.variant, rng))
+    pks.check_rows(_variant(params), params.suite, [agg])
+    return (_distinct_signers(agg) and (certified is None or all(map(certified, agg.signers)))
+            and _coin_check(params, agg, rng))
 
 
 def agg_verify_with_coins(params, agg, t, s1=0, s2=0) -> bool:
     """:func:`agg_verify` for given coins and no certification predicate;
     t must be nonzero (``ValueError``)."""
-    return _distinct_signers(params, agg) and _pairing_check(params, agg, t, s1, s2)
+    pks.check_rows(_variant(params), params.suite, [agg])
+    return _distinct_signers(agg) and _pairing_check(params, agg, t, s1, s2)
 
 
-def _distinct_signers(params, agg, *appenders) -> bool:
-    """Whether no signer occurs twice in agg and ``appenders``, once check_rows passes."""
-    pks.check_rows(agg, _variant(params), appenders)
+def _distinct_signers(agg, *appenders) -> bool:
+    """Whether no signer occurs twice in agg and ``appenders``."""
     ids = [pks.key_id(s) for s in agg.signers + appenders]
     return len(set(ids)) == len(ids)
+
+
+def _coin_check(params, agg, rng) -> bool:
+    """The pairing equation on fresh verifier coins; l = 0 draws none."""
+    coins = pks.verifier_coins(params.suite, params.variant, rng) if agg.length else (1,)
+    return _pairing_check(params, agg, *coins)
 
 
 def _pairing_check(params, agg, t, s1=0, s2=0) -> bool:
@@ -163,7 +168,7 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
     ``KeyMismatchError`` before any division. The result verifies under
     :func:`pks_view` of the target's key.
     """
-    pks.check_rows(agg, _variant(params))
+    pks.check_rows(_variant(params), params.suite, [agg])
     if not 0 <= target_index < agg.length:
         raise IndexError("target index outside the aggregate")
     others = []
@@ -182,7 +187,7 @@ def strip_to_single(params, agg: AggregateSignature, target_index: int,
 
 def pks_view(params, pub: pks.PublicKey) -> pks.PublicKey:
     """Assemble the single-signer public key implied by (params, signer)."""
-    pks.check_rows(empty_aggregate(params), params.variant, [pub])
+    pks.check_rows(_variant(params), params.suite, keys=[pub])
     return pks.PublicKey(
         suite=params.suite, variant=_PKS_VARIANT[params.variant], g_row=params.g_row,
         u_row=pub.u_row, h_row=pub.h_row, w_row=params.w_row, g_hat_row=params.g_hat_row,
@@ -198,7 +203,7 @@ def remove_signer(params, agg: AggregateSignature, pub: pks.PublicKey,
     randomness, so the result is again a well-formed aggregate over the
     remaining signers (provided ``m_old`` is the scalar actually signed).
     """
-    pks.check_rows(agg, _variant(params))
+    pks.check_rows(_variant(params), params.suite, [agg], [pub])
     kid = pks.key_id(pub)
     if priv.pk_id != kid:
         raise KeyMismatchError("private key does not belong to this public key")
@@ -234,5 +239,4 @@ def agg_resign(params, agg: AggregateSignature, old_chain: Sequence[bytes],
     m_old = chained_message_scalar(params.suite, _variant(params), old_chain)
     stripped = remove_signer(params, agg, pub, priv, m_old)
     m_new = chained_message_scalar(params.suite, params.variant, list(old_chain) + [new_message])
-    return agg_sign_with_randomness(params, stripped, m_new, pub, priv,
-                                    *pks.signing_coins(params.suite, rng))
+    return _append(params, stripped, m_new, pub, priv, *pks.signing_coins(params.suite, rng))

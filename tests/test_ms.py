@@ -272,7 +272,9 @@ class TestCombining:
 
     def test_malformed_input_is_refused_before_the_coin(self, setup3, rng, mock_suite):
         """A 2-wide record, an empty key list or a key of another scheme is
-        refused before the verifier's coin; a 2-wide share or a share under a
+        refused before the verifier's coin, the last also under a predicate
+        that refuses every key, since the record check comes before
+        certification; a 2-wide share or a share under a
         key of another scheme before any coin or pairing of the combine, even
         with skip_individual_checks; a sas2 or pks2 private key before the
         signer's coin. The other scheme's key is a sas2 key with the first
@@ -296,7 +298,8 @@ class TestCombining:
                 [sigs[0], narrow], MSG, pks_, params, rng, skip_individual_checks=skip))
               for skip in (True, False)),
             *((MalformedEncodingError, lambda pred=pred: ms.ms_verify(
-                sigs[0], MSG, sas2_pk, params, rng, certified=pred)) for pred in (None, certified)),
+                sigs[0], MSG, sas2_pk, params, rng, certified=pred))
+              for pred in (None, certified, lambda pk: False)),
             (MalformedEncodingError, lambda: ms.ms_mult_verify(
                 sigs[0], MSG, [sas2_pk, pks_[1]], params, rng)),
             *((MalformedEncodingError, lambda skip=skip: ms.ms_combine(

@@ -70,15 +70,26 @@ class TestInterfaceGuards:
         assert rng.getstate() == state  # refused before the verifier's coins
 
     @pytest.mark.parametrize("path", ["pks.verify", "sas.agg_verify-l1", "sas.agg_verify-l2",
-                                      "ms.ms_verify", "ms.ms_combine"])
+                                      "ms.ms_verify", "ms.ms_combine",
+                                      "params/sas.agg_verify-l1", "params/sas.agg_verify-l2",
+                                      "params/sas.agg_sign-l1", "params/ms.ms_verify",
+                                      "params/ms.ms_combine"])
     def test_a_key_of_another_suite_is_refused_before_any_coin(self, path):
         """A signature of one mock:10007 suite with a key or signer of a
-        second is refused with ``CrossSuiteError`` by ``check_rows``, before
-        the verifier's coin, on every verifying path. The second suite's
-        objects are drawn from the same seed, so only the suite differs."""
-        (params, first), (_, second) = (_drawn_from_one_seed(path) for _ in range(2))
+        second, or (``params/``) with its own keys under the second suite's
+        parameters, is refused with ``CrossSuiteError`` by ``check_rows``,
+        before the verifier's coin or any pairing, on every verifying path.
+        The second suite's objects are drawn from the same seed, so only the
+        suite differs."""
+        (params, first), (other_params, second) = (
+            _drawn_from_one_seed(path.removeprefix("params/")) for _ in range(2))
+        suites = [(params or first[0]).suite, (other_params or second[0]).suite]
+        if path == "params/sas.agg_sign-l1":  # a fresh key of the first suite
+            pub, priv = sas.keygen(params, random.Random(6))
+        if path.startswith("params/"):
+            params = other_params
         rng = random.Random(5)
-        state = rng.getstate()
+        state, pairings = rng.getstate(), [s.pairing_count for s in suites]
         with pytest.raises(CrossSuiteError):
             if path == "pks.verify":
                 pks.verify("pks2", first[1], MSG, second[0], rng)
@@ -87,9 +98,18 @@ class TestInterfaceGuards:
                 sas.agg_verify(params, dataclasses.replace(first, signers=signers), rng)
             elif path == "ms.ms_verify":
                 ms.ms_verify(first[1], MSG, second[0], params, rng)
-            else:
+            elif path == "ms.ms_combine":
                 ms.ms_combine([first[1]], MSG, [second[0]], params, rng)
+            elif path.startswith("params/sas.agg_verify"):
+                sas.agg_verify(params, first, rng)
+            elif path == "params/sas.agg_sign-l1":
+                sas.agg_sign(params, first, MSG, pub, priv, rng)
+            elif path == "params/ms.ms_verify":
+                ms.ms_verify(first[1], MSG, first[0], params, rng)
+            else:
+                ms.ms_combine([first[1]], MSG, [first[0]], params, rng)
         assert rng.getstate() == state
+        assert [s.pairing_count for s in suites] == pairings
 
     def test_variant_other_than_the_keys_is_refused(self, mock_suite, rng):
         # lw hashes into the reduced message space; a pks2 key must not sign or accept that
@@ -171,6 +191,28 @@ class TestInterfaceGuards:
         for pk, kid in zip(keys, ids):
             payload = b"".join(encode_element(e) for e in pk.elements())
             assert kid == hashlib.sha256(payload).digest()
+
+    def test_each_call_checks_its_records_once(self, mock_suite, rng, monkeypatch):
+        """``pks.verify``, ``sas.agg_sign`` with the check of the aggregate so
+        far, and ``ms.ms_mult_verify`` each ask ``check_rows`` exactly once;
+        the cores behind them ask it no more."""
+        pk, sk = pks.keygen(mock_suite, "pks2", rng)
+        sig = pks.sign("pks2", MSG, sk, pk, rng)
+        params = sas.setup(mock_suite, "sas2", rng)
+        (pub1, priv1), (pub2, priv2) = sas.keygen(params, rng), sas.keygen(params, rng)
+        agg = sas.agg_sign(params, sas.empty_aggregate(params), b"m1", pub1, priv1, rng)
+        ms_params = ms.ms_setup(mock_suite, rng)
+        keys = [ms.ms_keygen(ms_params, rng) for _ in range(2)]
+        msig = ms.ms_combine([ms.ms_sign(ms_params, MSG, sk, rng) for _, sk in keys], MSG,
+                             [pk for pk, _ in keys], ms_params, rng)
+        calls, check = [], pks.check_rows
+        monkeypatch.setattr(pks, "check_rows", lambda *a, **k: calls.append(a) or check(*a, **k))
+        for call in (lambda: pks.verify("pks2", sig, MSG, pk, rng),
+                     lambda: sas.agg_sign(params, agg, b"m2", pub2, priv2, rng, verify_prev=True),
+                     lambda: ms.ms_mult_verify(msig, MSG, [pk for pk, _ in keys], ms_params, rng)):
+            calls.clear()
+            assert call()
+            assert len(calls) == 1
 
 
 def _drawn_from_one_seed(path):
