@@ -83,6 +83,7 @@ class TestInterfaceGuards:
         suite differs."""
         (params, first), (other_params, second) = (
             _drawn_from_one_seed(path.removeprefix("params/")) for _ in range(2))
+        # pks draws no parameters, so its suites are its keys
         suites = [(params or first[0]).suite, (other_params or second[0]).suite]
         if path == "params/sas.agg_sign-l1":  # a fresh key of the first suite
             pub, priv = sas.keygen(params, random.Random(6))
